@@ -6,7 +6,8 @@ reports), ``analyze`` (time-tag files or a coincidence CSV -> reports),
 (export a shipped scenario) and ``list-scenarios``.
 
 Exit codes: 0 success, 2 configuration error, 3 model validation failure,
-4 input parse error, 5 empty setting cell.  All printed tables are also
+4 input error (unparsable line, decreasing timestamp, or two settings at
+one station in one window), 5 empty setting cell.  All printed tables are also
 written machine-readably; identical configuration and seed produce
 byte-identical artifacts whatever the thread count.
 """
@@ -22,6 +23,7 @@ from pathlib import Path
 
 from . import modelio
 from .core import ensure_valid
+from .modelio import _decode_label
 from .coupling import (
     JointSpec,
     coupling_feasibility,
@@ -36,13 +38,13 @@ from .errors import (
     MissingPair,
     NonMonotonicTimestamps,
     ParseError,
+    SettingConflict,
 )
 from .estimators import (
     POSTSELECTED,
     RAW,
     chsh,
     chsh_report_to_dict,
-    correlation_csv_rows,
     correlation_set_to_dict,
     estimate_postselected,
     estimate_raw,
@@ -92,13 +94,6 @@ class ConfigError(BellsimError):
     pass
 
 
-def _decode_label(token):
-    try:
-        return int(token)
-    except (TypeError, ValueError):
-        return token
-
-
 def _load_config(path) -> dict:
     values = {}
     for line_number, raw in enumerate(Path(path).read_text().splitlines(), start=1):
@@ -132,9 +127,10 @@ def _write_plot_data(out_dir: Path, stem: str, rows, caption: str) -> list[str]:
 
 
 def _analysis_payload(records) -> dict:
+    """Estimate once per conditioning; every analysis output derives from this."""
     sections = {}
-    for conditioning, estimate in ((RAW, estimate_raw), (POSTSELECTED, estimate_postselected)):
-        cs = estimate(records)
+    for conditioning, cs in ((RAW, estimate_raw(records)),
+                             (POSTSELECTED, estimate_postselected(records))):
         section = {"correlations": correlation_set_to_dict(cs)}
         # CHSH and no-signalling need all four setting pairs; partial data
         # still gets its correlation table.
@@ -147,18 +143,21 @@ def _analysis_payload(records) -> dict:
     return sections
 
 
-def _correlation_sets(records) -> dict:
-    return {RAW: estimate_raw(records), POSTSELECTED: estimate_postselected(records)}
+_CSV_COLUMNS = ("x", "y", "e_ab", "e_a", "e_b", "n_raw", "n_post", "c_hat",
+                "se_ab", "se_a", "se_b")
 
 
-def _emit_analysis(out_dir: Path, payload: dict, records) -> list[str]:
+def _emit_analysis(out_dir: Path, payload: dict) -> list[str]:
     written = []
     _write_json(out_dir / "analysis.json", payload)
     written.append("analysis.json")
-    for conditioning, cs in _correlation_sets(records).items():
+    for conditioning in (RAW, POSTSELECTED):
         csv_path = out_dir / f"correlations_{conditioning}.csv"
         with csv_path.open("w", newline="", encoding="ascii") as fh:
-            csv.writer(fh).writerows(correlation_csv_rows(cs))
+            writer = csv.writer(fh)
+            writer.writerow(("conditioning",) + _CSV_COLUMNS)
+            for pair in payload[conditioning]["correlations"]["pairs"]:
+                writer.writerow([conditioning] + [pair[k] for k in _CSV_COLUMNS])
         written.append(csv_path.name)
     for conditioning in (RAW, POSTSELECTED):
         section = payload[conditioning]
@@ -267,7 +266,7 @@ def _cmd_simulate(args) -> int:
         "dropped_a": pairing.dropped_a,
         "dropped_b": pairing.dropped_b,
     }
-    written += _emit_analysis(out, payload, pairing.records)
+    written += _emit_analysis(out, payload)
     _print_summary(payload, f"{header_name} | windows {schedule.n_windows} | "
                             f"seed {args.seed} | rule {args.setting_rule}", written)
     return EXIT_OK
@@ -284,7 +283,11 @@ def _cmd_analyze(args) -> int:
             raise ConfigError("both --stream-a and --stream-b are required")
         stream_a = ingest_timetag_file(args.stream_a, station="A")
         stream_b = ingest_timetag_file(args.stream_b, station="B")
-        pairing = pair_coincidences(stream_a, stream_b, args.window_ns)
+        try:
+            pairing = pair_coincidences(stream_a, stream_b, args.window_ns)
+        except SettingConflict as exc:
+            path = args.stream_a if exc.station == "A" else args.stream_b
+            raise SettingConflict(f"{path}: {exc}") from None
         records = pairing.records
         write_coincidence_csv(records, out / "coincidences.csv")
         written.append("coincidences.csv")
@@ -294,7 +297,7 @@ def _cmd_analyze(args) -> int:
         source = f"coincidences {args.coincidences}"
     payload = _analysis_payload(records)
     payload["run"] = {"command": "analyze", "source": source, "records": len(records)}
-    written += _emit_analysis(out, payload, records)
+    written += _emit_analysis(out, payload)
     _print_summary(payload, source, written)
     return EXIT_OK
 
@@ -306,14 +309,9 @@ def _spec_from_flags(args) -> JointSpec:
             raise ConfigError(f"--spec missing and no inline {label} values given")
         tables[label] = {(_decode_label(x), _decode_label(y)): float(v)
                          for x, y, v in rows}
-    xs = []
-    ys = []
-    for (x, y) in tables["e_ab"]:
-        if x not in xs:
-            xs.append(x)
-        if y not in ys:
-            ys.append(y)
-    return JointSpec(tuple(xs), tuple(ys), tables["e_ab"], tables["e_a"], tables["e_b"])
+    xs = tuple(dict.fromkeys(x for x, _ in tables["e_ab"]))
+    ys = tuple(dict.fromkeys(y for _, y in tables["e_ab"]))
+    return JointSpec(xs, ys, tables["e_ab"], tables["e_a"], tables["e_b"])
 
 
 def _cmd_check_coupling(args) -> int:
@@ -458,7 +456,7 @@ def main(argv=None) -> int:
         for violation in exc.violations:
             print(f"  {violation}", file=sys.stderr)
         return EXIT_INVALID_MODEL
-    except (ParseError, NonMonotonicTimestamps) as exc:
+    except (ParseError, NonMonotonicTimestamps, SettingConflict) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except (EmptyCell, MissingPair) as exc:

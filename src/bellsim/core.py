@@ -31,7 +31,10 @@ For one setting pair (x, y) the quantities of interest are the raw
 (unconditional) expectations of A, B and A*B, the detection rate
 ``c_xy = P(A*B != 0)``, and the post-selected expectations, i.e. the same
 sums restricted to trials where both stations detected and divided by
-``c_xy``.
+``c_xy``.  Every one of them derives from the per-pair 3x3 outcome table
+P(a, b | x, y) over (a, b) in {-1, 0, +1}^2: enumeration fills it with
+exact probabilities (`outcome_table`), data estimation with counts, and
+`table_stats` turns either into the reported numbers.
 """
 
 from __future__ import annotations
@@ -441,7 +444,7 @@ def _check_pair(model: ExperimentModel, sp: SettingPair) -> SettingPair:
 
 
 # ---------------------------------------------------------------------------
-# Exact enumeration
+# Per-pair outcome tables and exact enumeration
 
 
 def quantum_reference_correlation(theta_a: float, theta_b: float) -> float:
@@ -460,27 +463,53 @@ def _quantum_exact(model: ExperimentModel, sp: SettingPair) -> ExactResult:
     return ExactResult(e_ab=e, e_a=0.0, e_b=0.0, c_xy=1.0)
 
 
-def _enumerate_terms(model: ExperimentModel, sp: SettingPair):
-    """Yield (weight, a, b) over the full lambda space for one setting pair."""
-    resp_a = model.responses_a[sp.x]
-    resp_b = model.responses_b[sp.y]
-    if model.variant is ModelVariant.M3:
-        joint = model.instruments_joint[sp]
-        for (l1, l2), p_src in model.source.items():
-            for (lx, ly), p_i in joint.items():
-                yield p_src * p_i, resp_a(l1, lx), resp_b(l2, ly)
-    else:
-        inst_a = model.instruments_a[sp.x]
-        inst_b = model.instruments_b[sp.y]
-        for (l1, l2), p_src in model.source.items():
-            for lx, p_x in inst_a.items():
-                a = resp_a(l1, lx)
-                w1 = p_src * p_x
-                for ly, p_y in inst_b.items():
-                    yield w1 * p_y, a, resp_b(l2, ly)
+def empty_table(zero=0) -> list[list]:
+    """A 3x3 outcome table, indexed ``[a + 1][b + 1]``, filled with ``zero``."""
+    return [[zero] * 3 for _ in range(3)]
 
 
-def _enumerate(model: ExperimentModel, sp: SettingPair):
+_CELLS = tuple((a, b) for a in VALID_OUTCOMES for b in VALID_OUTCOMES)
+
+# The three reported statistics of a trial, in report order: A*B, A, B.
+STATISTICS = (lambda a, b: a * b, lambda a, b: a, lambda a, b: b)
+
+
+def table_sum(table, f, post: bool = False):
+    """Sum of ``table[a+1][b+1] * f(a, b)`` over the cells of an outcome table.
+
+    With ``post`` only cells where both outcomes are non-zero count.  Integer
+    tables give integer sums and Fraction tables exact rational sums.
+    """
+    return sum(table[a + 1][b + 1] * f(a, b) for a, b in _CELLS if not post or a * b)
+
+
+class TableStats(NamedTuple):
+    raw: tuple            # (e_ab, e_a, e_b) over every trial, zeros kept
+    post: "tuple | None"  # the same over trials with A*B != 0; None if there are none
+    c: object             # n_post / n_raw
+    n_raw: object         # total count or probability mass
+    n_post: object        # count or mass with both outcomes non-zero
+
+
+def table_stats(table) -> TableStats:
+    """Raw and post-selected means of one outcome table, in closed form:
+    floats on integer counts, exact rationals on Fraction weights."""
+    one = lambda a, b: 1  # noqa: E731
+    n_raw = table_sum(table, one)
+    n_post = table_sum(table, one, post=True)
+    raw = tuple(table_sum(table, f) / n_raw for f in STATISTICS)
+    post = (tuple(table_sum(table, f, post=True) / n_post for f in STATISTICS)
+            if n_post else None)
+    return TableStats(raw, post, n_post / n_raw, n_raw, n_post)
+
+
+def outcome_table(model: ExperimentModel, sp: SettingPair) -> list[list[Fraction]]:
+    """Exact P(a, b | x, y) over the model's lambda spaces.
+
+    Product variants factorise per source atom,
+    P(a, b) = sum_src p * P_A(a | l1, x) * P_B(b | l2, y); ``m3`` models sum
+    the joint instrument weights per source atom first.
+    """
     ensure_valid(model)
     sp = _check_pair(model, sp)
     if model.variant is ModelVariant.QUANTUM:
@@ -489,51 +518,51 @@ def _enumerate(model: ExperimentModel, sp: SettingPair):
     if not model.is_finite():
         raise NonFiniteSpace("model declares sampler-only lambda spaces; "
                              "only Monte Carlo evaluation is available")
-    total = Fraction(0)
-    s_ab = Fraction(0)
-    s_a = Fraction(0)
-    s_b = Fraction(0)
-    sel = Fraction(0)
-    sel_ab = Fraction(0)
-    sel_a = Fraction(0)
-    sel_b = Fraction(0)
-    for w, a, b in _enumerate_terms(model, sp):
-        total += w
-        s_ab += w * a * b
-        s_a += w * a
-        s_b += w * b
-        if a != 0 and b != 0:
-            sel += w
-            sel_ab += w * a * b
-            sel_a += w * a
-            sel_b += w * b
-    return total, (s_ab, s_a, s_b), sel, (sel_ab, sel_a, sel_b)
+    resp_a = model.responses_a[sp.x]
+    resp_b = model.responses_b[sp.y]
+    table = empty_table(Fraction(0))
+    for (l1, l2), p_src in model.source.items():
+        if model.variant is ModelVariant.M3:
+            given = empty_table()
+            for (lx, ly), p_i in model.instruments_joint[sp].items():
+                given[resp_a(l1, lx) + 1][resp_b(l2, ly) + 1] += p_i
+        else:
+            p_a, p_b = [0, 0, 0], [0, 0, 0]     # P(outcome | l1, x), P(outcome | l2, y)
+            for lx, p_x in model.instruments_a[sp.x].items():
+                p_a[resp_a(l1, lx) + 1] += p_x
+            for ly, p_y in model.instruments_b[sp.y].items():
+                p_b[resp_b(l2, ly) + 1] += p_y
+            given = [[pa * pb for pb in p_b] for pa in p_a]
+        for row, given_row in zip(table, given):
+            for j, p in enumerate(given_row):
+                if p:
+                    row[j] += p_src * p
+    return table
+
+
+def _exact(model: ExperimentModel, sp: SettingPair, post: bool) -> ExactResult:
+    sp = SettingPair(*sp)
+    if model.variant is ModelVariant.QUANTUM:
+        ensure_valid(model)
+        return _quantum_exact(model, _check_pair(model, sp))
+    stats = table_stats(outcome_table(model, sp))
+    if not post:
+        return ExactResult(*stats.raw, c_xy=stats.c)
+    if stats.post is None:
+        raise DegenerateConditioning(
+            f"conditioning event has probability zero for pair {tuple(sp)}"
+        )
+    return ExactResult(*stats.post, c_xy=stats.c)
 
 
 def enumerate_raw(model: ExperimentModel, sp: SettingPair) -> ExactResult:
     """Unconditional expectations over the full lambda space, zeros included."""
-    sp = SettingPair(*sp)
-    if model.variant is ModelVariant.QUANTUM:
-        ensure_valid(model)
-        return _quantum_exact(model, _check_pair(model, sp))
-    total, (s_ab, s_a, s_b), sel, _ = _enumerate(model, sp)
-    return ExactResult(e_ab=s_ab / total, e_a=s_a / total, e_b=s_b / total,
-                       c_xy=sel / total)
+    return _exact(model, sp, post=False)
 
 
 def enumerate_postselected(model: ExperimentModel, sp: SettingPair) -> ExactResult:
     """Expectations conditioned on both stations detecting (A*B != 0)."""
-    sp = SettingPair(*sp)
-    if model.variant is ModelVariant.QUANTUM:
-        ensure_valid(model)
-        return _quantum_exact(model, _check_pair(model, sp))
-    total, _, sel, (sel_ab, sel_a, sel_b) = _enumerate(model, sp)
-    if sel == 0:
-        raise DegenerateConditioning(
-            f"conditioning event has probability zero for pair {tuple(sp)}"
-        )
-    return ExactResult(e_ab=sel_ab / sel, e_a=sel_a / sel, e_b=sel_b / sel,
-                       c_xy=sel / total)
+    return _exact(model, sp, post=True)
 
 
 # ---------------------------------------------------------------------------

@@ -142,20 +142,23 @@ def pairwise_realizability(spec: JointSpec, tol: float = MOMENT_TOL) -> tuple[bo
     return not offenders, offenders
 
 
-def _sign_patterns():
+def chsh_values(correlators) -> list[tuple[str, object]]:
+    """All eight odd-minus sign combinations of four correlators.
+
+    Returns ``(pattern, S)`` pairs in a fixed order; pattern ids spell the
+    signs, e.g. ``"++-+"``.
+    """
+    out = []
     for signs in product((1, -1), repeat=4):
         if signs.count(-1) % 2 == 1:
-            yield signs
+            pattern = "".join("+" if s > 0 else "-" for s in signs)
+            out.append((pattern, sum(s * e for s, e in zip(signs, correlators))))
+    return out
 
 
 def chsh_statistics(spec: JointSpec) -> list[tuple[str, float]]:
     """All eight odd-minus sign combinations of the spec's correlators."""
-    es = [spec.e_ab[sp] for sp in spec.pairs()]
-    out = []
-    for signs in _sign_patterns():
-        pattern = "".join("+" if s > 0 else "-" for s in signs)
-        out.append((pattern, sum(s * e for s, e in zip(signs, es))))
-    return out
+    return chsh_values([spec.e_ab[sp] for sp in spec.pairs()])
 
 
 def chsh_characterization(spec: JointSpec, tol: float = MOMENT_TOL) -> bool:

@@ -32,6 +32,8 @@ class UnsortedStream(BellsimError):
 class SettingConflict(BellsimError):
     """Two clicks in the same window at one station disagree on the setting."""
 
+    station = None    # that station, when the conflict lies inside one stream
+
 
 class ParseError(BellsimError):
     """A text input could not be parsed; carries the offending line number."""

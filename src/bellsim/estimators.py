@@ -11,18 +11,25 @@ variables: every statistic is indexed by the full pair (x, y), and the
 no-signalling report quantifies how much a station's conditional marginal
 moves when only the remote setting changes.
 
+Every statistic derives from one 3x3 count table per setting pair over
+the outcomes (a, b) in {-1, 0, +1}^2, built in a single counting pass
+over the records; `core.table_stats` turns it into means, ``c_hat`` and
+counts, the same closed form that exact enumeration uses.
+
 Standard errors are plug-in (sample standard deviation over sqrt(n),
-no small-sample corrections); conditional marginals use the post-selected
-count.  Exact results carry zero standard errors and a z-score of None.
+no small-sample corrections), computed from exact integer sums of the
+table; conditional marginals use the post-selected count.  Exact results
+carry zero standard errors and a z-score of None.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
-from itertools import product
 
-from .core import ExactResult, SettingPair
+from .core import STATISTICS, ExactResult, SettingPair, empty_table, table_stats, table_sum
+from .coupling import chsh_values
 from .errors import EmptyCell, MissingPair
 
 RAW = "raw"
@@ -62,36 +69,49 @@ class CorrelationSet:
         return [SettingPair(x, y) for x in self.settings_a for y in self.settings_b]
 
 
-def _mean_se(values) -> tuple[float, float]:
-    n = len(values)
-    mean = sum(values) / n
-    var = sum((v - mean) ** 2 for v in values) / n
-    return mean, math.sqrt(var / n)
+def _count_tables(records):
+    """One counting pass: a 3x3 count table per setting pair, in order of
+    first appearance, plus the number of records whose setting pair is
+    partially unknown."""
+    tables: dict[SettingPair, list] = {}
+    unassigned = 0
+    for (sp, a, b), n in Counter((r.sp, r.a, r.b) for r in records).items():
+        if None in sp:
+            unassigned += n
+        else:
+            tables.setdefault(SettingPair(*sp), empty_table())[a + 1][b + 1] += n
+    return tables, unassigned
 
 
-def _group_records(records):
-    groups: dict[SettingPair, list] = {}
-    order_a: list = []
-    order_b: list = []
-    skipped = 0
-    for r in records:
-        if r.sp.x is None or r.sp.y is None:
-            skipped += 1
-            continue
-        if r.sp.x not in order_a:
-            order_a.append(r.sp.x)
-        if r.sp.y not in order_b:
-            order_b.append(r.sp.y)
-        groups.setdefault(SettingPair(*r.sp), []).append(r)
-    return groups, tuple(order_a), tuple(order_b), skipped
+def _standard_error(table, f, post: bool, n: int) -> float:
+    """Plug-in standard error of a mean from exact integer sums,
+    sqrt((n * sum(v^2) - sum(v)^2) / n^3)."""
+    s = table_sum(table, f, post)
+    s2 = table_sum(table, lambda a, b: f(a, b) ** 2, post)
+    return math.sqrt((n * s2 - s * s) / n ** 3)
 
 
-def _check_expected(groups, expected_pairs):
-    if expected_pairs is None:
-        return
-    for sp in expected_pairs:
-        if SettingPair(*sp) not in groups:
+def _estimate(records, expected_pairs, conditioning: str) -> CorrelationSet:
+    tables, unassigned = _count_tables(records)
+    for sp in expected_pairs or ():
+        if SettingPair(*sp) not in tables:
             raise EmptyCell(f"no records for setting pair {tuple(sp)}")
+    if not tables:
+        raise EmptyCell("no records with a known setting pair")
+    post = conditioning == POSTSELECTED
+    out = {}
+    for sp, table in tables.items():
+        stats = table_stats(table)
+        if post and stats.post is None:
+            raise EmptyCell(f"no record with both outcomes non-zero for pair {tuple(sp)}")
+        n = stats.n_post if post else stats.n_raw
+        means = stats.post if post else stats.raw
+        ses = (_standard_error(table, f, post, n) for f in STATISTICS)
+        out[sp] = PairStats(*means, stats.n_raw, stats.n_post, stats.c, *ses)
+    # Settings in order of first appearance in the records.
+    order_a = tuple(dict.fromkeys(sp.x for sp in tables))
+    order_b = tuple(dict.fromkeys(sp.y for sp in tables))
+    return CorrelationSet(order_a, order_b, out, conditioning, unassigned)
 
 
 def estimate_raw(records, expected_pairs=None) -> CorrelationSet:
@@ -101,41 +121,12 @@ def estimate_raw(records, expected_pairs=None) -> CorrelationSet:
     ingested data) cannot be assigned to a cell; they are skipped and
     counted in ``n_unassigned``.
     """
-    groups, order_a, order_b, skipped = _group_records(records)
-    _check_expected(groups, expected_pairs)
-    if not groups:
-        raise EmptyCell("no records with a known setting pair")
-    out = {}
-    for sp, group in groups.items():
-        n_raw = len(group)
-        n_post = sum(1 for r in group if r.a * r.b != 0)
-        e_ab, se_ab = _mean_se([r.a * r.b for r in group])
-        e_a, se_a = _mean_se([r.a for r in group])
-        e_b, se_b = _mean_se([r.b for r in group])
-        out[sp] = PairStats(e_ab, e_a, e_b, n_raw, n_post, n_post / n_raw,
-                            se_ab, se_a, se_b)
-    return CorrelationSet(order_a, order_b, out, RAW, skipped)
+    return _estimate(records, expected_pairs, RAW)
 
 
 def estimate_postselected(records, expected_pairs=None) -> CorrelationSet:
     """Per-pair means restricted to records where both stations clicked."""
-    groups, order_a, order_b, skipped = _group_records(records)
-    _check_expected(groups, expected_pairs)
-    if not groups:
-        raise EmptyCell("no records with a known setting pair")
-    out = {}
-    for sp, group in groups.items():
-        survivors = [r for r in group if r.a * r.b != 0]
-        if not survivors:
-            raise EmptyCell(f"no record with both outcomes non-zero for pair {tuple(sp)}")
-        n_raw = len(group)
-        n_post = len(survivors)
-        e_ab, se_ab = _mean_se([r.a * r.b for r in survivors])
-        e_a, se_a = _mean_se([r.a for r in survivors])
-        e_b, se_b = _mean_se([r.b for r in survivors])
-        out[sp] = PairStats(e_ab, e_a, e_b, n_raw, n_post, n_post / n_raw,
-                            se_ab, se_a, se_b)
-    return CorrelationSet(order_a, order_b, out, POSTSELECTED, skipped)
+    return _estimate(records, expected_pairs, POSTSELECTED)
 
 
 def correlation_set_from_exact(results: dict, settings_a, settings_b,
@@ -195,23 +186,13 @@ def chsh(cs: CorrelationSet) -> ChshReport:
     order = _four_pairs(cs)
     es = [cs.pairs[sp].e_ab for sp in order]
     ses = [cs.pairs[sp].se_ab for sp in order]
-    values = []
-    for signs in product((1, -1), repeat=4):
-        if signs.count(-1) % 2 == 0:
-            continue
-        pattern = "".join("+" if s > 0 else "-" for s in signs)
-        values.append((pattern, sum(s * e for s, e in zip(signs, es))))
-    s_max_abs = max(abs(v) for _, v in values)
-    violating = None
-    for pattern, v in values:
-        if abs(v) > 2:
-            violating = pattern
-            break
+    values = chsh_values(es)
+    violating = next((pattern for pattern, v in values if abs(v) > 2), None)
     return ChshReport(
         pair_order=tuple(order),
         correlators=tuple(es),
         s_values=tuple(values),
-        s_max_abs=s_max_abs,
+        s_max_abs=max(abs(v) for _, v in values),
         se_s=math.sqrt(sum(float(se) ** 2 for se in ses)),
         violating_pattern=violating,
         conditioning=cs.conditioning,
@@ -323,15 +304,3 @@ def nosignalling_report_to_dict(r: NoSignallingReport) -> dict:
         "max_abs_delta": float(r.max_abs_delta),
         "max_abs_z": r.max_abs_z,
     }
-
-
-def correlation_csv_rows(cs: CorrelationSet) -> list[list]:
-    """Flat summary rows: one per setting pair, header included."""
-    rows = [["conditioning", "x", "y", "e_ab", "e_a", "e_b",
-             "n_raw", "n_post", "c_hat", "se_ab", "se_a", "se_b"]]
-    for sp, p in sorted(cs.pairs.items(), key=lambda kv: str(kv[0])):
-        rows.append([cs.conditioning, sp.x, sp.y,
-                     float(p.e_ab), float(p.e_a), float(p.e_b),
-                     p.n_raw, p.n_post, float(p.c_hat),
-                     p.se_ab, p.se_a, p.se_b])
-    return rows

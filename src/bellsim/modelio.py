@@ -73,7 +73,8 @@ def _encode_token(value) -> str:
                        "use int or string labels")
 
 
-def _decode_token(token: str):
+def _decode_label(token: str):
+    """A label or atom token: an int when it parses as one, else the string."""
     try:
         return int(token)
     except ValueError:
@@ -224,28 +225,28 @@ def loads(text: str, path=None) -> ExperimentModel:
         elif key == "settings":
             if len(tokens) < 3 or tokens[1] not in ("A", "B"):
                 reader.fail("settings: expected 'settings A|B label...'", ln)
-            settings[tokens[1]] = tuple(_decode_token(t) for t in tokens[2:])
+            settings[tokens[1]] = tuple(_decode_label(t) for t in tokens[2:])
         elif key == "begin":
             section = tokens[1] if len(tokens) > 1 else ""
             if section == "source":
                 rows = _read_block(reader, 3, "source")
-                atoms = [(_decode_token(a), _decode_token(b)) for _, (a, b, _p) in rows]
+                atoms = [(_decode_label(a), _decode_label(b)) for _, (a, b, _p) in rows]
                 probs = [_parse_prob(reader, p, ln2) for ln2, (_a, _b, p) in rows]
                 source = DiscreteDistribution(atoms, probs)
             elif section == "instruments":
                 if len(tokens) != 4 or tokens[2] not in ("A", "B"):
                     reader.fail("expected 'begin instruments A|B setting'", ln)
                 rows = _read_block(reader, 2, "instruments")
-                atoms = [_decode_token(a) for _, (a, _p) in rows]
+                atoms = [_decode_label(a) for _, (a, _p) in rows]
                 probs = [_parse_prob(reader, p, ln2) for ln2, (_a, p) in rows]
-                instruments[tokens[2]][_decode_token(tokens[3])] = DiscreteDistribution(atoms, probs)
+                instruments[tokens[2]][_decode_label(tokens[3])] = DiscreteDistribution(atoms, probs)
             elif section == "joint-instruments":
                 if len(tokens) != 4:
                     reader.fail("expected 'begin joint-instruments x y'", ln)
                 rows = _read_block(reader, 3, "joint-instruments")
-                atoms = [(_decode_token(a), _decode_token(b)) for _, (a, b, _p) in rows]
+                atoms = [(_decode_label(a), _decode_label(b)) for _, (a, b, _p) in rows]
                 probs = [_parse_prob(reader, p, ln2) for ln2, (_a, _b, p) in rows]
-                pair = (_decode_token(tokens[2]), _decode_token(tokens[3]))
+                pair = (_decode_label(tokens[2]), _decode_label(tokens[3]))
                 joints[pair] = DiscreteDistribution(atoms, probs)
             elif section == "responses":
                 if len(tokens) != 4 or tokens[2] not in ("A", "B"):
@@ -257,15 +258,15 @@ def loads(text: str, path=None) -> ExperimentModel:
                         outcome = int(out)
                     except ValueError:
                         reader.fail(f"bad outcome {out!r}", ln2)
-                    mapping[(_decode_token(sv), _decode_token(iv))] = outcome
-                responses[tokens[2]][_decode_token(tokens[3])] = ResponseTable(mapping)
+                    mapping[(_decode_label(sv), _decode_label(iv))] = outcome
+                responses[tokens[2]][_decode_label(tokens[3])] = ResponseTable(mapping)
             elif section == "angles":
                 if len(tokens) != 3 or tokens[2] not in ("A", "B"):
                     reader.fail("expected 'begin angles A|B'", ln)
                 rows = _read_block(reader, 2, "angles")
                 for ln2, (setting, value) in rows:
                     try:
-                        angles[tokens[2]][_decode_token(setting)] = float(value)
+                        angles[tokens[2]][_decode_label(setting)] = float(value)
                     except ValueError:
                         reader.fail(f"bad angle {value!r}", ln2)
             else:

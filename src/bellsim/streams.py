@@ -36,6 +36,7 @@ from .errors import (
     SettingConflict,
     UnsortedStream,
 )
+from .modelio import _decode_label
 
 
 class ClickEvent(NamedTuple):
@@ -242,9 +243,10 @@ def _binned(stream: ClickStream, window_ns: int):
         group = list(group)
         settings = {e.setting for e in group}
         if len(settings) > 1:
-            raise SettingConflict(
-                f"station {stream.station}, window {bin_index}: settings {sorted(map(str, settings))}"
-            )
+            conflict = SettingConflict(f"station {stream.station}, window {bin_index}: "
+                                       f"settings {sorted(map(str, settings))}")
+            conflict.station = stream.station
+            raise conflict
         kept = min(group, key=lambda e: (e.t, e.value))
         yield int(bin_index), kept, len(group) - 1
 
@@ -301,13 +303,6 @@ def pair_coincidences(stream_a: ClickStream, stream_b: ClickStream, window_ns: i
 
 # --------------------------------------------------------------------------
 # File formats
-
-
-def _decode_label(token: str):
-    try:
-        return int(token)
-    except ValueError:
-        return token
 
 
 def ingest_timetag_file(path, station: str = "A") -> ClickStream:

@@ -175,6 +175,20 @@ class TestAnalyze:
         assert code == 4
         assert "2" in err
 
+    @pytest.mark.parametrize("station", ["A", "B"])
+    def test_setting_conflict_names_file_and_window_exits_4(self, station, tmp_path, capsys):
+        # Two clicks at settings 1 and 2 in window 1 of one station.
+        streams = {"A": tmp_path / "a.txt", "B": tmp_path / "b.txt"}
+        streams["A"].write_text("3\t1\t+1\n")
+        streams["B"].write_text("5\t1\t+1\n")
+        streams[station].write_text("3\t1\t+1\n12\t1\t+1\n17\t2\t-1\n")
+        code, _, err = run(capsys, "analyze", "--stream-a", str(streams["A"]),
+                           "--stream-b", str(streams["B"]), "--window-ns", "10",
+                           "--out-dir", str(tmp_path / "out"))
+        assert code == 4
+        assert err == (f"error: {streams[station]}: station {station}, window 1: "
+                       "settings ['1', '2']\n")
+
     def test_postselection_empty_cell_exits_5(self, tmp_path, capsys):
         csv = tmp_path / "c.csv"
         csv.write_text("window,x,y,a,b\n0,1,1,1,0\n1,1,1,0,-1\n")

@@ -1,0 +1,229 @@
+"""Per-pair outcome tables against the earlier implementations.
+
+Enumeration must give Fractions ``==`` those of the term-by-term
+enumerator, and estimation must give counts, means and ``c_hat`` ``==``
+those of the per-record estimator, with standard errors within 1e-12
+relative (they now come from exact integer sums instead of two float
+passes).  Both oracles live in ``helpers``.
+"""
+
+import math
+from fractions import Fraction
+
+import numpy as np
+import pytest
+from hypothesis import given, strategies as st
+
+from bellsim.core import (
+    DiscreteDistribution,
+    ExperimentModel,
+    ModelVariant,
+    ResponseTable,
+    SettingPair,
+    enumerate_postselected,
+    enumerate_raw,
+    outcome_table,
+    table_stats,
+)
+from bellsim.errors import DegenerateConditioning, EmptyCell
+from bellsim.estimators import POSTSELECTED, RAW, estimate_postselected, estimate_raw
+from bellsim.scenarios import lhvm_socks_scenario, scenario_names, build_scenario
+from bellsim.streams import CoincidenceRecord
+
+from helpers import oracle_enumerate, oracle_estimate, random_lhvm_model
+from test_core import constant_model, two_atom_demo_model
+
+SETTINGS = (1, 2)
+OUTCOMES = (-1, 0, 1)
+
+
+def assert_enumeration_matches_oracle(model):
+    for sp in model.pairs():
+        want_raw, want_post = oracle_enumerate(model, sp)
+        got_raw = enumerate_raw(model, sp)
+        assert got_raw == want_raw, sp
+        assert all(type(v) is Fraction for v in (got_raw.e_ab, got_raw.e_a,
+                                                 got_raw.e_b, got_raw.c_xy))
+        if want_post is None:
+            with pytest.raises(DegenerateConditioning):
+                enumerate_postselected(model, sp)
+        else:
+            assert enumerate_postselected(model, sp) == want_post, sp
+
+
+# --------------------------------------------------------------------------
+# Enumeration
+
+
+def _distribution(draw, atoms):
+    weights = draw(st.lists(st.integers(0, 6),
+                            min_size=len(atoms), max_size=len(atoms))
+                   .filter(lambda w: sum(w) > 0))
+    total = sum(weights)
+    return DiscreteDistribution(atoms, [Fraction(w, total) for w in weights])
+
+
+def _responses(draw, source_values, instrument_values):
+    return ResponseTable({(s, i): draw(st.sampled_from(OUTCOMES))
+                          for s in source_values for i in instrument_values})
+
+
+@st.composite
+def table_models(draw, variant):
+    """Random m1, m2 or m3 model with small rational tables."""
+    k = draw(st.integers(1, 4))
+    # Station A's source values repeat across atoms, station B's do not.
+    source = _distribution(draw, [(i % 3, 10 + i) for i in range(k)])
+    l1 = sorted({a for a, _ in source.atoms})
+    l2 = sorted({b for _, b in source.atoms})
+    if variant is ModelVariant.M3:
+        joints = {}
+        for x in SETTINGS:
+            for y in SETTINGS:
+                n = draw(st.integers(1, 4))
+                joints[(x, y)] = _distribution(draw, [(i % 2, i // 2) for i in range(n)])
+        inst_a_values = {x: {0, 1} for x in SETTINGS}
+        inst_b_values = {y: {0, 1} for y in SETTINGS}
+    else:
+        inst_a = {x: _distribution(draw, list(range(draw(st.integers(1, 3)))))
+                  for x in SETTINGS}
+        inst_b = {y: _distribution(draw, list(range(draw(st.integers(1, 3)))))
+                  for y in SETTINGS}
+        inst_a_values = {x: set(d.atoms) for x, d in inst_a.items()}
+        inst_b_values = {y: set(d.atoms) for y, d in inst_b.items()}
+    responses_a = {x: _responses(draw, l1, inst_a_values[x]) for x in SETTINGS}
+    responses_b = {y: _responses(draw, l2, inst_b_values[y]) for y in SETTINGS}
+    if variant is ModelVariant.M3:
+        return ExperimentModel.correlated_instruments_model(
+            SETTINGS, SETTINGS, source, joints, responses_a, responses_b)
+    return ExperimentModel.product_model(variant, SETTINGS, SETTINGS, source,
+                                         inst_a, inst_b, responses_a, responses_b)
+
+
+@pytest.mark.parametrize("variant", [ModelVariant.M1, ModelVariant.M2, ModelVariant.M3],
+                         ids=lambda v: v.value)
+@given(data=st.data())
+def test_random_table_models_match_term_enumeration(variant, data):
+    assert_enumeration_matches_oracle(data.draw(table_models(variant)))
+
+
+@pytest.mark.parametrize("name", [n for n in scenario_names() if n != "quantum"])
+def test_scenarios_match_term_enumeration(name):
+    assert_enumeration_matches_oracle(build_scenario(name).model)
+
+
+def test_suite_models_match_term_enumeration():
+    models = [constant_model(), constant_model(1, 0), constant_model(0, -1),
+              two_atom_demo_model(), lhvm_socks_scenario(Fraction(1, 5), flip_b2=True).model]
+    gen = np.random.Generator(np.random.PCG64(8))
+    models += [random_lhvm_model(gen) for _ in range(5)]
+    for model in models:
+        assert_enumeration_matches_oracle(model)
+
+
+def _random_model(gen, variant, k, m):
+    """Random model with k source atoms and m instrument atoms per setting
+    (m joint atoms per pair for m3), responses anywhere in -1/0/+1."""
+    def dist(atoms):
+        w = gen.integers(1, 1000, size=len(atoms))
+        return DiscreteDistribution(atoms, [Fraction(int(v), int(w.sum())) for v in w])
+
+    source = dist([(i, i) for i in range(k)])
+
+    def table(n_inst):
+        return ResponseTable({(s, i): int(gen.choice(OUTCOMES))
+                              for s in range(k) for i in range(n_inst)})
+
+    if variant == "m3":
+        side = math.isqrt(m)
+        joints = {(x, y): dist([(i // side, i % side) for i in range(side * side)])
+                  for x in SETTINGS for y in SETTINGS}
+        return ExperimentModel.correlated_instruments_model(
+            SETTINGS, SETTINGS, source, joints,
+            {x: table(side) for x in SETTINGS}, {y: table(side) for y in SETTINGS})
+    inst = {s: dist(list(range(m))) for s in SETTINGS}
+    return ExperimentModel.product_model(
+        ModelVariant(variant), SETTINGS, SETTINGS, source, inst, dict(inst),
+        {x: table(m) for x in SETTINGS}, {y: table(m) for y in SETTINGS})
+
+
+@pytest.mark.parametrize("variant, k, m", [("m1", 150, 4), ("m1", 24, 10), ("m2", 66, 6),
+                                           ("m3", 40, 64), ("m3", 120, 16)])
+def test_benchmark_shapes_match_term_enumeration(variant, k, m):
+    # The model shapes of the benchmark's exact workload, about 9600 terms each.
+    gen = np.random.Generator(np.random.PCG64(k * 1000 + m))
+    assert_enumeration_matches_oracle(_random_model(gen, variant, k, m))
+
+
+def test_table_stats_on_counts_and_weights():
+    counts = [[1, 0, 2], [0, 0, 3], [4, 0, 0]]     # [a + 1][b + 1]
+    stats = table_stats(counts)
+    assert (stats.n_raw, stats.n_post, stats.c) == (10, 7, 0.7)
+    assert stats.raw == ((1 - 2 - 4) / 10, (-3 + 4) / 10, (-1 + 2 + 3 - 4) / 10)
+    assert stats.post == ((1 - 2 - 4) / 7, (-3 + 4) / 7, (-1 + 2 - 4) / 7)
+    weights = [[Fraction(c, 10) for c in row] for row in counts]
+    exact = table_stats(weights)
+    assert exact.c == Fraction(7, 10)
+    assert exact.post == (Fraction(-5, 7), Fraction(1, 7), Fraction(-3, 7))
+    assert table_stats([[0, 0, 0], [1, 0, 0], [0, 0, 0]]).post is None
+
+
+def test_outcome_table_is_a_distribution():
+    model = build_scenario("m2-demo").model
+    for sp in model.pairs():
+        table = outcome_table(model, sp)
+        assert sum(sum(row) for row in table) == 1
+        assert table[1][1] >= 0
+
+
+# --------------------------------------------------------------------------
+# Estimation
+
+PAIRS = [SettingPair(x, y) for x in (1, 2, "h") for y in (1, 2)]
+PAIRS += [SettingPair(1, None), SettingPair(None, 2)]
+
+records_strategy = st.lists(
+    st.tuples(st.sampled_from(PAIRS), st.sampled_from(OUTCOMES), st.sampled_from(OUTCOMES)),
+    max_size=60,
+).map(lambda rows: [CoincidenceRecord(i, sp, a, b) for i, (sp, a, b) in enumerate(rows)])
+
+
+def _outcome(estimate, records):
+    try:
+        return estimate(records), None
+    except EmptyCell as exc:
+        return None, str(exc)
+
+
+def assert_same_estimates(got, want):
+    assert (got.settings_a, got.settings_b) == (want.settings_a, want.settings_b)
+    assert (got.conditioning, got.n_unassigned) == (want.conditioning, want.n_unassigned)
+    assert list(got.pairs) == list(want.pairs)
+    for sp, w in want.pairs.items():
+        g = got.pairs[sp]
+        assert (g.e_ab, g.e_a, g.e_b, g.n_raw, g.n_post, g.c_hat) == \
+            (w.e_ab, w.e_a, w.e_b, w.n_raw, w.n_post, w.c_hat), sp
+        for got_se, want_se in ((g.se_ab, w.se_ab), (g.se_a, w.se_a), (g.se_b, w.se_b)):
+            assert math.isclose(got_se, want_se, rel_tol=1e-12, abs_tol=0), sp
+
+
+@pytest.mark.parametrize("conditioning", [RAW, POSTSELECTED])
+@given(records=records_strategy)
+def test_estimates_match_per_record_estimator(conditioning, records):
+    estimate = estimate_raw if conditioning == RAW else estimate_postselected
+    got, got_error = _outcome(estimate, records)
+    want, want_error = _outcome(lambda r: oracle_estimate(r, conditioning), records)
+    assert got_error == want_error
+    if want is not None:
+        assert_same_estimates(got, want)
+
+
+def test_large_counts_match_per_record_estimator():
+    gen = np.random.Generator(np.random.PCG64(12))
+    pairs = [SettingPair(x, y) for x in SETTINGS for y in SETTINGS]
+    records = [CoincidenceRecord(i, pairs[int(p)], int(a), int(b))
+               for i, (p, a, b) in enumerate(zip(gen.integers(0, 4, 20_000),
+                                                 gen.integers(-1, 2, 20_000),
+                                                 gen.integers(-1, 2, 20_000)))]
+    assert_same_estimates(estimate_raw(records), oracle_estimate(records, RAW))
+    assert_same_estimates(estimate_postselected(records), oracle_estimate(records, POSTSELECTED))
