@@ -67,13 +67,14 @@ from .scenarios import (
     scenario_names,
 )
 from .streams import (
-    ClickEvent,
     ClickStream,
     CoincidenceRecord,
+    CoincidenceRecords,
     FixedSettings,
     RandomSettings,
     RoundRobinSettings,
     Schedule,
+    WindowSettings,
     generate_streams,
     ingest_timetag_file,
     pair_coincidences,

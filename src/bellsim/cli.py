@@ -5,9 +5,10 @@ reports), ``analyze`` (time-tag files or a coincidence CSV -> reports),
 ``check-coupling`` (joint spec -> feasibility verdict), ``scenario``
 (export a shipped scenario) and ``list-scenarios``.
 
-Exit codes: 0 success, 2 configuration error, 3 model validation failure,
-4 input error (unparsable line, decreasing timestamp, or two settings at
-one station in one window), 5 empty setting cell.  All printed tables are also
+Exit codes: 0 success, 2 configuration error (including a missing or
+unreadable file), 3 model validation failure, 4 input error (unparsable
+line, non-ASCII byte, decreasing timestamp, or two settings at one station
+in one window), 5 empty setting cell.  All printed tables are also
 written machine-readably; identical configuration and seed produce
 byte-identical artifacts whatever the thread count.
 """
@@ -462,6 +463,9 @@ def main(argv=None) -> int:
     except (EmptyCell, MissingPair) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_EMPTY_CELL
+    except OSError as exc:
+        print(f"error: {exc.filename}: {exc.strerror}", file=sys.stderr)
+        return EXIT_CONFIG
     except BellsimError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -38,6 +38,7 @@ from pathlib import Path
 
 from .core import DiscreteDistribution, SettingPair, _as_fraction
 from .errors import BellsimError
+from .modelio import _read_ascii
 
 # Atom order for witnesses: quadruples (a_x0, a_x1, b_y0, b_y1).
 ATOMS = tuple(product((1, -1), repeat=4))
@@ -412,7 +413,7 @@ def save_jointspec(spec: JointSpec, path) -> None:
 
 def load_jointspec(path) -> JointSpec:
     try:
-        data = json.loads(Path(path).read_text(encoding="ascii"))
+        data = json.loads(_read_ascii(Path(path)))
     except json.JSONDecodeError as exc:
         raise BellsimError(f"{path}: not valid JSON: {exc}") from exc
     return jointspec_from_dict(data)

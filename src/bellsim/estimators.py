@@ -25,12 +25,14 @@ carry zero standard errors and a z-score of None.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 
-from .core import STATISTICS, ExactResult, SettingPair, empty_table, table_stats, table_sum
+import numpy as np
+
+from .core import STATISTICS, ExactResult, SettingPair, table_stats, table_sum
 from .coupling import chsh_values
 from .errors import EmptyCell, MissingPair
+from .streams import CoincidenceRecords
 
 RAW = "raw"
 POSTSELECTED = "postselected"
@@ -70,17 +72,22 @@ class CorrelationSet:
 
 
 def _count_tables(records):
-    """One counting pass: a 3x3 count table per setting pair, in order of
-    first appearance, plus the number of records whose setting pair is
-    partially unknown."""
-    tables: dict[SettingPair, list] = {}
-    unassigned = 0
-    for (sp, a, b), n in Counter((r.sp, r.a, r.b) for r in records).items():
-        if None in sp:
-            unassigned += n
-        else:
-            tables.setdefault(SettingPair(*sp), empty_table())[a + 1][b + 1] += n
-    return tables, unassigned
+    """A 3x3 count table per setting pair, in order of first appearance,
+    plus the number of records whose setting pair is partially unknown.
+
+    ``records`` is ``CoincidenceRecords`` or any iterable of
+    ``CoincidenceRecord``s, which is converted to columns first.
+    """
+    r = CoincidenceRecords.of(records)
+    n_b = len(r.settings_b)
+    known = (r.x >= 0) & (r.y >= 0)
+    pair = r.x[known] * n_b + r.y[known]
+    cell = (pair * 3 + r.a[known] + 1) * 3 + r.b[known] + 1
+    counts = np.bincount(cell, minlength=9 * len(r.settings_a) * n_b).reshape(-1, 3, 3)
+    pairs, first = np.unique(pair, return_index=True)
+    tables = {SettingPair(r.settings_a[p // n_b], r.settings_b[p % n_b]): counts[p].tolist()
+              for p in pairs[np.argsort(first)].tolist()}
+    return tables, len(r) - len(pair)
 
 
 def _standard_error(table, f, post: bool, n: int) -> float:

@@ -73,6 +73,18 @@ def _encode_token(value) -> str:
                        "use int or string labels")
 
 
+def _read_ascii(path: Path) -> str:
+    """The text of an ASCII file; any other byte is a ParseError naming
+    its line."""
+    data = path.read_bytes()
+    try:
+        return data.decode("ascii")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"non-ASCII byte 0x{data[exc.start]:02x}",
+                         line_number=data.count(b"\n", 0, exc.start) + 1,
+                         path=str(path)) from None
+
+
 def _decode_label(token: str):
     """A label or atom token: an int when it parses as one, else the string."""
     try:
@@ -296,4 +308,4 @@ def loads(text: str, path=None) -> ExperimentModel:
 
 def load(path) -> ExperimentModel:
     path = Path(path)
-    return loads(path.read_text(encoding="ascii"), path=str(path))
+    return loads(_read_ascii(path), path=str(path))

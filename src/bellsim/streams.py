@@ -15,13 +15,23 @@ the rest are counted as dropped.  Bins empty on both sides produce no
 record.  For clicks ingested from files the setting of a silent station
 is unknown and recorded as None; generated data can fill it from the
 schedule via ``settings_hint``.
+
+Streams, records and the schedule are numpy columns, not one Python
+object per event.  A ``ClickStream`` holds per click ``t`` (int64 ns),
+``setting`` (a code into the stream's ``labels``) and ``value`` (int8).
+``CoincidenceRecords`` holds per occupied bin ``window``, ``x`` and ``y``
+(codes into ``settings_a`` and ``settings_b``, -1 when unknown), ``a``
+and ``b``; iterating it yields ``CoincidenceRecord`` tuples with the
+labels themselves, None for an unknown setting.  ``schedule_settings``
+returns per-window code columns; indexed by an array of windows they give
+label arrays, so ``lambda k: settings[k]`` serves as ``settings_hint``.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass
-from itertools import groupby
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -36,22 +46,61 @@ from .errors import (
     SettingConflict,
     UnsortedStream,
 )
-from .modelio import _decode_label
+from .modelio import _decode_label, _read_ascii
+
+_INT64 = 2 ** 63
 
 
-class ClickEvent(NamedTuple):
-    t: int            # nanoseconds, non-negative
-    setting: object   # local setting label active at the click
-    value: int        # +1 or -1; "no click" is the absence of an event
+def _codes(values, labels=()) -> tuple[np.ndarray, tuple]:
+    """Codes of a sequence of labels in ``labels``, which is extended by
+    the labels it lacks in order of first appearance; None codes as -1."""
+    index = {label: i for i, label in enumerate(labels)}
+    codes = [-1 if v is None else index.setdefault(v, len(index)) for v in values]
+    return np.array(codes, dtype=np.int64), tuple(index)
 
 
-@dataclass(frozen=True)
+def _encode(values, labels) -> tuple[np.ndarray, tuple]:
+    """``_codes`` for an array of labels (or one label), one lookup per
+    distinct label."""
+    values = np.asarray(values)
+    try:
+        distinct, inverse = np.unique(values.ravel(), return_inverse=True)
+    except TypeError:   # None, or labels of mixed types, do not sort
+        codes, labels = _codes(values.ravel().tolist(), labels)
+        return codes.reshape(values.shape), labels
+    codes, labels = _codes(distinct.tolist(), labels)
+    return codes[inverse].reshape(values.shape), labels
+
+
+def _label_array(labels) -> np.ndarray:
+    """Labels as an array to index with codes: of native dtype when that
+    keeps every label (ints, strings), else of objects."""
+    native = np.asarray(labels)
+    if native.ndim == 1 and all(type(n) is type(label) and n == label
+                                for n, label in zip(native.tolist(), labels)):
+        return native
+    out = np.empty(len(labels), dtype=object)
+    for i, label in enumerate(labels):
+        out[i] = label
+    return out
+
+
+@dataclass(frozen=True, eq=False)
 class ClickStream:
-    station: str      # "A" or "B"
-    events: tuple
+    """One station's clicks in time order, one array entry per click."""
+
+    station: str          # "A" or "B"
+    t: np.ndarray         # int64 nanoseconds, non-negative
+    setting: np.ndarray   # int64 code into ``labels``: the local setting at the click
+    value: np.ndarray     # int8, +1 or -1; "no click" is the absence of an entry
+    labels: tuple         # setting labels
+
+    def __post_init__(self):
+        for name, dtype in (("t", np.int64), ("setting", np.int64), ("value", np.int8)):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=dtype))
 
     def __len__(self):
-        return len(self.events)
+        return len(self.t)
 
 
 class CoincidenceRecord(NamedTuple):
@@ -61,9 +110,49 @@ class CoincidenceRecord(NamedTuple):
     b: int
 
 
+@dataclass(frozen=True, eq=False)
+class CoincidenceRecords:
+    """Paired outcomes, one array entry per occupied bin, in bin order."""
+
+    window: np.ndarray    # int64
+    x: np.ndarray         # int64 code into ``settings_a``, -1 when unknown
+    y: np.ndarray         # int64 code into ``settings_b``, -1 when unknown
+    a: np.ndarray         # int8 outcomes in {-1, 0, +1}, never both 0
+    b: np.ndarray
+    settings_a: tuple
+    settings_b: tuple
+
+    def __len__(self):
+        return len(self.window)
+
+    def __iter__(self):
+        x = _label_array(self.settings_a + (None,))[self.x].tolist()    # code -1 picks None
+        y = _label_array(self.settings_b + (None,))[self.y].tolist()
+        return map(CoincidenceRecord, self.window.tolist(), map(SettingPair, x, y),
+                   self.a.tolist(), self.b.tolist())
+
+    @classmethod
+    def from_rows(cls, rows: list) -> "CoincidenceRecords":
+        """Records from ``(window, x, y, a, b)`` rows with setting labels,
+        None when unknown."""
+        window, x, y, a, b = zip(*rows) if rows else [()] * 5
+        x, settings_a = _codes(x)
+        y, settings_b = _codes(y)
+        return cls(np.array(window, dtype=np.int64), x, y, np.array(a, dtype=np.int8),
+                   np.array(b, dtype=np.int8), settings_a, settings_b)
+
+    @classmethod
+    def of(cls, records) -> "CoincidenceRecords":
+        """Columns of any iterable of ``CoincidenceRecord``s; columns pass
+        through unchanged."""
+        if isinstance(records, cls):
+            return records
+        return cls.from_rows([(r.window, r.sp.x, r.sp.y, r.a, r.b) for r in records])
+
+
 @dataclass(frozen=True)
 class PairingResult:
-    records: list
+    records: CoincidenceRecords
     dropped_a: int    # same-bin extra clicks discarded at station A
     dropped_b: int
 
@@ -134,22 +223,44 @@ def _setting_indices(model, rule, window_indices, u_a, u_b):
     raise BellsimError(f"unknown schedule rule {rule!r}")
 
 
-def schedule_settings(model: ExperimentModel, schedule: Schedule,
-                      master_seed: int) -> list[SettingPair]:
-    """The setting pair of every window, recomputable without generating."""
-    n = schedule.n_windows
-    out: list[SettingPair] = [None] * n
+@dataclass(frozen=True, eq=False)
+class WindowSettings:
+    """The setting pair of every window, as code columns into the model's
+    setting labels."""
 
-    def fill(chunk_index, start, stop):
+    settings_a: tuple
+    settings_b: tuple
+    x: np.ndarray
+    y: np.ndarray
+
+    def __len__(self):
+        return len(self.x)
+
+    def __iter__(self):
+        for x, y in zip(self.x.tolist(), self.y.tolist()):
+            yield SettingPair(self.settings_a[x], self.settings_b[y])
+
+    def __getitem__(self, k):
+        """The SettingPair of window ``k``; for an array of windows, a
+        SettingPair of label arrays."""
+        if np.ndim(k) == 0:
+            return SettingPair(self.settings_a[self.x[k]], self.settings_b[self.y[k]])
+        return SettingPair(_label_array(self.settings_a)[self.x[k]],
+                           _label_array(self.settings_b)[self.y[k]])
+
+
+def schedule_settings(model: ExperimentModel, schedule: Schedule,
+                      master_seed: int) -> WindowSettings:
+    """The setting pair of every window, recomputable without generating."""
+
+    def columns(chunk_index, start, stop):
         gen = _rng.chunk_generator(master_seed, (_rng.PURPOSE_STREAMS,), chunk_index)
         u = gen.random((_rng.CHUNK, 7))[: stop - start]
-        idx = np.arange(start, stop, dtype=np.int64)
-        xs, ys = _setting_indices(model, schedule.rule, idx, u[:, 0], u[:, 1])
-        for i in range(stop - start):
-            out[start + i] = SettingPair(model.settings_a[xs[i]], model.settings_b[ys[i]])
+        return _setting_indices(model, schedule.rule, np.arange(start, stop, dtype=np.int64),
+                                u[:, _COL_SETTING_A], u[:, _COL_SETTING_B])
 
-    _rng.map_chunks(fill, n)
-    return out
+    xs, ys = (np.concatenate(c) for c in zip(*_rng.map_chunks(columns, schedule.n_windows)))
+    return WindowSettings(model.settings_a, model.settings_b, xs, ys)
 
 
 # --------------------------------------------------------------------------
@@ -174,7 +285,7 @@ def generate_streams(model: ExperimentModel, schedule: Schedule,
 
     Per window: the rule picks settings, one trial is sampled, outcome 0
     emits no click, and surviving clicks are independently thinned with
-    probability ``1 - detection_rate``.  Events are stamped at the window
+    probability ``1 - detection_rate``.  Clicks are stamped at the window
     start.  Results are bit-identical for any ``workers`` count.
     """
     ensure_valid(model)
@@ -213,91 +324,119 @@ def generate_streams(model: ExperimentModel, schedule: Schedule,
                 sp = SettingPair(model.settings_a[xs[i]], model.settings_b[ys[i]])
                 ai, bi = samplers[sp].draw(gen, 1)
                 a[i], b[i] = ai[0], bi[0]
-        keep_a = (a != 0) & (u[:, _COL_THIN_A] < detection_rate)
-        keep_b = (b != 0) & (u[:, _COL_THIN_B] < detection_rate)
-        ev_a = [ClickEvent(int((start + i) * w), model.settings_a[xs[i]], int(a[i]))
-                for i in np.flatnonzero(keep_a)]
-        ev_b = [ClickEvent(int((start + i) * w), model.settings_b[ys[i]], int(b[i]))
-                for i in np.flatnonzero(keep_b)]
-        return ev_a, ev_b
+        i_a = np.flatnonzero((a != 0) & (u[:, _COL_THIN_A] < detection_rate))
+        i_b = np.flatnonzero((b != 0) & (u[:, _COL_THIN_B] < detection_rate))
+        return (start + i_a, xs[i_a], a[i_a]), (start + i_b, ys[i_b], b[i_b])
 
     parts = _rng.map_chunks(build, n, workers=workers)
-    events_a = [e for part_a, _ in parts for e in part_a]
-    events_b = [e for _, part_b in parts for e in part_b]
-    return (ClickStream("A", tuple(events_a)), ClickStream("B", tuple(events_b)))
+    streams = []
+    for station, labels, side in (("A", model.settings_a, 0), ("B", model.settings_b, 1)):
+        windows, setting, value = (np.concatenate(c) for c in zip(*(p[side] for p in parts)))
+        streams.append(ClickStream(station, windows * w, setting, value, labels))
+    return tuple(streams)
 
 
 # --------------------------------------------------------------------------
 # Pairing
 
 
-def _binned(stream: ClickStream, window_ns: int):
-    """Yield (bin, kept_event, dropped_count) in bin order; enforces ordering
-    and per-bin setting agreement."""
-    last_t = None
-    for e in stream.events:
-        if last_t is not None and e.t < last_t:
-            raise UnsortedStream(f"station {stream.station}: timestamp {e.t} after {last_t}")
-        last_t = e.t
-    for bin_index, group in groupby(stream.events, key=lambda e: e.t // window_ns):
-        group = list(group)
-        settings = {e.setting for e in group}
-        if len(settings) > 1:
-            conflict = SettingConflict(f"station {stream.station}, window {bin_index}: "
-                                       f"settings {sorted(map(str, settings))}")
-            conflict.station = stream.station
+def _first_clicks(stream: ClickStream, window_ns: int):
+    """The occupied bins of one stream, in order, with the kept click's
+    setting code and value per bin and the number of dropped clicks.
+
+    Raises UnsortedStream, and SettingConflict for the stream's first bin;
+    a conflict in a later bin comes back as ``(bin before it, exception)``
+    so that the caller can raise it in scan order.
+    """
+    t = stream.t
+    back = np.flatnonzero(np.diff(t) < 0)
+    if back.size:
+        i = back[0]
+        raise UnsortedStream(f"station {stream.station}: timestamp {t[i + 1]} after {t[i]}")
+    bins, starts = np.unique(t // window_ns, return_index=True)
+    kept = np.lexsort((stream.value, t))[starts]      # earliest, ties by value
+    lo = np.minimum.reduceat(stream.setting, starts)
+    hi = np.maximum.reduceat(stream.setting, starts)
+    pending = None
+    conflicts = np.flatnonzero(lo != hi)
+    if conflicts.size:
+        j = int(conflicts[0])
+        stop = starts[j + 1] if j + 1 < len(starts) else len(t)
+        codes = np.unique(stream.setting[starts[j]:stop]).tolist()
+        conflict = SettingConflict(
+            f"station {stream.station}, window {bins[j]}: "
+            f"settings {sorted(str(stream.labels[c]) for c in codes)}")
+        conflict.station = stream.station
+        if j == 0:
             raise conflict
-        kept = min(group, key=lambda e: (e.t, e.value))
-        yield int(bin_index), kept, len(group) - 1
+        pending = (int(bins[j - 1]), conflict)
+    return bins, stream.setting[kept], stream.value[kept], len(t) - len(bins), pending
+
+
+def _hint_conflict(windows, clicked, hinted, labels, station):
+    """(window, exception) for the first window where a click's setting
+    differs from the hint, or None."""
+    bad = np.flatnonzero((clicked >= 0) & (hinted >= 0) & (clicked != hinted))
+    if not bad.size:
+        return None
+    i = bad[0]
+    return int(windows[i]), SettingConflict(
+        f"window {windows[i]}: station {station} clicked at setting "
+        f"{labels[clicked[i]]!r} but the schedule says {labels[hinted[i]]!r}")
 
 
 def pair_coincidences(stream_a: ClickStream, stream_b: ClickStream, window_ns: int,
-                      settings_hint: "Callable[[int], SettingPair] | None" = None
+                      settings_hint: "Callable[[np.ndarray], tuple] | None" = None
                       ) -> PairingResult:
     """Convert two click streams into per-window outcome records.
 
-    ``settings_hint(window)`` can supply the active setting pair for
+    ``settings_hint(windows)`` can supply the active setting pair for
     windows where a station was silent (the generator's schedule knows it;
-    ingested data does not, and those slots stay None).  A hint that
+    ingested data does not, and those slots stay unknown).  It is called
+    once with the int64 array of occupied windows and returns per station
+    an array of labels or one label for all of them.  A hint that
     contradicts an actual click raises SettingConflict.
+
+    Errors surface in the order a scan through the bins meets them: each
+    stream's order and first bin are checked up front, a station's next
+    bin when the scan passes its current one, and the hint of a bin after
+    that.
     """
     if window_ns <= 0:
         raise BellsimError("window width must be positive")
-    records = []
-    dropped_a = 0
-    dropped_b = 0
-    it_a = _binned(stream_a, window_ns)
-    it_b = _binned(stream_b, window_ns)
-    cur_a = next(it_a, None)
-    cur_b = next(it_b, None)
-    while cur_a is not None or cur_b is not None:
-        ka = cur_a[0] if cur_a is not None else None
-        kb = cur_b[0] if cur_b is not None else None
-        k = min(v for v in (ka, kb) if v is not None)
-        ev_a = ev_b = None
-        if ka == k:
-            _, ev_a, d = cur_a
-            dropped_a += d
-            cur_a = next(it_a, None)
-        if kb == k:
-            _, ev_b, d = cur_b
-            dropped_b += d
-            cur_b = next(it_b, None)
-        hint = settings_hint(k) if settings_hint is not None else (None, None)
-        x = ev_a.setting if ev_a is not None else hint[0]
-        y = ev_b.setting if ev_b is not None else hint[1]
-        if ev_a is not None and hint[0] is not None and ev_a.setting != hint[0]:
-            raise SettingConflict(f"window {k}: station A clicked at setting "
-                                  f"{ev_a.setting!r} but the schedule says {hint[0]!r}")
-        if ev_b is not None and hint[1] is not None and ev_b.setting != hint[1]:
-            raise SettingConflict(f"window {k}: station B clicked at setting "
-                                  f"{ev_b.setting!r} but the schedule says {hint[1]!r}")
-        records.append(CoincidenceRecord(
-            window=k,
-            sp=SettingPair(x, y),
-            a=ev_a.value if ev_a is not None else 0,
-            b=ev_b.value if ev_b is not None else 0,
-        ))
+    bins_a, set_a, val_a, dropped_a, pending_a = _first_clicks(stream_a, window_ns)
+    bins_b, set_b, val_b, dropped_b, pending_b = _first_clicks(stream_b, window_ns)
+    both = np.sort(np.concatenate((bins_a, bins_b)))      # their union, sorted
+    windows = both[np.diff(both, prepend=both[:1] - 1) != 0]
+    n = len(windows)
+    x = np.full(n, -1, dtype=np.int64)
+    y = np.full(n, -1, dtype=np.int64)
+    a = np.zeros(n, dtype=np.int8)
+    b = np.zeros(n, dtype=np.int8)
+    pos_a = np.searchsorted(windows, bins_a)
+    pos_b = np.searchsorted(windows, bins_b)
+    x[pos_a], a[pos_a] = set_a, val_a
+    y[pos_b], b[pos_b] = set_b, val_b
+    labels_a, labels_b = stream_a.labels, stream_b.labels
+    errors = []     # ((window, order within the window's scan step), exception)
+    for order, pending in enumerate((pending_a, pending_b)):
+        if pending is not None:
+            errors.append(((pending[0], order), pending[1]))
+    if settings_hint is not None:
+        hint_x, hint_y = settings_hint(windows)
+        hint_x, labels_a = _encode(hint_x, labels_a)
+        hint_y, labels_b = _encode(hint_y, labels_b)
+        hint_x = np.broadcast_to(hint_x, windows.shape)
+        hint_y = np.broadcast_to(hint_y, windows.shape)
+        for order, found in ((2, _hint_conflict(windows, x, hint_x, labels_a, "A")),
+                             (3, _hint_conflict(windows, y, hint_y, labels_b, "B"))):
+            if found is not None:
+                errors.append(((found[0], order), found[1]))
+        x = np.where(x >= 0, x, hint_x)
+        y = np.where(y >= 0, y, hint_y)
+    if errors:
+        raise min(errors, key=lambda e: e[0])[1]
+    records = CoincidenceRecords(windows, x, y, a, b, labels_a, labels_b)
     return PairingResult(records=records, dropped_a=dropped_a, dropped_b=dropped_b)
 
 
@@ -310,68 +449,70 @@ def ingest_timetag_file(path, station: str = "A") -> ClickStream:
     line, ``#`` comments, outcomes +1 or -1.  Any whitespace separates the
     fields."""
     path = Path(path)
-    events = []
+    times, settings, values = [], [], []
     last_t = None
-    with path.open("r", encoding="ascii") as fh:
-        for line_number, raw in enumerate(fh, start=1):
-            stripped = raw.split("#", 1)[0].strip()
-            if not stripped:
-                continue
-            fields = stripped.split()
-            if len(fields) != 3:
-                raise ParseError(f"expected 3 fields, got {len(fields)}",
-                                 line_number=line_number, path=str(path))
-            try:
-                t = int(fields[0])
-            except ValueError:
-                raise ParseError(f"bad timestamp {fields[0]!r}",
-                                 line_number=line_number, path=str(path)) from None
-            if t < 0:
-                raise ParseError(f"negative timestamp {t}",
-                                 line_number=line_number, path=str(path))
-            try:
-                value = int(fields[2])
-            except ValueError:
-                raise ParseError(f"bad outcome {fields[2]!r}",
-                                 line_number=line_number, path=str(path)) from None
-            if value not in (-1, 1):
-                raise ParseError(f"outcome must be +1 or -1, got {fields[2]!r}",
-                                 line_number=line_number, path=str(path))
-            if last_t is not None and t < last_t:
-                raise NonMonotonicTimestamps(
-                    f"{path}:{line_number}: timestamp {t} after {last_t}")
-            last_t = t
-            events.append(ClickEvent(t, _decode_label(fields[1]), value))
-    return ClickStream(station=station, events=tuple(events))
+    for line_number, raw in enumerate(io.StringIO(_read_ascii(path), newline=None), start=1):
+        stripped = raw.split("#", 1)[0].strip()
+        if not stripped:
+            continue
+        fields = stripped.split()
+        if len(fields) != 3:
+            raise ParseError(f"expected 3 fields, got {len(fields)}",
+                             line_number=line_number, path=str(path))
+        try:
+            t = int(fields[0])
+        except ValueError:
+            raise ParseError(f"bad timestamp {fields[0]!r}",
+                             line_number=line_number, path=str(path)) from None
+        if t < 0:
+            raise ParseError(f"negative timestamp {t}",
+                             line_number=line_number, path=str(path))
+        if t >= _INT64:
+            raise ParseError(f"timestamp {t} out of range",
+                             line_number=line_number, path=str(path))
+        try:
+            value = int(fields[2])
+        except ValueError:
+            raise ParseError(f"bad outcome {fields[2]!r}",
+                             line_number=line_number, path=str(path)) from None
+        if value not in (-1, 1):
+            raise ParseError(f"outcome must be +1 or -1, got {fields[2]!r}",
+                             line_number=line_number, path=str(path))
+        if last_t is not None and t < last_t:
+            raise NonMonotonicTimestamps(
+                f"{path}:{line_number}: timestamp {t} after {last_t}")
+        last_t = t
+        times.append(t)
+        settings.append(_decode_label(fields[1]))
+        values.append(value)
+    codes, labels = _codes(settings)
+    return ClickStream(station, times, codes, values, labels)
 
 
 def write_timetag_file(stream: ClickStream, path) -> None:
-    lines = [f"# station {stream.station}: timestamp_ns setting outcome"]
-    for e in stream.events:
-        lines.append(f"{e.t}\t{e.setting}\t{e.value:+d}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
+    settings = _label_array(stream.labels)[stream.setting].tolist()
+    lines = map("{}\t{}\t{:+d}\n".format, stream.t.tolist(), settings, stream.value.tolist())
+    Path(path).write_text(f"# station {stream.station}: timestamp_ns setting outcome\n"
+                          + "".join(lines), encoding="ascii")
 
 
 def write_coincidence_csv(records, path) -> None:
     """CSV with header ``window,x,y,a,b``; unknown settings are empty fields."""
+    r = CoincidenceRecords.of(records)
+    x = _label_array(r.settings_a + ("",))[r.x].tolist()     # code -1 picks ""
+    y = _label_array(r.settings_b + ("",))[r.y].tolist()
     with Path(path).open("w", newline="", encoding="ascii") as fh:
         writer = csv.writer(fh)
         writer.writerow(["window", "x", "y", "a", "b"])
-        for r in records:
-            writer.writerow([
-                r.window,
-                "" if r.sp.x is None else r.sp.x,
-                "" if r.sp.y is None else r.sp.y,
-                r.a,
-                r.b,
-            ])
+        writer.writerows(zip(r.window.tolist(), x, y, r.a.tolist(), r.b.tolist()))
 
 
-def read_coincidence_csv(path) -> list[CoincidenceRecord]:
+def read_coincidence_csv(path) -> CoincidenceRecords:
     path = Path(path)
-    records = []
-    with path.open("r", newline="", encoding="ascii") as fh:
-        reader = csv.reader(fh)
+    rows = []
+    reader = csv.reader(io.StringIO(_read_ascii(path), newline=""))
+    line_number = 0     # of the last row read; a csv.Error belongs to the next
+    try:
         header = next(reader, None)
         if header != ["window", "x", "y", "a", "b"]:
             raise ParseError("bad header, expected window,x,y,a,b",
@@ -389,10 +530,14 @@ def read_coincidence_csv(path) -> list[CoincidenceRecord]:
             except ValueError:
                 raise ParseError("bad integer field",
                                  line_number=line_number, path=str(path)) from None
+            if not -_INT64 <= window < _INT64:
+                raise ParseError(f"window {window} out of range",
+                                 line_number=line_number, path=str(path))
             if a not in (-1, 0, 1) or b not in (-1, 0, 1) or (a == 0 and b == 0):
                 raise ParseError(f"bad outcome pair ({row[3]}, {row[4]})",
                                  line_number=line_number, path=str(path))
-            x = None if row[1] == "" else _decode_label(row[1])
-            y = None if row[2] == "" else _decode_label(row[2])
-            records.append(CoincidenceRecord(window, SettingPair(x, y), a, b))
-    return records
+            rows.append((window, None if row[1] == "" else _decode_label(row[1]),
+                         None if row[2] == "" else _decode_label(row[2]), a, b))
+    except csv.Error as exc:
+        raise ParseError(str(exc), line_number=line_number + 1, path=str(path)) from None
+    return CoincidenceRecords.from_rows(rows)

@@ -10,12 +10,19 @@ with the per-pair outcome tables the package now computes: a per-record
 estimator (one list of values per pair and statistic, two-pass standard
 errors) and a Fraction enumerator that visits every term of the lambda
 space with eight running sums.
+
+Two more keep the event-object stream path for comparison with the
+columnar one: a generator that builds one ``ClickEvent`` per click, and a
+pairer that walks both event lists bin by bin with ``groupby``.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
+from itertools import groupby
+from typing import NamedTuple
 
 import numpy as np
 
@@ -26,10 +33,12 @@ from bellsim.core import (
     ModelVariant,
     ResponseTable,
 )
+from bellsim import rng as _rng
+from bellsim import streams as _streams
+from bellsim.core import SettingPair, _PairSampler, ensure_valid
 from bellsim.estimators import RAW, CorrelationSet, PairStats
-from bellsim.errors import EmptyCell
-from bellsim.streams import CoincidenceRecord
-from bellsim.core import SettingPair
+from bellsim.errors import BellsimError, EmptyCell, SettingConflict, UnsortedStream
+from bellsim.streams import ClickStream, CoincidenceRecord
 
 
 def brute_force_expectations(model, sp):
@@ -203,3 +212,147 @@ def oracle_enumerate(model, sp):
     if sel == 0:
         return raw, None
     return raw, ExactResult(sel_ab / sel, sel_a / sel, sel_b / sel, sel / total)
+
+
+# --------------------------------------------------------------------------
+# Event-object stream oracles
+
+
+class ClickEvent(NamedTuple):
+    t: int            # nanoseconds, non-negative
+    setting: object   # local setting label active at the click
+    value: int        # +1 or -1; "no click" is the absence of an event
+
+
+@dataclass(frozen=True)
+class EventStream:
+    station: str      # "A" or "B"
+    events: tuple
+
+    def __len__(self):
+        return len(self.events)
+
+
+def events(stream):
+    """The clicks of a columnar ``ClickStream`` as a list of ClickEvents."""
+    labels = [stream.labels[c] for c in stream.setting.tolist()]
+    return [ClickEvent(*e) for e in zip(stream.t.tolist(), labels, stream.value.tolist())]
+
+
+def columnar(stream: EventStream) -> ClickStream:
+    """The same clicks as a columnar ``ClickStream``."""
+    labels = tuple(dict.fromkeys(e.setting for e in stream.events))
+    return ClickStream(stream.station, [e.t for e in stream.events],
+                       [labels.index(e.setting) for e in stream.events],
+                       [e.value for e in stream.events], labels)
+
+
+def oracle_generate_streams(model, schedule, detection_rate, master_seed, workers=1):
+    """Both stations' clicks, one ClickEvent per click, from the same chunk
+    draws as ``generate_streams``."""
+    ensure_valid(model)
+    if not 0.0 <= detection_rate <= 1.0:
+        raise BellsimError("detection_rate must be within [0, 1]")
+    samplers = {sp: _PairSampler(model, sp) for sp in model.pairs()}
+    fast = all(s.fast or s.variant is ModelVariant.QUANTUM for s in samplers.values())
+    n = schedule.n_windows
+    w = schedule.window_ns
+
+    def build(chunk_index, start, stop):
+        gen = _rng.chunk_generator(master_seed, (_rng.PURPOSE_STREAMS,), chunk_index)
+        m = stop - start
+        u = gen.random((_rng.CHUNK, 7))[:m]
+        idx = np.arange(start, stop, dtype=np.int64)
+        xs, ys = _streams._setting_indices(model, schedule.rule, idx, u[:, 0], u[:, 1])
+        a = np.zeros(m, dtype=np.int8)
+        b = np.zeros(m, dtype=np.int8)
+        if fast:
+            code = xs * len(model.settings_b) + ys
+            for sp, sampler in samplers.items():
+                pair_code = (model.settings_a.index(sp.x) * len(model.settings_b)
+                             + model.settings_b.index(sp.y))
+                mask = code == pair_code
+                if not mask.any():
+                    continue
+                a[mask], b[mask] = sampler.outcomes_from_uniforms(
+                    u[mask, 2], u[mask, 3], u[mask, 4])
+        else:
+            for i in range(m):
+                sp = SettingPair(model.settings_a[xs[i]], model.settings_b[ys[i]])
+                ai, bi = samplers[sp].draw(gen, 1)
+                a[i], b[i] = ai[0], bi[0]
+        keep_a = (a != 0) & (u[:, 5] < detection_rate)
+        keep_b = (b != 0) & (u[:, 6] < detection_rate)
+        ev_a = [ClickEvent(int((start + i) * w), model.settings_a[xs[i]], int(a[i]))
+                for i in np.flatnonzero(keep_a)]
+        ev_b = [ClickEvent(int((start + i) * w), model.settings_b[ys[i]], int(b[i]))
+                for i in np.flatnonzero(keep_b)]
+        return ev_a, ev_b
+
+    parts = _rng.map_chunks(build, n, workers=workers)
+    events_a = [e for part_a, _ in parts for e in part_a]
+    events_b = [e for _, part_b in parts for e in part_b]
+    return (EventStream("A", tuple(events_a)), EventStream("B", tuple(events_b)))
+
+
+def _oracle_binned(stream, window_ns):
+    """Yield (bin, kept_event, dropped_count) in bin order; enforces ordering
+    and per-bin setting agreement."""
+    last_t = None
+    for e in stream.events:
+        if last_t is not None and e.t < last_t:
+            raise UnsortedStream(f"station {stream.station}: timestamp {e.t} after {last_t}")
+        last_t = e.t
+    for bin_index, group in groupby(stream.events, key=lambda e: e.t // window_ns):
+        group = list(group)
+        settings = {e.setting for e in group}
+        if len(settings) > 1:
+            conflict = SettingConflict(f"station {stream.station}, window {bin_index}: "
+                                       f"settings {sorted(map(str, settings))}")
+            conflict.station = stream.station
+            raise conflict
+        kept = min(group, key=lambda e: (e.t, e.value))
+        yield int(bin_index), kept, len(group) - 1
+
+
+def oracle_pair_coincidences(stream_a, stream_b, window_ns, settings_hint=None):
+    """Walk both event lists bin by bin; ``settings_hint(window)`` is called
+    per occupied window.  Returns (records, dropped_a, dropped_b)."""
+    if window_ns <= 0:
+        raise BellsimError("window width must be positive")
+    records = []
+    dropped_a = 0
+    dropped_b = 0
+    it_a = _oracle_binned(stream_a, window_ns)
+    it_b = _oracle_binned(stream_b, window_ns)
+    cur_a = next(it_a, None)
+    cur_b = next(it_b, None)
+    while cur_a is not None or cur_b is not None:
+        ka = cur_a[0] if cur_a is not None else None
+        kb = cur_b[0] if cur_b is not None else None
+        k = min(v for v in (ka, kb) if v is not None)
+        ev_a = ev_b = None
+        if ka == k:
+            _, ev_a, d = cur_a
+            dropped_a += d
+            cur_a = next(it_a, None)
+        if kb == k:
+            _, ev_b, d = cur_b
+            dropped_b += d
+            cur_b = next(it_b, None)
+        hint = settings_hint(k) if settings_hint is not None else (None, None)
+        x = ev_a.setting if ev_a is not None else hint[0]
+        y = ev_b.setting if ev_b is not None else hint[1]
+        if ev_a is not None and hint[0] is not None and ev_a.setting != hint[0]:
+            raise SettingConflict(f"window {k}: station A clicked at setting "
+                                  f"{ev_a.setting!r} but the schedule says {hint[0]!r}")
+        if ev_b is not None and hint[1] is not None and ev_b.setting != hint[1]:
+            raise SettingConflict(f"window {k}: station B clicked at setting "
+                                  f"{ev_b.setting!r} but the schedule says {hint[1]!r}")
+        records.append(CoincidenceRecord(
+            window=k,
+            sp=SettingPair(x, y),
+            a=ev_a.value if ev_a is not None else 0,
+            b=ev_b.value if ev_b is not None else 0,
+        ))
+    return records, dropped_a, dropped_b

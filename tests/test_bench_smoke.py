@@ -1,0 +1,37 @@
+"""Smoke test of the benchmark's traced path at tiny size.
+
+``bench/``, ``src/`` and ``BENCHMARK.json`` are copied into a temporary
+directory and ``bench/run.py --trace 1 --size tiny`` runs there, so the
+work files land in the copy.  The ``analyze`` workload's trace check
+compares the tracer's click, record, drop and unassigned counts with the
+planted data, which guards the tracing hooks against changes in the stream
+and record types.
+"""
+
+from __future__ import annotations
+
+import json
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+REPO = Path(__file__).resolve().parent.parent
+
+
+@pytest.mark.parametrize("workload", ("simulate", "analyze"))
+def test_traced_tiny_run_passes_its_checks(workload, tmp_path):
+    for name in ("bench", "src"):
+        shutil.copytree(REPO / name, tmp_path / name,
+                        ignore=shutil.ignore_patterns("__pycache__", ".benchruns"))
+    shutil.copy(REPO / "BENCHMARK.json", tmp_path)
+    done = subprocess.run(
+        [sys.executable, "bench/run.py", "--workload", workload, "--seed", "3",
+         "--seconds", "1", "--trace", "1", "--size", "tiny"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=150)
+    assert done.returncode == 0, done.stderr
+    result = json.loads(done.stdout.splitlines()[-1])
+    assert result["failed"] == 0 and result["correct"], done.stderr
+    assert result["attempted"] > 0

@@ -83,6 +83,19 @@ class TestSimulate:
         assert code == 3
         assert "sum to" in err
 
+    def test_missing_model_file_exits_2(self, tmp_path, capsys):
+        missing = tmp_path / "nowhere.model"
+        code, _, err = run(capsys, "simulate", "--model", str(missing),
+                           "--windows", "10", "--seed", "1", "--out-dir", str(tmp_path))
+        assert code == 2
+        assert err == f"error: {missing}: No such file or directory\n"
+
+    def test_unreadable_model_path_exits_2(self, tmp_path, capsys):
+        code, _, err = run(capsys, "simulate", "--model", str(tmp_path),
+                           "--windows", "10", "--seed", "1", "--out-dir", str(tmp_path / "out"))
+        assert code == 2
+        assert err == f"error: {tmp_path}: Is a directory\n"
+
     def test_seed_reproducibility_and_thread_independence(self, tmp_path, capsys):
         outputs = []
         for label, threads in (("t1", "1"), ("t1b", "1"), ("t4", "4")):
@@ -201,6 +214,40 @@ class TestAnalyze:
         code, _, err = run(capsys, "analyze", "--out-dir", str(tmp_path))
         assert code == 2
 
+    def test_non_ascii_stream_byte_names_file_and_line_exits_4(self, tmp_path, capsys):
+        stream_a = tmp_path / "a.txt"
+        stream_a.write_bytes(b"3\t1\t+1\n7\t\xe9\t-1\n")
+        stream_b = tmp_path / "b.txt"
+        stream_b.write_text("5\t1\t+1\n")
+        code, _, err = run(capsys, "analyze", "--stream-a", str(stream_a),
+                           "--stream-b", str(stream_b), "--out-dir", str(tmp_path / "out"))
+        assert code == 4
+        assert err == f"error: {stream_a}:2: non-ASCII byte 0xe9\n"
+
+    def test_non_ascii_csv_byte_names_file_and_line_exits_4(self, tmp_path, capsys):
+        csv = tmp_path / "c.csv"
+        csv.write_bytes(b"window,x,y,a,b\n0,1,1,1,1\n1,\xff,1,1,1\n")
+        code, _, err = run(capsys, "analyze", "--coincidences", str(csv),
+                           "--out-dir", str(tmp_path / "out"))
+        assert code == 4
+        assert err == f"error: {csv}:3: non-ASCII byte 0xff\n"
+
+    def test_missing_stream_file_exits_2(self, tmp_path, capsys):
+        stream_b = tmp_path / "b.txt"
+        stream_b.write_text("5\t1\t+1\n")
+        missing = tmp_path / "nowhere.txt"
+        code, _, err = run(capsys, "analyze", "--stream-a", str(missing),
+                           "--stream-b", str(stream_b), "--out-dir", str(tmp_path / "out"))
+        assert code == 2
+        assert err == f"error: {missing}: No such file or directory\n"
+
+    def test_missing_csv_file_exits_2(self, tmp_path, capsys):
+        missing = tmp_path / "nowhere.csv"
+        code, _, err = run(capsys, "analyze", "--coincidences", str(missing),
+                           "--out-dir", str(tmp_path / "out"))
+        assert code == 2
+        assert err == f"error: {missing}: No such file or directory\n"
+
 
 class TestCheckCoupling:
     def test_lf_spec_file_feasible(self, tmp_path, capsys):
@@ -239,6 +286,17 @@ class TestCheckCoupling:
                               "--out-dir", str(tmp_path))
         assert code == 0
         assert "infeasible" in stdout
+
+    def test_non_ascii_spec_exits_4_and_missing_spec_exits_2(self, tmp_path, capsys):
+        spec = tmp_path / "spec.json"
+        spec.write_bytes(b'{"settings_a": [1, 2],\n "e_ab": "\xe9"}\n')
+        code, _, err = run(capsys, "check-coupling", "--spec", str(spec))
+        assert code == 4
+        assert err == f"error: {spec}:2: non-ASCII byte 0xe9\n"
+        missing = tmp_path / "nowhere.json"
+        code, _, err = run(capsys, "check-coupling", "--spec", str(missing))
+        assert code == 2
+        assert err == f"error: {missing}: No such file or directory\n"
 
     def test_missing_inputs_config_error(self, tmp_path, capsys):
         code, _, err = run(capsys, "check-coupling", "--out-dir", str(tmp_path))

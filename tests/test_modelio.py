@@ -89,3 +89,12 @@ def test_int_lookalike_string_label_refused():
         ModelVariant.LHVM, settings, settings, source, inst, dict(inst), resp, dict(resp))
     with pytest.raises(BellsimError, match="round-trip"):
         modelio.dumps(model)
+
+
+def test_non_ascii_byte_is_a_parse_error_naming_the_line(tmp_path):
+    path = tmp_path / "lf.model"
+    text = modelio.dumps(build_scenario("lf").model).encode("ascii")
+    path.write_bytes(text.replace(b"\n", b"\n\xc3\xa9", 1))   # at the start of line 2
+    with pytest.raises(ParseError) as excinfo:
+        modelio.load(path)
+    assert excinfo.value.line_number == 2 and excinfo.value.path == str(path)
