@@ -96,8 +96,12 @@ class ConfigError(BellsimError):
 
 
 def _load_config(path) -> dict:
+    try:
+        text = modelio._read_ascii(Path(path))
+    except ParseError as exc:      # a bad config file is a configuration error
+        raise ConfigError(str(exc)) from None
     values = {}
-    for line_number, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+    for line_number, raw in enumerate(text.splitlines(), start=1):
         stripped = raw.split("#", 1)[0].strip()
         if not stripped:
             continue
@@ -251,8 +255,7 @@ def _cmd_simulate(args) -> int:
         write_timetag_file(stream_b, out / "stream_b.txt")
         written += ["stream_a.txt", "stream_b.txt"]
     assignment = schedule_settings(model, schedule, args.seed)
-    pairing = pair_coincidences(stream_a, stream_b, schedule.window_ns,
-                                settings_hint=lambda k: assignment[k])
+    pairing = pair_coincidences(stream_a, stream_b, schedule.window_ns, assignment)
     write_coincidence_csv(pairing.records, out / "coincidences.csv")
     written.append("coincidences.csv")
     payload = _analysis_payload(pairing.records)
@@ -303,12 +306,20 @@ def _cmd_analyze(args) -> int:
     return EXIT_OK
 
 
+def _inline_value(flag: str, text: str) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        raise ConfigError(f"{flag}: bad value {text!r}") from None
+
+
 def _spec_from_flags(args) -> JointSpec:
     tables = {}
-    for label, rows in (("e_ab", args.corr), ("e_a", args.mean_a), ("e_b", args.mean_b)):
+    for label, flag, rows in (("e_ab", "--corr", args.corr), ("e_a", "--mean-a", args.mean_a),
+                              ("e_b", "--mean-b", args.mean_b)):
         if not rows:
             raise ConfigError(f"--spec missing and no inline {label} values given")
-        tables[label] = {(_decode_label(x), _decode_label(y)): float(v)
+        tables[label] = {(_decode_label(x), _decode_label(y)): _inline_value(flag, v)
                          for x, y, v in rows}
     xs = tuple(dict.fromkeys(x for x, _ in tables["e_ab"]))
     ys = tuple(dict.fromkeys(y for _, y in tables["e_ab"]))
@@ -431,23 +442,14 @@ _FALLBACKS = {
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    if args.config is not None:
-        try:
-            overrides = _load_config(args.config)
-        except (OSError, ConfigError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_CONFIG
-        for key, value in overrides.items():
+    args = _build_parser().parse_args(argv)
+    try:
+        overrides = {} if args.config is None else _load_config(args.config)
+        for key, value in {**_FALLBACKS, **overrides}.items():
             if getattr(args, key, None) is None:
                 setattr(args, key, value)
-    for key, value in _FALLBACKS.items():
-        if getattr(args, key, None) is None:
-            setattr(args, key, value)
-    if getattr(args, "out_dir", None) is None:
-        args.out_dir = os.environ.get("BELLSIM_OUT", ".")
-    try:
+        if getattr(args, "out_dir", None) is None:
+            args.out_dir = os.environ.get("BELLSIM_OUT", ".")
         return args.handler(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -174,10 +174,6 @@ class ResponseTable:
     def __init__(self, mapping: dict):
         object.__setattr__(self, "mapping", dict(mapping))
 
-    @classmethod
-    def from_function(cls, fn: Callable, source_values: Sequence, instrument_values: Sequence) -> "ResponseTable":
-        return cls({(s, i): int(fn(s, i)) for s in source_values for i in instrument_values})
-
     def __call__(self, source_value, instrument_value) -> Outcome:
         try:
             return self.mapping[(source_value, instrument_value)]
@@ -296,9 +292,6 @@ class ExactResult:
     e_a: "Fraction | float"
     e_b: "Fraction | float"
     c_xy: "Fraction | float"
-
-    def as_floats(self) -> tuple[float, float, float, float]:
-        return (float(self.e_ab), float(self.e_a), float(self.e_b), float(self.c_xy))
 
 
 # ---------------------------------------------------------------------------
@@ -586,12 +579,9 @@ class _SpaceSampler:
             for i, a in enumerate(space.atoms):
                 self._atoms[i] = a
 
-    def draw_indices(self, generator: np.random.Generator, n: int) -> np.ndarray:
-        return _draw_indices(self._cdf, generator.random(n))
-
     def draw_values(self, generator: np.random.Generator, n: int) -> np.ndarray:
         if self.finite:
-            return self._atoms[self.draw_indices(generator, n)]
+            return self._atoms[_draw_indices(self._cdf, generator.random(n))]
         values = np.empty(n, dtype=object)
         drawn = self.space.draw(generator, n)
         for i, value in enumerate(drawn):
@@ -613,8 +603,9 @@ class _PairSampler:
     The per-trial draw order is fixed: source, then station A's instrument
     (or the joint instrument pair), then station B's.  Quantum models draw
     a sign and then a same-or-different indicator.  The fast path applies
-    precomputed response matrices to index arrays; models with sampler
-    spaces or plain-callable responses fall back to per-element evaluation.
+    precomputed response matrices to index arrays, one uniform column per
+    space; models with sampler spaces or plain-callable responses fall back
+    to per-element evaluation.
     """
 
     def __init__(self, model: ExperimentModel, sp: SettingPair):
@@ -656,27 +647,20 @@ class _PairSampler:
                 self.mat_b = _response_matrix(self.resp_b, l2, model.instruments_b[sp.y].atoms)
 
     def draw(self, generator: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray]:
-        if self.variant is ModelVariant.QUANTUM:
-            sign = np.where(generator.random(n) < 0.5, 1, -1).astype(np.int8)
-            same = generator.random(n) < self.p_same
-            return sign, np.where(same, sign, -sign).astype(np.int8)
-        if self.fast:
-            i_src = self.src.draw_indices(generator, n)
-            if self.joint is not None:
-                j = self.joint.draw_indices(generator, n)
-                return self.mat_a[i_src, j], self.mat_b[i_src, j]
-            j_a = self.inst_a.draw_indices(generator, n)
-            j_b = self.inst_b.draw_indices(generator, n)
-            return self.mat_a[i_src, j_a], self.mat_b[i_src, j_b]
-        return self._draw_slow(generator, n)
+        if not self.fast:
+            return self._draw_slow(generator, n)
+        spaces = 2 if self.variant in (ModelVariant.M3, ModelVariant.QUANTUM) else 3
+        return self.outcomes_from_uniforms(*(generator.random(n) for _ in range(spaces)))
 
     def outcomes_from_uniforms(self, u_source: np.ndarray, u_inst_a: np.ndarray,
-                               u_inst_b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Fast-path outcomes from caller-supplied uniforms, one per space.
+                               u_inst_b: "np.ndarray | None" = None
+                               ) -> tuple[np.ndarray, np.ndarray]:
+        """Fast-path outcomes from uniforms, one column per space in draw
+        order; ``u_inst_b`` is unused by m3 and quantum models.
 
-        Used by the stream generator, which owns a fixed per-window uniform
-        layout; only table-backed finite models (and quantum models, which
-        use the first two columns) support this entry point.
+        The stream generator passes columns of its fixed per-window uniform
+        layout; only table-backed finite models (and quantum models) support
+        this entry point.
         """
         if self.variant is ModelVariant.QUANTUM:
             sign = np.where(u_source < 0.5, 1, -1).astype(np.int8)

@@ -123,10 +123,6 @@ class Scenario:
         return correlation_set_from_exact(table, self.model.settings_a,
                                           self.model.settings_b, conditioning)
 
-    def exact_correlations(self, conditioning: str):
-        """The expected table as a CorrelationSet (zero standard errors)."""
-        return self._exact_set(conditioning)
-
 
 def _point_instruments(settings):
     return {s: DiscreteDistribution.point(0) for s in settings}

@@ -14,7 +14,8 @@ station land in one bin the earliest is kept (ties broken by value) and
 the rest are counted as dropped.  Bins empty on both sides produce no
 record.  For clicks ingested from files the setting of a silent station
 is unknown and recorded as None; generated data can fill it from the
-schedule via ``settings_hint``.
+schedule: ``pair_coincidences`` takes the ``WindowSettings`` that
+``schedule_settings`` returns.
 
 Streams, records and the schedule are numpy columns, not one Python
 object per event.  A ``ClickStream`` holds per click ``t`` (int64 ns),
@@ -22,9 +23,10 @@ object per event.  A ``ClickStream`` holds per click ``t`` (int64 ns),
 ``CoincidenceRecords`` holds per occupied bin ``window``, ``x`` and ``y``
 (codes into ``settings_a`` and ``settings_b``, -1 when unknown), ``a``
 and ``b``; iterating it yields ``CoincidenceRecord`` tuples with the
-labels themselves, None for an unknown setting.  ``schedule_settings``
-returns per-window code columns; indexed by an array of windows they give
-label arrays, so ``lambda k: settings[k]`` serves as ``settings_hint``.
+labels themselves, None for an unknown setting.  ``WindowSettings``
+holds per window ``x`` and ``y``, codes into the model's setting labels;
+pairing maps those labels into each stream's labels once and reads the
+codes of the occupied windows.
 """
 
 from __future__ import annotations
@@ -33,12 +35,12 @@ import csv
 import io
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
 from . import rng as _rng
-from .core import ExperimentModel, ModelVariant, SettingPair, _PairSampler, ensure_valid
+from .core import ExperimentModel, SettingPair, _PairSampler, ensure_valid
 from .errors import (
     BellsimError,
     NonMonotonicTimestamps,
@@ -59,26 +61,8 @@ def _codes(values, labels=()) -> tuple[np.ndarray, tuple]:
     return np.array(codes, dtype=np.int64), tuple(index)
 
 
-def _encode(values, labels) -> tuple[np.ndarray, tuple]:
-    """``_codes`` for an array of labels (or one label), one lookup per
-    distinct label."""
-    values = np.asarray(values)
-    try:
-        distinct, inverse = np.unique(values.ravel(), return_inverse=True)
-    except TypeError:   # None, or labels of mixed types, do not sort
-        codes, labels = _codes(values.ravel().tolist(), labels)
-        return codes.reshape(values.shape), labels
-    codes, labels = _codes(distinct.tolist(), labels)
-    return codes[inverse].reshape(values.shape), labels
-
-
 def _label_array(labels) -> np.ndarray:
-    """Labels as an array to index with codes: of native dtype when that
-    keeps every label (ints, strings), else of objects."""
-    native = np.asarray(labels)
-    if native.ndim == 1 and all(type(n) is type(label) and n == label
-                                for n, label in zip(native.tolist(), labels)):
-        return native
+    """Labels as an array of objects, to index with codes."""
     out = np.empty(len(labels), dtype=object)
     for i, label in enumerate(labels):
         out[i] = label
@@ -200,6 +184,18 @@ class Schedule:
         return cls(duration_ns=n_windows * window_ns, window_ns=window_ns, rule=rule)
 
 
+# Columns of the per-window uniform matrix.  The layout is frozen: every
+# window consumes the same columns whatever the rule or variant, which is
+# what keeps chunk results independent of how windows are grouped.
+_COL_SETTING_A = 0
+_COL_SETTING_B = 1
+_COL_SOURCE = 2      # quantum: sign draw
+_COL_INST_A = 3      # m3: joint draw; quantum: same-or-different draw
+_COL_INST_B = 4
+_COL_THIN_A = 5
+_COL_THIN_B = 6
+
+
 def _setting_indices(model, rule, window_indices, u_a, u_b):
     """Per-window setting indices for both stations; uniform columns are
     consumed only by the random rule so every rule sees the same trial
@@ -223,6 +219,19 @@ def _setting_indices(model, rule, window_indices, u_a, u_b):
     raise BellsimError(f"unknown schedule rule {rule!r}")
 
 
+def _draw_chunk(model, rule, master_seed, chunk_index, start, stop):
+    """The generator of one chunk of windows, its uniform matrix and the
+    windows' setting indices.  Generation and the schedule both start
+    here, so they agree on every window's settings."""
+    gen = _rng.chunk_generator(master_seed, (_rng.PURPOSE_STREAMS,), chunk_index)
+    # Full-chunk draw, sliced: window values must not depend on where the
+    # schedule ends.
+    u = gen.random((_rng.CHUNK, 7))[: stop - start]
+    xs, ys = _setting_indices(model, rule, np.arange(start, stop, dtype=np.int64),
+                              u[:, _COL_SETTING_A], u[:, _COL_SETTING_B])
+    return gen, u, xs, ys
+
+
 @dataclass(frozen=True, eq=False)
 class WindowSettings:
     """The setting pair of every window, as code columns into the model's
@@ -241,12 +250,8 @@ class WindowSettings:
             yield SettingPair(self.settings_a[x], self.settings_b[y])
 
     def __getitem__(self, k):
-        """The SettingPair of window ``k``; for an array of windows, a
-        SettingPair of label arrays."""
-        if np.ndim(k) == 0:
-            return SettingPair(self.settings_a[self.x[k]], self.settings_b[self.y[k]])
-        return SettingPair(_label_array(self.settings_a)[self.x[k]],
-                           _label_array(self.settings_b)[self.y[k]])
+        """The SettingPair of window ``k``."""
+        return SettingPair(self.settings_a[self.x[k]], self.settings_b[self.y[k]])
 
 
 def schedule_settings(model: ExperimentModel, schedule: Schedule,
@@ -254,10 +259,7 @@ def schedule_settings(model: ExperimentModel, schedule: Schedule,
     """The setting pair of every window, recomputable without generating."""
 
     def columns(chunk_index, start, stop):
-        gen = _rng.chunk_generator(master_seed, (_rng.PURPOSE_STREAMS,), chunk_index)
-        u = gen.random((_rng.CHUNK, 7))[: stop - start]
-        return _setting_indices(model, schedule.rule, np.arange(start, stop, dtype=np.int64),
-                                u[:, _COL_SETTING_A], u[:, _COL_SETTING_B])
+        return _draw_chunk(model, schedule.rule, master_seed, chunk_index, start, stop)[2:]
 
     xs, ys = (np.concatenate(c) for c in zip(*_rng.map_chunks(columns, schedule.n_windows)))
     return WindowSettings(model.settings_a, model.settings_b, xs, ys)
@@ -265,17 +267,6 @@ def schedule_settings(model: ExperimentModel, schedule: Schedule,
 
 # --------------------------------------------------------------------------
 # Generation
-
-# Columns of the per-window uniform matrix.  The layout is frozen: every
-# window consumes the same columns whatever the rule or variant, which is
-# what keeps chunk results independent of how windows are grouped.
-_COL_SETTING_A = 0
-_COL_SETTING_B = 1
-_COL_SOURCE = 2      # quantum: sign draw
-_COL_INST_A = 3      # m3: joint draw; quantum: same-or-different draw
-_COL_INST_B = 4
-_COL_THIN_A = 5
-_COL_THIN_B = 6
 
 
 def generate_streams(model: ExperimentModel, schedule: Schedule,
@@ -291,44 +282,33 @@ def generate_streams(model: ExperimentModel, schedule: Schedule,
     ensure_valid(model)
     if not 0.0 <= detection_rate <= 1.0:
         raise BellsimError("detection_rate must be within [0, 1]")
-    samplers = {sp: _PairSampler(model, sp) for sp in model.pairs()}
-    fast = all(s.fast or s.variant is ModelVariant.QUANTUM for s in samplers.values())
-    n = schedule.n_windows
+    n_b = len(model.settings_b)
+    samplers = [_PairSampler(model, sp) for sp in model.pairs()]    # by code x·|B| + y
+    fast = all(s.fast for s in samplers)
     w = schedule.window_ns
 
     def build(chunk_index, start, stop):
-        gen = _rng.chunk_generator(master_seed, (_rng.PURPOSE_STREAMS,), chunk_index)
-        m = stop - start
-        # Full-chunk draw, sliced: window values must not depend on where
-        # the schedule ends.
-        u = gen.random((_rng.CHUNK, 7))[:m]
-        idx = np.arange(start, stop, dtype=np.int64)
-        xs, ys = _setting_indices(model, schedule.rule, idx,
-                                  u[:, _COL_SETTING_A], u[:, _COL_SETTING_B])
-        a = np.zeros(m, dtype=np.int8)
-        b = np.zeros(m, dtype=np.int8)
+        gen, u, xs, ys = _draw_chunk(model, schedule.rule, master_seed, chunk_index, start, stop)
+        code = xs * n_b + ys
+        a = np.zeros(stop - start, dtype=np.int8)
+        b = np.zeros(stop - start, dtype=np.int8)
         if fast:
-            code = xs * len(model.settings_b) + ys
-            for sp, sampler in samplers.items():
-                pair_code = (model.settings_a.index(sp.x) * len(model.settings_b)
-                             + model.settings_b.index(sp.y))
+            for pair_code, sampler in enumerate(samplers):
                 mask = code == pair_code
-                if not mask.any():
-                    continue
-                a[mask], b[mask] = sampler.outcomes_from_uniforms(
-                    u[mask, _COL_SOURCE], u[mask, _COL_INST_A], u[mask, _COL_INST_B])
+                if mask.any():
+                    a[mask], b[mask] = sampler.outcomes_from_uniforms(
+                        u[mask, _COL_SOURCE], u[mask, _COL_INST_A], u[mask, _COL_INST_B])
         else:
             # Sampler-backed spaces draw from the generator sequentially, in
             # window order, after the uniform matrix.
-            for i in range(m):
-                sp = SettingPair(model.settings_a[xs[i]], model.settings_b[ys[i]])
-                ai, bi = samplers[sp].draw(gen, 1)
+            for i, pair_code in enumerate(code.tolist()):
+                ai, bi = samplers[pair_code].draw(gen, 1)
                 a[i], b[i] = ai[0], bi[0]
         i_a = np.flatnonzero((a != 0) & (u[:, _COL_THIN_A] < detection_rate))
         i_b = np.flatnonzero((b != 0) & (u[:, _COL_THIN_B] < detection_rate))
         return (start + i_a, xs[i_a], a[i_a]), (start + i_b, ys[i_b], b[i_b])
 
-    parts = _rng.map_chunks(build, n, workers=workers)
+    parts = _rng.map_chunks(build, schedule.n_windows, workers=workers)
     streams = []
     for station, labels, side in (("A", model.settings_a, 0), ("B", model.settings_b, 1)):
         windows, setting, value = (np.concatenate(c) for c in zip(*(p[side] for p in parts)))
@@ -373,34 +353,32 @@ def _first_clicks(stream: ClickStream, window_ns: int):
     return bins, stream.setting[kept], stream.value[kept], len(t) - len(bins), pending
 
 
-def _hint_conflict(windows, clicked, hinted, labels, station):
+def _schedule_conflict(windows, clicked, scheduled, labels, station):
     """(window, exception) for the first window where a click's setting
-    differs from the hint, or None."""
-    bad = np.flatnonzero((clicked >= 0) & (hinted >= 0) & (clicked != hinted))
+    differs from the schedule, or None."""
+    bad = np.flatnonzero((clicked >= 0) & (scheduled >= 0) & (clicked != scheduled))
     if not bad.size:
         return None
     i = bad[0]
     return int(windows[i]), SettingConflict(
         f"window {windows[i]}: station {station} clicked at setting "
-        f"{labels[clicked[i]]!r} but the schedule says {labels[hinted[i]]!r}")
+        f"{labels[clicked[i]]!r} but the schedule says {labels[scheduled[i]]!r}")
 
 
 def pair_coincidences(stream_a: ClickStream, stream_b: ClickStream, window_ns: int,
-                      settings_hint: "Callable[[np.ndarray], tuple] | None" = None
-                      ) -> PairingResult:
+                      settings: "WindowSettings | None" = None) -> PairingResult:
     """Convert two click streams into per-window outcome records.
 
-    ``settings_hint(windows)`` can supply the active setting pair for
-    windows where a station was silent (the generator's schedule knows it;
-    ingested data does not, and those slots stay unknown).  It is called
-    once with the int64 array of occupied windows and returns per station
-    an array of labels or one label for all of them.  A hint that
-    contradicts an actual click raises SettingConflict.
+    ``settings``, the schedule's per-window setting columns, supplies the
+    active setting pair for windows where a station was silent (the
+    generator's schedule knows it; ingested data does not, and those slots
+    stay unknown).  Bin k of the streams is window k of ``settings``.  A
+    schedule that contradicts an actual click raises SettingConflict.
 
     Errors surface in the order a scan through the bins meets them: each
     stream's order and first bin are checked up front, a station's next
-    bin when the scan passes its current one, and the hint of a bin after
-    that.
+    bin when the scan passes its current one, and the schedule of a bin
+    after that.
     """
     if window_ns <= 0:
         raise BellsimError("window width must be positive")
@@ -422,18 +400,17 @@ def pair_coincidences(stream_a: ClickStream, stream_b: ClickStream, window_ns: i
     for order, pending in enumerate((pending_a, pending_b)):
         if pending is not None:
             errors.append(((pending[0], order), pending[1]))
-    if settings_hint is not None:
-        hint_x, hint_y = settings_hint(windows)
-        hint_x, labels_a = _encode(hint_x, labels_a)
-        hint_y, labels_b = _encode(hint_y, labels_b)
-        hint_x = np.broadcast_to(hint_x, windows.shape)
-        hint_y = np.broadcast_to(hint_y, windows.shape)
-        for order, found in ((2, _hint_conflict(windows, x, hint_x, labels_a, "A")),
-                             (3, _hint_conflict(windows, y, hint_y, labels_b, "B"))):
+    if settings is not None:
+        codes_a, labels_a = _codes(settings.settings_a, labels_a)
+        codes_b, labels_b = _codes(settings.settings_b, labels_b)
+        sched_x = codes_a[settings.x[windows]]
+        sched_y = codes_b[settings.y[windows]]
+        for order, found in ((2, _schedule_conflict(windows, x, sched_x, labels_a, "A")),
+                             (3, _schedule_conflict(windows, y, sched_y, labels_b, "B"))):
             if found is not None:
                 errors.append(((found[0], order), found[1]))
-        x = np.where(x >= 0, x, hint_x)
-        y = np.where(y >= 0, y, hint_y)
+        x = np.where(x >= 0, x, sched_x)
+        y = np.where(y >= 0, y, sched_y)
     if errors:
         raise min(errors, key=lambda e: e[0])[1]
     records = CoincidenceRecords(windows, x, y, a, b, labels_a, labels_b)

@@ -32,6 +32,7 @@ from bellsim.core import (
     ExperimentModel,
     ModelVariant,
     ResponseTable,
+    SamplerSpace,
 )
 from bellsim import rng as _rng
 from bellsim import streams as _streams
@@ -108,6 +109,30 @@ def random_lhvm_model(generator, max_source_atoms=12):
         {s: instruments[("A", s)] for s in settings},
         {s: instruments[("B", s)] for s in settings},
         responses_a, responses_b, name="random-lhvm")
+
+
+def sampler_model():
+    """A model with a sampler-backed source and callable responses, so
+    every trial is drawn and evaluated one space at a time."""
+    source = SamplerSpace(lambda g, n: [(int(v), int(v)) for v in g.integers(0, 3, n)])
+    inst = {s: DiscreteDistribution.uniform([0, 1]) for s in (1, 2)}
+    resp = {s: (lambda lam, i, s=s: (-1, 0, 1)[(lam + i * s) % 3]) for s in (1, 2)}
+    return ExperimentModel.product_model(
+        ModelVariant.M1, (1, 2), (1, 2), source, inst, dict(inst), resp, dict(resp))
+
+
+def callable_response_model():
+    """An m3 model over finite tables whose responses are plain callables,
+    so its trials take the per-element path."""
+    source = DiscreteDistribution([(0, 1), (1, 0), (2, 2)], [Fraction(1, 2), Fraction(1, 3),
+                                                             Fraction(1, 6)])
+    joint = {(x, y): DiscreteDistribution([(0, 0), (0, 1), (1, 1)],
+                                          [Fraction(1, 4), Fraction(1, 4), Fraction(1, 2)])
+             for x in ("u", "v") for y in (1, 2)}
+    resp_a = {s: (lambda lam, i, s=s: (-1, 0, 1)[(lam + i + len(s)) % 3]) for s in ("u", "v")}
+    resp_b = {s: (lambda lam, i, s=s: (1, -1)[(lam * s + i) % 2]) for s in (1, 2)}
+    return ExperimentModel.correlated_instruments_model(
+        ("u", "v"), (1, 2), source, joint, resp_a, resp_b)
 
 
 def records_from_arrays(sp, a, b, start_window=0):

@@ -180,7 +180,7 @@ def _pipeline(scenario, seed, workers=1):
     sched = Schedule.for_windows(N_MC, 100, RandomSettings())
     sa, sb = generate_streams(scenario.model, sched, 1.0, seed, workers=workers)
     assignment = schedule_settings(scenario.model, sched, seed)
-    pairing = pair_coincidences(sa, sb, 100, settings_hint=lambda k: assignment[k])
+    pairing = pair_coincidences(sa, sb, 100, assignment)
     return sched, assignment, pairing
 
 

@@ -125,6 +125,21 @@ class TestSimulate:
         run_info = json.loads((out2 / "analysis.json").read_text())["run"]
         assert run_info["seed"] == 6
 
+    def test_non_ascii_config_names_file_and_line_exits_2(self, tmp_path, capsys):
+        config = tmp_path / "run.cfg"
+        config.write_bytes(b"scenario = lf\nseed = 5 # \xff\n")
+        code, _, err = run(capsys, "--config", str(config), "simulate",
+                           "--out-dir", str(tmp_path))
+        assert code == 2
+        assert err == f"error: {config}:2: non-ASCII byte 0xff\n"
+
+    def test_missing_config_names_path_exits_2(self, tmp_path, capsys):
+        missing = tmp_path / "nowhere.cfg"
+        code, _, err = run(capsys, "--config", str(missing), "simulate",
+                           "--out-dir", str(tmp_path))
+        assert code == 2
+        assert err == f"error: {missing}: No such file or directory\n"
+
 
 class TestAnalyze:
     def test_crafted_streams_match_hand_computed_records(self, tmp_path, capsys):
@@ -297,6 +312,17 @@ class TestCheckCoupling:
         code, _, err = run(capsys, "check-coupling", "--spec", str(missing))
         assert code == 2
         assert err == f"error: {missing}: No such file or directory\n"
+
+    @pytest.mark.parametrize("flag", ("--corr", "--mean-a", "--mean-b"))
+    def test_non_numeric_inline_value_names_flag_exits_2(self, flag, tmp_path, capsys):
+        argv = ["check-coupling", "--out-dir", str(tmp_path)]
+        for x, y in ((1, 1), (1, 2), (2, 1), (2, 2)):
+            for option in ("--corr", "--mean-a", "--mean-b"):
+                value = "x" if (option, x, y) == (flag, 2, 1) else "0"
+                argv += [option, str(x), str(y), value]
+        code, _, err = run(capsys, *argv)
+        assert code == 2
+        assert err == f"error: {flag}: bad value 'x'\n"
 
     def test_missing_inputs_config_error(self, tmp_path, capsys):
         code, _, err = run(capsys, "check-coupling", "--out-dir", str(tmp_path))

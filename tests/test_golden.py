@@ -15,6 +15,13 @@ setting conflict whose exit code and message are pinned.  A ``--threads
 2`` simulate per scenario must reproduce the one-thread files byte for
 byte.
 
+A third set pins the Monte Carlo draws themselves, below the CLI:
+``simulate_trials`` for every pair of every scenario and of two models
+that take the per-element path (a sampler-backed source, callable
+responses) with one and two workers, a run of ``sample_trial`` calls
+together with the generator's next draw, and ``generate_streams`` for the
+two per-element models.
+
 After a change that alters output on purpose, rewrite the digests with
 ``PYTHONPATH=src python tests/test_golden.py``.
 """
@@ -29,10 +36,15 @@ import os
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from bellsim.cli import main
-from bellsim.scenarios import scenario_names
+from bellsim.core import sample_trial, simulate_trials
+from bellsim.scenarios import build_scenario, scenario_names
+from bellsim.streams import RandomSettings, Schedule, generate_streams
+
+from helpers import callable_response_model, sampler_model
 
 DIGESTS = Path(__file__).with_name("golden_digests.json")
 RULES = ("fixed", "round-robin", "random")
@@ -149,6 +161,69 @@ def test_two_threads_write_the_same_bytes(scenario, tmp_path):
                    if name.startswith("simulate/")}, scenario
 
 
+# --------------------------------------------------------------------------
+# Monte Carlo draws
+
+MC_MODELS = {**{name: lambda name=name: build_scenario(name).model for name in scenario_names()},
+             "sampler-backed": sampler_model, "callable-response": callable_response_model}
+MC_TRIALS = 5000     # crosses the 4096-trial chunk edge
+
+
+def _sha(*parts) -> str:
+    digest = hashlib.sha256()
+    for part in parts:
+        digest.update(part.tobytes() if isinstance(part, np.ndarray) else repr(part).encode())
+    return digest.hexdigest()
+
+
+def simulate_trials_digests(model, workers: int) -> dict:
+    return {f"{sp.x},{sp.y}": _sha(*simulate_trials(model, sp, MC_TRIALS, SEED, workers=workers))
+            for sp in model.pairs()}
+
+
+def sample_trial_digest(model) -> str:
+    generator = np.random.Generator(np.random.PCG64(SEED))
+    trials = [sample_trial(model, sp, generator) for sp in model.pairs() for _ in range(5)]
+    return _sha(trials, generator.random())
+
+
+def generate_streams_digest(model, workers: int) -> str:
+    schedule = Schedule.for_windows(MC_TRIALS, 10, RandomSettings())
+    return _sha(*((s.labels, s.t, s.setting, s.value)
+                  for s in generate_streams(model, schedule, 0.8, SEED, workers=workers)))
+
+
+def mc_digests() -> dict:
+    out = {}
+    for name, build in MC_MODELS.items():
+        model = build()
+        out[f"mc/simulate_trials/{name}"] = simulate_trials_digests(model, 1)
+        out[f"mc/sample_trial/{name}"] = sample_trial_digest(model)
+        if name in ("sampler-backed", "callable-response"):
+            out[f"mc/generate_streams/{name}"] = generate_streams_digest(model, 1)
+    return out
+
+
+@pytest.mark.parametrize("workers", (1, 2))
+@pytest.mark.parametrize("name", MC_MODELS)
+def test_simulate_trials_match_golden_digests(name, workers):
+    want = json.loads(DIGESTS.read_text())[f"mc/simulate_trials/{name}"]
+    assert simulate_trials_digests(MC_MODELS[name](), workers) == want
+
+
+@pytest.mark.parametrize("name", MC_MODELS)
+def test_sample_trial_matches_golden_digest(name):
+    want = json.loads(DIGESTS.read_text())[f"mc/sample_trial/{name}"]
+    assert sample_trial_digest(MC_MODELS[name]()) == want
+
+
+@pytest.mark.parametrize("workers", (1, 2))
+@pytest.mark.parametrize("name", ("sampler-backed", "callable-response"))
+def test_per_element_generation_matches_golden_digest(name, workers):
+    want = json.loads(DIGESTS.read_text())[f"mc/generate_streams/{name}"]
+    assert generate_streams_digest(MC_MODELS[name](), workers) == want
+
+
 if __name__ == "__main__":
     import tempfile
 
@@ -156,5 +231,6 @@ if __name__ == "__main__":
     root.mkdir(parents=True, exist_ok=True)
     digests = {f"{s}/{r}": run_case(root, s, r) for s, r in CASES}
     digests.update({f"streams/{s}/{r}": run_stream_case(root, s, r) for s, r in CASES})
+    digests.update(mc_digests())
     DIGESTS.write_text(json.dumps(digests, indent=1, sort_keys=True) + "\n")
     print(f"wrote {DIGESTS} (outputs in {root})")

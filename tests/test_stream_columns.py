@@ -15,13 +15,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from bellsim.core import (
-    DiscreteDistribution,
-    ExperimentModel,
-    ModelVariant,
-    SamplerSpace,
-    SettingPair,
-)
+from bellsim.core import SettingPair
 from bellsim.errors import BellsimError, NonMonotonicTimestamps, ParseError
 from bellsim.scenarios import build_scenario, scenario_names
 from bellsim.streams import (
@@ -44,6 +38,7 @@ from helpers import (
     events,
     oracle_generate_streams,
     oracle_pair_coincidences,
+    sampler_model,
 )
 
 # --------------------------------------------------------------------------
@@ -68,18 +63,9 @@ def test_generation_matches_event_oracle(scenario, rule, workers):
         assert events(g) == list(w.events)
 
 
-def _sampler_model():
-    """A model whose source is sampler-backed, so generation draws per window."""
-    source = SamplerSpace(lambda g, n: [(int(v), int(v)) for v in g.integers(0, 3, n)])
-    inst = {s: DiscreteDistribution.uniform([0, 1]) for s in (1, 2)}
-    resp = {s: (lambda lam, i, s=s: (-1, 0, 1)[(lam + i * s) % 3]) for s in (1, 2)}
-    return ExperimentModel.product_model(
-        ModelVariant.M1, (1, 2), (1, 2), source, inst, dict(inst), resp, dict(resp))
-
-
 @pytest.mark.parametrize("workers", (1, 4))
 def test_sampler_backed_generation_matches_event_oracle(workers):
-    model = _sampler_model()
+    model = sampler_model()
     schedule = Schedule.for_windows(4200, 10, RandomSettings())
     got = generate_streams(model, schedule, 0.8, 5, workers=workers)
     want = oracle_generate_streams(model, schedule, 0.8, 5, workers=workers)
@@ -91,17 +77,20 @@ def test_sampler_backed_generation_matches_event_oracle(workers):
 # --------------------------------------------------------------------------
 # Pairing
 
-LABELS = (1, 2, "s")   # mixed label types: hint labels must not need sorting
+LABELS = (1, 2, "s")   # mixed label types: schedule labels must not need sorting
 
 
 @st.composite
 def pairing_cases(draw):
-    """Two event streams over a few bins of width ``w``, and a hint.
+    """Two event streams over a few bins of width ``w``, and a schedule.
 
     Clicks sit inside ``n_bins`` bins with timestamps from a small range,
     so bins often hold several clicks and timestamps tie.  Each click takes
     its station's true setting for the bin, or now and then another one
     (a setting conflict); a stream is now and then shuffled (unsorted).
+    The schedule, when there is one, holds the true settings, other ones or
+    one pair for every window, coded into labels in an order drawn apart
+    from the order in which the streams meet them.
     """
     w = draw(st.integers(1, 12))
     n_bins = draw(st.integers(1, 6))
@@ -119,20 +108,26 @@ def pairing_cases(draw):
             for t, v, roll in rows))
 
     stream_a, stream_b = clicks("A"), clicks("B")
-    hint = draw(st.sampled_from(("none", "truth", "other", "scalar")))
-    if hint in ("truth", "other"):
-        table = truth if hint == "truth" else {
-            s: draw(st.lists(st.sampled_from(LABELS), min_size=n_bins, max_size=n_bins))
-            for s in "AB"}
-        settings = WindowSettings(LABELS, LABELS, *(
-            np.array([LABELS.index(v) for v in table[s]]) for s in "AB"))
-        hint = lambda k: settings[k]  # noqa: E731
-    elif hint == "scalar":
-        pair = (draw(st.sampled_from(LABELS + (None,))), draw(st.sampled_from(LABELS + (None,))))
-        hint = lambda k: pair  # noqa: E731
+    kind = draw(st.sampled_from(("none", "truth", "other", "constant")))
+    if kind == "none":
+        return stream_a, stream_b, w, None
+    if kind == "truth":
+        table = truth
+    elif kind == "other":
+        table = {s: draw(st.lists(st.sampled_from(LABELS), min_size=n_bins, max_size=n_bins))
+                 for s in "AB"}
     else:
-        hint = None
-    return stream_a, stream_b, w, hint
+        table = {s: [draw(st.sampled_from(LABELS))] * n_bins for s in "AB"}
+    labels_a, labels_b = draw(st.permutations(LABELS)), draw(st.permutations(LABELS))
+    settings = WindowSettings(tuple(labels_a), tuple(labels_b),
+                              np.array([labels_a.index(v) for v in table["A"]]),
+                              np.array([labels_b.index(v) for v in table["B"]]))
+    return stream_a, stream_b, w, settings
+
+
+def _oracle_hint(settings):
+    """The per-window hint the event-object pairer calls."""
+    return None if settings is None else settings.__getitem__
 
 
 def _outcome(fn):
@@ -144,11 +139,12 @@ def _outcome(fn):
 
 @given(pairing_cases())
 def test_pairing_matches_event_oracle(case):
-    stream_a, stream_b, w, hint = case
-    want = _outcome(lambda: oracle_pair_coincidences(stream_a, stream_b, w, hint))
+    stream_a, stream_b, w, settings = case
+    want = _outcome(lambda: oracle_pair_coincidences(stream_a, stream_b, w,
+                                                     _oracle_hint(settings)))
 
     def columnar_pairing():
-        result = pair_coincidences(columnar(stream_a), columnar(stream_b), w, hint)
+        result = pair_coincidences(columnar(stream_a), columnar(stream_b), w, settings)
         return list(result.records), result.dropped_a, result.dropped_b
 
     assert _outcome(columnar_pairing) == want
@@ -156,13 +152,14 @@ def test_pairing_matches_event_oracle(case):
 
 def test_pairing_fuzz_reaches_every_outcome():
     """The strategy above produces records, drops, unsorted streams and
-    conflicts both inside a stream and against a hint."""
+    conflicts both inside a stream and against the schedule."""
     seen = set()
 
     @given(pairing_cases())
     def collect(case):
-        stream_a, stream_b, w, hint = case
-        outcome = _outcome(lambda: oracle_pair_coincidences(stream_a, stream_b, w, hint))
+        stream_a, stream_b, w, settings = case
+        outcome = _outcome(lambda: oracle_pair_coincidences(stream_a, stream_b, w,
+                                                            _oracle_hint(settings)))
         if isinstance(outcome[0], type):
             kind = "schedule" if "schedule says" in outcome[1] else outcome[0].__name__
             seen.add(kind)
@@ -187,17 +184,15 @@ def test_schedule_columns_as_hint_match_per_window_hint():
     want = oracle_pair_coincidences(EventStream("A", tuple(events(sa))),
                                     EventStream("B", tuple(events(sb))), 10,
                                     lambda k: per_window[k])
-    result = pair_coincidences(sa, sb, 10, settings_hint=lambda k: settings[k])
+    result = pair_coincidences(sa, sb, 10, settings)
     assert (list(result.records), result.dropped_a, result.dropped_b) == want
     assert all(None not in r.sp for r in result.records)
 
 
-def test_window_settings_index_by_window_and_by_array():
-    hint = WindowSettings((1, -1), ("u", "v"), np.array([0, 1, 1]), np.array([1, 0, 1]))
-    assert hint[1] == SettingPair(-1, "u")
-    xs, ys = hint[np.array([2, 0])]
-    assert xs.tolist() == [-1, 1] and ys.tolist() == ["v", "v"]
-    assert list(hint) == [SettingPair(1, "v"), SettingPair(-1, "u"), SettingPair(-1, "v")]
+def test_window_settings_index_by_window():
+    settings = WindowSettings((1, -1), ("u", "v"), np.array([0, 1, 1]), np.array([1, 0, 1]))
+    assert settings[1] == SettingPair(-1, "u")
+    assert list(settings) == [SettingPair(1, "v"), SettingPair(-1, "u"), SettingPair(-1, "v")]
 
 
 # --------------------------------------------------------------------------

@@ -18,6 +18,7 @@ from bellsim.streams import (
     RandomSettings,
     RoundRobinSettings,
     Schedule,
+    WindowSettings,
     generate_streams,
     ingest_timetag_file,
     pair_coincidences,
@@ -109,10 +110,13 @@ class TestPairing:
 
     def test_hint_fills_silent_side_and_cross_checks(self):
         sa = stream("A", (5, 1, 1))
-        result = pair_coincidences(sa, stream("B"), 10, settings_hint=lambda k: (1, 2))
+        one_window = np.zeros(1, dtype=np.int64)
+        result = pair_coincidences(sa, stream("B"), 10,
+                                   WindowSettings((1,), (2,), one_window, one_window))
         assert list(result.records) == [CoincidenceRecord(0, SettingPair(1, 2), 1, 0)]
         with pytest.raises(SettingConflict):
-            pair_coincidences(sa, stream("B"), 10, settings_hint=lambda k: (2, 2))
+            pair_coincidences(sa, stream("B"), 10,
+                              WindowSettings((2,), (2,), one_window, one_window))
 
     def test_never_produces_double_zero(self):
         gen = np.random.Generator(np.random.PCG64(2))
@@ -160,7 +164,7 @@ class TestRoundTrip:
         sched = Schedule.for_windows(20_000, 10, RandomSettings())
         sa, sb = generate_streams(model, sched, 1.0, 23)
         assignment = schedule_settings(model, sched, 23)
-        pairing = pair_coincidences(sa, sb, 10, settings_hint=lambda k: assignment[k])
+        pairing = pair_coincidences(sa, sb, 10, assignment)
         cs = estimate_postselected(pairing.records)
         for sp in model.pairs():
             exact = enumerate_postselected(model, sp)
