@@ -34,7 +34,9 @@ sums restricted to trials where both stations detected and divided by
 ``c_xy``.  Every one of them derives from the per-pair 3x3 outcome table
 P(a, b | x, y) over (a, b) in {-1, 0, +1}^2: enumeration fills it with
 exact probabilities (`outcome_table`), data estimation with counts, and
-`table_stats` turns either into the reported numbers.
+`table_stats` turns either into the reported numbers.  Enumeration sums
+integer numerators over the spaces' common denominators and builds a
+Fraction only for each finished cell.
 """
 
 from __future__ import annotations
@@ -121,16 +123,25 @@ class DiscreteDistribution:
     def point(cls, atom) -> "DiscreteDistribution":
         return cls((atom,), (Fraction(1),))
 
+    def _integer_weights(self) -> tuple[list[int], int]:
+        """The probabilities as integer numerators ``w`` over their least
+        common denominator ``d``: ``probs[i] == Fraction(w[i], d)``."""
+        d = math.lcm(*(p.denominator for p in self.probs))
+        return [p.numerator * (d // p.denominator) for p in self.probs], d
+
     @property
     def total(self) -> Fraction:
-        return sum(self.probs, Fraction(0))
+        w, d = self._integer_weights()
+        return Fraction(sum(w), d)
 
     def violations(self, label: str = "distribution") -> list[str]:
         out = []
-        if any(p < 0 for p in self.probs):
+        w, d = self._integer_weights()
+        if any(v < 0 for v in w):
             out.append(f"{label}: negative probability")
-        if abs(float(self.total) - 1.0) > PROB_TOL:
-            out.append(f"{label}: probabilities sum to {float(self.total)!r}, not 1")
+        total = float(Fraction(sum(w), d))
+        if abs(total - 1.0) > PROB_TOL:
+            out.append(f"{label}: probabilities sum to {total!r}, not 1")
         if len(set(self.atoms)) != len(self.atoms):
             out.append(f"{label}: duplicate atoms")
         return out
@@ -501,7 +512,9 @@ def outcome_table(model: ExperimentModel, sp: SettingPair) -> list[list[Fraction
 
     Product variants factorise per source atom,
     P(a, b) = sum_src p * P_A(a | l1, x) * P_B(b | l2, y); ``m3`` models sum
-    the joint instrument weights per source atom first.
+    the joint instrument weights per source atom first.  The sums run on
+    integer numerators over each space's common denominator, and only the
+    nine finished cells become Fractions.
     """
     ensure_valid(model)
     sp = _check_pair(model, sp)
@@ -513,24 +526,32 @@ def outcome_table(model: ExperimentModel, sp: SettingPair) -> list[list[Fraction
                              "only Monte Carlo evaluation is available")
     resp_a = model.responses_a[sp.x]
     resp_b = model.responses_b[sp.y]
-    table = empty_table(Fraction(0))
-    for (l1, l2), p_src in model.source.items():
+    w_source, d = model.source._integer_weights()
+    if model.variant is ModelVariant.M3:
+        joint = model.instruments_joint[sp]
+        w_joint, d_joint = joint._integer_weights()
+        d *= d_joint
+    else:
+        inst_a, inst_b = model.instruments_a[sp.x], model.instruments_b[sp.y]
+        (w_a, d_a), (w_b, d_b) = inst_a._integer_weights(), inst_b._integer_weights()
+        d *= d_a * d_b
+    table = empty_table()
+    for (l1, l2), w_src in zip(model.source.atoms, w_source):
         if model.variant is ModelVariant.M3:
             given = empty_table()
-            for (lx, ly), p_i in model.instruments_joint[sp].items():
-                given[resp_a(l1, lx) + 1][resp_b(l2, ly) + 1] += p_i
+            for (lx, ly), w in zip(joint.atoms, w_joint):
+                given[resp_a(l1, lx) + 1][resp_b(l2, ly) + 1] += w
         else:
-            p_a, p_b = [0, 0, 0], [0, 0, 0]     # P(outcome | l1, x), P(outcome | l2, y)
-            for lx, p_x in model.instruments_a[sp.x].items():
-                p_a[resp_a(l1, lx) + 1] += p_x
-            for ly, p_y in model.instruments_b[sp.y].items():
-                p_b[resp_b(l2, ly) + 1] += p_y
-            given = [[pa * pb for pb in p_b] for pa in p_a]
+            n_a, n_b = [0, 0, 0], [0, 0, 0]     # d_a * P(a | l1, x), d_b * P(b | l2, y)
+            for lx, w in zip(inst_a.atoms, w_a):
+                n_a[resp_a(l1, lx) + 1] += w
+            for ly, w in zip(inst_b.atoms, w_b):
+                n_b[resp_b(l2, ly) + 1] += w
+            given = [[na * nb for nb in n_b] for na in n_a]
         for row, given_row in zip(table, given):
-            for j, p in enumerate(given_row):
-                if p:
-                    row[j] += p_src * p
-    return table
+            for j, n in enumerate(given_row):
+                row[j] += w_src * n
+    return [[Fraction(n, d) for n in row] for row in table]
 
 
 def _exact(model: ExperimentModel, sp: SettingPair, post: bool) -> ExactResult:

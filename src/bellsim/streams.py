@@ -333,6 +333,8 @@ def _first_clicks(stream: ClickStream, window_ns: int):
     if back.size:
         i = back[0]
         raise UnsortedStream(f"station {stream.station}: timestamp {t[i + 1]} after {t[i]}")
+    if len(t) and t[0] < 0:
+        raise BellsimError(f"station {stream.station}: negative timestamp {t[0]}")
     bins, starts = np.unique(t // window_ns, return_index=True)
     kept = np.lexsort((stream.value, t))[starts]      # earliest, ties by value
     lo = np.minimum.reduceat(stream.setting, starts)
@@ -373,7 +375,9 @@ def pair_coincidences(stream_a: ClickStream, stream_b: ClickStream, window_ns: i
     active setting pair for windows where a station was silent (the
     generator's schedule knows it; ingested data does not, and those slots
     stay unknown).  Bin k of the streams is window k of ``settings``.  A
-    schedule that contradicts an actual click raises SettingConflict.
+    schedule that contradicts an actual click raises SettingConflict; a
+    click before time 0 or past the schedule's last window raises
+    BellsimError.
 
     Errors surface in the order a scan through the bins meets them: each
     stream's order and first bin are checked up front, a station's next
@@ -401,10 +405,18 @@ def pair_coincidences(stream_a: ClickStream, stream_b: ClickStream, window_ns: i
         if pending is not None:
             errors.append(((pending[0], order), pending[1]))
     if settings is not None:
+        inside = int(np.searchsorted(windows, len(settings)))    # windows the schedule covers
+        if inside < n:
+            k = int(windows[inside])
+            station = "A" if k in bins_a else "B"
+            errors.append(((k, 2), BellsimError(
+                f"station {station}, window {k}: past the schedule's {len(settings)} windows")))
         codes_a, labels_a = _codes(settings.settings_a, labels_a)
         codes_b, labels_b = _codes(settings.settings_b, labels_b)
-        sched_x = codes_a[settings.x[windows]]
-        sched_y = codes_b[settings.y[windows]]
+        sched_x = np.full(n, -1, dtype=np.int64)
+        sched_y = np.full(n, -1, dtype=np.int64)
+        sched_x[:inside] = codes_a[settings.x[windows[:inside]]]
+        sched_y[:inside] = codes_b[settings.y[windows[:inside]]]
         for order, found in ((2, _schedule_conflict(windows, x, sched_x, labels_a, "A")),
                              (3, _schedule_conflict(windows, y, sched_y, labels_b, "B"))):
             if found is not None:

@@ -202,12 +202,8 @@ def oracle_estimate(records, conditioning):
     return CorrelationSet(tuple(order_a), tuple(order_b), out, conditioning, skipped)
 
 
-def oracle_enumerate(model, sp):
-    """Fraction enumeration over every (source, instrument) term of one pair.
-
-    Returns ``(raw, postselected)`` ExactResults; ``postselected`` is None
-    when no term has both outcomes non-zero.
-    """
+def _oracle_terms(model, sp):
+    """``(weight, a, b)`` for every (source, instrument) term of one pair."""
     sp = SettingPair(*sp)
     resp_a = model.responses_a[sp.x]
     resp_b = model.responses_b[sp.y]
@@ -221,6 +217,24 @@ def oracle_enumerate(model, sp):
             for lx, p_x in model.instruments_a[sp.x].items():
                 for ly, p_y in model.instruments_b[sp.y].items():
                     terms.append((p_src * p_x * p_y, resp_a(l1, lx), resp_b(l2, ly)))
+    return terms
+
+
+def oracle_table(model, sp):
+    """P(a, b | x, y) indexed ``[a + 1][b + 1]``, a Fraction sum term by term."""
+    table = [[Fraction(0)] * 3 for _ in range(3)]
+    for w, a, b in _oracle_terms(model, sp):
+        table[a + 1][b + 1] += w
+    return table
+
+
+def oracle_enumerate(model, sp):
+    """Fraction enumeration over every (source, instrument) term of one pair.
+
+    Returns ``(raw, postselected)`` ExactResults; ``postselected`` is None
+    when no term has both outcomes non-zero.
+    """
+    terms = _oracle_terms(model, sp)
     total = s_ab = s_a = s_b = Fraction(0)
     sel = sel_ab = sel_a = sel_b = Fraction(0)
     for w, a, b in terms:

@@ -5,7 +5,9 @@ directory and ``bench/run.py --trace 1 --size tiny`` runs there, so the
 work files land in the copy.  The ``analyze`` workload's trace check
 compares the tracer's click, record, drop and unassigned counts with the
 planted data, which guards the tracing hooks against changes in the stream
-and record types.
+and record types.  The ``exact`` workload runs its traced op through the
+tracer's wrappers of ``core.enumerate_raw`` and ``enumerate_postselected``
+and checks every enumerated Fraction against a float oracle.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import pytest
 REPO = Path(__file__).resolve().parent.parent
 
 
-@pytest.mark.parametrize("workload", ("simulate", "analyze"))
+@pytest.mark.parametrize("workload", ("simulate", "analyze", "exact"))
 def test_traced_tiny_run_passes_its_checks(workload, tmp_path):
     for name in ("bench", "src"):
         shutil.copytree(REPO / name, tmp_path / name,

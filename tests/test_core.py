@@ -4,8 +4,10 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from bellsim.core import (
+    PROB_TOL,
     DiscreteDistribution,
     ExperimentModel,
     ModelVariant,
@@ -273,6 +275,30 @@ class TestDiscreteDistribution:
         assert any("sum to" in item for item in dist.violations())
         dup = DiscreteDistribution((0, 0), (0.5, 0.5))
         assert any("duplicate" in item for item in dup.violations())
+
+    @given(weights=st.lists(st.one_of(st.integers(-3, 6),
+                                      st.fractions(-2, 2, max_denominator=60),
+                                      st.floats(-2, 2)), min_size=1, max_size=6),
+           normalise=st.booleans(), duplicate=st.booleans())
+    def test_total_and_violations_match_fraction_sums(self, weights, normalise, duplicate):
+        probs = [Fraction(w) for w in weights]
+        total = sum(probs, Fraction(0))
+        if normalise and total:
+            weights = probs = [p / total for p in probs]
+            total = sum(probs, Fraction(0))
+        atoms = list(range(len(weights)))
+        if duplicate:
+            atoms[-1] = atoms[0]
+        dist = DiscreteDistribution(atoms, weights)
+        assert dist.total == total
+        want = []
+        if any(p < 0 for p in probs):
+            want.append("d: negative probability")
+        if abs(float(total) - 1.0) > PROB_TOL:
+            want.append(f"d: probabilities sum to {float(total)!r}, not 1")
+        if len(set(atoms)) != len(atoms):
+            want.append("d: duplicate atoms")
+        assert dist.violations("d") == want
 
     def test_structural_errors_raise(self):
         with pytest.raises(ValueError):

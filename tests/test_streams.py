@@ -5,6 +5,7 @@ import pytest
 
 from bellsim.core import SettingPair, enumerate_postselected
 from bellsim.errors import (
+    BellsimError,
     NonMonotonicTimestamps,
     ParseError,
     SettingConflict,
@@ -117,6 +118,21 @@ class TestPairing:
         with pytest.raises(SettingConflict):
             pair_coincidences(sa, stream("B"), 10,
                               WindowSettings((2,), (2,), one_window, one_window))
+
+    def test_click_past_the_schedule_names_station_and_window(self):
+        two_windows = np.zeros(2, dtype=np.int64)
+        settings = WindowSettings((1,), (2,), two_windows, two_windows)
+        with pytest.raises(BellsimError, match=r"^station B, window 2: past the schedule") as info:
+            pair_coincidences(stream("A", (5, 1, 1)), stream("B", (25, 2, -1)), 10, settings)
+        assert type(info.value) is BellsimError
+
+    def test_negative_time_names_station(self):
+        # Window 1, the last, schedules setting 2 at A: bin -1 must not read it.
+        settings = WindowSettings((1, 2), (2,), np.array([0, 1]), np.zeros(2, dtype=np.int64))
+        for schedule in (settings, None):
+            with pytest.raises(BellsimError, match=r"^station A: negative timestamp -5$") as info:
+                pair_coincidences(stream("A", (-5, 1, 1)), stream("B", (5, 2, 1)), 10, schedule)
+            assert type(info.value) is BellsimError
 
     def test_never_produces_double_zero(self):
         gen = np.random.Generator(np.random.PCG64(2))

@@ -1,10 +1,12 @@
 """Per-pair outcome tables against the earlier implementations.
 
 Enumeration must give Fractions ``==`` those of the term-by-term
-enumerator, and estimation must give counts, means and ``c_hat`` ``==``
-those of the per-record estimator, with standard errors within 1e-12
-relative (they now come from exact integer sums instead of two float
-passes).  Both oracles live in ``helpers``.
+enumerator and every table cell ``==`` its term-by-term Fraction sum, also
+when the weights of one distribution have unrelated denominators.
+Estimation must give counts, means and ``c_hat`` ``==`` those of the
+per-record estimator, with standard errors within 1e-12 relative (they now
+come from exact integer sums instead of two float passes).  The oracles
+live in ``helpers``.
 """
 
 import math
@@ -30,7 +32,7 @@ from bellsim.estimators import POSTSELECTED, RAW, estimate_postselected, estimat
 from bellsim.scenarios import lhvm_socks_scenario, scenario_names, build_scenario
 from bellsim.streams import CoincidenceRecord
 
-from helpers import oracle_enumerate, oracle_estimate, random_lhvm_model
+from helpers import oracle_enumerate, oracle_estimate, oracle_table, random_lhvm_model
 from test_core import constant_model, two_atom_demo_model
 
 SETTINGS = (1, 2)
@@ -39,6 +41,7 @@ OUTCOMES = (-1, 0, 1)
 
 def assert_enumeration_matches_oracle(model):
     for sp in model.pairs():
+        assert outcome_table(model, sp) == oracle_table(model, sp), sp
         want_raw, want_post = oracle_enumerate(model, sp)
         got_raw = enumerate_raw(model, sp)
         assert got_raw == want_raw, sp
@@ -56,11 +59,22 @@ def assert_enumeration_matches_oracle(model):
 
 
 def _distribution(draw, atoms):
-    weights = draw(st.lists(st.integers(0, 6),
-                            min_size=len(atoms), max_size=len(atoms))
-                   .filter(lambda w: sum(w) > 0))
-    total = sum(weights)
-    return DiscreteDistribution(atoms, [Fraction(w, total) for w in weights])
+    """Each probability but one is zero, a rational with its own denominator
+    or the exact (dyadic) value of a float, at most 1/n each; the remaining
+    atom takes the rest, so the weights need not share a denominator."""
+    n = len(atoms)
+    probs = []
+    for _ in range(n - 1):
+        kind = draw(st.sampled_from(("zero", "rational", "float")))
+        if kind == "zero":
+            probs.append(Fraction(0))
+        elif kind == "rational":
+            den = draw(st.integers(1, 40))
+            probs.append(Fraction(draw(st.integers(0, den)), den * n))
+        else:
+            probs.append(Fraction(draw(st.floats(0, 1 / n))))
+    probs.insert(draw(st.integers(0, n - 1)), 1 - sum(probs))
+    return DiscreteDistribution(atoms, probs)
 
 
 def _responses(draw, source_values, instrument_values):
