@@ -101,13 +101,10 @@ def _load_config(path) -> dict:
     except ParseError as exc:      # a bad config file is a configuration error
         raise ConfigError(str(exc)) from None
     values = {}
-    for line_number, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.split("#", 1)[0].strip()
-        if not stripped:
-            continue
-        if "=" not in stripped:
+    for line_number, content in modelio._lines(text):
+        if "=" not in content:
             raise ConfigError(f"{path}:{line_number}: expected 'key = value'")
-        key, _, value = stripped.partition("=")
+        key, _, value = content.partition("=")
         key = key.strip().replace("-", "_")
         if key not in _CONFIG_KEYS:
             raise ConfigError(f"{path}:{line_number}: unknown key {key!r}")

@@ -41,12 +41,8 @@ class ParseError(BellsimError):
     def __init__(self, message, line_number=None, path=None):
         self.line_number = line_number
         self.path = path
-        loc = ""
-        if path is not None:
-            loc += f"{path}:"
-        if line_number is not None:
-            loc += f"{line_number}: "
-        super().__init__(loc + message)
+        loc = "".join(f"{part}:" for part in (path, line_number) if part is not None)
+        super().__init__(f"{loc} {message}" if loc else message)
 
 
 class NonMonotonicTimestamps(BellsimError):

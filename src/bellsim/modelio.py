@@ -29,7 +29,11 @@ bit-exactly.  Layout::
     1 0.0
     end
 
-Tokens are whitespace-separated; ``#`` starts a comment.  Setting labels
+Lines end at ``\\n``, ``\\r\\n`` or ``\\r`` and parse errors number them
+that way; ``#`` starts a comment.  ``_lines`` is this line rule for every
+text input: model, config and time-tag files.  Tokens are
+whitespace-separated.  A directive or block may appear only once; labels
+are compared decoded, so ``1`` and ``01`` name one setting.  Setting labels
 and atoms are integers or bare strings (no whitespace; strings must not
 look like integers, or the round trip would change their type).
 Probabilities are written as exact rationals (``1/6``) and angles as
@@ -41,6 +45,7 @@ form and cannot be saved.
 
 from __future__ import annotations
 
+import io
 from fractions import Fraction
 from pathlib import Path
 
@@ -73,16 +78,26 @@ def _encode_token(value) -> str:
                        "use int or string labels")
 
 
+def _lines(text: str):
+    """``(line_number, content)`` for each line of ``text`` that is not blank
+    once its ``#`` comment is cut off; content is stripped of surrounding
+    whitespace.  Lines end at ``\\n``, ``\\r\\n`` or ``\\r``."""
+    for line_number, raw in enumerate(io.StringIO(text, newline=None), start=1):
+        content = raw.split("#", 1)[0].strip()
+        if content:
+            yield line_number, content
+
+
 def _read_ascii(path: Path) -> str:
     """The text of an ASCII file; any other byte is a ParseError naming
-    its line."""
+    its line, counted as ``_lines`` counts them."""
     data = path.read_bytes()
     try:
         return data.decode("ascii")
     except UnicodeDecodeError as exc:
+        before = io.StringIO(data[:exc.start].decode("ascii"), newline=None).read()
         raise ParseError(f"non-ASCII byte 0x{data[exc.start]:02x}",
-                         line_number=data.count(b"\n", 0, exc.start) + 1,
-                         path=str(path)) from None
+                         line_number=before.count("\n") + 1, path=str(path)) from None
 
 
 def _decode_label(token: str):
@@ -166,48 +181,35 @@ def save(model: ExperimentModel, path) -> None:
     Path(path).write_text(dumps(model), encoding="ascii")
 
 
-class _Reader:
-    def __init__(self, text: str, path=None):
-        self.path = path
-        self.lines = text.splitlines()
-        self.pos = 0
-
-    def next_tokens(self):
-        """Next non-empty, non-comment line as (line_number, tokens)."""
-        while self.pos < len(self.lines):
-            self.pos += 1
-            raw = self.lines[self.pos - 1]
-            stripped = raw.split("#", 1)[0].strip()
-            if stripped:
-                return self.pos, stripped.split()
-        return None, None
-
-    def fail(self, message, line_number=None):
-        raise ParseError(message, line_number=line_number, path=self.path)
-
-
-def _read_block(reader: _Reader, row_width: int, what: str):
+def _read_block(lines, path, row_width: int, what: str):
     rows = []
-    while True:
-        ln, tokens = reader.next_tokens()
-        if tokens is None:
-            reader.fail(f"unterminated {what} block (missing 'end')")
+    for ln, content in lines:
+        tokens = content.split()
         if tokens == ["end"]:
             return rows
         if len(tokens) != row_width:
-            reader.fail(f"{what}: expected {row_width} fields, got {len(tokens)}", ln)
+            raise ParseError(f"{what}: expected {row_width} fields, got {len(tokens)}", ln, path)
         rows.append((ln, tokens))
+    raise ParseError(f"unterminated {what} block (missing 'end')", path=path)
 
 
-def _parse_prob(reader, token, ln) -> Fraction:
+def _parse_prob(token, ln, path) -> Fraction:
     try:
         return Fraction(token)
     except (ValueError, ZeroDivisionError):
-        reader.fail(f"bad probability {token!r}", ln)
+        raise ParseError(f"bad probability {token!r}", ln, path) from None
+
+
+def _read_distribution(lines, path, what: str, atom_width: int) -> DiscreteDistribution:
+    """A block of ``atom prob`` rows; an atom of two tokens is a pair."""
+    rows = _read_block(lines, path, atom_width + 1, what)
+    atoms = [tuple(map(_decode_label, t[:2])) if atom_width == 2 else _decode_label(t[0])
+             for _, t in rows]
+    return DiscreteDistribution(atoms, [_parse_prob(t[-1], ln, path) for ln, t in rows])
 
 
 def loads(text: str, path=None) -> ExperimentModel:
-    reader = _Reader(text, path)
+    lines = _lines(text)
     variant = None
     name = ""
     settings = {}
@@ -216,86 +218,88 @@ def loads(text: str, path=None) -> ExperimentModel:
     joints = {}
     responses = {"A": {}, "B": {}}
     angles = {"A": {}, "B": {}}
+    seen = {}       # heading of a directive or block, labels decoded -> its first line
 
-    while True:
-        ln, tokens = reader.next_tokens()
-        if tokens is None:
-            break
+    for ln, content in lines:
+        tokens = content.split()
         key = tokens[0]
         if key == "version":
             if tokens[1:] != [str(FORMAT_VERSION)]:
-                reader.fail(f"unsupported format version {' '.join(tokens[1:])!r}", ln)
+                raise ParseError(f"unsupported format version {' '.join(tokens[1:])!r}", ln, path)
+            heading = (key,)
         elif key == "variant":
             if len(tokens) != 2:
-                reader.fail("variant: expected one value", ln)
+                raise ParseError("variant: expected one value", ln, path)
             try:
                 variant = ModelVariant(tokens[1])
             except ValueError:
-                reader.fail(f"unknown variant {tokens[1]!r}", ln)
+                raise ParseError(f"unknown variant {tokens[1]!r}", ln, path) from None
+            heading = (key,)
         elif key == "name":
             name = " ".join(tokens[1:])
+            heading = (key,)
         elif key == "settings":
             if len(tokens) < 3 or tokens[1] not in ("A", "B"):
-                reader.fail("settings: expected 'settings A|B label...'", ln)
+                raise ParseError("settings: expected 'settings A|B label...'", ln, path)
             settings[tokens[1]] = tuple(_decode_label(t) for t in tokens[2:])
+            heading = (key, tokens[1])
         elif key == "begin":
             section = tokens[1] if len(tokens) > 1 else ""
             if section == "source":
-                rows = _read_block(reader, 3, "source")
-                atoms = [(_decode_label(a), _decode_label(b)) for _, (a, b, _p) in rows]
-                probs = [_parse_prob(reader, p, ln2) for ln2, (_a, _b, p) in rows]
-                source = DiscreteDistribution(atoms, probs)
+                source = _read_distribution(lines, path, "source", 2)
+                heading = (section,)
             elif section == "instruments":
                 if len(tokens) != 4 or tokens[2] not in ("A", "B"):
-                    reader.fail("expected 'begin instruments A|B setting'", ln)
-                rows = _read_block(reader, 2, "instruments")
-                atoms = [_decode_label(a) for _, (a, _p) in rows]
-                probs = [_parse_prob(reader, p, ln2) for ln2, (_a, p) in rows]
-                instruments[tokens[2]][_decode_label(tokens[3])] = DiscreteDistribution(atoms, probs)
+                    raise ParseError("expected 'begin instruments A|B setting'", ln, path)
+                heading = (section, tokens[2], _decode_label(tokens[3]))
+                instruments[tokens[2]][heading[2]] = _read_distribution(lines, path, section, 1)
             elif section == "joint-instruments":
                 if len(tokens) != 4:
-                    reader.fail("expected 'begin joint-instruments x y'", ln)
-                rows = _read_block(reader, 3, "joint-instruments")
-                atoms = [(_decode_label(a), _decode_label(b)) for _, (a, b, _p) in rows]
-                probs = [_parse_prob(reader, p, ln2) for ln2, (_a, _b, p) in rows]
-                pair = (_decode_label(tokens[2]), _decode_label(tokens[3]))
-                joints[pair] = DiscreteDistribution(atoms, probs)
+                    raise ParseError("expected 'begin joint-instruments x y'", ln, path)
+                heading = (section, _decode_label(tokens[2]), _decode_label(tokens[3]))
+                joints[heading[1:]] = _read_distribution(lines, path, section, 2)
             elif section == "responses":
                 if len(tokens) != 4 or tokens[2] not in ("A", "B"):
-                    reader.fail("expected 'begin responses A|B setting'", ln)
-                rows = _read_block(reader, 3, "responses")
+                    raise ParseError("expected 'begin responses A|B setting'", ln, path)
+                rows = _read_block(lines, path, 3, "responses")
                 mapping = {}
                 for ln2, (sv, iv, out) in rows:
                     try:
                         outcome = int(out)
                     except ValueError:
-                        reader.fail(f"bad outcome {out!r}", ln2)
+                        raise ParseError(f"bad outcome {out!r}", ln2, path) from None
                     mapping[(_decode_label(sv), _decode_label(iv))] = outcome
-                responses[tokens[2]][_decode_label(tokens[3])] = ResponseTable(mapping)
+                heading = (section, tokens[2], _decode_label(tokens[3]))
+                responses[tokens[2]][heading[2]] = ResponseTable(mapping)
             elif section == "angles":
                 if len(tokens) != 3 or tokens[2] not in ("A", "B"):
-                    reader.fail("expected 'begin angles A|B'", ln)
-                rows = _read_block(reader, 2, "angles")
+                    raise ParseError("expected 'begin angles A|B'", ln, path)
+                rows = _read_block(lines, path, 2, "angles")
                 for ln2, (setting, value) in rows:
                     try:
                         angles[tokens[2]][_decode_label(setting)] = float(value)
                     except ValueError:
-                        reader.fail(f"bad angle {value!r}", ln2)
+                        raise ParseError(f"bad angle {value!r}", ln2, path) from None
+                heading = (section, tokens[2])
             else:
-                reader.fail(f"unknown section {section!r}", ln)
+                raise ParseError(f"unknown section {section!r}", ln, path)
         else:
-            reader.fail(f"unknown directive {key!r}", ln)
+            raise ParseError(f"unknown directive {key!r}", ln, path)
+        if heading in seen:
+            raise ParseError(f"repeated {' '.join(map(str, heading))!r}, "
+                             f"first on line {seen[heading]}", ln, path)
+        seen[heading] = ln
 
     if variant is None:
-        reader.fail("missing 'variant' line")
+        raise ParseError("missing 'variant' line", path=path)
     if "A" not in settings or "B" not in settings:
-        reader.fail("missing 'settings A' or 'settings B' line")
+        raise ParseError("missing 'settings A' or 'settings B' line", path=path)
 
     if variant is ModelVariant.QUANTUM:
         return ExperimentModel.quantum_model(settings["A"], settings["B"],
                                              angles["A"], angles["B"], name=name)
     if source is None:
-        reader.fail("missing source block")
+        raise ParseError("missing source block", path=path)
     if variant is ModelVariant.M3:
         return ExperimentModel.correlated_instruments_model(
             settings["A"], settings["B"], source, joints,

@@ -48,7 +48,7 @@ from .errors import (
     SettingConflict,
     UnsortedStream,
 )
-from .modelio import _decode_label, _read_ascii
+from .modelio import _decode_label, _lines, _read_ascii
 
 _INT64 = 2 ** 63
 
@@ -436,15 +436,13 @@ def pair_coincidences(stream_a: ClickStream, stream_b: ClickStream, window_ns: i
 def ingest_timetag_file(path, station: str = "A") -> ClickStream:
     """Read a time-tag file: ``timestamp_ns<TAB>setting<TAB>outcome`` per
     line, ``#`` comments, outcomes +1 or -1.  Any whitespace separates the
-    fields."""
+    fields.  Lines end at ``\\n``, ``\\r\\n`` or ``\\r`` (``modelio._lines``)
+    and errors name the line counted that way."""
     path = Path(path)
     times, settings, values = [], [], []
     last_t = None
-    for line_number, raw in enumerate(io.StringIO(_read_ascii(path), newline=None), start=1):
-        stripped = raw.split("#", 1)[0].strip()
-        if not stripped:
-            continue
-        fields = stripped.split()
+    for line_number, content in _lines(_read_ascii(path)):
+        fields = content.split()
         if len(fields) != 3:
             raise ParseError(f"expected 3 fields, got {len(fields)}",
                              line_number=line_number, path=str(path))
@@ -497,36 +495,37 @@ def write_coincidence_csv(records, path) -> None:
 
 
 def read_coincidence_csv(path) -> CoincidenceRecords:
+    """Read a CSV that ``write_coincidence_csv`` wrote.  An error names the
+    csv module's physical line, whose lines end as in ``modelio._lines``."""
     path = Path(path)
     rows = []
     reader = csv.reader(io.StringIO(_read_ascii(path), newline=""))
-    line_number = 0     # of the last row read; a csv.Error belongs to the next
     try:
         header = next(reader, None)
         if header != ["window", "x", "y", "a", "b"]:
             raise ParseError("bad header, expected window,x,y,a,b",
                              line_number=1, path=str(path))
-        for line_number, row in enumerate(reader, start=2):
+        for row in reader:
             if not row:
                 continue
             if len(row) != 5:
                 raise ParseError(f"expected 5 fields, got {len(row)}",
-                                 line_number=line_number, path=str(path))
+                                 line_number=reader.line_num, path=str(path))
             try:
                 window = int(row[0])
                 a = int(row[3])
                 b = int(row[4])
             except ValueError:
                 raise ParseError("bad integer field",
-                                 line_number=line_number, path=str(path)) from None
+                                 line_number=reader.line_num, path=str(path)) from None
             if not -_INT64 <= window < _INT64:
                 raise ParseError(f"window {window} out of range",
-                                 line_number=line_number, path=str(path))
+                                 line_number=reader.line_num, path=str(path))
             if a not in (-1, 0, 1) or b not in (-1, 0, 1) or (a == 0 and b == 0):
                 raise ParseError(f"bad outcome pair ({row[3]}, {row[4]})",
-                                 line_number=line_number, path=str(path))
+                                 line_number=reader.line_num, path=str(path))
             rows.append((window, None if row[1] == "" else _decode_label(row[1]),
                          None if row[2] == "" else _decode_label(row[2]), a, b))
     except csv.Error as exc:
-        raise ParseError(str(exc), line_number=line_number + 1, path=str(path)) from None
+        raise ParseError(str(exc), line_number=reader.line_num, path=str(path)) from None
     return CoincidenceRecords.from_rows(rows)

@@ -14,14 +14,20 @@ space with eight running sums.
 Two more keep the event-object stream path for comparison with the
 columnar one: a generator that builds one ``ClickEvent`` per click, and a
 pairer that walks both event lists bin by bin with ``groupby``.
+
+The last four keep the text readers that each had their own line loop:
+model, config, time-tag and coincidence CSV files.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import groupby
+from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
@@ -38,8 +44,17 @@ from bellsim import rng as _rng
 from bellsim import streams as _streams
 from bellsim.core import SettingPair, _PairSampler, ensure_valid
 from bellsim.estimators import RAW, CorrelationSet, PairStats
-from bellsim.errors import BellsimError, EmptyCell, SettingConflict, UnsortedStream
-from bellsim.streams import ClickStream, CoincidenceRecord
+from bellsim.cli import _CONFIG_KEYS, ConfigError
+from bellsim.errors import (
+    BellsimError,
+    EmptyCell,
+    NonMonotonicTimestamps,
+    ParseError,
+    SettingConflict,
+    UnsortedStream,
+)
+from bellsim.modelio import _decode_label
+from bellsim.streams import ClickStream, CoincidenceRecord, CoincidenceRecords
 
 
 def brute_force_expectations(model, sp):
@@ -395,3 +410,259 @@ def oracle_pair_coincidences(stream_a, stream_b, window_ns, settings_hint=None):
             b=ev_b.value if ev_b is not None else 0,
         ))
     return records, dropped_a, dropped_b
+
+
+# --------------------------------------------------------------------------
+# Line-loop text readers
+#
+# The readers as they were before every text input shared one line reader:
+# model and config files broke lines with ``str.splitlines``, time-tag
+# files with ``io.StringIO(newline=None)``, and the CSV reader counted rows.
+# They agree with the package's readers on ASCII text free of ``\v``,
+# ``\f``, ``\x1c``, ``\x1d`` and ``\x1e``, free of quoted line breaks and
+# of repeated model sections.
+
+
+def _oracle_read(path) -> str:
+    return Path(path).read_bytes().decode("ascii")
+
+
+class _OracleReader:
+    def __init__(self, text: str, path=None):
+        self.path = path
+        self.lines = text.splitlines()
+        self.pos = 0
+
+    def next_tokens(self):
+        """Next non-empty, non-comment line as (line_number, tokens)."""
+        while self.pos < len(self.lines):
+            self.pos += 1
+            raw = self.lines[self.pos - 1]
+            stripped = raw.split("#", 1)[0].strip()
+            if stripped:
+                return self.pos, stripped.split()
+        return None, None
+
+    def fail(self, message, line_number=None):
+        raise ParseError(message, line_number=line_number, path=self.path)
+
+
+def _oracle_read_block(reader, row_width, what):
+    rows = []
+    while True:
+        ln, tokens = reader.next_tokens()
+        if tokens is None:
+            reader.fail(f"unterminated {what} block (missing 'end')")
+        if tokens == ["end"]:
+            return rows
+        if len(tokens) != row_width:
+            reader.fail(f"{what}: expected {row_width} fields, got {len(tokens)}", ln)
+        rows.append((ln, tokens))
+
+
+def _oracle_parse_prob(reader, token, ln):
+    try:
+        return Fraction(token)
+    except (ValueError, ZeroDivisionError):
+        reader.fail(f"bad probability {token!r}", ln)
+
+
+def oracle_loads(text, path=None):
+    """A model file's text as a model, last copy of a repeated section kept."""
+    reader = _OracleReader(text, path)
+    variant = None
+    name = ""
+    settings = {}
+    source = None
+    instruments = {"A": {}, "B": {}}
+    joints = {}
+    responses = {"A": {}, "B": {}}
+    angles = {"A": {}, "B": {}}
+
+    while True:
+        ln, tokens = reader.next_tokens()
+        if tokens is None:
+            break
+        key = tokens[0]
+        if key == "version":
+            if tokens[1:] != ["1"]:
+                reader.fail(f"unsupported format version {' '.join(tokens[1:])!r}", ln)
+        elif key == "variant":
+            if len(tokens) != 2:
+                reader.fail("variant: expected one value", ln)
+            try:
+                variant = ModelVariant(tokens[1])
+            except ValueError:
+                reader.fail(f"unknown variant {tokens[1]!r}", ln)
+        elif key == "name":
+            name = " ".join(tokens[1:])
+        elif key == "settings":
+            if len(tokens) < 3 or tokens[1] not in ("A", "B"):
+                reader.fail("settings: expected 'settings A|B label...'", ln)
+            settings[tokens[1]] = tuple(_decode_label(t) for t in tokens[2:])
+        elif key == "begin":
+            section = tokens[1] if len(tokens) > 1 else ""
+            if section == "source":
+                rows = _oracle_read_block(reader, 3, "source")
+                atoms = [(_decode_label(a), _decode_label(b)) for _, (a, b, _p) in rows]
+                probs = [_oracle_parse_prob(reader, p, ln2) for ln2, (_a, _b, p) in rows]
+                source = DiscreteDistribution(atoms, probs)
+            elif section == "instruments":
+                if len(tokens) != 4 or tokens[2] not in ("A", "B"):
+                    reader.fail("expected 'begin instruments A|B setting'", ln)
+                rows = _oracle_read_block(reader, 2, "instruments")
+                atoms = [_decode_label(a) for _, (a, _p) in rows]
+                probs = [_oracle_parse_prob(reader, p, ln2) for ln2, (_a, p) in rows]
+                instruments[tokens[2]][_decode_label(tokens[3])] = DiscreteDistribution(atoms, probs)
+            elif section == "joint-instruments":
+                if len(tokens) != 4:
+                    reader.fail("expected 'begin joint-instruments x y'", ln)
+                rows = _oracle_read_block(reader, 3, "joint-instruments")
+                atoms = [(_decode_label(a), _decode_label(b)) for _, (a, b, _p) in rows]
+                probs = [_oracle_parse_prob(reader, p, ln2) for ln2, (_a, _b, p) in rows]
+                pair = (_decode_label(tokens[2]), _decode_label(tokens[3]))
+                joints[pair] = DiscreteDistribution(atoms, probs)
+            elif section == "responses":
+                if len(tokens) != 4 or tokens[2] not in ("A", "B"):
+                    reader.fail("expected 'begin responses A|B setting'", ln)
+                rows = _oracle_read_block(reader, 3, "responses")
+                mapping = {}
+                for ln2, (sv, iv, out) in rows:
+                    try:
+                        outcome = int(out)
+                    except ValueError:
+                        reader.fail(f"bad outcome {out!r}", ln2)
+                    mapping[(_decode_label(sv), _decode_label(iv))] = outcome
+                responses[tokens[2]][_decode_label(tokens[3])] = ResponseTable(mapping)
+            elif section == "angles":
+                if len(tokens) != 3 or tokens[2] not in ("A", "B"):
+                    reader.fail("expected 'begin angles A|B'", ln)
+                rows = _oracle_read_block(reader, 2, "angles")
+                for ln2, (setting, value) in rows:
+                    try:
+                        angles[tokens[2]][_decode_label(setting)] = float(value)
+                    except ValueError:
+                        reader.fail(f"bad angle {value!r}", ln2)
+            else:
+                reader.fail(f"unknown section {section!r}", ln)
+        else:
+            reader.fail(f"unknown directive {key!r}", ln)
+
+    if variant is None:
+        reader.fail("missing 'variant' line")
+    if "A" not in settings or "B" not in settings:
+        reader.fail("missing 'settings A' or 'settings B' line")
+
+    if variant is ModelVariant.QUANTUM:
+        return ExperimentModel.quantum_model(settings["A"], settings["B"],
+                                             angles["A"], angles["B"], name=name)
+    if source is None:
+        reader.fail("missing source block")
+    if variant is ModelVariant.M3:
+        return ExperimentModel.correlated_instruments_model(
+            settings["A"], settings["B"], source, joints,
+            responses["A"], responses["B"], name=name)
+    return ExperimentModel.product_model(
+        variant, settings["A"], settings["B"], source,
+        instruments["A"], instruments["B"], responses["A"], responses["B"],
+        name=name)
+
+
+def oracle_load_config(path) -> dict:
+    """A config file's ``key = value`` lines, lines broken by ``splitlines``."""
+    values = {}
+    for line_number, raw in enumerate(_oracle_read(path).splitlines(), start=1):
+        stripped = raw.split("#", 1)[0].strip()
+        if not stripped:
+            continue
+        if "=" not in stripped:
+            raise ConfigError(f"{path}:{line_number}: expected 'key = value'")
+        key, _, value = stripped.partition("=")
+        key = key.strip().replace("-", "_")
+        if key not in _CONFIG_KEYS:
+            raise ConfigError(f"{path}:{line_number}: unknown key {key!r}")
+        try:
+            values[key] = _CONFIG_KEYS[key](value.strip())
+        except ValueError:
+            raise ConfigError(f"{path}:{line_number}: bad value for {key!r}") from None
+    return values
+
+
+def oracle_ingest_timetag_file(path, station="A") -> ClickStream:
+    """A time-tag file's clicks, lines broken by ``io.StringIO(newline=None)``."""
+    path = Path(path)
+    times, settings, values = [], [], []
+    last_t = None
+    for line_number, raw in enumerate(io.StringIO(_oracle_read(path), newline=None), start=1):
+        stripped = raw.split("#", 1)[0].strip()
+        if not stripped:
+            continue
+        fields = stripped.split()
+        if len(fields) != 3:
+            raise ParseError(f"expected 3 fields, got {len(fields)}",
+                             line_number=line_number, path=str(path))
+        try:
+            t = int(fields[0])
+        except ValueError:
+            raise ParseError(f"bad timestamp {fields[0]!r}",
+                             line_number=line_number, path=str(path)) from None
+        if t < 0:
+            raise ParseError(f"negative timestamp {t}",
+                             line_number=line_number, path=str(path))
+        if t >= 2 ** 63:
+            raise ParseError(f"timestamp {t} out of range",
+                             line_number=line_number, path=str(path))
+        try:
+            value = int(fields[2])
+        except ValueError:
+            raise ParseError(f"bad outcome {fields[2]!r}",
+                             line_number=line_number, path=str(path)) from None
+        if value not in (-1, 1):
+            raise ParseError(f"outcome must be +1 or -1, got {fields[2]!r}",
+                             line_number=line_number, path=str(path))
+        if last_t is not None and t < last_t:
+            raise NonMonotonicTimestamps(
+                f"{path}:{line_number}: timestamp {t} after {last_t}")
+        last_t = t
+        times.append(t)
+        settings.append(_decode_label(fields[1]))
+        values.append(value)
+    labels = tuple(dict.fromkeys(settings))
+    return ClickStream(station, times, [labels.index(s) for s in settings], values, labels)
+
+
+def oracle_read_coincidence_csv(path):
+    """A coincidence CSV's records; an error names the row's ordinal."""
+    path = Path(path)
+    rows = []
+    reader = csv.reader(io.StringIO(_oracle_read(path), newline=""))
+    line_number = 0     # of the last row read; a csv.Error belongs to the next
+    try:
+        header = next(reader, None)
+        if header != ["window", "x", "y", "a", "b"]:
+            raise ParseError("bad header, expected window,x,y,a,b",
+                             line_number=1, path=str(path))
+        for line_number, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != 5:
+                raise ParseError(f"expected 5 fields, got {len(row)}",
+                                 line_number=line_number, path=str(path))
+            try:
+                window = int(row[0])
+                a = int(row[3])
+                b = int(row[4])
+            except ValueError:
+                raise ParseError("bad integer field",
+                                 line_number=line_number, path=str(path)) from None
+            if not -2 ** 63 <= window < 2 ** 63:
+                raise ParseError(f"window {window} out of range",
+                                 line_number=line_number, path=str(path))
+            if a not in (-1, 0, 1) or b not in (-1, 0, 1) or (a == 0 and b == 0):
+                raise ParseError(f"bad outcome pair ({row[3]}, {row[4]})",
+                                 line_number=line_number, path=str(path))
+            rows.append((window, None if row[1] == "" else _decode_label(row[1]),
+                         None if row[2] == "" else _decode_label(row[2]), a, b))
+    except csv.Error as exc:
+        raise ParseError(str(exc), line_number=line_number + 1, path=str(path)) from None
+    return CoincidenceRecords.from_rows(rows)

@@ -7,7 +7,10 @@ compares the tracer's click, record, drop and unassigned counts with the
 planted data, which guards the tracing hooks against changes in the stream
 and record types.  The ``exact`` workload runs its traced op through the
 tracer's wrappers of ``core.enumerate_raw`` and ``enumerate_postselected``
-and checks every enumerated Fraction against a float oracle.
+and checks every enumerated Fraction against a float oracle.  The
+``coupling`` workload runs through the wrappers of
+``coupling_feasibility`` and ``solve_phase_one``, so every workload's
+traced path runs here.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ import pytest
 REPO = Path(__file__).resolve().parent.parent
 
 
-@pytest.mark.parametrize("workload", ("simulate", "analyze", "exact"))
+@pytest.mark.parametrize("workload", ("simulate", "analyze", "exact", "coupling"))
 def test_traced_tiny_run_passes_its_checks(workload, tmp_path):
     for name in ("bench", "src"):
         shutil.copytree(REPO / name, tmp_path / name,

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from bellsim import modelio
 from bellsim.cli import main
 from bellsim.coupling import JointSpec, save_jointspec
 from bellsim.core import SettingPair
@@ -82,6 +83,29 @@ class TestSimulate:
                            "--windows", "10", "--seed", "1", "--out-dir", str(tmp_path))
         assert code == 3
         assert "sum to" in err
+
+    @pytest.mark.parametrize("text, message", [
+        ("variant lhvm\nsettings A 1\nsettings B 1\nbegin source\n0 0 1\n",
+         "unterminated source block (missing 'end')"),
+        ("version 1\n", "missing 'variant' line"),
+    ], ids=("unterminated", "no-variant"))
+    def test_model_error_without_a_line_exits_4(self, text, message, tmp_path, capsys):
+        path = tmp_path / "u.model"
+        path.write_text(text)
+        code, _, err = run(capsys, "simulate", "--model", str(path),
+                           "--windows", "10", "--seed", "1", "--out-dir", str(tmp_path))
+        assert code == 4
+        assert err == f"error: {path}: {message}\n"
+
+    def test_repeated_model_section_exits_4(self, tmp_path, capsys):
+        path = tmp_path / "lf.model"
+        scenario = lf_scenario()
+        path.write_text(modelio.dumps(scenario.model) + "settings A 1 -1 7\n")
+        code, _, err = run(capsys, "simulate", "--model", str(path),
+                           "--windows", "10", "--seed", "1", "--out-dir", str(tmp_path))
+        line = len(modelio.dumps(scenario.model).splitlines()) + 1
+        assert code == 4
+        assert err == f"error: {path}:{line}: repeated 'settings A', first on line 4\n"
 
     def test_missing_model_file_exits_2(self, tmp_path, capsys):
         missing = tmp_path / "nowhere.model"

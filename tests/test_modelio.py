@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from bellsim import modelio
 from bellsim.core import (
@@ -12,6 +13,8 @@ from bellsim.core import (
 )
 from bellsim.errors import BellsimError, ParseError
 from bellsim.scenarios import build_scenario, scenario_names
+
+from test_tables import table_models
 
 
 @pytest.mark.parametrize("name", scenario_names())
@@ -98,3 +101,97 @@ def test_non_ascii_byte_is_a_parse_error_naming_the_line(tmp_path):
     with pytest.raises(ParseError) as excinfo:
         modelio.load(path)
     assert excinfo.value.line_number == 2 and excinfo.value.path == str(path)
+
+
+def _model_text(name):
+    return modelio.dumps(build_scenario(name).model)
+
+
+def _line_of(text, line):
+    return text.splitlines().index(line) + 1
+
+
+# (scenario, line added at the end, heading in the message, the first copy's line)
+REPEATS = {
+    "version": ("lf", "version 1", "version", "version 1"),
+    "variant": ("lf", "variant m1", "variant", "variant lhvm"),
+    "name": ("lf", "name other", "name", "name lf"),
+    "settings-a": ("lf", "settings A 1 -1 7", "settings A", "settings A 1 -1"),
+    "settings-b": ("lf", "settings B 1 -1", "settings B", "settings B 1 -1"),
+    "source": ("lf", "begin source\n1 1 1\nend", "source", "begin source"),
+    "instruments": ("lf", "begin instruments B 1\n0 1\nend", "instruments B 1",
+                    "begin instruments B 1"),
+    "joint-instruments": ("m3-demo", "begin joint-instruments 1 01\n0 0 1\nend",
+                          "joint-instruments 1 1", "begin joint-instruments 1 1"),
+    "responses": ("lf", "begin responses A 01\n1 0 1\nend", "responses A 1",
+                  "begin responses A 1"),
+    "angles": ("quantum", "begin angles B\n1 0.5\nend", "angles B", "begin angles B"),
+}
+
+
+@pytest.mark.parametrize("kind", list(REPEATS))
+def test_repeated_section_is_a_parse_error_naming_the_repeat(kind):
+    scenario, extra, heading, first = REPEATS[kind]
+    text = _model_text(scenario)
+    line = len(text.splitlines()) + 1
+    with pytest.raises(ParseError) as excinfo:
+        modelio.loads(text + extra + "\n", path="r.model")
+    assert str(excinfo.value) == (f"r.model:{line}: repeated {heading!r}, "
+                                  f"first on line {_line_of(text, first)}")
+
+
+def test_repeated_source_placed_first_is_not_dropped():
+    text = _model_text("lf")
+    with pytest.raises(ParseError) as excinfo:
+        modelio.loads("begin source\n1 1 1\nend\n" + text)
+    assert str(excinfo.value) == (f"{_line_of(text, 'begin source') + 3}: "
+                                  "repeated 'source', first on line 1")
+
+
+def _string_labels(model):
+    """The same table model with every setting and atom label an int-free string."""
+    def f(v):
+        return tuple(map(f, v)) if isinstance(v, tuple) else f"s{v}"
+
+    def dist(d):
+        return DiscreteDistribution([f(a) for a in d.atoms], d.probs)
+
+    def tables(responses):
+        return {f(s): ResponseTable({f(k): o for k, o in r.mapping.items()})
+                for s, r in responses.items()}
+
+    settings_a, settings_b = map(f, model.settings_a), map(f, model.settings_b)
+    if model.variant is ModelVariant.M3:
+        return ExperimentModel.correlated_instruments_model(
+            settings_a, settings_b, dist(model.source),
+            {f(sp): dist(j) for sp, j in model.instruments_joint.items()},
+            tables(model.responses_a), tables(model.responses_b), name=model.name)
+    return ExperimentModel.product_model(
+        model.variant, settings_a, settings_b, dist(model.source),
+        {f(s): dist(d) for s, d in model.instruments_a.items()},
+        {f(s): dist(d) for s, d in model.instruments_b.items()},
+        tables(model.responses_a), tables(model.responses_b), name=model.name)
+
+
+@pytest.mark.parametrize("variant", [ModelVariant.M1, ModelVariant.M2, ModelVariant.M3],
+                         ids=lambda v: v.value)
+@given(data=st.data(), strings=st.booleans())
+def test_random_table_models_round_trip(variant, data, strings):
+    model = data.draw(table_models(variant))
+    if strings:
+        model = _string_labels(model)
+    assert modelio.loads(modelio.dumps(model)) == model
+
+
+angles = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@given(settings=st.lists(st.one_of(st.integers(-99, 99), st.sampled_from(("u", "v", "w-1"))),
+                         min_size=1, max_size=3, unique=True),
+       data=st.data())
+def test_random_quantum_models_round_trip(settings, data):
+    angles_a = {s: data.draw(angles) for s in settings}
+    angles_b = {s: data.draw(angles) for s in reversed(settings)}
+    model = ExperimentModel.quantum_model(settings, settings[::-1], angles_a, angles_b,
+                                          name=data.draw(st.sampled_from(("", "q", "q-2"))))
+    assert modelio.loads(modelio.dumps(model)) == model

@@ -1,0 +1,222 @@
+"""Model, config, time-tag and coincidence CSV readers against the line
+loops they replaced.
+
+Every text input now goes through ``modelio._lines``: lines end at
+``\\n``, ``\\r\\n`` or ``\\r``, ``#`` starts a comment, and an error names
+the line counted that way.  On ASCII text without ``\\v``, ``\\f``,
+``\\x1c``, ``\\x1d`` or ``\\x1e``, without quoted line breaks and without a
+repeated model section, the readers must agree with the oracles in
+``helpers``: an ``==`` result, or the same exception class and message.
+The three cases outside that domain are pinned one by one below.
+"""
+
+from __future__ import annotations
+
+import pytest
+from hypothesis import given, strategies as st
+
+from bellsim import modelio
+from bellsim.cli import ConfigError, _load_config
+from bellsim.core import ModelVariant
+from bellsim.errors import ParseError
+from bellsim.scenarios import build_scenario, scenario_names
+from bellsim.streams import ingest_timetag_file, read_coincidence_csv
+
+from helpers import (
+    oracle_ingest_timetag_file,
+    oracle_load_config,
+    oracle_loads,
+    oracle_read_coincidence_csv,
+)
+from test_tables import table_models
+
+ENDINGS = st.sampled_from(("\n", "\r\n", "\r"))
+NOISE = st.sampled_from(("", "   ", "\t", "# comment", "  # indented comment", "#"))
+JUNK = ("x", "1/0", "nope", "2.5", "-", "+1", "7", "1e3", "1/3", "end")
+
+
+@st.composite
+def texts(draw, lines):
+    """``lines`` with blank and comment lines between them, padding, trailing
+    comments and a random ending each; the last ending may be missing."""
+    out = []
+    for line in lines:
+        out.extend(draw(st.lists(NOISE, max_size=2)))
+        pad = draw(st.sampled_from(("", " ", "\t")))
+        out.append(pad + line + pad + draw(st.sampled_from(("", "", " # note", "#x"))))
+    parts = [line + draw(ENDINGS) for line in out]
+    if parts and draw(st.booleans()):
+        parts[-1] = out[-1]
+    return "".join(parts)
+
+
+def outcome(read, *args):
+    try:
+        return "ok", read(*args)
+    except Exception as exc:        # compared by class and message below
+        return type(exc), str(exc)
+
+
+# --------------------------------------------------------------------------
+# Model files
+
+HEADERS = ("version", "variant", "name", "settings", "begin")
+
+
+@st.composite
+def model_texts(draw):
+    """The text of a shipped or random table model with lines dropped and
+    tokens of rows, ``end`` lines and directive names replaced by junk.  No
+    heading is added, so no section repeats."""
+    source = draw(st.sampled_from(("scenario", "m1", "m2", "m3")))
+    if source == "scenario":
+        model = build_scenario(draw(st.sampled_from(scenario_names()))).model
+    else:
+        model = draw(table_models(ModelVariant(source)))
+    lines = modelio.dumps(model).splitlines()
+    for _ in range(draw(st.integers(0, 2))):
+        i = draw(st.integers(0, len(lines) - 1))
+        tokens = lines[i].split()
+        if not tokens or draw(st.booleans()):
+            del lines[i]
+        elif tokens[0] in HEADERS:
+            lines[i] = " ".join(["bogus"] + tokens[1:])
+        else:
+            tokens[draw(st.integers(0, len(tokens) - 1))] = draw(st.sampled_from(JUNK))
+            lines[i] = " ".join(tokens)
+    sep = draw(st.sampled_from((" ", "\t", "  ")))
+    return draw(texts([sep.join(line.split()) for line in lines]))
+
+
+@given(text=model_texts())
+def test_model_reader_matches_line_loop(text):
+    assert outcome(modelio.loads, text, "m.model") == outcome(oracle_loads, text, "m.model")
+
+
+# --------------------------------------------------------------------------
+# Config, time-tag and CSV files, read from disk
+
+
+@pytest.fixture(scope="module")
+def scratch(tmp_path_factory):
+    return tmp_path_factory.mktemp("readers")
+
+
+def _write(directory, name, text):
+    path = directory / name
+    path.write_bytes(text.encode("ascii"))
+    return path
+
+
+good_config_lines = st.sampled_from(("seed = 5", "windows=100", "scenario = lf",
+                                     "detection-rate = 0.5", "p_same=0.25", "out_dir = run"))
+config_lines = st.one_of(
+    good_config_lines, good_config_lines, good_config_lines,
+    st.builds("{}{}{}".format,
+              st.sampled_from(("seed", "windows", "detection-rate", "bogus", "")),
+              st.sampled_from((" = ", "=", " =")),
+              st.sampled_from(("5", "0.5", "lf", "x", "", "a=b"))),
+    st.just("seed 5"))
+
+
+@given(text=st.lists(config_lines, max_size=6).flatmap(texts))
+def test_config_reader_matches_line_loop(scratch, text):
+    path = _write(scratch, "run.cfg", text)
+    assert outcome(_load_config, path) == outcome(oracle_load_config, path)
+
+
+def _clicks(stream):
+    return (stream.station, stream.t.tolist(), stream.setting.tolist(), stream.value.tolist(),
+            stream.labels)
+
+
+timetag_lines = st.builds(
+    lambda fields, sep: sep.join(fields),
+    st.lists(st.one_of(st.integers(0, 60).map(str),
+                       st.sampled_from(("1", "2", "01", "a", "-1", "+1", "0", "x", "-5",
+                                        "9223372036854775808"))),
+             min_size=2, max_size=4),
+    st.sampled_from(("\t", " ", "  ")))
+
+
+@st.composite
+def timetag_texts(draw):
+    """Mostly well-formed, increasing ``t setting outcome`` rows, some junk."""
+    lines, t = [], 0
+    for _ in range(draw(st.integers(0, 8))):
+        if draw(st.integers(0, 7)) == 0:
+            lines.append(draw(timetag_lines))
+            continue
+        t += draw(st.sampled_from((0, 1, 7, 20, 20, 20, -1)))
+        lines.append(f"{t}\t{draw(st.sampled_from(('1', '2', '01', 'a')))}\t"
+                     f"{draw(st.sampled_from(('+1', '-1', '1')))}")
+    return draw(texts(lines))
+
+
+@given(text=timetag_texts())
+def test_timetag_reader_matches_line_loop(scratch, text):
+    path = _write(scratch, "t.txt", text)
+    got = outcome(lambda p: _clicks(ingest_timetag_file(p, "B")), path)
+    assert got == outcome(lambda p: _clicks(oracle_ingest_timetag_file(p, "B")), path)
+
+
+csv_fields = st.sampled_from(("0", "1", "-1", "7", "", "a", "01", '"1"', '"a b"', "x", " 2"))
+
+
+@st.composite
+def csv_texts(draw):
+    """A header and rows of four to six fields; quoted fields hold no line break."""
+    header = "window,x,y,a,b" if draw(st.integers(0, 5)) else "window,x,y,a"
+    rows = []
+    for w in range(draw(st.integers(0, 6))):
+        kind = draw(st.integers(0, 7))
+        if kind == 0:
+            rows.append(",".join(draw(st.lists(csv_fields, min_size=4, max_size=6))))
+        elif kind == 1:
+            rows.append("")
+        else:
+            a, b = draw(st.sampled_from(((1, 1), (-1, 0), (0, 1), (1, -1))))
+            rows.append(f"{w},{draw(csv_fields)},{draw(csv_fields)},{a},{b}")
+    return "".join(line + draw(ENDINGS) for line in [header] + rows)
+
+
+@given(text=csv_texts())
+def test_csv_reader_matches_row_loop(scratch, text):
+    path = _write(scratch, "c.csv", text)
+    got = outcome(lambda p: list(read_coincidence_csv(p)), path)
+    assert got == outcome(lambda p: list(oracle_read_coincidence_csv(p)), path)
+
+
+# --------------------------------------------------------------------------
+# The three rules that changed
+
+
+def test_control_bytes_are_whitespace_in_model_and_config_files(tmp_path):
+    with pytest.raises(ParseError) as excinfo:
+        modelio.loads("version 1\nvariant lhvm\f\nbogus\n", path="v.model")
+    assert str(excinfo.value) == "v.model:3: unknown directive 'bogus'"
+
+    text = modelio.dumps(build_scenario("lf").model)
+    assert modelio.loads(text.replace("1 1 1/6", "1 1\f1/6")) == modelio.loads(text)
+
+    config = tmp_path / "run.cfg"
+    config.write_bytes(b"seed = 1\fwindows = 5\n")
+    with pytest.raises(ConfigError) as excinfo:
+        _load_config(config)
+    assert str(excinfo.value) == f"{config}:1: bad value for 'seed'"
+
+
+def test_non_ascii_byte_line_counts_carriage_returns(tmp_path):
+    path = tmp_path / "t.txt"
+    path.write_bytes(b"0\t1\t+1\r5\t1\t-1\r\xff\r")
+    with pytest.raises(ParseError) as excinfo:
+        ingest_timetag_file(path)
+    assert str(excinfo.value) == f"{path}:3: non-ASCII byte 0xff"
+
+
+def test_csv_error_after_a_multi_line_row_names_its_physical_line(tmp_path):
+    path = tmp_path / "c.csv"
+    path.write_text('window,x,y,a,b\n0,"two\nlines",1,1,1\n1,1,1,1,7\n')
+    with pytest.raises(ParseError) as excinfo:
+        read_coincidence_csv(path)
+    assert str(excinfo.value) == f"{path}:4: bad outcome pair (1, 7)"
