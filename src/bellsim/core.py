@@ -37,6 +37,12 @@ exact probabilities (`outcome_table`), data estimation with counts, and
 `table_stats` turns either into the reported numbers.  Enumeration sums
 integer numerators over the spaces' common denominators and builds a
 Fraction only for each finished cell.
+
+A model's validity and its exact outcome tables are computed once per
+`ExperimentModel` instance, on first use, and shared by every later call
+(`enumerate_raw`, `enumerate_postselected`, `outcome_table`, the samplers).
+Models are therefore never changed in place: to change one, build a new
+instance, for example with `dataclasses.replace`.
 """
 
 from __future__ import annotations
@@ -45,6 +51,8 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
+from operator import mul
 from typing import Callable, Hashable, NamedTuple, Sequence
 
 import numpy as np
@@ -215,8 +223,12 @@ class ExperimentModel:
     ``instruments_joint[(x, y)]`` gives a joint distribution over pairs
     ``(lx, ly)`` per setting pair.  ``responses_a[x]`` maps ``(l1, lx)`` to
     an outcome, ``responses_b[y]`` maps ``(l2, ly)``.  Quantum models carry
-    analyzer angles instead and no hidden spaces.  Instances are treated as
-    immutable once validated.
+    analyzer angles instead and no hidden spaces.
+
+    Validity and the exact outcome tables are computed once per instance,
+    on first use, and cached on it; nothing checks the dicts again.  Never
+    change a model in place: build a new one, for example with
+    ``dataclasses.replace(model, responses_a=...)``.
     """
 
     variant: ModelVariant
@@ -234,6 +246,14 @@ class ExperimentModel:
 
     def pairs(self) -> list[SettingPair]:
         return [SettingPair(x, y) for x in self.settings_a for y in self.settings_b]
+
+    @cached_property
+    def _violations(self) -> tuple:
+        return tuple(validate_model(self))
+
+    @cached_property
+    def _tables(self) -> dict:
+        return _build_tables(self)
 
     def is_finite(self) -> bool:
         if self.variant is ModelVariant.QUANTUM:
@@ -435,9 +455,8 @@ def _instrument_values(model, station, setting):
 
 
 def ensure_valid(model: ExperimentModel) -> None:
-    violations = validate_model(model)
-    if violations:
-        raise InvalidModel(violations)
+    if model._violations:
+        raise InvalidModel(model._violations)
 
 
 def _check_pair(model: ExperimentModel, sp: SettingPair) -> SettingPair:
@@ -507,59 +526,104 @@ def table_stats(table) -> TableStats:
     return TableStats(raw, post, n_post / n_raw, n_raw, n_post)
 
 
-def outcome_table(model: ExperimentModel, sp: SettingPair) -> list[list[Fraction]]:
-    """Exact P(a, b | x, y) over the model's lambda spaces.
+def _station_columns(model: ExperimentModel, station: str) -> dict:
+    """Per setting s of one product-model station, ``(d, n)`` with
+    ``n[o + 1][i] == d * P(o | l_i, s)`` for each source atom i, where
+    ``l_i`` is the station's half of that atom and d the common denominator
+    of the setting's instrument weights."""
+    comp, resps, insts, settings = (
+        (0, model.responses_a, model.instruments_a, model.settings_a) if station == "A"
+        else (1, model.responses_b, model.instruments_b, model.settings_b))
+    out = {}
+    for s in settings:
+        resp, inst = resps[s], insts[s]
+        w_inst, d = inst._integer_weights()
+        columns = ([], [], [])
+        for atom in model.source.atoms:
+            n = [0, 0, 0]
+            for li, w in zip(inst.atoms, w_inst):
+                n[resp(atom[comp], li) + 1] += w
+            for column, v in zip(columns, n):
+                column.append(v)
+        out[s] = d, columns
+    return out
+
+
+def _build_tables(model: ExperimentModel) -> dict:
+    """Every pair's exact P(a, b | x, y) and its `table_stats`, one pass
+    over a valid finite model.
 
     Product variants factorise per source atom,
-    P(a, b) = sum_src p * P_A(a | l1, x) * P_B(b | l2, y); ``m3`` models sum
-    the joint instrument weights per source atom first.  The sums run on
-    integer numerators over each space's common denominator, and only the
-    nine finished cells become Fractions.
+    P(a, b) = sum_src p * P_A(a | l1, x) * P_B(b | l2, y): each setting's
+    conditional numerators are built once and shared by its two pairs,
+    which only contract them.  ``m3`` models sum the joint instrument
+    weights per source atom and pair.  The sums run on integer numerators
+    over each space's common denominator, and only the nine finished cells
+    of a pair become Fractions.  Tables are tuples of rows, indexed
+    ``[a + 1][b + 1]``.
     """
-    ensure_valid(model)
-    sp = _check_pair(model, sp)
+    w_source, d_source = model.source._integer_weights()
+    numerators = {}
+    if model.variant is ModelVariant.M3:
+        for sp in model.pairs():
+            resp_a, resp_b = model.responses_a[sp.x], model.responses_b[sp.y]
+            joint = model.instruments_joint[sp]
+            w_joint, d_joint = joint._integer_weights()
+            values_x = {lx for lx, _ in joint.atoms}
+            values_y = {ly for _, ly in joint.atoms}
+            table = empty_table()
+            for (l1, l2), w_src in zip(model.source.atoms, w_source):
+                row_of = {lx: resp_a(l1, lx) + 1 for lx in values_x}
+                col_of = {ly: resp_b(l2, ly) + 1 for ly in values_y}
+                given = empty_table()
+                for (lx, ly), w in zip(joint.atoms, w_joint):
+                    given[row_of[lx]][col_of[ly]] += w
+                for row, given_row in zip(table, given):
+                    for j, n in enumerate(given_row):
+                        row[j] += w_src * n
+            numerators[sp] = table, d_source * d_joint
+    else:
+        columns_a = _station_columns(model, "A")
+        columns_b = _station_columns(model, "B")
+        for x, (d_a, n_a) in columns_a.items():
+            weighted_a = [list(map(mul, w_source, column)) for column in n_a]
+            for y, (d_b, n_b) in columns_b.items():
+                table = [[sum(map(mul, col_a, col_b)) for col_b in n_b] for col_a in weighted_a]
+                numerators[SettingPair(x, y)] = table, d_source * d_a * d_b
+    exact = {}
+    for sp, (table, d) in numerators.items():
+        table = tuple(tuple(Fraction(n, d) for n in row) for row in table)
+        exact[sp] = table, table_stats(table)
+    return exact
+
+
+def _cached_exact(model: ExperimentModel, sp: SettingPair) -> tuple:
+    """``(table, table_stats(table))`` of a declared pair of a valid model,
+    from the model's cache; NonFiniteSpace for a model without one."""
     if model.variant is ModelVariant.QUANTUM:
         raise NonFiniteSpace("quantum reference models have no lambda space; "
                              "use the analytic result")
     if not model.is_finite():
         raise NonFiniteSpace("model declares sampler-only lambda spaces; "
                              "only Monte Carlo evaluation is available")
-    resp_a = model.responses_a[sp.x]
-    resp_b = model.responses_b[sp.y]
-    w_source, d = model.source._integer_weights()
-    if model.variant is ModelVariant.M3:
-        joint = model.instruments_joint[sp]
-        w_joint, d_joint = joint._integer_weights()
-        d *= d_joint
-    else:
-        inst_a, inst_b = model.instruments_a[sp.x], model.instruments_b[sp.y]
-        (w_a, d_a), (w_b, d_b) = inst_a._integer_weights(), inst_b._integer_weights()
-        d *= d_a * d_b
-    table = empty_table()
-    for (l1, l2), w_src in zip(model.source.atoms, w_source):
-        if model.variant is ModelVariant.M3:
-            given = empty_table()
-            for (lx, ly), w in zip(joint.atoms, w_joint):
-                given[resp_a(l1, lx) + 1][resp_b(l2, ly) + 1] += w
-        else:
-            n_a, n_b = [0, 0, 0], [0, 0, 0]     # d_a * P(a | l1, x), d_b * P(b | l2, y)
-            for lx, w in zip(inst_a.atoms, w_a):
-                n_a[resp_a(l1, lx) + 1] += w
-            for ly, w in zip(inst_b.atoms, w_b):
-                n_b[resp_b(l2, ly) + 1] += w
-            given = [[na * nb for nb in n_b] for na in n_a]
-        for row, given_row in zip(table, given):
-            for j, n in enumerate(given_row):
-                row[j] += w_src * n
-    return [[Fraction(n, d) for n in row] for row in table]
+    return model._tables[sp]
+
+
+def outcome_table(model: ExperimentModel, sp: SettingPair) -> list[list[Fraction]]:
+    """Exact P(a, b | x, y) over the model's lambda spaces, as a fresh 3x3
+    list indexed ``[a + 1][b + 1]``.  The tables of all pairs are built on
+    first use and cached on the model (see `_build_tables`)."""
+    ensure_valid(model)
+    sp = _check_pair(model, sp)
+    return [list(row) for row in _cached_exact(model, sp)[0]]
 
 
 def _exact(model: ExperimentModel, sp: SettingPair, post: bool) -> ExactResult:
-    sp = SettingPair(*sp)
+    ensure_valid(model)
+    sp = _check_pair(model, sp)
     if model.variant is ModelVariant.QUANTUM:
-        ensure_valid(model)
-        return _quantum_exact(model, _check_pair(model, sp))
-    stats = table_stats(outcome_table(model, sp))
+        return _quantum_exact(model, sp)
+    stats = _cached_exact(model, sp)[1]
     if not post:
         return ExactResult(*stats.raw, c_xy=stats.c)
     if stats.post is None:

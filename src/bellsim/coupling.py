@@ -37,8 +37,8 @@ from itertools import product
 from pathlib import Path
 
 from .core import DiscreteDistribution, SettingPair, _as_fraction
-from .errors import BellsimError
-from .modelio import _read_ascii
+from .errors import BellsimError, ParseError
+from .modelio import _line_number, _read_ascii
 
 # Atom order for witnesses: quadruples (a_x0, a_x1, b_y0, b_y1).
 ATOMS = tuple(product((1, -1), repeat=4))
@@ -412,10 +412,12 @@ def save_jointspec(spec: JointSpec, path) -> None:
 
 
 def load_jointspec(path) -> JointSpec:
+    text = _read_ascii(Path(path))
     try:
-        data = json.loads(_read_ascii(Path(path)))
+        data = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise BellsimError(f"{path}: not valid JSON: {exc}") from exc
+        raise ParseError(f"not valid JSON: {exc.msg}", line_number=_line_number(text[:exc.pos]),
+                         path=str(path)) from None
     return jointspec_from_dict(data)
 
 

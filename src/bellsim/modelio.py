@@ -66,8 +66,9 @@ def _encode_token(value) -> str:
     if isinstance(value, int):
         return str(value)
     if isinstance(value, str):
-        if not value or any(c.isspace() for c in value) or value.startswith("#"):
-            raise BellsimError(f"label {value!r} is not encodable (whitespace or empty)")
+        if not value or any(c.isspace() or c == "#" for c in value):
+            raise BellsimError(f"label {value!r} is not encodable "
+                               "(empty, or holds whitespace or '#')")
         try:
             int(value)
         except ValueError:
@@ -88,6 +89,12 @@ def _lines(text: str):
             yield line_number, content
 
 
+def _line_number(before: str) -> int:
+    """The line of the character that follows the text ``before``, counted
+    as ``_lines`` counts them."""
+    return io.StringIO(before, newline=None).read().count("\n") + 1
+
+
 def _read_ascii(path: Path) -> str:
     """The text of an ASCII file; any other byte is a ParseError naming
     its line, counted as ``_lines`` counts them."""
@@ -95,9 +102,9 @@ def _read_ascii(path: Path) -> str:
     try:
         return data.decode("ascii")
     except UnicodeDecodeError as exc:
-        before = io.StringIO(data[:exc.start].decode("ascii"), newline=None).read()
         raise ParseError(f"non-ASCII byte 0x{data[exc.start]:02x}",
-                         line_number=before.count("\n") + 1, path=str(path)) from None
+                         line_number=_line_number(data[:exc.start].decode("ascii")),
+                         path=str(path)) from None
 
 
 def _decode_label(token: str):

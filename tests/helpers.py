@@ -40,6 +40,7 @@ from bellsim.core import (
     ResponseTable,
     SamplerSpace,
 )
+from bellsim import core as _core
 from bellsim import rng as _rng
 from bellsim import streams as _streams
 from bellsim.core import SettingPair, _PairSampler, ensure_valid
@@ -169,6 +170,20 @@ def mc_tolerance(se, floor=1e-12):
 def sample_standard_error(values):
     values = np.asarray(values, dtype=float)
     return float(values.std(ddof=0) / np.sqrt(len(values)))
+
+
+def count_validations(monkeypatch) -> list:
+    """Record each model that ``core.validate_model`` is called on from now
+    until the test ends."""
+    seen = []
+    validate = _core.validate_model
+
+    def counting(model):
+        seen.append(model)
+        return validate(model)
+
+    monkeypatch.setattr(_core, "validate_model", counting)
+    return seen
 
 
 # --------------------------------------------------------------------------

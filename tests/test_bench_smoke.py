@@ -10,7 +10,8 @@ tracer's wrappers of ``core.enumerate_raw`` and ``enumerate_postselected``
 and checks every enumerated Fraction against a float oracle.  The
 ``coupling`` workload runs through the wrappers of
 ``coupling_feasibility`` and ``solve_phase_one``, so every workload's
-traced path runs here.
+traced path runs here.  Each exact op loads a fresh model, which is
+validated once however many pairs it enumerates.
 """
 
 from __future__ import annotations
@@ -40,3 +41,6 @@ def test_traced_tiny_run_passes_its_checks(workload, tmp_path):
     result = json.loads(done.stdout.splitlines()[-1])
     assert result["failed"] == 0 and result["correct"], done.stderr
     assert result["attempted"] > 0
+    if workload == "exact":
+        layers = json.loads(done.stdout.splitlines()[-2])["details"]["layers"]
+        assert layers["core.validate_model.calls"] == 1

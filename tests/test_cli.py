@@ -9,6 +9,8 @@ from bellsim.coupling import JointSpec, save_jointspec
 from bellsim.core import SettingPair
 from bellsim.scenarios import lf_scenario
 
+from helpers import count_validations
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -52,6 +54,19 @@ class TestSimulate:
         payload = json.loads((out / "analysis.json").read_text())
         # Perfectly correlated coins: every sampled product is +-1 exactly.
         assert payload["postselected"]["chsh"]["s_max_abs"] == 2.0
+
+    @pytest.mark.parametrize("source", ("scenario", "model"))
+    def test_one_validation_per_run(self, source, tmp_path, capsys, monkeypatch):
+        if source == "scenario":
+            argv = ["--scenario", "m2-demo"]
+        else:
+            modelio.save(lf_scenario().model, tmp_path / "lf.model")
+            argv = ["--model", str(tmp_path / "lf.model")]
+        seen = count_validations(monkeypatch)
+        code, _, _ = run(capsys, "simulate", *argv, "--windows", "2000", "--seed", "3",
+                         "--threads", "2", "--out-dir", str(tmp_path / "out"))
+        assert code == 0
+        assert len(seen) == 1
 
     def test_p_same_rejected_for_other_scenarios(self, tmp_path, capsys):
         code, _, err = run(capsys, "simulate", "--scenario", "lf", "--p-same", "0.5",
@@ -336,6 +351,15 @@ class TestCheckCoupling:
         code, _, err = run(capsys, "check-coupling", "--spec", str(missing))
         assert code == 2
         assert err == f"error: {missing}: No such file or directory\n"
+
+    @pytest.mark.parametrize("newline", ("\n", "\r", "\r\n"), ids=("lf", "cr", "crlf"))
+    def test_invalid_json_spec_names_file_and_line_exits_4(self, newline, tmp_path, capsys):
+        spec = tmp_path / "spec.json"
+        spec.write_bytes(newline.join(('{"settings_a": [1, 2],', ' "settings_b": [1, 2],',
+                                       ' "e_ab": ,', '}')).encode())
+        code, _, err = run(capsys, "check-coupling", "--spec", str(spec))
+        assert code == 4
+        assert err == f"error: {spec}:3: not valid JSON: Expecting value\n"
 
     @pytest.mark.parametrize("flag", ("--corr", "--mean-a", "--mean-b"))
     def test_non_numeric_inline_value_names_flag_exits_2(self, flag, tmp_path, capsys):

@@ -148,10 +148,11 @@ def test_repeated_source_placed_first_is_not_dropped():
                                   "repeated 'source', first on line 1")
 
 
-def _string_labels(model):
-    """The same table model with every setting and atom label an int-free string."""
+def _string_labels(model, prefix="s"):
+    """The same table model with every setting and atom label the string
+    ``prefix`` followed by the old label."""
     def f(v):
-        return tuple(map(f, v)) if isinstance(v, tuple) else f"s{v}"
+        return tuple(map(f, v)) if isinstance(v, tuple) else f"{prefix}{v}"
 
     def dist(d):
         return DiscreteDistribution([f(a) for a in d.atoms], d.probs)
@@ -175,23 +176,56 @@ def _string_labels(model):
 
 @pytest.mark.parametrize("variant", [ModelVariant.M1, ModelVariant.M2, ModelVariant.M3],
                          ids=lambda v: v.value)
-@given(data=st.data(), strings=st.booleans())
-def test_random_table_models_round_trip(variant, data, strings):
+@given(data=st.data(), prefix=st.sampled_from((None, "s", "s#", "#")))
+def test_random_table_models_round_trip(variant, data, prefix):
     model = data.draw(table_models(variant))
-    if strings:
-        model = _string_labels(model)
-    assert modelio.loads(modelio.dumps(model)) == model
+    if prefix is not None:
+        model = _string_labels(model, prefix)
+    assert_refused_or_round_trips(model, refused=prefix is not None and "#" in prefix)
+
+
+def assert_refused_or_round_trips(model, refused):
+    """``dumps`` refuses the model if ``refused``; otherwise ``loads`` gives
+    it back equal."""
+    if refused:
+        with pytest.raises(BellsimError, match="not encodable|looks like an integer"):
+            modelio.dumps(model)
+    else:
+        assert modelio.loads(modelio.dumps(model)) == model
+
+
+def _unencodable(label):
+    """A string label that holds '#' or reads as an int."""
+    if not isinstance(label, str):
+        return False
+    try:
+        int(label)
+    except ValueError:
+        return "#" in label
+    return True
+
+
+def test_label_with_inner_hash_is_refused():
+    # "settings A a#b c" would read back as "settings A a".
+    settings = ("a#b", "c")
+    model = ExperimentModel.quantum_model(settings, ("u", "v"), dict.fromkeys(settings, 0.0),
+                                          {"u": 0.0, "v": 1.0})
+    with pytest.raises(BellsimError, match="'a#b' is not encodable"):
+        modelio.dumps(model)
+    with pytest.raises(BellsimError, match="'q#1' is not encodable"):
+        modelio.dumps(ExperimentModel.quantum_model(("u", "v"), ("u", "v"), {"u": 0, "v": 1},
+                                                    {"u": 0, "v": 1}, name="q#1"))
 
 
 angles = st.floats(allow_nan=False, allow_infinity=False)
+labels = st.one_of(st.integers(-99, 99), st.text("uvw-1#", min_size=1, max_size=3))
 
 
-@given(settings=st.lists(st.one_of(st.integers(-99, 99), st.sampled_from(("u", "v", "w-1"))),
-                         min_size=1, max_size=3, unique=True),
-       data=st.data())
+@given(settings=st.lists(labels, min_size=1, max_size=3, unique=True), data=st.data())
 def test_random_quantum_models_round_trip(settings, data):
     angles_a = {s: data.draw(angles) for s in settings}
     angles_b = {s: data.draw(angles) for s in reversed(settings)}
+    name = data.draw(st.sampled_from(("", "q", "q-2", "q#2")))
     model = ExperimentModel.quantum_model(settings, settings[::-1], angles_a, angles_b,
-                                          name=data.draw(st.sampled_from(("", "q", "q-2"))))
-    assert modelio.loads(modelio.dumps(model)) == model
+                                          name=name)
+    assert_refused_or_round_trips(model, any(map(_unencodable, [*settings, name])))

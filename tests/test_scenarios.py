@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -28,7 +29,12 @@ from bellsim.scenarios import (
     scenario_names,
 )
 
-from helpers import brute_force_expectations, mc_tolerance, sample_standard_error
+from helpers import (
+    brute_force_expectations,
+    count_validations,
+    mc_tolerance,
+    sample_standard_error,
+)
 
 
 @pytest.mark.parametrize("name", scenario_names())
@@ -36,6 +42,16 @@ def test_scenario_verifies_and_validates(name):
     scenario = build_scenario(name)
     assert validate_model(scenario.model) == []
     scenario.verify()
+
+
+@pytest.mark.parametrize("name", scenario_names())
+def test_verify_validates_a_fresh_model_once(name, monkeypatch):
+    scenario = build_scenario(name)
+    fresh = dataclasses.replace(scenario, model=dataclasses.replace(scenario.model))
+    seen = count_validations(monkeypatch)
+    fresh.verify()
+    fresh.verify()
+    assert len(seen) == 1 and seen[0] is fresh.model
 
 
 @pytest.mark.parametrize("name", scenario_names())

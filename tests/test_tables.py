@@ -9,6 +9,7 @@ come from exact integer sums instead of two float passes).  The oracles
 live in ``helpers``.
 """
 
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -27,12 +28,24 @@ from bellsim.core import (
     outcome_table,
     table_stats,
 )
-from bellsim.errors import DegenerateConditioning, EmptyCell
+from bellsim.errors import (
+    DegenerateConditioning,
+    EmptyCell,
+    InvalidModel,
+    NonFiniteSpace,
+    UnknownSetting,
+)
 from bellsim.estimators import POSTSELECTED, RAW, estimate_postselected, estimate_raw
 from bellsim.scenarios import lhvm_socks_scenario, scenario_names, build_scenario
 from bellsim.streams import CoincidenceRecord
 
-from helpers import oracle_enumerate, oracle_estimate, oracle_table, random_lhvm_model
+from helpers import (
+    oracle_enumerate,
+    oracle_estimate,
+    oracle_table,
+    random_lhvm_model,
+    sampler_model,
+)
 from test_core import constant_model, two_atom_demo_model
 
 SETTINGS = (1, 2)
@@ -167,6 +180,67 @@ def test_benchmark_shapes_match_term_enumeration(variant, k, m):
     # The model shapes of the benchmark's exact workload, about 9600 terms each.
     gen = np.random.Generator(np.random.PCG64(k * 1000 + m))
     assert_enumeration_matches_oracle(_random_model(gen, variant, k, m))
+
+
+@pytest.mark.parametrize("variant", [ModelVariant.M1, ModelVariant.M2, ModelVariant.M3],
+                         ids=lambda v: v.value)
+@given(data=st.data())
+def test_cached_tables_answer_every_call_order(variant, data):
+    # Validity and tables are computed on the first call and shared by the
+    # rest, so the order of the eight calls must not matter.
+    model = data.draw(table_models(variant))
+    calls = [(kind, sp) for kind in ("raw", "post") for sp in model.pairs()]
+    for kind, sp in data.draw(st.permutations(calls)):
+        want_raw, want_post = oracle_enumerate(model, sp)
+        if kind == "raw":
+            assert enumerate_raw(model, sp) == want_raw
+        elif want_post is None:
+            with pytest.raises(DegenerateConditioning):
+                enumerate_postselected(model, sp)
+        else:
+            assert enumerate_postselected(model, sp) == want_post
+    sp = data.draw(st.sampled_from(model.pairs()))
+    table = outcome_table(model, sp)
+    table[0][0] += 1
+    table[1].append(Fraction(1))
+    table.pop()
+    assert outcome_table(model, sp) == oracle_table(model, sp)
+    assert enumerate_raw(model, sp) == oracle_enumerate(model, sp)[0]
+
+
+@pytest.mark.parametrize("variant", [ModelVariant.M1, ModelVariant.M3], ids=lambda v: v.value)
+@given(data=st.data())
+def test_invalid_model_raises_the_same_error_on_every_call(variant, data):
+    model = data.draw(table_models(variant))
+    broken = dataclasses.replace(model, responses_b={1: model.responses_b[1]})
+    messages = []
+    for _ in range(2):
+        for call in (outcome_table, enumerate_raw, enumerate_postselected):
+            for sp in [(1, 1), (2, 2), (1, 3)]:    # (1, 3) is undeclared
+                with pytest.raises(InvalidModel) as excinfo:
+                    call(broken, sp)
+                messages.append(str(excinfo.value))
+    assert len(set(messages)) == 1
+    assert "responses B: no response for setting 2" in messages[0]
+
+
+def test_quantum_and_sampler_models_keep_their_error_order():
+    quantum = build_scenario("quantum").model
+    sampler = sampler_model()
+    for _ in range(2):
+        for model in (quantum, sampler):
+            for call in (outcome_table, enumerate_raw, enumerate_postselected):
+                with pytest.raises(UnknownSetting):
+                    call(model, (1, 3))
+            with pytest.raises(NonFiniteSpace, match="quantum" if model is quantum else "sampler"):
+                outcome_table(model, (1, 2))
+        with pytest.raises(NonFiniteSpace, match="sampler"):
+            enumerate_raw(sampler, (1, 2))
+        assert enumerate_raw(quantum, (1, 2)).c_xy == 1.0
+    no_angle = dataclasses.replace(quantum, angles_b={1: 0.0})
+    for call in (outcome_table, enumerate_raw, enumerate_postselected):
+        with pytest.raises(InvalidModel, match="no angle for setting 2"):
+            call(no_angle, (1, 3))
 
 
 def test_table_stats_on_counts_and_weights():
