@@ -32,11 +32,12 @@ For one setting pair (x, y) the quantities of interest are the raw
 ``c_xy = P(A*B != 0)``, and the post-selected expectations, i.e. the same
 sums restricted to trials where both stations detected and divided by
 ``c_xy``.  Every one of them derives from the per-pair 3x3 outcome table
-P(a, b | x, y) over (a, b) in {-1, 0, +1}^2: enumeration fills it with
-exact probabilities (`outcome_table`), data estimation with counts, and
-`table_stats` turns either into the reported numbers.  Enumeration sums
-integer numerators over the spaces' common denominators and builds a
-Fraction only for each finished cell.
+P(a, b | x, y) over (a, b) in {-1, 0, +1}^2, held as integers: enumeration
+fills it with numerators over the spaces' common denominator d, data
+estimation with counts.  `table_sums` reads the nine cells once and returns
+the integer counts and sums that every reported number is a quotient of;
+enumeration divides them as Fractions, estimation as floats.  Fractions
+are built only for the results, and for `outcome_table`'s ``n / d`` cells.
 
 A model's validity and its exact outcome tables are computed once per
 `ExperimentModel` instance, on first use, and shared by every later call
@@ -369,6 +370,8 @@ def validate_model(model: ExperimentModel) -> list[str]:
                     v.append(f"angles {station}: no angle for setting {s!r}")
                 elif not isinstance(angles[s], (int, float)):
                     v.append(f"angles {station}: angle for {s!r} is not a number")
+                elif not -math.inf < angles[s] < math.inf:  # no float conversion of big ints
+                    v.append(f"angles {station}: angle for {s!r} is not finite")
         return v
 
     _check_space(model.source, "source", v, want_pairs=True)
@@ -401,7 +404,12 @@ def validate_model(model: ExperimentModel) -> list[str]:
                 continue
             resp = resps[s]
             if isinstance(resp, ResponseTable):
-                bad = sorted({o for o in resp.outcomes() if o not in VALID_OUTCOMES})
+                bad = []
+                for o in resp.outcomes():
+                    if o not in VALID_OUTCOMES and o not in bad:
+                        bad.append(o)
+                if all(isinstance(o, (int, float)) for o in bad):
+                    bad.sort()
                 if bad:
                     v.append(f"responses {station}[{s!r}]: outcomes outside -1/0/+1: {bad}")
                 if model.variant is ModelVariant.LHVM and 0 in resp.outcomes():
@@ -413,45 +421,41 @@ def validate_model(model: ExperimentModel) -> list[str]:
     if isinstance(model.source, DiscreteDistribution) and all(
         isinstance(a, tuple) and len(a) == 2 for a in model.source.atoms
     ):
-        src_a = {a[0] for a in model.source.atoms}
-        src_b = {a[1] for a in model.source.atoms}
-        for station, resps, settings, src_vals in (
-            ("A", model.responses_a or {}, model.settings_a, src_a),
-            ("B", model.responses_b or {}, model.settings_b, src_b),
+        for comp, station, resps, settings in (
+            (0, "A", model.responses_a or {}, model.settings_a),
+            (1, "B", model.responses_b or {}, model.settings_b),
         ):
+            src_vals = dict.fromkeys(a[comp] for a in model.source.atoms)
             for s in settings:
                 resp = resps.get(s)
                 if not isinstance(resp, ResponseTable):
                     continue
-                for inst_vals in _instrument_values(model, station, s):
-                    for sv in src_vals:
-                        for iv in inst_vals:
-                            if (sv, iv) not in resp.mapping:
-                                v.append(
-                                    f"responses {station}[{s!r}]: no entry for ({sv!r}, {iv!r})"
-                                )
+                inst_vals = _instrument_values(model, comp, s)
+                for sv in src_vals:
+                    for iv in inst_vals:
+                        if (sv, iv) not in resp.mapping:
+                            v.append(
+                                f"responses {station}[{s!r}]: no entry for ({sv!r}, {iv!r})"
+                            )
     return v
 
 
-def _instrument_values(model, station, setting):
-    """Sets of instrument atoms that the response for (station, setting) must cover."""
+def _instrument_values(model, comp, setting) -> dict:
+    """The instrument atoms that the response for ``setting`` of station
+    ``comp`` (0 for A, 1 for B) must cover, in declaration order; for m3,
+    the union over the joint distributions of the setting's pairs."""
     if model.variant is ModelVariant.M3:
-        comp = 0 if station == "A" else 1
-        pairs = model.pairs()
-        loc = 0 if station == "A" else 1
-        for sp in pairs:
-            if sp[loc] != setting:
-                continue
+        values = {}
+        for sp in model.pairs():
             joint = (model.instruments_joint or {}).get(sp)
-            if isinstance(joint, DiscreteDistribution) and all(
+            if sp[comp] == setting and isinstance(joint, DiscreteDistribution) and all(
                 isinstance(a, tuple) and len(a) == 2 for a in joint.atoms
             ):
-                yield {a[comp] for a in joint.atoms}
-    else:
-        insts = (model.instruments_a if station == "A" else model.instruments_b) or {}
-        space = insts.get(setting)
-        if isinstance(space, DiscreteDistribution):
-            yield set(space.atoms)
+                values.update(dict.fromkeys(a[comp] for a in joint.atoms))
+        return values
+    insts = (model.instruments_a, model.instruments_b)[comp] or {}
+    space = insts.get(setting)
+    return dict.fromkeys(space.atoms) if isinstance(space, DiscreteDistribution) else {}
 
 
 def ensure_valid(model: ExperimentModel) -> None:
@@ -486,44 +490,28 @@ def _quantum_exact(model: ExperimentModel, sp: SettingPair) -> ExactResult:
     return ExactResult(e_ab=e, e_a=0.0, e_b=0.0, c_xy=1.0)
 
 
-def empty_table(zero=0) -> list[list]:
-    """A 3x3 outcome table, indexed ``[a + 1][b + 1]``, filled with ``zero``."""
-    return [[zero] * 3 for _ in range(3)]
+def empty_table() -> list[list[int]]:
+    """A 3x3 outcome table of zeros, indexed ``[a + 1][b + 1]``."""
+    return [[0] * 3 for _ in range(3)]
 
 
-_CELLS = tuple((a, b) for a in VALID_OUTCOMES for b in VALID_OUTCOMES)
+def table_sums(table) -> tuple[tuple, tuple]:
+    """The sufficient sums of one integer outcome table, indexed ``[a + 1][b + 1]``.
 
-# The three reported statistics of a trial, in report order: A*B, A, B.
-STATISTICS = (lambda a, b: a * b, lambda a, b: a, lambda a, b: b)
-
-
-def table_sum(table, f, post: bool = False):
-    """Sum of ``table[a+1][b+1] * f(a, b)`` over the cells of an outcome table.
-
-    With ``post`` only cells where both outcomes are non-zero count.  Integer
-    tables give integer sums and Fraction tables exact rational sums.
+    Returns ``(raw, post)``: over every trial, and over the trials with
+    A*B != 0.  Each is ``(n, sums, squares)``, the count ``n``, the sums of
+    A*B, A and B in report order, and the sums of their squares.  Every
+    reported number of a pair is a quotient of these integers; callers
+    divide in their own number type.
     """
-    return sum(table[a + 1][b + 1] * f(a, b) for a, b in _CELLS if not post or a * b)
-
-
-class TableStats(NamedTuple):
-    raw: tuple            # (e_ab, e_a, e_b) over every trial, zeros kept
-    post: "tuple | None"  # the same over trials with A*B != 0; None if there are none
-    c: object             # n_post / n_raw
-    n_raw: object         # total count or probability mass
-    n_post: object        # count or mass with both outcomes non-zero
-
-
-def table_stats(table) -> TableStats:
-    """Raw and post-selected means of one outcome table, in closed form:
-    floats on integer counts, exact rationals on Fraction weights."""
-    one = lambda a, b: 1  # noqa: E731
-    n_raw = table_sum(table, one)
-    n_post = table_sum(table, one, post=True)
-    raw = tuple(table_sum(table, f) / n_raw for f in STATISTICS)
-    post = (tuple(table_sum(table, f, post=True) / n_post for f in STATISTICS)
-            if n_post else None)
-    return TableStats(raw, post, n_post / n_raw, n_raw, n_post)
+    (mm, m0, mp), (zm, zz, zp), (pm, p0, pp) = table
+    both = mm + mp + pm + pp
+    ab = mm + pp - mp - pm
+    raw = (both + m0 + zm + zz + zp + p0,
+           (ab, pm + p0 + pp - mm - m0 - mp, mp + zp + pp - mm - zm - pm),
+           (both, both + m0 + p0, both + zm + zp))
+    post = (both, (ab, pm + pp - mm - mp, mp + pp - mm - pm), (both, both, both))
+    return raw, post
 
 
 def _station_columns(model: ExperimentModel, station: str) -> dict:
@@ -550,7 +538,7 @@ def _station_columns(model: ExperimentModel, station: str) -> dict:
 
 
 def _build_tables(model: ExperimentModel) -> dict:
-    """Every pair's exact P(a, b | x, y) and its `table_stats`, one pass
+    """Every pair's exact P(a, b | x, y) and its `table_sums`, one pass
     over a valid finite model.
 
     Product variants factorise per source atom,
@@ -558,9 +546,9 @@ def _build_tables(model: ExperimentModel) -> dict:
     conditional numerators are built once and shared by its two pairs,
     which only contract them.  ``m3`` models sum the joint instrument
     weights per source atom and pair.  The sums run on integer numerators
-    over each space's common denominator, and only the nine finished cells
-    of a pair become Fractions.  Tables are tuples of rows, indexed
-    ``[a + 1][b + 1]``.
+    over each space's common denominator.  Each pair maps to ``(numerators,
+    d, table_sums(numerators))`` with P(a, b) = ``numerators[a + 1][b + 1]
+    / d``; the numerators are tuples of rows, and no Fraction is built here.
     """
     w_source, d_source = model.source._integer_weights()
     numerators = {}
@@ -590,16 +578,14 @@ def _build_tables(model: ExperimentModel) -> dict:
             for y, (d_b, n_b) in columns_b.items():
                 table = [[sum(map(mul, col_a, col_b)) for col_b in n_b] for col_a in weighted_a]
                 numerators[SettingPair(x, y)] = table, d_source * d_a * d_b
-    exact = {}
-    for sp, (table, d) in numerators.items():
-        table = tuple(tuple(Fraction(n, d) for n in row) for row in table)
-        exact[sp] = table, table_stats(table)
-    return exact
+    return {sp: (tuple(map(tuple, table)), d, table_sums(table))
+            for sp, (table, d) in numerators.items()}
 
 
 def _cached_exact(model: ExperimentModel, sp: SettingPair) -> tuple:
-    """``(table, table_stats(table))`` of a declared pair of a valid model,
-    from the model's cache; NonFiniteSpace for a model without one."""
+    """``(numerators, d, table_sums(numerators))`` of a declared pair of a
+    valid model, from the model's cache; NonFiniteSpace for a model without
+    one."""
     if model.variant is ModelVariant.QUANTUM:
         raise NonFiniteSpace("quantum reference models have no lambda space; "
                              "use the analytic result")
@@ -615,7 +601,8 @@ def outcome_table(model: ExperimentModel, sp: SettingPair) -> list[list[Fraction
     first use and cached on the model (see `_build_tables`)."""
     ensure_valid(model)
     sp = _check_pair(model, sp)
-    return [list(row) for row in _cached_exact(model, sp)[0]]
+    numerators, d, _ = _cached_exact(model, sp)
+    return [[Fraction(n, d) for n in row] for row in numerators]
 
 
 def _exact(model: ExperimentModel, sp: SettingPair, post: bool) -> ExactResult:
@@ -623,14 +610,13 @@ def _exact(model: ExperimentModel, sp: SettingPair, post: bool) -> ExactResult:
     sp = _check_pair(model, sp)
     if model.variant is ModelVariant.QUANTUM:
         return _quantum_exact(model, sp)
-    stats = _cached_exact(model, sp)[1]
-    if not post:
-        return ExactResult(*stats.raw, c_xy=stats.c)
-    if stats.post is None:
+    raw, selected = _cached_exact(model, sp)[2]
+    n, sums, _ = selected if post else raw
+    if not n:
         raise DegenerateConditioning(
             f"conditioning event has probability zero for pair {tuple(sp)}"
         )
-    return ExactResult(*stats.post, c_xy=stats.c)
+    return ExactResult(*(Fraction(s, n) for s in sums), c_xy=Fraction(selected[0], raw[0]))
 
 
 def enumerate_raw(model: ExperimentModel, sp: SettingPair) -> ExactResult:

@@ -112,23 +112,25 @@ class CouplingResult:
     residual: "float | None"                 # phase-one optimum (L1 mismatch)
 
 
-def marginal_consistency(spec: JointSpec, tol: float = MOMENT_TOL) -> tuple[bool, list[str]]:
-    """Does each station's marginal ignore the remote setting?"""
+def marginal_consistency(spec: JointSpec) -> tuple[bool, list[str]]:
+    """Does each station's marginal ignore the remote setting, within
+    ``MOMENT_TOL``?"""
     (x0, x1), (y0, y1) = spec.settings_a, spec.settings_b
     offenders = []
     for x in (x0, x1):
         d = float(spec.e_a[SettingPair(x, y0)]) - float(spec.e_a[SettingPair(x, y1)])
-        if abs(d) > tol:
+        if abs(d) > MOMENT_TOL:
             offenders.append(f"e_a({x!r}) differs across remote settings by {d}")
     for y in (y0, y1):
         d = float(spec.e_b[SettingPair(x0, y)]) - float(spec.e_b[SettingPair(x1, y)])
-        if abs(d) > tol:
+        if abs(d) > MOMENT_TOL:
             offenders.append(f"e_b({y!r}) differs across remote settings by {d}")
     return not offenders, offenders
 
 
-def pairwise_realizability(spec: JointSpec, tol: float = MOMENT_TOL) -> tuple[bool, list[str]]:
-    """Is each pair's (e_a, e_b, e_ab) a valid two-variable distribution?"""
+def pairwise_realizability(spec: JointSpec) -> tuple[bool, list[str]]:
+    """Is each pair's (e_a, e_b, e_ab) a valid two-variable distribution,
+    with no cell below ``-MOMENT_TOL / 4``?"""
     offenders = []
     for sp in spec.pairs():
         ea = float(spec.e_a[sp])
@@ -136,7 +138,7 @@ def pairwise_realizability(spec: JointSpec, tol: float = MOMENT_TOL) -> tuple[bo
         eab = float(spec.e_ab[sp])
         for a, b in product((1, -1), repeat=2):
             cell = (1 + a * ea + b * eb + a * b * eab) / 4
-            if cell < -tol / 4:
+            if cell < -MOMENT_TOL / 4:
                 offenders.append(
                     f"pair {tuple(sp)}: cell (a={a:+d}, b={b:+d}) has probability {cell}"
                 )
@@ -162,14 +164,14 @@ def chsh_statistics(spec: JointSpec) -> list[tuple[str, float]]:
     return chsh_values([spec.e_ab[sp] for sp in spec.pairs()])
 
 
-def chsh_characterization(spec: JointSpec, tol: float = MOMENT_TOL) -> bool:
-    """True when all eight CHSH combinations satisfy |S| <= 2.
+def chsh_characterization(spec: JointSpec) -> bool:
+    """True when all eight CHSH combinations satisfy |S| <= 2 + ``MOMENT_TOL``.
 
     With consistent marginals and realizable pairs this is equivalent to
     the existence of a coupling, so it serves as the closed-form oracle for
     the feasibility solver.
     """
-    return all(abs(v) <= 2 + tol for _, v in chsh_statistics(spec))
+    return all(abs(v) <= 2 + MOMENT_TOL for _, v in chsh_statistics(spec))
 
 
 # --------------------------------------------------------------------------
@@ -273,34 +275,33 @@ def _moment_system(spec: JointSpec, exact: bool):
     return rows, rhs
 
 
-def coupling_feasibility(spec: JointSpec, tol: float = MOMENT_TOL,
-                         exact: bool = False) -> CouplingResult:
+def coupling_feasibility(spec: JointSpec, exact: bool = False) -> CouplingResult:
     """Decide whether a joint distribution reproduces the spec's moments.
 
     Feasible results carry a witness distribution over the sixteen sign
-    quadruples whose moments match the spec within ``tol``.  Infeasible
+    quadruples whose moments match the spec within ``MOMENT_TOL``.  Infeasible
     results name a violated constraint: marginal consistency, a negative
     per-pair cell, or a CHSH combination beyond 2.  Infeasibility is a
     result, not an error.
     """
-    consistent, offenders = marginal_consistency(spec, tol)
+    consistent, offenders = marginal_consistency(spec)
     if not consistent:
         return CouplingResult(False, None, "marginal-consistency: " + offenders[0],
                               residual=None)
     rows, rhs = _moment_system(spec, exact)
     optimum, x = solve_phase_one(rows, rhs, exact=exact)
     residual = float(optimum)
-    if residual <= tol:
+    if residual <= MOMENT_TOL:
         probs = [v if v > 0 else 0 for v in x]
         witness = DiscreteDistribution(ATOMS, probs)
         return CouplingResult(True, witness, None, residual=residual)
     for pattern, value in chsh_statistics(spec):
-        if abs(float(value)) > 2 + tol:
+        if abs(float(value)) > 2 + MOMENT_TOL:
             return CouplingResult(
                 False, None,
                 f"CHSH pattern {pattern}: |S| = {abs(float(value))} > 2",
                 residual=residual)
-    realizable, offenders = pairwise_realizability(spec, tol)
+    realizable, offenders = pairwise_realizability(spec)
     if not realizable:
         return CouplingResult(False, None, "pairwise-realizability: " + offenders[0],
                               residual=residual)

@@ -13,13 +13,14 @@ moves when only the remote setting changes.
 
 Every statistic derives from one 3x3 count table per setting pair over
 the outcomes (a, b) in {-1, 0, +1}^2, built in a single counting pass
-over the records; `core.table_stats` turns it into means, ``c_hat`` and
-counts, the same closed form that exact enumeration uses.
+over the records; `core.table_sums` reads off its integer counts and
+sums, the same closed form that exact enumeration uses, and the means and
+``c_hat`` are their float quotients.
 
 Standard errors are plug-in (sample standard deviation over sqrt(n),
-no small-sample corrections), computed from exact integer sums of the
-table; conditional marginals use the post-selected count.  Exact results
-carry zero standard errors and a z-score of None.
+no small-sample corrections), sqrt((n * sum(v^2) - sum(v)^2) / n^3) on
+those exact integer sums; conditional marginals use the post-selected
+count.  Exact results carry zero standard errors and a z-score of None.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import STATISTICS, ExactResult, SettingPair, table_stats, table_sum
+from .core import ExactResult, SettingPair, table_sums
 from .coupling import chsh_values
 from .errors import EmptyCell, MissingPair
 from .streams import CoincidenceRecords
@@ -90,14 +91,6 @@ def _count_tables(records):
     return tables, len(r) - len(pair)
 
 
-def _standard_error(table, f, post: bool, n: int) -> float:
-    """Plug-in standard error of a mean from exact integer sums,
-    sqrt((n * sum(v^2) - sum(v)^2) / n^3)."""
-    s = table_sum(table, f, post)
-    s2 = table_sum(table, lambda a, b: f(a, b) ** 2, post)
-    return math.sqrt((n * s2 - s * s) / n ** 3)
-
-
 def _estimate(records, expected_pairs, conditioning: str) -> CorrelationSet:
     tables, unassigned = _count_tables(records)
     for sp in expected_pairs or ():
@@ -105,16 +98,15 @@ def _estimate(records, expected_pairs, conditioning: str) -> CorrelationSet:
             raise EmptyCell(f"no records for setting pair {tuple(sp)}")
     if not tables:
         raise EmptyCell("no records with a known setting pair")
-    post = conditioning == POSTSELECTED
     out = {}
     for sp, table in tables.items():
-        stats = table_stats(table)
-        if post and stats.post is None:
+        raw, selected = table_sums(table)
+        n, sums, squares = selected if conditioning == POSTSELECTED else raw
+        if not n:
             raise EmptyCell(f"no record with both outcomes non-zero for pair {tuple(sp)}")
-        n = stats.n_post if post else stats.n_raw
-        means = stats.post if post else stats.raw
-        ses = (_standard_error(table, f, post, n) for f in STATISTICS)
-        out[sp] = PairStats(*means, stats.n_raw, stats.n_post, stats.c, *ses)
+        means = (s / n for s in sums)
+        ses = (math.sqrt((n * q - s * s) / n ** 3) for s, q in zip(sums, squares))
+        out[sp] = PairStats(*means, raw[0], selected[0], selected[0] / raw[0], *ses)
     # Settings in order of first appearance in the records.
     order_a = tuple(dict.fromkeys(sp.x for sp in tables))
     order_b = tuple(dict.fromkeys(sp.y for sp in tables))

@@ -9,7 +9,9 @@ Two differential oracles keep earlier implementations alive for comparison
 with the per-pair outcome tables the package now computes: a per-record
 estimator (one list of values per pair and statistic, two-pass standard
 errors) and a Fraction enumerator that visits every term of the lambda
-space with eight running sums.
+space with eight running sums.  Three more keep the generic table passes
+that turned one outcome table into means and standard errors, for
+comparison with the closed-form ``core.table_sums``.
 
 Two more keep the event-object stream path for comparison with the
 columnar one: a generator that builds one ``ClickEvent`` per click, and a
@@ -281,6 +283,51 @@ def oracle_enumerate(model, sp):
     if sel == 0:
         return raw, None
     return raw, ExactResult(sel_ab / sel, sel_a / sel, sel_b / sel, sel / total)
+
+
+# The generic table passes that computed every per-pair statistic before
+# ``core.table_sums``: one weighted sum over the nine cells per statistic,
+# and two more per statistic for its standard error.  Integer tables give
+# integer sums and Fraction tables exact rational sums.
+
+_ORACLE_CELLS = tuple((a, b) for a in (-1, 0, 1) for b in (-1, 0, 1))
+
+# The three reported statistics of a trial, in report order: A*B, A, B.
+ORACLE_STATISTICS = (lambda a, b: a * b, lambda a, b: a, lambda a, b: b)
+
+
+def oracle_table_sum(table, f, post=False):
+    """Sum of ``table[a+1][b+1] * f(a, b)``; with ``post`` only over cells
+    where both outcomes are non-zero."""
+    return sum(table[a + 1][b + 1] * f(a, b) for a, b in _ORACLE_CELLS if not post or a * b)
+
+
+class OracleTableStats(NamedTuple):
+    raw: tuple            # (e_ab, e_a, e_b) over every trial, zeros kept
+    post: "tuple | None"  # the same over trials with A*B != 0; None if there are none
+    c: object             # n_post / n_raw
+    n_raw: object
+    n_post: object
+
+
+def oracle_table_stats(table) -> OracleTableStats:
+    """Raw and post-selected means of one outcome table: floats on integer
+    counts, exact rationals on Fraction weights."""
+    one = lambda a, b: 1  # noqa: E731
+    n_raw = oracle_table_sum(table, one)
+    n_post = oracle_table_sum(table, one, post=True)
+    raw = tuple(oracle_table_sum(table, f) / n_raw for f in ORACLE_STATISTICS)
+    post = (tuple(oracle_table_sum(table, f, post=True) / n_post for f in ORACLE_STATISTICS)
+            if n_post else None)
+    return OracleTableStats(raw, post, n_post / n_raw, n_raw, n_post)
+
+
+def oracle_standard_error(table, f, post, n):
+    """Plug-in standard error of a mean from exact integer sums,
+    sqrt((n * sum(v^2) - sum(v)^2) / n^3)."""
+    s = oracle_table_sum(table, f, post)
+    s2 = oracle_table_sum(table, lambda a, b: f(a, b) ** 2, post)
+    return math.sqrt((n * s2 - s * s) / n ** 3)
 
 
 # --------------------------------------------------------------------------

@@ -99,6 +99,17 @@ class TestSimulate:
         assert code == 3
         assert "sum to" in err
 
+    @pytest.mark.parametrize("angle", ["nan", "inf"])
+    def test_non_finite_angle_exits_3(self, angle, tmp_path, capsys):
+        path = tmp_path / "q.model"
+        path.write_text("variant quantum\nsettings A 1 2\nsettings B 1 2\n"
+                        f"begin angles A\n1 0.0\n2 {angle}\nend\n"
+                        "begin angles B\n1 0.25\n2 1.0\nend\n")
+        code, _, err = run(capsys, "simulate", "--model", str(path),
+                           "--windows", "10", "--seed", "1", "--out-dir", str(tmp_path))
+        assert code == 3
+        assert err == "error: model validation failed\n  angles A: angle for 2 is not finite\n"
+
     @pytest.mark.parametrize("text, message", [
         ("variant lhvm\nsettings A 1\nsettings B 1\nbegin source\n0 0 1\n",
          "unterminated source block (missing 'end')"),

@@ -1,6 +1,11 @@
+import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,6 +32,8 @@ from bellsim.scenarios import CANONICAL_ANGLES, lf_scenario, quantum_scenario
 from helpers import brute_force_expectations, random_lhvm_model, sample_standard_error, mc_tolerance
 
 SETTINGS = (1, 2)
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src"
 
 
 def constant_model(a_value=1, b_value=1):
@@ -36,6 +43,19 @@ def constant_model(a_value=1, b_value=1):
     resp_b = {s: ResponseTable({(0, 0): b_value}) for s in SETTINGS}
     variant = ModelVariant.M1 if 0 in (a_value, b_value) else ModelVariant.LHVM
     return ExperimentModel.product_model(variant, SETTINGS, SETTINGS, source,
+                                         inst, dict(inst), resp_a, resp_b)
+
+
+def string_atom_model():
+    """An m1 model with string atoms whose responses A[1] and B[2] each miss
+    five entries; atoms are declared out of sorted order."""
+    source = DiscreteDistribution.uniform([("w", "r"), ("u", "p"), ("v", "q")])
+    inst = {s: DiscreteDistribution.uniform(["k", "i"]) for s in SETTINGS}
+    resp_a = {1: ResponseTable({("w", "k"): 1}),
+              2: ResponseTable({(l, i): 1 for l in "wuv" for i in "ki"})}
+    resp_b = {1: ResponseTable({(l, i): 1 for l in "rpq" for i in "ki"}),
+              2: ResponseTable({("p", "i"): 0})}
+    return ExperimentModel.product_model(ModelVariant.M1, SETTINGS, SETTINGS, source,
                                          inst, dict(inst), resp_a, resp_b)
 
 
@@ -100,6 +120,51 @@ class TestValidateModel:
             ModelVariant.LHVM, SETTINGS, SETTINGS, model.source,
             model.instruments_a, model.instruments_b, responses_a, model.responses_b)
         assert any("no entry for" in item for item in validate_model(broken))
+
+    @pytest.mark.parametrize("angle", [math.nan, math.inf, -math.inf])
+    def test_non_finite_quantum_angle_reported(self, angle):
+        model = ExperimentModel.quantum_model(SETTINGS, SETTINGS, {1: 0.0, 2: 0.5},
+                                              {1: 0.25, 2: angle})
+        assert validate_model(model) == ["angles B: angle for 2 is not finite"]
+
+    def test_missing_entries_listed_in_declaration_order(self):
+        got = [json.loads(subprocess.run(
+            [sys.executable, "-c", "import json, test_core; from bellsim.core import "
+             "validate_model; print(json.dumps(validate_model(test_core.string_atom_model())))"],
+            env={**os.environ, "PYTHONHASHSEED": seed,
+                 "PYTHONPATH": os.pathsep.join((str(SRC), str(TESTS)))},
+            capture_output=True, text=True, check=True).stdout) for seed in ("0", "1", "2")]
+        want = [f"responses A[1]: no entry for {entry}" for entry in (
+            "('w', 'i')", "('u', 'k')", "('u', 'i')", "('v', 'k')", "('v', 'i')")]
+        want += [f"responses B[2]: no entry for {entry}" for entry in (
+            "('r', 'k')", "('r', 'i')", "('p', 'k')", "('q', 'k')", "('q', 'i')")]
+        assert got == [want] * 3
+        assert validate_model(string_atom_model()) == want
+
+    def test_m3_missing_entry_listed_once(self):
+        source = DiscreteDistribution.point((0, 0))
+        joints = {(1, 1): DiscreteDistribution.uniform([(0, 0), (1, 1)]),
+                  (1, 2): DiscreteDistribution.uniform([(1, 0), (2, 1)]),
+                  (2, 1): DiscreteDistribution.point((0, 0)),
+                  (2, 2): DiscreteDistribution.point((0, 0))}
+        covering = ResponseTable({(0, i): 1 for i in range(3)})
+        model = ExperimentModel.correlated_instruments_model(
+            SETTINGS, SETTINGS, source, joints,
+            {1: ResponseTable({(0, 0): 1}), 2: covering}, {1: covering, 2: covering})
+        assert validate_model(model) == ["responses A[1]: no entry for (0, 1)",
+                                         "responses A[1]: no entry for (0, 2)"]
+
+    def test_invalid_outcomes_of_mixed_types_reported(self):
+        model = constant_model()
+        responses_a = {1: ResponseTable({(0, 0): "x", (1, 0): 5, (2, 0): "x"}),
+                       2: ResponseTable({(0, 0): 5, (1, 0): 2, (2, 0): 5})}
+        broken = ExperimentModel.product_model(
+            ModelVariant.LHVM, SETTINGS, SETTINGS, model.source,
+            model.instruments_a, model.instruments_b, responses_a, model.responses_b)
+        assert validate_model(broken) == [
+            "responses A[1]: outcomes outside -1/0/+1: ['x', 5]",
+            "responses A[2]: outcomes outside -1/0/+1: [2, 5]",
+        ]
 
 
 class TestEnumerate:

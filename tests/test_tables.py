@@ -5,13 +5,16 @@ enumerator and every table cell ``==`` its term-by-term Fraction sum, also
 when the weights of one distribution have unrelated denominators.
 Estimation must give counts, means and ``c_hat`` ``==`` those of the
 per-record estimator, with standard errors within 1e-12 relative (they now
-come from exact integer sums instead of two float passes).  The oracles
-live in ``helpers``.
+come from exact integer sums instead of two float passes).  On any 3x3
+table, the closed-form `table_sums` must give every mean, count, ``c_hat``
+and standard error ``==`` those of the generic per-statistic table passes
+it replaced.  The oracles live in ``helpers``.
 """
 
 import dataclasses
 import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,6 +22,7 @@ from hypothesis import given, strategies as st
 
 from bellsim.core import (
     DiscreteDistribution,
+    ExactResult,
     ExperimentModel,
     ModelVariant,
     ResponseTable,
@@ -26,8 +30,9 @@ from bellsim.core import (
     enumerate_postselected,
     enumerate_raw,
     outcome_table,
-    table_stats,
+    table_sums,
 )
+from bellsim import estimators
 from bellsim.errors import (
     DegenerateConditioning,
     EmptyCell,
@@ -40,9 +45,12 @@ from bellsim.scenarios import lhvm_socks_scenario, scenario_names, build_scenari
 from bellsim.streams import CoincidenceRecord
 
 from helpers import (
+    ORACLE_STATISTICS,
     oracle_enumerate,
     oracle_estimate,
+    oracle_standard_error,
     oracle_table,
+    oracle_table_stats,
     random_lhvm_model,
     sampler_model,
 )
@@ -243,17 +251,84 @@ def test_quantum_and_sampler_models_keep_their_error_order():
             call(no_angle, (1, 3))
 
 
-def test_table_stats_on_counts_and_weights():
+def test_table_sums_on_counts_and_weights():
     counts = [[1, 0, 2], [0, 0, 3], [4, 0, 0]]     # [a + 1][b + 1]
-    stats = table_stats(counts)
-    assert (stats.n_raw, stats.n_post, stats.c) == (10, 7, 0.7)
-    assert stats.raw == ((1 - 2 - 4) / 10, (-3 + 4) / 10, (-1 + 2 + 3 - 4) / 10)
-    assert stats.post == ((1 - 2 - 4) / 7, (-3 + 4) / 7, (-1 + 2 - 4) / 7)
-    weights = [[Fraction(c, 10) for c in row] for row in counts]
-    exact = table_stats(weights)
-    assert exact.c == Fraction(7, 10)
-    assert exact.post == (Fraction(-5, 7), Fraction(1, 7), Fraction(-3, 7))
-    assert table_stats([[0, 0, 0], [1, 0, 0], [0, 0, 0]]).post is None
+    (n_raw, raw, raw_squares), (n_post, post, post_squares) = table_sums(counts)
+    assert (n_raw, n_post, n_post / n_raw) == (10, 7, 0.7)
+    assert raw == (1 - 2 - 4, -3 + 4, -1 + 2 + 3 - 4)
+    assert post == (1 - 2 - 4, -3 + 4, -1 + 2 - 4)
+    assert (raw_squares, post_squares) == ((7, 7, 10), (7, 7, 7))
+    # The same table as Fraction(count, 10) weights: d cancels.
+    assert Fraction(n_post, n_raw) == Fraction(7, 10)
+    assert tuple(Fraction(s, n_post) for s in post) == \
+        (Fraction(-5, 7), Fraction(1, 7), Fraction(-3, 7))
+    assert table_sums([[0, 0, 0], [1, 0, 0], [0, 0, 0]])[1][0] == 0
+
+
+def _without_corners(table):
+    """The table with every cell where both outcomes are non-zero emptied."""
+    return [[0 if i != 1 and j != 1 else n for j, n in enumerate(row)]
+            for i, row in enumerate(table)]
+
+
+_tables = st.lists(st.integers(0, 2 ** 40), min_size=9, max_size=9).map(
+    lambda c: [c[0:3], c[3:6], c[6:9]])
+integer_tables = st.one_of(_tables, _tables.map(_without_corners)).filter(
+    lambda t: any(map(any, t)))
+
+
+@pytest.mark.parametrize("conditioning", [RAW, POSTSELECTED])
+@given(table=integer_tables)
+def test_count_statistics_match_generic_table_passes(conditioning, table):
+    sp = SettingPair(1, 2)
+    estimate = estimate_raw if conditioning == RAW else estimate_postselected
+    with mock.patch.object(estimators, "_count_tables", return_value=({sp: table}, 0)):
+        got, error = _outcome(estimate, [])
+    want = oracle_table_stats(table)
+    post = conditioning == POSTSELECTED
+    if post and want.post is None:
+        assert error == "no record with both outcomes non-zero for pair (1, 2)"
+        return
+    g = got.pairs[sp]
+    n = want.n_post if post else want.n_raw
+    assert (g.e_ab, g.e_a, g.e_b) == (want.post if post else want.raw)
+    assert (g.n_raw, g.n_post, g.c_hat) == (want.n_raw, want.n_post, want.c)
+    assert (g.se_ab, g.se_a, g.se_b) == tuple(
+        oracle_standard_error(table, f, post, n) for f in ORACLE_STATISTICS)
+
+
+def table_model(table):
+    """An m1 model with P(a, b | x, y) = table[a + 1][b + 1] / total for
+    every pair: the source atom is the outcome pair itself."""
+    total = sum(map(sum, table))
+    atoms = [(a, b) for a in OUTCOMES for b in OUTCOMES]
+    source = DiscreteDistribution(atoms, [Fraction(table[a + 1][b + 1], total)
+                                          for a, b in atoms])
+    point = {s: DiscreteDistribution.point(0) for s in SETTINGS}
+    identity = {s: ResponseTable({(o, 0): o for o in OUTCOMES}) for s in SETTINGS}
+    return ExperimentModel.product_model(ModelVariant.M1, SETTINGS, SETTINGS, source,
+                                         point, point, identity, identity)
+
+
+@given(table=integer_tables, d=st.integers(1, 2 ** 40))
+def test_exact_statistics_match_generic_table_passes(table, d):
+    (n_raw, raw, _), (n_post, post, _) = table_sums(table)
+    want = oracle_table_stats([[Fraction(n, d) for n in row] for row in table])
+    assert tuple(Fraction(s, n_raw) for s in raw) == want.raw
+    assert Fraction(n_post, n_raw) == want.c
+    assert (tuple(Fraction(s, n_post) for s in post) if n_post else None) == want.post
+    model = table_model(table)
+    total = sum(map(sum, table))
+    weights = [[Fraction(n, total) for n in row] for row in table]
+    want = oracle_table_stats(weights)
+    for sp in model.pairs():
+        assert outcome_table(model, sp) == weights
+        assert enumerate_raw(model, sp) == ExactResult(*want.raw, c_xy=want.c)
+        if want.post is None:
+            with pytest.raises(DegenerateConditioning, match="probability zero"):
+                enumerate_postselected(model, sp)
+        else:
+            assert enumerate_postselected(model, sp) == ExactResult(*want.post, c_xy=want.c)
 
 
 def test_outcome_table_is_a_distribution():
