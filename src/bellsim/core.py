@@ -39,16 +39,21 @@ the integer counts and sums that every reported number is a quotient of;
 enumeration divides them as Fractions, estimation as floats.  Fractions
 are built only for the results, and for `outcome_table`'s ``n / d`` cells.
 
-A model's validity and its exact outcome tables are computed once per
-`ExperimentModel` instance, on first use, and shared by every later call
-(`enumerate_raw`, `enumerate_postselected`, `outcome_table`, the samplers).
-Models are therefore never changed in place: to change one, build a new
-instance, for example with `dataclasses.replace`.
+A model's validity, its exact outcome tables and its outcome grids are
+computed once per `ExperimentModel` instance, on first use, and shared by
+every later call (`enumerate_raw`, `enumerate_postselected`,
+`outcome_table`, the samplers).  The grid of a station's setting tabulates
+its response once over the source atoms and the instrument values of that
+setting; enumeration and the table-backed Monte Carlo path both read it, so
+each response is evaluated once per model and setting.  Models are
+therefore never changed in place: to change one, build a new instance, for
+example with `dataclasses.replace`.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -79,6 +84,15 @@ class SettingPair(NamedTuple):
 
     x: Hashable
     y: Hashable
+
+
+def _hashable(values) -> bool:
+    """Whether every value (and every item of a tuple value) is hashable."""
+    try:
+        hash(tuple(values))
+    except TypeError:
+        return False
+    return True
 
 
 def _as_fraction(value) -> Fraction:
@@ -151,7 +165,9 @@ class DiscreteDistribution:
         total = float(Fraction(sum(w), d))
         if abs(total - 1.0) > PROB_TOL:
             out.append(f"{label}: probabilities sum to {total!r}, not 1")
-        if len(set(self.atoms)) != len(self.atoms):
+        if not _hashable(self.atoms):
+            out.append(f"{label}: atoms must be hashable")
+        elif len(set(self.atoms)) != len(self.atoms):
             out.append(f"{label}: duplicate atoms")
         return out
 
@@ -226,10 +242,11 @@ class ExperimentModel:
     an outcome, ``responses_b[y]`` maps ``(l2, ly)``.  Quantum models carry
     analyzer angles instead and no hidden spaces.
 
-    Validity and the exact outcome tables are computed once per instance,
-    on first use, and cached on it; nothing checks the dicts again.  Never
-    change a model in place: build a new one, for example with
-    ``dataclasses.replace(model, responses_a=...)``.
+    Validity, the exact outcome tables and each station setting's outcome
+    grid (its response tabulated once, see `_outcome_grid`) are computed
+    once per instance, on first use, and cached on it; nothing checks or
+    evaluates the dicts again.  Never change a model in place: build a new
+    one, for example with ``dataclasses.replace(model, responses_a=...)``.
     """
 
     variant: ModelVariant
@@ -255,6 +272,10 @@ class ExperimentModel:
     @cached_property
     def _tables(self) -> dict:
         return _build_tables(self)
+
+    @cached_property
+    def _grids(self) -> dict:
+        return {}
 
     def is_finite(self) -> bool:
         if self.variant is ModelVariant.QUANTUM:
@@ -354,10 +375,13 @@ def validate_model(model: ExperimentModel) -> list[str]:
     v: list[str] = []
     if not isinstance(model.variant, ModelVariant):
         return [f"unknown variant {model.variant!r}"]
-    if len(model.settings_a) < 2 or len(set(model.settings_a)) != len(model.settings_a):
-        v.append("settings_a: need at least two distinct setting labels")
-    if len(model.settings_b) < 2 or len(set(model.settings_b)) != len(model.settings_b):
-        v.append("settings_b: need at least two distinct setting labels")
+    for label, settings in (("settings_a", model.settings_a), ("settings_b", model.settings_b)):
+        if not _hashable(settings):
+            v.append(f"{label}: setting labels must be hashable")
+        elif len(settings) < 2 or len(set(settings)) != len(settings):
+            v.append(f"{label}: need at least two distinct setting labels")
+    if not _hashable((*model.settings_a, *model.settings_b)):
+        return v  # every later check looks settings up by label
 
     if model.variant is ModelVariant.QUANTUM:
         for station, angles, settings in (("A", model.angles_a, model.settings_a),
@@ -370,7 +394,7 @@ def validate_model(model: ExperimentModel) -> list[str]:
                     v.append(f"angles {station}: no angle for setting {s!r}")
                 elif not isinstance(angles[s], (int, float)):
                     v.append(f"angles {station}: angle for {s!r} is not a number")
-                elif not -math.inf < angles[s] < math.inf:  # no float conversion of big ints
+                elif not abs(angles[s]) <= sys.float_info.max:  # NaN, inf, ints past floats
                     v.append(f"angles {station}: angle for {s!r} is not finite")
         return v
 
@@ -418,14 +442,14 @@ def validate_model(model: ExperimentModel) -> list[str]:
                 v.append(f"responses {station}[{s!r}]: not a table or callable")
 
     # Table totality over the declared finite spaces.
-    if isinstance(model.source, DiscreteDistribution) and all(
-        isinstance(a, tuple) and len(a) == 2 for a in model.source.atoms
-    ):
+    source = model.source
+    if (isinstance(source, DiscreteDistribution) and _hashable(source.atoms)
+            and all(isinstance(a, tuple) and len(a) == 2 for a in source.atoms)):
         for comp, station, resps, settings in (
             (0, "A", model.responses_a or {}, model.settings_a),
             (1, "B", model.responses_b or {}, model.settings_b),
         ):
-            src_vals = dict.fromkeys(a[comp] for a in model.source.atoms)
+            src_vals = dict.fromkeys(a[comp] for a in source.atoms)
             for s in settings:
                 resp = resps.get(s)
                 if not isinstance(resp, ResponseTable):
@@ -448,14 +472,16 @@ def _instrument_values(model, comp, setting) -> dict:
         values = {}
         for sp in model.pairs():
             joint = (model.instruments_joint or {}).get(sp)
-            if sp[comp] == setting and isinstance(joint, DiscreteDistribution) and all(
-                isinstance(a, tuple) and len(a) == 2 for a in joint.atoms
-            ):
+            if (sp[comp] == setting and isinstance(joint, DiscreteDistribution)
+                    and _hashable(joint.atoms)
+                    and all(isinstance(a, tuple) and len(a) == 2 for a in joint.atoms)):
                 values.update(dict.fromkeys(a[comp] for a in joint.atoms))
         return values
     insts = (model.instruments_a, model.instruments_b)[comp] or {}
     space = insts.get(setting)
-    return dict.fromkeys(space.atoms) if isinstance(space, DiscreteDistribution) else {}
+    if isinstance(space, DiscreteDistribution) and _hashable(space.atoms):
+        return dict.fromkeys(space.atoms)
+    return {}
 
 
 def ensure_valid(model: ExperimentModel) -> None:
@@ -514,23 +540,36 @@ def table_sums(table) -> tuple[tuple, tuple]:
     return raw, post
 
 
-def _station_columns(model: ExperimentModel, station: str) -> dict:
+def _outcome_grid(model: ExperimentModel, comp: int, setting) -> tuple[dict, list]:
+    """``(columns, rows)``: the response of station ``comp`` (0 for A, 1 for
+    B) at ``setting``, tabulated once per model on first use.  ``columns``
+    maps each instrument value the response must cover (`_instrument_values`)
+    to its column; ``rows[i][columns[v]]`` is the outcome for the station's
+    half of source atom i and instrument value v."""
+    key = comp, setting
+    if key not in model._grids:
+        resp = (model.responses_a, model.responses_b)[comp][setting]
+        values = list(_instrument_values(model, comp, setting))
+        rows = [[resp(atom[comp], v) for v in values] for atom in model.source.atoms]
+        model._grids[key] = {v: j for j, v in enumerate(values)}, rows
+    return model._grids[key]
+
+
+def _station_columns(model: ExperimentModel, comp: int) -> dict:
     """Per setting s of one product-model station, ``(d, n)`` with
     ``n[o + 1][i] == d * P(o | l_i, s)`` for each source atom i, where
     ``l_i`` is the station's half of that atom and d the common denominator
     of the setting's instrument weights."""
-    comp, resps, insts, settings = (
-        (0, model.responses_a, model.instruments_a, model.settings_a) if station == "A"
-        else (1, model.responses_b, model.instruments_b, model.settings_b))
+    insts, settings = ((model.instruments_a, model.settings_a),
+                       (model.instruments_b, model.settings_b))[comp]
     out = {}
     for s in settings:
-        resp, inst = resps[s], insts[s]
-        w_inst, d = inst._integer_weights()
+        w_inst, d = insts[s]._integer_weights()
         columns = ([], [], [])
-        for atom in model.source.atoms:
+        for row in _outcome_grid(model, comp, s)[1]:
             n = [0, 0, 0]
-            for li, w in zip(inst.atoms, w_inst):
-                n[resp(atom[comp], li) + 1] += w
+            for o, w in zip(row, w_inst):
+                n[o + 1] += w
             for column, v in zip(columns, n):
                 column.append(v)
         out[s] = d, columns
@@ -539,7 +578,7 @@ def _station_columns(model: ExperimentModel, station: str) -> dict:
 
 def _build_tables(model: ExperimentModel) -> dict:
     """Every pair's exact P(a, b | x, y) and its `table_sums`, one pass
-    over a valid finite model.
+    over a valid finite model, reading the responses from the outcome grids.
 
     Product variants factorise per source atom,
     P(a, b) = sum_src p * P_A(a | l1, x) * P_B(b | l2, y): each setting's
@@ -554,25 +593,23 @@ def _build_tables(model: ExperimentModel) -> dict:
     numerators = {}
     if model.variant is ModelVariant.M3:
         for sp in model.pairs():
-            resp_a, resp_b = model.responses_a[sp.x], model.responses_b[sp.y]
             joint = model.instruments_joint[sp]
             w_joint, d_joint = joint._integer_weights()
-            values_x = {lx for lx, _ in joint.atoms}
-            values_y = {ly for _, ly in joint.atoms}
+            (cols_a, rows_a), (cols_b, rows_b) = (_outcome_grid(model, 0, sp.x),
+                                                  _outcome_grid(model, 1, sp.y))
+            cells = [(cols_a[lx], cols_b[ly], w) for (lx, ly), w in zip(joint.atoms, w_joint)]
             table = empty_table()
-            for (l1, l2), w_src in zip(model.source.atoms, w_source):
-                row_of = {lx: resp_a(l1, lx) + 1 for lx in values_x}
-                col_of = {ly: resp_b(l2, ly) + 1 for ly in values_y}
+            for row_a, row_b, w_src in zip(rows_a, rows_b, w_source):
                 given = empty_table()
-                for (lx, ly), w in zip(joint.atoms, w_joint):
-                    given[row_of[lx]][col_of[ly]] += w
+                for i, j, w in cells:
+                    given[row_a[i] + 1][row_b[j] + 1] += w
                 for row, given_row in zip(table, given):
-                    for j, n in enumerate(given_row):
-                        row[j] += w_src * n
+                    for k, n in enumerate(given_row):
+                        row[k] += w_src * n
             numerators[sp] = table, d_source * d_joint
     else:
-        columns_a = _station_columns(model, "A")
-        columns_b = _station_columns(model, "B")
+        columns_a = _station_columns(model, 0)
+        columns_b = _station_columns(model, 1)
         for x, (d_a, n_a) in columns_a.items():
             weighted_a = [list(map(mul, w_source, column)) for column in n_a]
             for y, (d_b, n_b) in columns_b.items():
@@ -638,51 +675,21 @@ def _draw_indices(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
     return np.minimum(idx, len(cdf) - 1)
 
 
-class _SpaceSampler:
-    """Draws one lambda space, as indices (finite) or objects (sampler)."""
-
-    def __init__(self, space):
-        self.finite = getattr(space, "finite", False)
-        self.space = space
-        if self.finite:
-            self._cdf = space.cdf()
-            self._atoms = np.empty(len(space.atoms), dtype=object)
-            for i, a in enumerate(space.atoms):
-                self._atoms[i] = a
-
-    def draw_values(self, generator: np.random.Generator, n: int) -> np.ndarray:
-        if self.finite:
-            return self._atoms[_draw_indices(self._cdf, generator.random(n))]
-        values = np.empty(n, dtype=object)
-        drawn = self.space.draw(generator, n)
-        for i, value in enumerate(drawn):
-            values[i] = value
-        return values
-
-
-def _response_matrix(resp: ResponseTable, src_components, inst_atoms) -> np.ndarray:
-    out = np.empty((len(src_components), len(inst_atoms)), dtype=np.int8)
-    for i, sv in enumerate(src_components):
-        for j, iv in enumerate(inst_atoms):
-            out[i, j] = resp(sv, iv)
-    return out
-
-
 class _PairSampler:
     """Vectorised outcome sampler for one (model, setting pair).
 
     The per-trial draw order is fixed: source, then station A's instrument
     (or the joint instrument pair), then station B's.  Quantum models draw
-    a sign and then a same-or-different indicator.  The fast path applies
-    precomputed response matrices to index arrays, one uniform column per
-    space; models with sampler spaces or plain-callable responses fall back
-    to per-element evaluation.
+    a sign and then a same-or-different indicator.  The fast path indexes
+    the model's outcome grids of the pair's two responses (tabulated once
+    per model and setting, see `_outcome_grid`) with index arrays, one
+    uniform column per space; models with sampler spaces or plain-callable
+    responses fall back to per-element evaluation.
     """
 
     def __init__(self, model: ExperimentModel, sp: SettingPair):
         ensure_valid(model)
         self.sp = sp = _check_pair(model, sp)
-        self.model = model
         self.variant = model.variant
         if self.variant is ModelVariant.QUANTUM:
             delta = model.angles_a[sp.x] - model.angles_b[sp.y]
@@ -691,31 +698,23 @@ class _PairSampler:
             return
         self.resp_a = model.responses_a[sp.x]
         self.resp_b = model.responses_b[sp.y]
-        self.src = _SpaceSampler(model.source)
         if self.variant is ModelVariant.M3:
-            self.joint = _SpaceSampler(model.instruments_joint[sp])
-            self.inst_a = self.inst_b = None
+            self.spaces = [model.source, model.instruments_joint[sp]]
         else:
-            self.joint = None
-            self.inst_a = _SpaceSampler(model.instruments_a[sp.x])
-            self.inst_b = _SpaceSampler(model.instruments_b[sp.y])
-        self.fast = (
-            self.src.finite
-            and isinstance(self.resp_a, ResponseTable)
-            and isinstance(self.resp_b, ResponseTable)
-            and all(s is None or s.finite for s in (self.joint, self.inst_a, self.inst_b))
-        )
+            self.spaces = [model.source, model.instruments_a[sp.x], model.instruments_b[sp.y]]
+        self.cdfs = [s.cdf() if s.finite else None for s in self.spaces]
+        self.fast = (all(s.finite for s in self.spaces) and isinstance(self.resp_a, ResponseTable)
+                     and isinstance(self.resp_b, ResponseTable))
         if self.fast:
-            src_atoms = model.source.atoms
-            l1 = [a[0] for a in src_atoms]
-            l2 = [a[1] for a in src_atoms]
+            # Columns of each grid in the order of the atoms of the space
+            # that draws the station's instrument value.
             if self.variant is ModelVariant.M3:
-                j_atoms = model.instruments_joint[sp].atoms
-                self.mat_a = _response_matrix(self.resp_a, l1, [a[0] for a in j_atoms])
-                self.mat_b = _response_matrix(self.resp_b, l2, [a[1] for a in j_atoms])
+                values = tuple(zip(*self.spaces[1].atoms))
             else:
-                self.mat_a = _response_matrix(self.resp_a, l1, model.instruments_a[sp.x].atoms)
-                self.mat_b = _response_matrix(self.resp_b, l2, model.instruments_b[sp.y].atoms)
+                values = self.spaces[1].atoms, self.spaces[2].atoms
+            grids = _outcome_grid(model, 0, sp.x), _outcome_grid(model, 1, sp.y)
+            self.mat_a, self.mat_b = (np.array(rows, dtype=np.int8)[:, [columns[v] for v in vs]]
+                                      for (columns, rows), vs in zip(grids, values))
 
     def draw(self, generator: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray]:
         if not self.fast:
@@ -739,27 +738,25 @@ class _PairSampler:
             return sign, np.where(same, sign, -sign).astype(np.int8)
         if not self.fast:
             raise NonFiniteSpace("sampler-backed models cannot use fixed uniform columns")
-        i_src = _draw_indices(self.src._cdf, u_source)
-        if self.joint is not None:
-            j = _draw_indices(self.joint._cdf, u_inst_a)
-            return self.mat_a[i_src, j], self.mat_b[i_src, j]
-        j_a = _draw_indices(self.inst_a._cdf, u_inst_a)
-        j_b = _draw_indices(self.inst_b._cdf, u_inst_b)
-        return self.mat_a[i_src, j_a], self.mat_b[i_src, j_b]
+        # One instrument index for m3 (the joint atom), two for product models.
+        i_src, *j = (_draw_indices(cdf, u)
+                     for cdf, u in zip(self.cdfs, (u_source, u_inst_a, u_inst_b)))
+        return self.mat_a[i_src, j[0]], self.mat_b[i_src, j[-1]]
 
     def _draw_slow(self, generator: np.random.Generator, n: int):
-        src = self.src.draw_values(generator, n)
-        if self.joint is not None:
-            inst = self.joint.draw_values(generator, n)
-            ab = [(self.resp_a(s[0], i[0]), self.resp_b(s[1], i[1]))
-                  for s, i in zip(src, inst)]
-        else:
-            ia = self.inst_a.draw_values(generator, n)
-            ib = self.inst_b.draw_values(generator, n)
-            ab = [
-                (self.resp_a(s[0], va), self.resp_b(s[1], vb))
-                for s, va, vb in zip(src, ia, ib)
-            ]
+        drawn = []
+        for space, cdf in zip(self.spaces, self.cdfs):
+            if cdf is None:
+                values = np.empty(n, dtype=object)     # a draw of the wrong length fails
+                for i, value in enumerate(space.draw(generator, n)):
+                    values[i] = value
+            else:
+                values = [space.atoms[i] for i in _draw_indices(cdf, generator.random(n))]
+            drawn.append(values)
+        src, *inst = drawn
+        # A joint space draws (lx, ly) pairs; product spaces draw lx and ly.
+        inst = inst[0] if len(inst) == 1 else zip(*inst)
+        ab = [(self.resp_a(s[0], i[0]), self.resp_b(s[1], i[1])) for s, i in zip(src, inst)]
         arr = np.array(ab, dtype=np.int8)
         return arr[:, 0], arr[:, 1]
 

@@ -91,11 +91,8 @@ def _count_tables(records):
     return tables, len(r) - len(pair)
 
 
-def _estimate(records, expected_pairs, conditioning: str) -> CorrelationSet:
+def _estimate(records, conditioning: str) -> CorrelationSet:
     tables, unassigned = _count_tables(records)
-    for sp in expected_pairs or ():
-        if SettingPair(*sp) not in tables:
-            raise EmptyCell(f"no records for setting pair {tuple(sp)}")
     if not tables:
         raise EmptyCell("no records with a known setting pair")
     out = {}
@@ -113,19 +110,19 @@ def _estimate(records, expected_pairs, conditioning: str) -> CorrelationSet:
     return CorrelationSet(order_a, order_b, out, conditioning, unassigned)
 
 
-def estimate_raw(records, expected_pairs=None) -> CorrelationSet:
+def estimate_raw(records) -> CorrelationSet:
     """Per-pair means over all records, zeros included.
 
     Records whose setting pair is partially unknown (silent side of
     ingested data) cannot be assigned to a cell; they are skipped and
     counted in ``n_unassigned``.
     """
-    return _estimate(records, expected_pairs, RAW)
+    return _estimate(records, RAW)
 
 
-def estimate_postselected(records, expected_pairs=None) -> CorrelationSet:
+def estimate_postselected(records) -> CorrelationSet:
     """Per-pair means restricted to records where both stations clicked."""
-    return _estimate(records, expected_pairs, POSTSELECTED)
+    return _estimate(records, POSTSELECTED)
 
 
 def correlation_set_from_exact(results: dict, settings_a, settings_b,

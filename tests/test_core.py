@@ -26,7 +26,7 @@ from bellsim.core import (
     simulate_trials,
     validate_model,
 )
-from bellsim.errors import DegenerateConditioning, NonFiniteSpace, UnknownSetting
+from bellsim.errors import DegenerateConditioning, InvalidModel, NonFiniteSpace, UnknownSetting
 from bellsim.scenarios import CANONICAL_ANGLES, lf_scenario, quantum_scenario
 
 from helpers import brute_force_expectations, random_lhvm_model, sample_standard_error, mc_tolerance
@@ -121,11 +121,40 @@ class TestValidateModel:
             model.instruments_a, model.instruments_b, responses_a, model.responses_b)
         assert any("no entry for" in item for item in validate_model(broken))
 
-    @pytest.mark.parametrize("angle", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("angle", [math.nan, math.inf, -math.inf, 10**400])
     def test_non_finite_quantum_angle_reported(self, angle):
         model = ExperimentModel.quantum_model(SETTINGS, SETTINGS, {1: 0.0, 2: 0.5},
                                               {1: 0.25, 2: angle})
         assert validate_model(model) == ["angles B: angle for 2 is not finite"]
+        with pytest.raises(InvalidModel, match="angle for 2 is not finite"):
+            enumerate_raw(model, SettingPair(1, 2))
+        with pytest.raises(InvalidModel, match="angle for 2 is not finite"):
+            sample_trial(model, SettingPair(1, 2), np.random.Generator(np.random.PCG64(0)))
+
+    @pytest.mark.parametrize("kind, want", [
+        ("source atom", "source: atoms must be hashable"),
+        ("instrument atom", "instruments A[2]: atoms must be hashable"),
+        ("setting label", "settings_a: setting labels must be hashable"),
+    ])
+    def test_unhashable_value_reported(self, kind, want):
+        model = constant_model()
+        source, inst_a, settings_a = model.source, model.instruments_a, SETTINGS
+        if kind == "source atom":
+            source = DiscreteDistribution([([0], 0)], [1])
+        elif kind == "instrument atom":
+            inst_a = {1: inst_a[1], 2: DiscreteDistribution([[0]], [1])}
+        else:
+            settings_a = ([1], 2)
+        broken = ExperimentModel.product_model(
+            ModelVariant.M1, settings_a, SETTINGS, source, inst_a, model.instruments_b,
+            model.responses_a, model.responses_b)
+        assert validate_model(broken) == [want]
+        with pytest.raises(InvalidModel) as excinfo:
+            enumerate_raw(broken, SettingPair(2, 1))
+        assert want in str(excinfo.value)
+        quantum = ExperimentModel.quantum_model(settings_a, SETTINGS, {1: 0.0, 2: 0.5},
+                                                {1: 0.25, 2: 0.5})
+        assert validate_model(quantum) == ([want] if kind == "setting label" else [])
 
     def test_missing_entries_listed_in_declaration_order(self):
         got = [json.loads(subprocess.run(

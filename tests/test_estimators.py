@@ -66,11 +66,6 @@ class TestEstimateRaw:
         with pytest.raises(EmptyCell):
             estimate_raw([])
 
-    def test_expected_pairs_enforced(self):
-        records = make_records((1, 1), [(1, 1)])
-        with pytest.raises(EmptyCell):
-            estimate_raw(records, expected_pairs=PAIRS_2X2)
-
     def test_unknown_setting_records_counted_not_used(self):
         records = make_records((1, 1), [(1, 1)] * 3)
         records.append(records[0]._replace(sp=SettingPair(1, None), b=0))
