@@ -53,6 +53,7 @@ example with `dataclasses.replace`.
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 from dataclasses import dataclass
 from enum import Enum
@@ -396,6 +397,16 @@ def validate_model(model: ExperimentModel) -> list[str]:
                     v.append(f"angles {station}: angle for {s!r} is not a number")
                 elif not abs(angles[s]) <= sys.float_info.max:  # NaN, inf, ints past floats
                     v.append(f"angles {station}: angle for {s!r} is not finite")
+        if v:
+            return v
+        for x in model.settings_a:
+            for y in model.settings_b:
+                try:    # the correlation is cos(2 (a - b)); finite angles can overflow it
+                    finite = math.isfinite(2.0 * (model.angles_a[x] - model.angles_b[y]))
+                except OverflowError:   # int angles whose difference passes the float range
+                    finite = False
+                if not finite:
+                    v.append(f"angles: difference for pair {(x, y)!r} is not finite")
         return v
 
     _check_space(model.source, "source", v, want_pairs=True)
@@ -430,7 +441,9 @@ def validate_model(model: ExperimentModel) -> list[str]:
             if isinstance(resp, ResponseTable):
                 bad = []
                 for o in resp.outcomes():
-                    if o not in VALID_OUTCOMES and o not in bad:
+                    # 1.0 == 1, so the type counts too; int first, as the ABC check is slow
+                    integral = type(o) is int or isinstance(o, numbers.Integral)
+                    if (not integral or o not in VALID_OUTCOMES) and o not in bad:
                         bad.append(o)
                 if all(isinstance(o, (int, float)) for o in bad):
                     bad.sort()

@@ -32,7 +32,12 @@ bit-exactly.  Layout::
 Lines end at ``\\n``, ``\\r\\n`` or ``\\r`` and parse errors number them
 that way; ``#`` starts a comment.  ``_lines`` is this line rule for every
 text input: model, config and time-tag files.  Tokens are
-whitespace-separated.  A directive or block may appear only once; labels
+whitespace-separated.  A ``source``, ``instruments``, ``joint-instruments``
+or ``responses`` block whose rows are plain (integers of at most 18 digits,
+``n`` or ``n/d`` probabilities, fields separated by spaces or tabs, no
+comment or blank line, closed by a line that is exactly ``end``) is read in
+one pass; any other block is read line by line, with the same result and
+the same errors.  A directive or block may appear only once; labels
 are compared decoded, so ``1`` and ``01`` name one setting.  Setting labels
 and atoms are integers or bare strings (no whitespace; strings must not
 look like integers, or the round trip would change their type).
@@ -45,9 +50,13 @@ form and cannot be saved.
 
 from __future__ import annotations
 
-import io
+import re
+from collections import deque
 from fractions import Fraction
+from itertools import islice
 from pathlib import Path
+
+import numpy as np
 
 from .core import (
     DiscreteDistribution,
@@ -79,20 +88,31 @@ def _encode_token(value) -> str:
                        "use int or string labels")
 
 
-def _lines(text: str):
-    """``(line_number, content)`` for each line of ``text`` that is not blank
-    once its ``#`` comment is cut off; content is stripped of surrounding
-    whitespace.  Lines end at ``\\n``, ``\\r\\n`` or ``\\r``."""
-    for line_number, raw in enumerate(io.StringIO(text, newline=None), start=1):
+def _split(text: str) -> list[str]:
+    """The lines of ``text``, which end at ``\\n``, ``\\r\\n`` or ``\\r``."""
+    return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+
+
+def _contents(numbered):
+    """``(line_number, content)`` for each ``(line_number, line)`` of
+    ``numbered`` that is not blank once its ``#`` comment is cut off; content
+    is stripped of surrounding whitespace."""
+    for line_number, raw in numbered:
         content = raw.split("#", 1)[0].strip()
         if content:
             yield line_number, content
 
 
+def _lines(text: str):
+    """``(line_number, content)`` for each line of ``text`` that is not blank
+    once its ``#`` comment is cut off, as ``_contents`` gives them."""
+    return _contents(enumerate(_split(text), start=1))
+
+
 def _line_number(before: str) -> int:
     """The line of the character that follows the text ``before``, counted
     as ``_lines`` counts them."""
-    return io.StringIO(before, newline=None).read().count("\n") + 1
+    return len(_split(before))
 
 
 def _read_ascii(path: Path) -> str:
@@ -215,8 +235,67 @@ def _read_distribution(lines, path, what: str, atom_width: int) -> DiscreteDistr
     return DiscreteDistribution(atoms, [_parse_prob(t[-1], ln, path) for ln, t in rows])
 
 
+# A plain row of a block: its fields separated by spaces or tabs, with
+# nothing before the first or after the last.  Integers have at most 18
+# digits, so that they fit ``np.fromstring``'s int64 and ``int`` reads them
+# as the line loop's ``_decode_label`` does (``1_0`` and digit strings past
+# ``int``'s limit take the line loop); a denominator of zeros is left to the
+# line loop's error.
+_INT = r"[-+]?[0-9]{1,18}"
+_PROB = _INT + r"(?:/(?!0+\b)[0-9]{1,18})?"
+
+
+def _plain_rows(*fields) -> re.Pattern:
+    row = r"[ \t]+".join(fields)
+    return re.compile(f"(?:{row}(?:\n{row})*)?")
+
+
+_PLAIN_BODY = {
+    "source": _plain_rows(_INT, _INT, _PROB),
+    "instruments": _plain_rows(_INT, _PROB),
+    "joint-instruments": _plain_rows(_INT, _INT, _PROB),
+    "responses": _plain_rows(_INT, _INT, _INT),
+}
+
+
+def _plain_block(split, numbered, start: int, section: str):
+    """The body of the ``section`` block that starts at ``split[start]``, as
+    one string, when every line of it up to the first line that is exactly
+    ``end`` is a plain row; its lines and that ``end`` are then consumed from
+    ``numbered``.  None, with nothing consumed, for any other body, which
+    the line loop then reads."""
+    try:
+        end = split.index("end", start)
+    except ValueError:
+        return None
+    body = "\n".join(split[start:end])
+    if _PLAIN_BODY[section].fullmatch(body) is None:
+        return None
+    deque(islice(numbered, end + 1 - start), maxlen=0)
+    return body
+
+
+def _plain_distribution(body: str, atom_width: int) -> DiscreteDistribution:
+    tokens = body.split()
+    width = atom_width + 1
+    labels = [map(int, tokens[i::width]) for i in range(atom_width)]
+    atoms = list(zip(*labels)) if atom_width == 2 else list(labels[0])
+    probs = [Fraction(int(n), int(d or 1))
+             for n, _, d in (token.partition("/") for token in tokens[atom_width::width])]
+    return DiscreteDistribution(atoms, probs)
+
+
 def loads(text: str, path=None) -> ExperimentModel:
-    lines = _lines(text)
+    split = _split(text)
+    numbered = enumerate(split, start=1)
+    lines = _contents(numbered)
+
+    def distribution(start, section, atom_width):
+        body = _plain_block(split, numbered, start, section)
+        if body is None:
+            return _read_distribution(lines, path, section, atom_width)
+        return _plain_distribution(body, atom_width)
+
     variant = None
     name = ""
     settings = {}
@@ -253,29 +332,33 @@ def loads(text: str, path=None) -> ExperimentModel:
         elif key == "begin":
             section = tokens[1] if len(tokens) > 1 else ""
             if section == "source":
-                source = _read_distribution(lines, path, "source", 2)
+                source = distribution(ln, section, 2)
                 heading = (section,)
             elif section == "instruments":
                 if len(tokens) != 4 or tokens[2] not in ("A", "B"):
                     raise ParseError("expected 'begin instruments A|B setting'", ln, path)
                 heading = (section, tokens[2], _decode_label(tokens[3]))
-                instruments[tokens[2]][heading[2]] = _read_distribution(lines, path, section, 1)
+                instruments[tokens[2]][heading[2]] = distribution(ln, section, 1)
             elif section == "joint-instruments":
                 if len(tokens) != 4:
                     raise ParseError("expected 'begin joint-instruments x y'", ln, path)
                 heading = (section, _decode_label(tokens[2]), _decode_label(tokens[3]))
-                joints[heading[1:]] = _read_distribution(lines, path, section, 2)
+                joints[heading[1:]] = distribution(ln, section, 2)
             elif section == "responses":
                 if len(tokens) != 4 or tokens[2] not in ("A", "B"):
                     raise ParseError("expected 'begin responses A|B setting'", ln, path)
-                rows = _read_block(lines, path, 3, "responses")
-                mapping = {}
-                for ln2, (sv, iv, out) in rows:
-                    try:
-                        outcome = int(out)
-                    except ValueError:
-                        raise ParseError(f"bad outcome {out!r}", ln2, path) from None
-                    mapping[(_decode_label(sv), _decode_label(iv))] = outcome
+                plain = _plain_block(split, numbered, ln, section)
+                if plain is not None:
+                    ints = np.fromstring(plain, dtype=np.int64, sep=" ").tolist()
+                    mapping = dict(zip(zip(ints[0::3], ints[1::3]), ints[2::3]))
+                else:
+                    mapping = {}
+                    for ln2, (sv, iv, out) in _read_block(lines, path, 3, "responses"):
+                        try:
+                            outcome = int(out)
+                        except ValueError:
+                            raise ParseError(f"bad outcome {out!r}", ln2, path) from None
+                        mapping[(_decode_label(sv), _decode_label(iv))] = outcome
                 heading = (section, tokens[2], _decode_label(tokens[3]))
                 responses[tokens[2]][heading[2]] = ResponseTable(mapping)
             elif section == "angles":

@@ -131,6 +131,20 @@ class TestValidateModel:
         with pytest.raises(InvalidModel, match="angle for 2 is not finite"):
             sample_trial(model, SettingPair(1, 2), np.random.Generator(np.random.PCG64(0)))
 
+    def test_overflowing_angle_difference_reported(self):
+        model = ExperimentModel.quantum_model(SETTINGS, SETTINGS, {1: 1e308, 2: 0.0},
+                                              {1: -1e308, 2: 0.0})
+        want = [f"angles: difference for pair {pair} is not finite"
+                for pair in ((1, 1), (1, 2), (2, 1))]
+        assert validate_model(model) == want
+        with pytest.raises(InvalidModel, match=r"pair \(1, 1\) is not finite"):
+            enumerate_raw(model, SettingPair(1, 1))
+        with pytest.raises(InvalidModel, match=r"pair \(1, 1\) is not finite"):
+            sample_trial(model, SettingPair(1, 1), np.random.Generator(np.random.PCG64(0)))
+        huge = ExperimentModel.quantum_model(SETTINGS, SETTINGS, {1: 10**308, 2: 0.0},
+                                             {1: -10**308, 2: 0.0})
+        assert validate_model(huge) == want
+
     @pytest.mark.parametrize("kind, want", [
         ("source atom", "source: atoms must be hashable"),
         ("instrument atom", "instruments A[2]: atoms must be hashable"),
@@ -194,6 +208,27 @@ class TestValidateModel:
             "responses A[1]: outcomes outside -1/0/+1: ['x', 5]",
             "responses A[2]: outcomes outside -1/0/+1: [2, 5]",
         ]
+
+
+    @pytest.mark.parametrize("outcome", [1.0, Fraction(1), np.float64(-1.0)])
+    def test_non_integer_outcome_reported(self, outcome):
+        model = constant_model(b_value=outcome)
+        want = f"responses B[1]: outcomes outside -1/0/+1: {[outcome]}"
+        assert validate_model(model)[0] == want
+        with pytest.raises(InvalidModel) as excinfo:
+            enumerate_raw(model, SettingPair(1, 1))
+        assert want in excinfo.value.violations
+        with pytest.raises(InvalidModel) as excinfo:
+            simulate_trials(model, SettingPair(1, 1), 10, master_seed=1)
+        assert want in excinfo.value.violations
+
+    @pytest.mark.parametrize("outcome", [np.int8(-1), np.int64(1), True])
+    def test_numpy_integer_and_bool_outcomes_accepted(self, outcome):
+        model = constant_model(b_value=outcome)
+        assert validate_model(model) == []
+        assert enumerate_raw(model, SettingPair(1, 1)).e_ab == int(outcome)
+        a, b = simulate_trials(model, SettingPair(1, 1), 10, master_seed=1)
+        assert b.tolist() == [int(outcome)] * 10
 
 
 class TestEnumerate:

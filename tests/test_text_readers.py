@@ -12,8 +12,12 @@ The three cases outside that domain are pinned one by one below.
 
 from __future__ import annotations
 
+import random
+import re
+from unittest import mock
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from bellsim import modelio
 from bellsim.cli import ConfigError, _load_config
@@ -91,6 +95,149 @@ def model_texts(draw):
 @given(text=model_texts())
 def test_model_reader_matches_line_loop(text):
     assert outcome(modelio.loads, text, "m.model") == outcome(oracle_loads, text, "m.model")
+
+
+# Plain blocks of integer rows are read in one pass; one perturbation of one
+# block sends that block to the line loop.  The oracle breaks lines at ``\f``
+# and ``\v``, which the package reads as spaces (pinned below), so the oracle
+# is given spaces in their place.
+
+PLAIN_SECTIONS = ("source", "instruments", "joint-instruments", "responses")
+PERTURBATIONS = ("comment", "blank", "indent", "control byte", "underscore", "19 digits",
+                 "5000 digits", "string", "width", "probability", "end comment", "no end")
+
+
+def _respelled(draw, row):
+    """``row`` spelled otherwise but still plain: a ``+`` sign or leading
+    zeros on its integers, runs of spaces and tabs between fields."""
+    def spell(number, signed):
+        sign, digits = ("-", number[1:]) if number.startswith("-") else ("", number)
+        if signed and not sign:
+            sign = draw(st.sampled_from(("", "+")))
+        return sign + "0" * draw(st.integers(0, 2)) + digits
+
+    fields = []
+    for field in row.split(" "):
+        numerator, slash, denominator = field.partition("/")
+        fields.append(spell(numerator, True) + slash + (spell(denominator, False) if slash else ""))
+    seps = st.sampled_from((" ", "\t", "  ", " \t"))
+    return "".join(field + draw(seps) for field in fields[:-1]) + fields[-1]
+
+
+@st.composite
+def plain_model_texts(draw, section, kind):
+    """The text of a random m1, m2 or m3 table model with int labels, one
+    block of it respelled in some examples; with a ``kind``, one ``section``
+    block gets that perturbation."""
+    variants = {"instruments": ("m1", "m2"), "joint-instruments": ("m3",)}
+    model = draw(table_models(ModelVariant(draw(st.sampled_from(
+        variants.get(section, ("m1", "m2", "m3")))))))
+    lines = modelio.dumps(model).split("\n")
+    if draw(st.booleans()):
+        begin = draw(st.sampled_from([i for i, line in enumerate(lines)
+                                      if line.split()[:2] in (["begin", s] for s in PLAIN_SECTIONS)]))
+        for row in range(begin + 1, lines.index("end", begin)):
+            lines[row] = _respelled(draw, lines[row])
+    if kind is None:
+        return "\n".join(lines)
+    begin = draw(st.sampled_from([i for i, line in enumerate(lines)
+                                  if line.split()[:2] == ["begin", section]]))
+    end = lines.index("end", begin)
+    row = draw(st.integers(begin + 1, end - 1))
+    fields = lines[row].split()
+    if kind == "comment":
+        if draw(st.booleans()):
+            lines.insert(draw(st.integers(begin + 1, end)), "# note")
+        else:
+            lines[row] += " # note"
+    elif kind == "blank":
+        lines.insert(draw(st.integers(begin + 1, end)), draw(st.sampled_from(("", "  "))))
+    elif kind == "indent":
+        lines[row] = draw(st.sampled_from((" ", "\t"))) + lines[row]
+    elif kind == "control byte":
+        lines[row] = fields[0] + draw(st.sampled_from(("\f", "\v"))) + " ".join(fields[1:])
+    elif kind in ("underscore", "19 digits", "5000 digits", "string"):
+        fields[0] = {"underscore": "1_0", "19 digits": "1" * 19, "5000 digits": "1" * 5000,
+                     "string": "x"}[kind]
+        lines[row] = " ".join(fields)
+    elif kind == "width":
+        lines[row] = " ".join(fields[:-1] if draw(st.booleans()) else fields + fields[-1:])
+    elif kind == "probability":
+        lines[row] = " ".join(fields[:-1] + [draw(st.sampled_from(("1/0", "0.5")))])
+    elif kind == "end comment":
+        lines[end] = "end  # done"
+    else:
+        del lines[end]
+    return "\n".join(lines)
+
+
+def sections_read_line_by_line(text):
+    """The sections whose blocks ``loads`` read line by line; its result or
+    error must be the oracle's."""
+    spaced = text.replace("\f", " ").replace("\v", " ")
+    with mock.patch.object(modelio, "_read_block", wraps=modelio._read_block) as line_loop:
+        got = outcome(modelio.loads, text, "m.model")
+    assert got == outcome(oracle_loads, spaced, "m.model")
+    return {call.args[3] for call in line_loop.call_args_list}
+
+
+@settings(max_examples=40)
+@given(text=plain_model_texts(None, None))
+def test_plain_blocks_match_line_loop(text):
+    read = sections_read_line_by_line(text)
+    if re.search("[0-9]{19}", text) is None:      # longer integers take the line loop
+        assert read == set()
+
+
+@pytest.mark.parametrize("kind", PERTURBATIONS)
+@pytest.mark.parametrize("section", PLAIN_SECTIONS)
+@settings(max_examples=2)
+@given(data=st.data())
+def test_perturbed_block_takes_the_line_loop(section, kind, data):
+    assert section in sections_read_line_by_line(data.draw(plain_model_texts(section, kind)))
+
+
+def _bench_shaped_text(rng: random.Random, variant: str, k: int, m: int) -> str:
+    """A model file laid out as the benchmark writes its exact models:
+    probabilities over 5040, unreduced; one row per source atom, instrument
+    atom or cell and response entry."""
+    def weights(n):
+        cuts = sorted(rng.sample(range(1, 5040), n - 1))
+        return [f"{b - a}/5040" for a, b in zip([0] + cuts, cuts + [5040])]
+
+    lines = ["version 1", f"variant {variant}", "name bench-shaped",
+             "settings A 1 2", "settings B 1 2", "begin source"]
+    lines += [f"{i} {l2} {p}" for i, (l2, p) in enumerate(zip(rng.sample(range(k), k),
+                                                                weights(k)))]
+    lines.append("end")
+    for x, y in ((1, 1), (1, 2), (2, 1), (2, 2)) if variant == "m3" else ():
+        cells = sorted(rng.sample(range(m * m), m))
+        lines += [f"begin joint-instruments {x} {y}",
+                  *(f"{c // m} {c % m} {p}" for c, p in zip(cells, weights(m))), "end"]
+    for station in ("A", "B") if variant != "m3" else ():
+        for s in (1, 2):
+            lines += [f"begin instruments {station} {s}",
+                      *(f"{j} {p}" for j, p in enumerate(weights(m))), "end"]
+    for station in ("A", "B"):
+        for s in (1, 2):
+            lines += [f"begin responses {station} {s}",
+                      *(f"{i} {j} {rng.choice((-1, 0, 1))}" for i in range(k) for j in range(m)),
+                      "end"]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("variant, k, m", [("m1", 150, 4), ("m3", 40, 11)])
+def test_benchmark_shaped_files_take_the_one_pass_path(variant, k, m, monkeypatch):
+    text = _bench_shaped_text(random.Random(5), variant, k, m)
+    want = oracle_loads(text)
+
+    def line_loop(*args):
+        raise AssertionError("block read line by line")
+
+    monkeypatch.setattr(modelio, "_read_block", line_loop)
+    assert modelio.loads(text) == want
+    with pytest.raises(AssertionError, match="line by line"):
+        modelio.loads(text.replace("\nend\n", "\nend # done\n", 1))
 
 
 # --------------------------------------------------------------------------
