@@ -42,12 +42,15 @@ are built only for the results, and for `outcome_table`'s ``n / d`` cells.
 A model's validity, its exact outcome tables and its outcome grids are
 computed once per `ExperimentModel` instance, on first use, and shared by
 every later call (`enumerate_raw`, `enumerate_postselected`,
-`outcome_table`, the samplers).  The grid of a station's setting tabulates
-its response once over the source atoms and the instrument values of that
-setting; enumeration and the table-backed Monte Carlo path both read it, so
-each response is evaluated once per model and setting.  Models are
-therefore never changed in place: to change one, build a new instance, for
-example with `dataclasses.replace`.
+`outcome_table`, the samplers).  The grid of a station's setting is one
+int8 array, its response tabulated once over the source atoms (rows) and
+the setting's instrument values (columns), where a plain-callable
+response's outcomes are checked.  The table-backed Monte Carlo path indexes
+its columns; enumeration contracts a pair's two grids with the integer
+weights, one contraction for every variant (`_build_tables`).  So each
+response is evaluated once per model and setting.  Models are therefore
+never changed in place: to change one, build a new instance, for example
+with `dataclasses.replace`.
 """
 
 from __future__ import annotations
@@ -59,7 +62,6 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
-from operator import mul
 from typing import Callable, Hashable, NamedTuple, Sequence
 
 import numpy as np
@@ -439,16 +441,7 @@ def validate_model(model: ExperimentModel) -> list[str]:
                 continue
             resp = resps[s]
             if isinstance(resp, ResponseTable):
-                bad = []
-                for o in resp.outcomes():
-                    # 1.0 == 1, so the type counts too; int first, as the ABC check is slow
-                    integral = type(o) is int or isinstance(o, numbers.Integral)
-                    if (not integral or o not in VALID_OUTCOMES) and o not in bad:
-                        bad.append(o)
-                if all(isinstance(o, (int, float)) for o in bad):
-                    bad.sort()
-                if bad:
-                    v.append(f"responses {station}[{s!r}]: outcomes outside -1/0/+1: {bad}")
+                v.extend(_outcome_violations(station, s, resp.outcomes()))
                 if model.variant is ModelVariant.LHVM and 0 in resp.outcomes():
                     v.append(f"responses {station}[{s!r}]: lhvm responses must never output 0")
             elif not callable(resp):
@@ -475,6 +468,20 @@ def validate_model(model: ExperimentModel) -> list[str]:
                                 f"responses {station}[{s!r}]: no entry for ({sv!r}, {iv!r})"
                             )
     return v
+
+
+def _outcome_violations(station, setting, outcomes) -> list[str]:
+    """The violation for a response of ``station`` at ``setting`` that gives
+    an outcome other than the int -1, 0 or +1, as a list of none or one."""
+    bad = []
+    for o in outcomes:
+        # 1.0 == 1, so the type counts too; int first, as the ABC check is slow
+        integral = type(o) is int or isinstance(o, numbers.Integral)
+        if (not integral or o not in VALID_OUTCOMES) and o not in bad:
+            bad.append(o)
+    if all(isinstance(o, (int, float)) for o in bad):
+        bad.sort()
+    return [f"responses {station}[{setting!r}]: outcomes outside -1/0/+1: {bad}"] if bad else []
 
 
 def _instrument_values(model, comp, setting) -> dict:
@@ -529,11 +536,6 @@ def _quantum_exact(model: ExperimentModel, sp: SettingPair) -> ExactResult:
     return ExactResult(e_ab=e, e_a=0.0, e_b=0.0, c_xy=1.0)
 
 
-def empty_table() -> list[list[int]]:
-    """A 3x3 outcome table of zeros, indexed ``[a + 1][b + 1]``."""
-    return [[0] * 3 for _ in range(3)]
-
-
 def table_sums(table) -> tuple[tuple, tuple]:
     """The sufficient sums of one integer outcome table, indexed ``[a + 1][b + 1]``.
 
@@ -553,83 +555,67 @@ def table_sums(table) -> tuple[tuple, tuple]:
     return raw, post
 
 
-def _outcome_grid(model: ExperimentModel, comp: int, setting) -> tuple[dict, list]:
-    """``(columns, rows)``: the response of station ``comp`` (0 for A, 1 for
+def _outcome_grid(model: ExperimentModel, comp: int, setting) -> tuple[dict, np.ndarray]:
+    """``(columns, grid)``: the response of station ``comp`` (0 for A, 1 for
     B) at ``setting``, tabulated once per model on first use.  ``columns``
     maps each instrument value the response must cover (`_instrument_values`)
-    to its column; ``rows[i][columns[v]]`` is the outcome for the station's
-    half of source atom i and instrument value v."""
+    to its column; ``grid[i, columns[v]]`` is the int8 outcome for the
+    station's half of source atom i and instrument value v.  The outcomes of
+    a plain-callable response are checked here (InvalidModel)."""
     key = comp, setting
     if key not in model._grids:
         resp = (model.responses_a, model.responses_b)[comp][setting]
         values = list(_instrument_values(model, comp, setting))
         rows = [[resp(atom[comp], v) for v in values] for atom in model.source.atoms]
-        model._grids[key] = {v: j for j, v in enumerate(values)}, rows
+        # validate_model checks a table's outcomes, not a callable's
+        if not isinstance(resp, ResponseTable) and (
+                bad := _outcome_violations("AB"[comp], setting, (o for r in rows for o in r))):
+            raise InvalidModel(bad)
+        model._grids[key] = {v: j for j, v in enumerate(values)}, np.array(rows, dtype=np.int8)
     return model._grids[key]
-
-
-def _station_columns(model: ExperimentModel, comp: int) -> dict:
-    """Per setting s of one product-model station, ``(d, n)`` with
-    ``n[o + 1][i] == d * P(o | l_i, s)`` for each source atom i, where
-    ``l_i`` is the station's half of that atom and d the common denominator
-    of the setting's instrument weights."""
-    insts, settings = ((model.instruments_a, model.settings_a),
-                       (model.instruments_b, model.settings_b))[comp]
-    out = {}
-    for s in settings:
-        w_inst, d = insts[s]._integer_weights()
-        columns = ([], [], [])
-        for row in _outcome_grid(model, comp, s)[1]:
-            n = [0, 0, 0]
-            for o, w in zip(row, w_inst):
-                n[o + 1] += w
-            for column, v in zip(columns, n):
-                column.append(v)
-        out[s] = d, columns
-    return out
 
 
 def _build_tables(model: ExperimentModel) -> dict:
     """Every pair's exact P(a, b | x, y) and its `table_sums`, one pass
     over a valid finite model, reading the responses from the outcome grids.
 
-    Product variants factorise per source atom,
-    P(a, b) = sum_src p * P_A(a | l1, x) * P_B(b | l2, y): each setting's
-    conditional numerators are built once and shared by its two pairs,
-    which only contract them.  ``m3`` models sum the joint instrument
-    weights per source atom and pair.  The sums run on integer numerators
-    over each space's common denominator.  Each pair maps to ``(numerators,
-    d, table_sums(numerators))`` with P(a, b) = ``numerators[a + 1][b + 1]
-    / d``; the numerators are tuples of rows, and no Fraction is built here.
+    Every variant is one integer contraction per pair over the grids G of
+    its two settings,
+    P(a, b) = sum_src w_src sum_ij W[i, j] [G_A[src, i] = a] [G_B[src, j] = b],
+    where w_src and W are the numerators of the source and instrument
+    weights (the joint weights for ``m3``, ``outer(w_a, w_b)`` otherwise)
+    over their common denominators, whose product is d.  Every partial sum
+    is non-negative and at most the weights' total (d for a normalised
+    model), so the sums run in int64 below 2**63 and on Python ints (object
+    arrays) from there on.  Each pair maps to ``(numerators, d,
+    table_sums(numerators))`` with P(a, b) = ``numerators[a + 1][b + 1] / d``;
+    the numerators are tuples of rows of ints, and no Fraction is built here.
     """
     w_source, d_source = model.source._integer_weights()
-    numerators = {}
-    if model.variant is ModelVariant.M3:
-        for sp in model.pairs():
+    outcomes = np.array(VALID_OUTCOMES, dtype=np.int8)[:, None, None]
+    out = {}
+    for sp in model.pairs():
+        (cols_a, grid_a), (cols_b, grid_b) = (_outcome_grid(model, 0, sp.x),
+                                              _outcome_grid(model, 1, sp.y))
+        if model.variant is ModelVariant.M3:
             joint = model.instruments_joint[sp]
-            w_joint, d_joint = joint._integer_weights()
-            (cols_a, rows_a), (cols_b, rows_b) = (_outcome_grid(model, 0, sp.x),
-                                                  _outcome_grid(model, 1, sp.y))
-            cells = [(cols_a[lx], cols_b[ly], w) for (lx, ly), w in zip(joint.atoms, w_joint)]
-            table = empty_table()
-            for row_a, row_b, w_src in zip(rows_a, rows_b, w_source):
-                given = empty_table()
-                for i, j, w in cells:
-                    given[row_a[i] + 1][row_b[j] + 1] += w
-                for row, given_row in zip(table, given):
-                    for k, n in enumerate(given_row):
-                        row[k] += w_src * n
-            numerators[sp] = table, d_source * d_joint
-    else:
-        columns_a = _station_columns(model, 0)
-        columns_b = _station_columns(model, 1)
-        for x, (d_a, n_a) in columns_a.items():
-            weighted_a = [list(map(mul, w_source, column)) for column in n_a]
-            for y, (d_b, n_b) in columns_b.items():
-                table = [[sum(map(mul, col_a, col_b)) for col_b in n_b] for col_a in weighted_a]
-                numerators[SettingPair(x, y)] = table, d_source * d_a * d_b
-    return {sp: (tuple(map(tuple, table)), d, table_sums(table))
-            for sp, (table, d) in numerators.items()}
+            w_joint, d = joint._integer_weights()
+            weights = [[0] * len(cols_b) for _ in cols_a]
+            for (lx, ly), w in zip(joint.atoms, w_joint):
+                weights[cols_a[lx]][cols_b[ly]] = w
+        else:
+            (w_a, d_a), (w_b, d_b) = (model.instruments_a[sp.x]._integer_weights(),
+                                      model.instruments_b[sp.y]._integer_weights())
+            weights, d = [[u * v for v in w_b] for u in w_a], d_a * d_b
+        dtype = np.int64 if sum(w_source) * sum(map(sum, weights)) < 2 ** 63 else object
+        # one_a[a + 1, src, i] = [G_A[src, i] = a], the same for B
+        one_a, one_b = ((grid == outcomes).astype(dtype) for grid in (grid_a, grid_b))
+        # weighted[a + 1, src, j] = w_src sum_i W[i, j] [G_A[src, i] = a]
+        w_src = np.array(w_source, dtype=dtype)[:, None]
+        weighted = one_a @ np.array(weights, dtype=dtype) * w_src
+        table = (weighted.reshape(3, -1) @ one_b.reshape(3, -1).T).tolist()
+        out[sp] = tuple(map(tuple, table)), d_source * d, table_sums(table)
+    return out
 
 
 def _cached_exact(model: ExperimentModel, sp: SettingPair) -> tuple:
@@ -726,8 +712,8 @@ class _PairSampler:
             else:
                 values = self.spaces[1].atoms, self.spaces[2].atoms
             grids = _outcome_grid(model, 0, sp.x), _outcome_grid(model, 1, sp.y)
-            self.mat_a, self.mat_b = (np.array(rows, dtype=np.int8)[:, [columns[v] for v in vs]]
-                                      for (columns, rows), vs in zip(grids, values))
+            self.mat_a, self.mat_b = (grid[:, [columns[v] for v in vs]]
+                                      for (columns, grid), vs in zip(grids, values))
 
     def draw(self, generator: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray]:
         if not self.fast:
@@ -770,6 +756,9 @@ class _PairSampler:
         # A joint space draws (lx, ly) pairs; product spaces draw lx and ly.
         inst = inst[0] if len(inst) == 1 else zip(*inst)
         ab = [(self.resp_a(s[0], i[0]), self.resp_b(s[1], i[1])) for s, i in zip(src, inst)]
+        for k, (station, setting) in enumerate((("A", self.sp.x), ("B", self.sp.y))):
+            if bad := _outcome_violations(station, setting, (o[k] for o in ab)):
+                raise InvalidModel(bad)
         arr = np.array(ab, dtype=np.int8)
         return arr[:, 0], arr[:, 1]
 

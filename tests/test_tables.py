@@ -31,6 +31,7 @@ from bellsim.core import (
     enumerate_raw,
     outcome_table,
     table_sums,
+    validate_model,
 )
 from bellsim import estimators
 from bellsim.errors import (
@@ -188,6 +189,71 @@ def test_benchmark_shapes_match_term_enumeration(variant, k, m):
     # The model shapes of the benchmark's exact workload, about 9600 terms each.
     gen = np.random.Generator(np.random.PCG64(k * 1000 + m))
     assert_enumeration_matches_oracle(_random_model(gen, variant, k, m))
+
+
+def _coprime_distribution(atoms, denominators):
+    """Weights 1/q for each pairwise coprime q and the rest on the last
+    atom, so their common denominator is the product of the q."""
+    probs = [Fraction(1, q) for q in denominators]
+    return DiscreteDistribution(atoms, probs + [1 - sum(probs)])
+
+
+def _wide_model(source, instruments_a, instruments_b=None, outcomes=OUTCOMES):
+    """An m1 model with the given source and instrument distributions, or an
+    m3 model with ``instruments_a`` as every pair's joint over pairs of 0
+    and 1 when ``instruments_b`` is None; the responses are random draws
+    from ``outcomes``."""
+    gen = np.random.Generator(np.random.PCG64(len(source.atoms)))
+    halves = [h for h, _ in source.atoms]
+
+    def tables(values):
+        return {s: ResponseTable({(h, v): int(gen.choice(outcomes))
+                                  for h in halves for v in values}) for s in SETTINGS}
+
+    if instruments_b is None:
+        joints = {(x, y): instruments_a for x in SETTINGS for y in SETTINGS}
+        return ExperimentModel.correlated_instruments_model(
+            SETTINGS, SETTINGS, source, joints, tables((0, 1)), tables((0, 1)))
+    return ExperimentModel.product_model(
+        ModelVariant.M1, SETTINGS, SETTINGS, source, dict.fromkeys(SETTINGS, instruments_a),
+        dict.fromkeys(SETTINGS, instruments_b), tables(instruments_a.atoms),
+        tables(instruments_b.atoms))
+
+
+# 2**63 - 1 = 7**2 * 73 * 127 * 337 * 92737 * 649657 and
+# 2**63 + 1 = 3**3 * 19 * 43 * 5419 * 77158673929, split over the spaces.
+# Responses that are always +1 put the whole of d into one cell.
+@pytest.mark.parametrize("outcomes", [OUTCOMES, (1,)], ids=["random", "all-plus"])
+@pytest.mark.parametrize("variant, source, instruments, d", [
+    ("m1", (49, 73), ((127, 337), (92737, 649657)), 2 ** 63 - 1),
+    ("m1", (27, 19), ((43, 5419), (77158673929,)), 2 ** 63 + 1),
+    ("m3", (49, 73), ((127 * 337, 92737 * 649657),), 2 ** 63 - 1),
+    ("m3", (27, 19), ((43 * 5419, 77158673929),), 2 ** 63 + 1),
+])
+def test_denominators_either_side_of_int64_match_term_enumeration(variant, source, instruments,
+                                                                   d, outcomes):
+    # Below 2**63 the tables are summed in int64, from 2**63 on Python ints.
+    source = _coprime_distribution([(i, i) for i in range(3)], source)
+    if variant == "m3":
+        spaces = [_coprime_distribution([(0, 0), (1, 0), (0, 1)], *instruments), None]
+    else:
+        spaces = [_coprime_distribution(range(len(q) + 1), q) for q in instruments]
+    model = _wide_model(source, *spaces, outcomes=outcomes)
+    assert {model._tables[sp][1] for sp in model.pairs()} == {d}
+    assert_enumeration_matches_oracle(model)
+
+
+def test_weights_past_int64_within_tolerance_match_term_enumeration():
+    # The source sums to 1 + 1/(2**63 - 1), which validation accepts, so d
+    # is 2**63 - 1 but the weights total 2**63, all in the (+1, +1) cell:
+    # too many for int64.
+    big = Fraction(2 ** 63, 2 ** 63 - 1)
+    source = DiscreteDistribution([(0, 0), (1, 1)], [Fraction(1, 7), big - Fraction(1, 7)])
+    point = DiscreteDistribution.point(0)
+    model = _wide_model(source, point, point, outcomes=(1,))
+    assert validate_model(model) == []
+    assert {model._tables[sp][1] for sp in model.pairs()} == {2 ** 63 - 1}
+    assert_enumeration_matches_oracle(model)
 
 
 @pytest.mark.parametrize("variant", [ModelVariant.M1, ModelVariant.M2, ModelVariant.M3],
