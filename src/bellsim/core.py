@@ -441,9 +441,7 @@ def validate_model(model: ExperimentModel) -> list[str]:
                 continue
             resp = resps[s]
             if isinstance(resp, ResponseTable):
-                v.extend(_outcome_violations(station, s, resp.outcomes()))
-                if model.variant is ModelVariant.LHVM and 0 in resp.outcomes():
-                    v.append(f"responses {station}[{s!r}]: lhvm responses must never output 0")
+                v.extend(_outcome_violations(model.variant, station, s, resp.outcomes()))
             elif not callable(resp):
                 v.append(f"responses {station}[{s!r}]: not a table or callable")
 
@@ -470,18 +468,25 @@ def validate_model(model: ExperimentModel) -> list[str]:
     return v
 
 
-def _outcome_violations(station, setting, outcomes) -> list[str]:
-    """The violation for a response of ``station`` at ``setting`` that gives
-    an outcome other than the int -1, 0 or +1, as a list of none or one."""
+def _outcome_violations(variant, station, setting, outcomes) -> list[str]:
+    """The violations of a response of a ``variant`` model's ``station`` at
+    ``setting`` that gives ``outcomes``: an outcome other than the int -1, 0
+    or +1, and for lhvm an outcome 0."""
     bad = []
+    lhvm, zero = variant is ModelVariant.LHVM, False
     for o in outcomes:
         # 1.0 == 1, so the type counts too; int first, as the ABC check is slow
         integral = type(o) is int or isinstance(o, numbers.Integral)
         if (not integral or o not in VALID_OUTCOMES) and o not in bad:
             bad.append(o)
+        if lhvm and o == 0:
+            zero = True
     if all(isinstance(o, (int, float)) for o in bad):
         bad.sort()
-    return [f"responses {station}[{setting!r}]: outcomes outside -1/0/+1: {bad}"] if bad else []
+    v = [f"responses {station}[{setting!r}]: outcomes outside -1/0/+1: {bad}"] if bad else []
+    if zero:
+        v.append(f"responses {station}[{setting!r}]: lhvm responses must never output 0")
+    return v
 
 
 def _instrument_values(model, comp, setting) -> dict:
@@ -569,7 +574,8 @@ def _outcome_grid(model: ExperimentModel, comp: int, setting) -> tuple[dict, np.
         rows = [[resp(atom[comp], v) for v in values] for atom in model.source.atoms]
         # validate_model checks a table's outcomes, not a callable's
         if not isinstance(resp, ResponseTable) and (
-                bad := _outcome_violations("AB"[comp], setting, (o for r in rows for o in r))):
+                bad := _outcome_violations(model.variant, "AB"[comp], setting,
+                                           (o for r in rows for o in r))):
             raise InvalidModel(bad)
         model._grids[key] = {v: j for j, v in enumerate(values)}, np.array(rows, dtype=np.int8)
     return model._grids[key]
@@ -757,7 +763,7 @@ class _PairSampler:
         inst = inst[0] if len(inst) == 1 else zip(*inst)
         ab = [(self.resp_a(s[0], i[0]), self.resp_b(s[1], i[1])) for s, i in zip(src, inst)]
         for k, (station, setting) in enumerate((("A", self.sp.x), ("B", self.sp.y))):
-            if bad := _outcome_violations(station, setting, (o[k] for o in ab)):
+            if bad := _outcome_violations(self.variant, station, setting, (o[k] for o in ab)):
                 raise InvalidModel(bad)
         arr = np.array(ab, dtype=np.int8)
         return arr[:, 0], arr[:, 1]

@@ -29,14 +29,20 @@ bit-exactly.  Layout::
     1 0.0
     end
 
+One table, ``_BLOCKS``, declares every block: the fields of its ``begin``
+line and the kind of each row field (label, probability, outcome or angle).
+``dumps`` and ``loads`` write, check and read every block through it, with
+one encoder and one decoder per kind; only the assembly of the decoded
+columns into a model part is particular to a section.
+
 Lines end at ``\\n``, ``\\r\\n`` or ``\\r`` and parse errors number them
 that way; ``#`` starts a comment.  ``_lines`` is this line rule for every
 text input: model, config and time-tag files.  Tokens are
-whitespace-separated.  A ``source``, ``instruments``, ``joint-instruments``
-or ``responses`` block whose rows are plain (integers of at most 18 digits,
-``n`` or ``n/d`` probabilities, fields separated by spaces or tabs, no
-comment or blank line, closed by a line that is exactly ``end``) is read in
-one pass; any other block is read line by line, with the same result and
+whitespace-separated.  A block whose rows are plain (integers of at most 18
+digits, ``n`` or ``n/d`` probabilities, fields separated by spaces or tabs,
+no comment or blank line, closed by a line that is exactly ``end``) is read
+in one pass, which decodes each distinct probability once; angles have no
+plain form.  Any other block is read line by line, with the same result and
 the same errors.  A directive or block may appear only once; labels
 are compared decoded, so ``1`` and ``01`` name one setting.  Setting labels
 and atoms are integers or bare strings (no whitespace; strings must not
@@ -135,10 +141,6 @@ def _decode_label(token: str):
         return token
 
 
-def _encode_prob(p: Fraction) -> str:
-    return str(p)
-
-
 def _require_table(space, what: str) -> DiscreteDistribution:
     if not isinstance(space, DiscreteDistribution):
         raise BellsimError(f"{what} is sampler-backed; only table models can be saved")
@@ -151,6 +153,34 @@ def _require_response(resp, what: str) -> ResponseTable:
     return resp
 
 
+# Each block: the fields of its ``begin`` line after the section ("A|B" is a
+# station, any other field a label), and the kind of each field of its rows.
+_BLOCKS = {
+    "source": ((), ("label", "label", "probability")),
+    "instruments": (("A|B", "setting"), ("label", "probability")),
+    "joint-instruments": (("x", "y"), ("label", "label", "probability")),
+    "responses": (("A|B", "setting"), ("label", "label", "outcome")),
+    "angles": (("A|B",), ("label", "angle")),
+}
+
+_ENCODE = {"label": _encode_token, "probability": str, "outcome": str,
+           "angle": lambda angle: repr(float(angle))}
+_DECODE = {"label": _decode_label, "probability": Fraction, "outcome": int, "angle": float}
+
+
+def _dump_block(lines: list, section: str, heading, rows) -> None:
+    """Append the ``section`` block with ``heading`` values for its ``begin``
+    fields and one row per tuple of ``rows`` to ``lines``."""
+    fields, kinds = _BLOCKS[section]
+    lines.append(" ".join(["begin", section] + [
+        value if field == "A|B" else _encode_token(value)
+        for field, value in zip(fields, heading, strict=True)]))
+    for row in rows:
+        pairs = tuple(zip(kinds, row, strict=True))     # a row of another width raises
+        lines.append(" ".join(_ENCODE[kind](value) for kind, value in pairs))
+    lines += ["end", ""]
+
+
 def dumps(model: ExperimentModel) -> str:
     lines = [f"version {FORMAT_VERSION}", f"variant {model.variant.value}"]
     if model.name:
@@ -161,46 +191,25 @@ def dumps(model: ExperimentModel) -> str:
 
     if model.variant is ModelVariant.QUANTUM:
         for station, angles in (("A", model.angles_a), ("B", model.angles_b)):
-            lines.append(f"begin angles {station}")
-            for setting, angle in angles.items():
-                lines.append(f"{_encode_token(setting)} {float(angle)!r}")
-            lines.append("end")
-            lines.append("")
+            _dump_block(lines, "angles", (station,), angles.items())
         return "\n".join(lines)
 
     src = _require_table(model.source, "source")
-    lines.append("begin source")
-    for (l1, l2), p in src.items():
-        lines.append(f"{_encode_token(l1)} {_encode_token(l2)} {_encode_prob(p)}")
-    lines.append("end")
-    lines.append("")
-
+    _dump_block(lines, "source", (), ((*atom, p) for atom, p in src.items()))
     if model.variant is ModelVariant.M3:
         for sp, joint in model.instruments_joint.items():
             joint = _require_table(joint, f"joint instruments {tuple(sp)}")
-            lines.append(f"begin joint-instruments {_encode_token(sp.x)} {_encode_token(sp.y)}")
-            for (lx, ly), p in joint.items():
-                lines.append(f"{_encode_token(lx)} {_encode_token(ly)} {_encode_prob(p)}")
-            lines.append("end")
-            lines.append("")
+            _dump_block(lines, "joint-instruments", sp, ((*atom, p) for atom, p in joint.items()))
     else:
         for station, insts in (("A", model.instruments_a), ("B", model.instruments_b)):
             for setting, space in insts.items():
                 space = _require_table(space, f"instruments {station}[{setting!r}]")
-                lines.append(f"begin instruments {station} {_encode_token(setting)}")
-                for atom, p in space.items():
-                    lines.append(f"{_encode_token(atom)} {_encode_prob(p)}")
-                lines.append("end")
-                lines.append("")
-
+                _dump_block(lines, "instruments", (station, setting), space.items())
     for station, resps in (("A", model.responses_a), ("B", model.responses_b)):
         for setting, resp in resps.items():
             resp = _require_response(resp, f"responses {station}[{setting!r}]")
-            lines.append(f"begin responses {station} {_encode_token(setting)}")
-            for (sv, iv), outcome in resp.mapping.items():
-                lines.append(f"{_encode_token(sv)} {_encode_token(iv)} {outcome}")
-            lines.append("end")
-            lines.append("")
+            _dump_block(lines, "responses", (station, setting),
+                        ((*entry, outcome) for entry, outcome in resp.mapping.items()))
     return "\n".join(lines)
 
 
@@ -220,19 +229,19 @@ def _read_block(lines, path, row_width: int, what: str):
     raise ParseError(f"unterminated {what} block (missing 'end')", path=path)
 
 
-def _parse_prob(token, ln, path) -> Fraction:
-    try:
-        return Fraction(token)
-    except (ValueError, ZeroDivisionError):
-        raise ParseError(f"bad probability {token!r}", ln, path) from None
-
-
-def _read_distribution(lines, path, what: str, atom_width: int) -> DiscreteDistribution:
-    """A block of ``atom prob`` rows; an atom of two tokens is a pair."""
-    rows = _read_block(lines, path, atom_width + 1, what)
-    atoms = [tuple(map(_decode_label, t[:2])) if atom_width == 2 else _decode_label(t[0])
-             for _, t in rows]
-    return DiscreteDistribution(atoms, [_parse_prob(t[-1], ln, path) for ln, t in rows])
+def _line_columns(lines, path, section: str) -> list[list]:
+    """The columns of the ``section`` block read line by line, each field
+    decoded by its kind; every error of a block is raised here, a bad field
+    after every row is read and in row order."""
+    kinds = _BLOCKS[section][1]
+    columns = [[] for _ in kinds]
+    for ln, tokens in _read_block(lines, path, len(kinds), section):
+        for column, kind, token in zip(columns, kinds, tokens):
+            try:
+                column.append(_DECODE[kind](token))
+            except (ValueError, ZeroDivisionError):
+                raise ParseError(f"bad {kind} {token!r}", ln, path) from None
+    return columns
 
 
 # A plain row of a block: its fields separated by spaces or tabs, with
@@ -240,22 +249,19 @@ def _read_distribution(lines, path, what: str, atom_width: int) -> DiscreteDistr
 # digits, so that they fit ``np.fromstring``'s int64 and ``int`` reads them
 # as the line loop's ``_decode_label`` does (``1_0`` and digit strings past
 # ``int``'s limit take the line loop); a denominator of zeros is left to the
-# line loop's error.
+# line loop's error.  Angles have no plain form.
 _INT = r"[-+]?[0-9]{1,18}"
-_PROB = _INT + r"(?:/(?!0+\b)[0-9]{1,18})?"
+_PLAIN_FIELD = {"label": _INT, "outcome": _INT,
+                "probability": _INT + r"(?:/(?!0+\b)[0-9]{1,18})?"}
 
 
-def _plain_rows(*fields) -> re.Pattern:
-    row = r"[ \t]+".join(fields)
+def _plain_rows(kinds) -> re.Pattern:
+    row = r"[ \t]+".join(_PLAIN_FIELD[kind] for kind in kinds)
     return re.compile(f"(?:{row}(?:\n{row})*)?")
 
 
-_PLAIN_BODY = {
-    "source": _plain_rows(_INT, _INT, _PROB),
-    "instruments": _plain_rows(_INT, _PROB),
-    "joint-instruments": _plain_rows(_INT, _INT, _PROB),
-    "responses": _plain_rows(_INT, _INT, _INT),
-}
+_PLAIN_BODY = {section: _plain_rows(kinds) for section, (_, kinds) in _BLOCKS.items()
+               if set(kinds) <= _PLAIN_FIELD.keys()}
 
 
 def _plain_block(split, numbered, start: int, section: str):
@@ -264,6 +270,8 @@ def _plain_block(split, numbered, start: int, section: str):
     ``end`` is a plain row; its lines and that ``end`` are then consumed from
     ``numbered``.  None, with nothing consumed, for any other body, which
     the line loop then reads."""
+    if section not in _PLAIN_BODY:
+        return None
     try:
         end = split.index("end", start)
     except ValueError:
@@ -275,26 +283,31 @@ def _plain_block(split, numbered, start: int, section: str):
     return body
 
 
-def _plain_distribution(body: str, atom_width: int) -> DiscreteDistribution:
+def _plain_columns(body: str, kinds) -> list[list]:
+    """The columns of a plain block body, decoded as ``_line_columns`` would:
+    ints by ``np.fromstring`` when every field is one, and each distinct
+    probability token once."""
+    width = len(kinds)
+    if "probability" not in kinds:
+        ints = np.fromstring(body, dtype=np.int64, sep=" ").tolist()
+        return [ints[i::width] for i in range(width)]
     tokens = body.split()
-    width = atom_width + 1
-    labels = [map(int, tokens[i::width]) for i in range(atom_width)]
-    atoms = list(zip(*labels)) if atom_width == 2 else list(labels[0])
-    probs = [Fraction(int(n), int(d or 1))
-             for n, _, d in (token.partition("/") for token in tokens[atom_width::width])]
-    return DiscreteDistribution(atoms, probs)
+    columns = []
+    for i, kind in enumerate(kinds):
+        column = tokens[i::width]
+        if kind == "probability":     # Fraction(int, int) is twice as fast as Fraction(str)
+            value = {token: Fraction(int(n), int(d or 1))
+                     for token in set(column) for n, _, d in [token.partition("/")]}
+            columns.append([value[token] for token in column])
+        else:
+            columns.append(list(map(int, column)))
+    return columns
 
 
 def loads(text: str, path=None) -> ExperimentModel:
     split = _split(text)
     numbered = enumerate(split, start=1)
     lines = _contents(numbered)
-
-    def distribution(start, section, atom_width):
-        body = _plain_block(split, numbered, start, section)
-        if body is None:
-            return _read_distribution(lines, path, section, atom_width)
-        return _plain_distribution(body, atom_width)
 
     variant = None
     name = ""
@@ -331,48 +344,30 @@ def loads(text: str, path=None) -> ExperimentModel:
             heading = (key, tokens[1])
         elif key == "begin":
             section = tokens[1] if len(tokens) > 1 else ""
-            if section == "source":
-                source = distribution(ln, section, 2)
-                heading = (section,)
-            elif section == "instruments":
-                if len(tokens) != 4 or tokens[2] not in ("A", "B"):
-                    raise ParseError("expected 'begin instruments A|B setting'", ln, path)
-                heading = (section, tokens[2], _decode_label(tokens[3]))
-                instruments[tokens[2]][heading[2]] = distribution(ln, section, 1)
-            elif section == "joint-instruments":
-                if len(tokens) != 4:
-                    raise ParseError("expected 'begin joint-instruments x y'", ln, path)
-                heading = (section, _decode_label(tokens[2]), _decode_label(tokens[3]))
-                joints[heading[1:]] = distribution(ln, section, 2)
-            elif section == "responses":
-                if len(tokens) != 4 or tokens[2] not in ("A", "B"):
-                    raise ParseError("expected 'begin responses A|B setting'", ln, path)
-                plain = _plain_block(split, numbered, ln, section)
-                if plain is not None:
-                    ints = np.fromstring(plain, dtype=np.int64, sep=" ").tolist()
-                    mapping = dict(zip(zip(ints[0::3], ints[1::3]), ints[2::3]))
-                else:
-                    mapping = {}
-                    for ln2, (sv, iv, out) in _read_block(lines, path, 3, "responses"):
-                        try:
-                            outcome = int(out)
-                        except ValueError:
-                            raise ParseError(f"bad outcome {out!r}", ln2, path) from None
-                        mapping[(_decode_label(sv), _decode_label(iv))] = outcome
-                heading = (section, tokens[2], _decode_label(tokens[3]))
-                responses[tokens[2]][heading[2]] = ResponseTable(mapping)
-            elif section == "angles":
-                if len(tokens) != 3 or tokens[2] not in ("A", "B"):
-                    raise ParseError("expected 'begin angles A|B'", ln, path)
-                rows = _read_block(lines, path, 2, "angles")
-                for ln2, (setting, value) in rows:
-                    try:
-                        angles[tokens[2]][_decode_label(setting)] = float(value)
-                    except ValueError:
-                        raise ParseError(f"bad angle {value!r}", ln2, path) from None
-                heading = (section, tokens[2])
-            else:
+            if section not in _BLOCKS:
                 raise ParseError(f"unknown section {section!r}", ln, path)
+            fields, kinds = _BLOCKS[section]
+            values = tokens[2:]
+            # A source line takes no fields and is not checked for extra tokens.
+            if fields and (len(values) != len(fields) or any(
+                    field == "A|B" and value not in ("A", "B")
+                    for field, value in zip(fields, values))):
+                raise ParseError(f"expected 'begin {section} {' '.join(fields)}'", ln, path)
+            heading = (section, *(value if field == "A|B" else _decode_label(value)
+                                  for field, value in zip(fields, values)))
+            body = _plain_block(split, numbered, ln, section)
+            *keys, column = (_line_columns(lines, path, section) if body is None
+                             else _plain_columns(body, kinds))
+            if section == "source":
+                source = DiscreteDistribution(list(zip(*keys)), column)
+            elif section == "instruments":
+                instruments[heading[1]][heading[2]] = DiscreteDistribution(keys[0], column)
+            elif section == "joint-instruments":
+                joints[heading[1:]] = DiscreteDistribution(list(zip(*keys)), column)
+            elif section == "responses":
+                responses[heading[1]][heading[2]] = ResponseTable(dict(zip(zip(*keys), column)))
+            else:
+                angles[heading[1]] = dict(zip(keys[0], column))
         else:
             raise ParseError(f"unknown directive {key!r}", ln, path)
         if heading in seen:

@@ -476,7 +476,21 @@ def ingest_timetag_file(path, station: str = "A") -> ClickStream:
     return ClickStream(station, times, codes, values, labels)
 
 
+def _check_writable(labels, time_tags: bool) -> None:
+    """Refuse, as a BellsimError, a setting label whose text would not read
+    back as that label: empty, not ASCII, or decoded by ``_decode_label``
+    to another label (``'1'`` reads back as ``1``).  A time-tag field also
+    holds no whitespace or ``#``; the CSV writer quotes anything else."""
+    for label in labels:
+        text = str(label)
+        if (not text or not text.isascii() or _decode_label(text) != label
+                or time_tags and any(c.isspace() or c == "#" for c in text)):
+            kind = "time-tag" if time_tags else "CSV"
+            raise BellsimError(f"setting label {label!r} would not read back from a {kind} file")
+
+
 def write_timetag_file(stream: ClickStream, path) -> None:
+    _check_writable(stream.labels, time_tags=True)
     settings = _label_array(stream.labels)[stream.setting].tolist()
     lines = map("{}\t{}\t{:+d}\n".format, stream.t.tolist(), settings, stream.value.tolist())
     Path(path).write_text(f"# station {stream.station}: timestamp_ns setting outcome\n"
@@ -486,6 +500,7 @@ def write_timetag_file(stream: ClickStream, path) -> None:
 def write_coincidence_csv(records, path) -> None:
     """CSV with header ``window,x,y,a,b``; unknown settings are empty fields."""
     r = CoincidenceRecords.of(records)
+    _check_writable(r.settings_a + r.settings_b, time_tags=False)
     x = _label_array(r.settings_a + ("",))[r.x].tolist()     # code -1 picks ""
     y = _label_array(r.settings_b + ("",))[r.y].tolist()
     with Path(path).open("w", newline="", encoding="ascii") as fh:

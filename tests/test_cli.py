@@ -422,3 +422,150 @@ class TestScenarioCommands:
                            "--out-dir", str(tmp_path))
         assert code == 2
         assert "unknown scenario" in err
+
+
+_PRODUCT_HEAD = "variant m1\nsettings A 1 2\nsettings B 1 2\n"
+_SIMULATE = ("simulate", "--scenario", "lf", "--seed", "1", "--out-dir", "o")
+_STREAM = "0\t1\t+1\n"
+
+
+def _coupling_flags(drop=(), extra=()):
+    """Inline e_ab, e_a and e_b values of 0 for the pairs of settings 1 and 2,
+    less the ``(flag, x, y)`` entries and the whole flags in ``drop``, plus
+    ``extra`` arguments."""
+    argv = []
+    for flag in ("--corr", "--mean-a", "--mean-b"):
+        for x, y in ((1, 1), (1, 2), (2, 1), (2, 2)):
+            if (flag, x, y) not in drop and flag not in drop:
+                argv += [flag, str(x), str(y), "0"]
+    return ["check-coupling", *argv, *extra]
+
+
+# Each case: files to write (name -> text), argv, exit code, last stderr line.
+_INPUT_ERRORS = {
+    "model-instruments-heading": (
+        {"h.model": "version 1\n" + _PRODUCT_HEAD + "begin instruments A\nend\n"},
+        ("simulate", "--model", "h.model"), 4,
+        "error: h.model:5: expected 'begin instruments A|B setting'"),
+    "model-joint-heading": (
+        {"h.model": _PRODUCT_HEAD + "begin joint-instruments 1\nend\n"},
+        ("simulate", "--model", "h.model"), 4,
+        "error: h.model:4: expected 'begin joint-instruments x y'"),
+    "model-responses-heading": (
+        {"h.model": _PRODUCT_HEAD + "begin responses A\nend\n"},
+        ("simulate", "--model", "h.model"), 4,
+        "error: h.model:4: expected 'begin responses A|B setting'"),
+    "model-angles-heading": (
+        {"h.model": _PRODUCT_HEAD + "begin angles A 1\nend\n"},
+        ("simulate", "--model", "h.model"), 4,
+        "error: h.model:4: expected 'begin angles A|B'"),
+    "model-version": (
+        {"v.model": "version 2\n"}, ("simulate", "--model", "v.model"), 4,
+        "error: v.model:1: unsupported format version '2'"),
+    "model-variant-value": (
+        {"v.model": "variant\n"}, ("simulate", "--model", "v.model"), 4,
+        "error: v.model:1: variant: expected one value"),
+    "model-settings-station": (
+        {"v.model": "settings C 1 2\n"}, ("simulate", "--model", "v.model"), 4,
+        "error: v.model:1: settings: expected 'settings A|B label...'"),
+    "model-angle": (
+        {"a.model": "variant quantum\nsettings A 1 2\nsettings B 1 2\n"
+                    "begin angles A\n1 0.0\n2 x\nend\n"},
+        ("simulate", "--model", "a.model"), 4, "error: a.model:6: bad angle 'x'"),
+    "model-section": (
+        {"b.model": "variant m1\nbegin bogus\n"}, ("simulate", "--model", "b.model"), 4,
+        "error: b.model:2: unknown section 'bogus'"),
+    "model-no-source": (
+        {"s.model": "variant lhvm\nsettings A 1 2\nsettings B 1 2\n"},
+        ("simulate", "--model", "s.model"), 4, "error: s.model: missing source block"),
+    "simulate-fixed-rule": (
+        {}, (*_SIMULATE, "--windows", "10", "--setting-rule", "fixed"), 2,
+        "error: fixed rule needs --x and --y"),
+    "simulate-no-length": (
+        {}, _SIMULATE, 2, "error: one of --windows or --duration-ns is required"),
+    "simulate-zero-windows": (
+        {}, (*_SIMULATE, "--windows", "0"), 2,
+        "error: duration must cover at least one window"),
+    "simulate-zero-width": (
+        {}, (*_SIMULATE, "--windows", "10", "--window-ns", "0"), 2,
+        "error: window width must be positive"),
+    "simulate-detection-rate": (
+        {}, (*_SIMULATE, "--windows", "10", "--detection-rate", "1.5"), 2,
+        "error: detection_rate must be within [0, 1]"),
+    "simulate-fixed-pair": (
+        {}, (*_SIMULATE, "--windows", "10", "--setting-rule", "fixed", "--x", "9", "--y", "1"),
+        2, "error: fixed settings (9, 1) not declared by the model"),
+    "simulate-p-same-model": (
+        {"lf.model": None},
+        ("simulate", "--model", "lf.model", "--p-same", "0.5"), 2,
+        "error: --p-same only applies to --scenario lhvm-socks"),
+    "simulate-config-rule": (
+        {"r.cfg": "setting_rule = bogus\n"},
+        ("--config", "r.cfg", *_SIMULATE, "--windows", "10"), 2,
+        "error: unknown setting rule 'bogus'"),
+    "analyze-one-stream": (
+        {"ok.txt": _STREAM}, ("analyze", "--stream-a", "ok.txt"), 2,
+        "error: both --stream-a and --stream-b are required"),
+    "analyze-zero-width": (
+        {"ok.txt": _STREAM},
+        ("analyze", "--stream-a", "ok.txt", "--stream-b", "ok.txt", "--window-ns", "0"), 2,
+        "error: window width must be positive"),
+    "analyze-timestamp-range": (
+        {"t1.txt": _STREAM + "9223372036854775808\t1\t+1\n", "ok.txt": _STREAM},
+        ("analyze", "--stream-a", "t1.txt", "--stream-b", "ok.txt"), 4,
+        "error: t1.txt:2: timestamp 9223372036854775808 out of range"),
+    "analyze-outcome": (
+        {"ok.txt": _STREAM, "t2.txt": "0\t1\tx\n"},
+        ("analyze", "--stream-a", "ok.txt", "--stream-b", "t2.txt"), 4,
+        "error: t2.txt:1: bad outcome 'x'"),
+    "analyze-csv-window-range": (
+        {"c.csv": "window,x,y,a,b\n9223372036854775808,1,1,1,1\n"},
+        ("analyze", "--coincidences", "c.csv"), 4,
+        "error: c.csv:2: window 9223372036854775808 out of range"),
+    "analyze-csv-field-size": (
+        {"c.csv": "window,x,y,a,b\n0," + "1" * 200_000 + ",1,1,1\n"},
+        ("analyze", "--coincidences", "c.csv"), 4,
+        "error: c.csv:2: field larger than field limit (131072)"),
+    "coupling-range": (
+        {}, _coupling_flags(drop=[("--corr", 1, 1)], extra=["--corr", "1", "1", "1.5"]), 2,
+        "error: e_ab(1, 1) = 1.5 outside [-1, 1]"),
+    "coupling-missing-pair": (
+        {}, _coupling_flags(drop=[("--corr", 2, 2)]), 2,
+        "error: e_ab: missing entry for pair (2, 2)"),
+    "coupling-three-settings": (
+        {}, _coupling_flags(extra=["--corr", "3", "1", "0"]), 2,
+        "error: a joint spec needs exactly two settings per station"),
+    "coupling-no-e-a": (
+        {}, _coupling_flags(drop=["--mean-a"]), 2,
+        "error: --spec missing and no inline e_a values given"),
+}
+
+
+@pytest.mark.parametrize("files, argv, code, last_line", _INPUT_ERRORS.values(),
+                         ids=_INPUT_ERRORS.keys())
+def test_input_error_exit_code_and_message(files, argv, code, last_line,
+                                           tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    for name, text in files.items():
+        if text is None:
+            modelio.save(lf_scenario().model, name)
+        else:
+            (tmp_path / name).write_text(text)
+    if argv[0] == "simulate" and "--seed" not in argv:
+        argv = (*argv, "--windows", "10", "--seed", "1", "--out-dir", "o")
+    if argv[0] == "analyze":
+        argv = (*argv, "--out-dir", "o")
+    got, _, err = run(capsys, *argv)
+    assert (got, err.splitlines()[-1]) == (code, last_line)
+
+
+def test_duration_covers_the_same_windows_as_a_window_count(tmp_path, capsys):
+    outputs = []
+    for name, length in (("windows", ("--windows", "10")),
+                         ("duration", ("--duration-ns", "10000"))):
+        out = tmp_path / name
+        code, _, _ = run(capsys, "simulate", "--scenario", "lf", *length,
+                         "--window-ns", "1000", "--seed", "4", "--out-dir", str(out))
+        assert code == 0
+        outputs.append([(out / f).read_bytes() for f in ("analysis.json", "coincidences.csv")])
+    assert outputs[0] == outputs[1]

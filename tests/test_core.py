@@ -231,30 +231,39 @@ class TestValidateModel:
         assert b.tolist() == [int(outcome)] * 10
 
     @pytest.mark.parametrize("station", ["A", "B"])
-    @pytest.mark.parametrize("outcome", [-2, 2, 0.5, 1.0])
+    @pytest.mark.parametrize("outcome", [-2, 2, 0.5, 1.0, 0])
     def test_callable_outcome_outside_range_reported(self, station, outcome):
         # A plain callable can only be checked once it is called: when it
         # is tabulated for enumeration, or on each draw of a sampler model.
+        # An lhvm model's range is -1/+1 alone, so its outcome 0 is outside.
         def respond(lam, i):
             return outcome if lam == 1 else -1
 
+        variant = ModelVariant.LHVM if outcome == 0 else ModelVariant.M1
         source = DiscreteDistribution.uniform([(0, 0), (1, 1)])
         inst = {s: DiscreteDistribution.point(0) for s in SETTINGS}
         valid = {s: (lambda lam, i: 1) for s in SETTINGS}
         broken = {1: respond, 2: valid[2]}
         resp_a, resp_b = (broken, valid) if station == "A" else (valid, broken)
         finite = ExperimentModel.product_model(
-            ModelVariant.M1, SETTINGS, SETTINGS, source, inst, dict(inst), resp_a, resp_b)
+            variant, SETTINGS, SETTINGS, source, inst, dict(inst), resp_a, resp_b)
         sampled = ExperimentModel.product_model(
-            ModelVariant.M1, SETTINGS, SETTINGS,
+            variant, SETTINGS, SETTINGS,
             SamplerSpace(lambda g, n: [(int(v), int(v)) for v in g.integers(0, 2, n)]),
             inst, dict(inst), resp_a, resp_b)
-        want = f"responses {station}[1]: outcomes outside -1/0/+1: {[outcome]}"
+        if outcome == 0:
+            want = f"responses {station}[1]: lhvm responses must never output 0"
+        else:
+            want = f"responses {station}[1]: outcomes outside -1/0/+1: {[outcome]}"
         assert validate_model(finite) == validate_model(sampled) == []
         calls = [lambda: enumerate_raw(finite, SettingPair(2, 2)),
                  lambda: enumerate_postselected(finite, SettingPair(1, 1))]
         for model in (finite, sampled):
             calls.append(lambda model=model: simulate_trials(model, SettingPair(1, 1), 10, 1))
+            # One trial draws one source atom; half of them reach the bad outcome.
+            generator = np.random.default_rng(2)
+            calls.append(lambda model=model: [sample_trial(model, SettingPair(1, 1), generator)
+                                              for _ in range(64)])
         for call in calls * 2:
             with pytest.raises(InvalidModel) as excinfo:
                 call()

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from bellsim.core import SettingPair, enumerate_postselected
 from bellsim.errors import (
@@ -14,6 +15,7 @@ from bellsim.errors import (
 from bellsim.estimators import estimate_postselected
 from bellsim.scenarios import build_scenario, lf_scenario, scenario_names
 from bellsim.streams import (
+    ClickStream,
     CoincidenceRecord,
     FixedSettings,
     RandomSettings,
@@ -234,6 +236,49 @@ class TestFiles:
         path = tmp_path / "c.csv"
         write_coincidence_csv(records, path)
         assert list(read_coincidence_csv(path)) == records
+
+    @pytest.mark.parametrize("label, time_tags", [
+        ("a b", True), ("#x", True), ("", True), ("1", True), ("x\u00e9", True),
+        ("", False), ("1", False), (" 1", False), ("x\u00e9", False),
+    ])
+    def test_label_that_would_not_read_back_is_refused(self, label, time_tags, tmp_path):
+        path = tmp_path / "out"
+        with pytest.raises(BellsimError, match=f"setting label {label!r} would not read back"):
+            if time_tags:
+                write_timetag_file(ClickStream("A", [0], [0], [1], (label,)), path)
+            else:
+                write_coincidence_csv([CoincidenceRecord(0, SettingPair(1, label), 1, -1)], path)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("label", ["x1", np.int64(7), -3, "a,b", 'q"x', "a\r\nb"])
+    def test_quoted_and_numpy_labels_still_write(self, label, tmp_path):
+        records = [CoincidenceRecord(0, SettingPair(label, 2), 1, -1)]
+        write_coincidence_csv(records, tmp_path / "c.csv")
+        assert list(read_coincidence_csv(tmp_path / "c.csv")) == records
+        if "\n" not in str(label):
+            clicks = ClickStream("A", [0], [0], [1], (label,))
+            write_timetag_file(clicks, tmp_path / "t.txt")
+            assert events(ingest_timetag_file(tmp_path / "t.txt")) == events(clicks)
+
+    @given(label=st.one_of(st.integers(-10 ** 20, 10 ** 20), st.text(max_size=4),
+                           st.sampled_from(("x1", "a,b", 'q"x', "a\r\nb", "1.5")),
+                           st.integers(-100, 100).map(np.int64)))
+    def test_writers_refuse_or_round_trip_a_label(self, tmp_path_factory, label):
+        directory = tmp_path_factory.mktemp("labels")
+        clicks = ClickStream("B", [3], [0], [-1], (label,))
+        try:
+            write_timetag_file(clicks, directory / "t.txt")
+        except BellsimError:
+            pass
+        else:
+            assert events(ingest_timetag_file(directory / "t.txt", "B")) == events(clicks)
+        records = [CoincidenceRecord(3, SettingPair(label, None), -1, 0)]
+        try:
+            write_coincidence_csv(records, directory / "c.csv")
+        except BellsimError:
+            pass
+        else:
+            assert list(read_coincidence_csv(directory / "c.csv")) == records
 
     def test_csv_rejects_double_zero(self, tmp_path):
         path = tmp_path / "c.csv"
