@@ -11,6 +11,9 @@ line, non-ASCII byte, decreasing timestamp, or two settings at one station
 in one window), 5 empty setting cell.  All printed tables are also
 written machine-readably; identical configuration and seed produce
 byte-identical artifacts whatever the thread count.
+
+``coupling`` and ``modelio`` are imported by the handlers that use them,
+so ``simulate`` on a shipped scenario loads neither.
 """
 
 from __future__ import annotations
@@ -22,16 +25,7 @@ import os
 import sys
 from pathlib import Path
 
-from . import modelio
 from .core import ensure_valid
-from .modelio import _decode_label
-from .coupling import (
-    JointSpec,
-    coupling_feasibility,
-    coupling_result_to_dict,
-    jointspec_to_dict,
-    load_jointspec,
-)
 from .errors import (
     BellsimError,
     EmptyCell,
@@ -66,6 +60,7 @@ from .streams import (
     write_coincidence_csv,
     write_timetag_file,
 )
+from .textio import _decode_label, _lines, _read_ascii
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -97,11 +92,11 @@ class ConfigError(BellsimError):
 
 def _load_config(path) -> dict:
     try:
-        text = modelio._read_ascii(Path(path))
+        text = _read_ascii(Path(path))
     except ParseError as exc:      # a bad config file is a configuration error
         raise ConfigError(str(exc)) from None
     values = {}
-    for line_number, content in modelio._lines(text):
+    for line_number, content in _lines(text):
         if "=" not in content:
             raise ConfigError(f"{path}:{line_number}: expected 'key = value'")
         key, _, value = content.partition("=")
@@ -233,6 +228,8 @@ def _cmd_simulate(args) -> int:
     else:
         if args.p_same is not None:
             raise ConfigError("--p-same only applies to --scenario lhvm-socks")
+        from . import modelio
+
         model = modelio.load(args.model)
         header_name = f"model {args.model}"
     ensure_valid(model)
@@ -310,7 +307,9 @@ def _inline_value(flag: str, text: str) -> float:
         raise ConfigError(f"{flag}: bad value {text!r}") from None
 
 
-def _spec_from_flags(args) -> JointSpec:
+def _spec_from_flags(args):
+    from .coupling import JointSpec
+
     tables = {}
     for label, flag, rows in (("e_ab", "--corr", args.corr), ("e_a", "--mean-a", args.mean_a),
                               ("e_b", "--mean-b", args.mean_b)):
@@ -324,6 +323,13 @@ def _spec_from_flags(args) -> JointSpec:
 
 
 def _cmd_check_coupling(args) -> int:
+    from .coupling import (
+        coupling_feasibility,
+        coupling_result_to_dict,
+        jointspec_to_dict,
+        load_jointspec,
+    )
+
     if args.spec is not None:
         spec = load_jointspec(args.spec)
     else:
@@ -346,6 +352,8 @@ def _cmd_check_coupling(args) -> int:
 
 
 def _cmd_scenario(args) -> int:
+    from . import modelio
+
     scenario = build_scenario(args.name)
     out = _out_dir(args)
     modelio.save(scenario.model, out / f"{scenario.name}.model")

@@ -62,6 +62,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
+from itertools import product
 from typing import Callable, Hashable, NamedTuple, Sequence
 
 import numpy as np
@@ -335,8 +336,7 @@ class ExperimentModel:
         )
 
 
-@dataclass(frozen=True)
-class ExactResult:
+class ExactResult(NamedTuple):
     """Expectations for one setting pair.
 
     ``e_ab``, ``e_a``, ``e_b`` are the (raw or post-selected) expectations
@@ -558,6 +558,20 @@ def table_sums(table) -> tuple[tuple, tuple]:
            (both, both + m0 + p0, both + zm + zp))
     post = (both, (ab, pm + pp - mm - mp, mp + pp - mm - pm), (both, both, both))
     return raw, post
+
+
+def chsh_values(correlators) -> list[tuple[str, object]]:
+    """All eight odd-minus sign combinations of four correlators.
+
+    Returns ``(pattern, S)`` pairs in a fixed order; pattern ids spell the
+    signs, e.g. ``"++-+"``.
+    """
+    out = []
+    for signs in product((1, -1), repeat=4):
+        if signs.count(-1) % 2 == 1:
+            pattern = "".join("+" if s > 0 else "-" for s in signs)
+            out.append((pattern, sum(s * e for s, e in zip(signs, correlators))))
+    return out
 
 
 def _outcome_grid(model: ExperimentModel, comp: int, setting) -> tuple[dict, np.ndarray]:

@@ -36,9 +36,9 @@ from fractions import Fraction
 from itertools import product
 from pathlib import Path
 
-from .core import DiscreteDistribution, SettingPair, _as_fraction
+from .core import DiscreteDistribution, SettingPair, _as_fraction, chsh_values
 from .errors import BellsimError, ParseError
-from .modelio import _line_number, _read_ascii
+from .textio import _line_number, _read_ascii
 
 # Atom order for witnesses: quadruples (a_x0, a_x1, b_y0, b_y1).
 ATOMS = tuple(product((1, -1), repeat=4))
@@ -143,20 +143,6 @@ def pairwise_realizability(spec: JointSpec) -> tuple[bool, list[str]]:
                     f"pair {tuple(sp)}: cell (a={a:+d}, b={b:+d}) has probability {cell}"
                 )
     return not offenders, offenders
-
-
-def chsh_values(correlators) -> list[tuple[str, object]]:
-    """All eight odd-minus sign combinations of four correlators.
-
-    Returns ``(pattern, S)`` pairs in a fixed order; pattern ids spell the
-    signs, e.g. ``"++-+"``.
-    """
-    out = []
-    for signs in product((1, -1), repeat=4):
-        if signs.count(-1) % 2 == 1:
-            pattern = "".join("+" if s > 0 else "-" for s in signs)
-            out.append((pattern, sum(s * e for s, e in zip(signs, correlators))))
-    return out
 
 
 def chsh_statistics(spec: JointSpec) -> list[tuple[str, float]]:

@@ -26,12 +26,11 @@ count.  Exact results carry zero standard errors and a z-score of None.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .core import ExactResult, SettingPair, table_sums
-from .coupling import chsh_values
+from .core import ExactResult, SettingPair, chsh_values, table_sums
 from .errors import EmptyCell, MissingPair
 from .streams import CoincidenceRecords
 
@@ -39,8 +38,7 @@ RAW = "raw"
 POSTSELECTED = "postselected"
 
 
-@dataclass(frozen=True)
-class PairStats:
+class PairStats(NamedTuple):
     e_ab: float
     e_a: float
     e_b: float
@@ -52,8 +50,7 @@ class PairStats:
     se_b: float
 
 
-@dataclass(frozen=True)
-class CorrelationSet:
+class CorrelationSet(NamedTuple):
     """Per-setting-pair statistics plus the conditioning they were computed under."""
 
     settings_a: tuple
@@ -148,8 +145,7 @@ def correlation_set_from_exact(results: dict, settings_a, settings_b,
 # CHSH
 
 
-@dataclass(frozen=True)
-class ChshReport:
+class ChshReport(NamedTuple):
     """All eight odd-minus sign combinations of the four correlators.
 
     ``pair_order`` fixes which correlator each sign position refers to;
@@ -199,8 +195,7 @@ def chsh(cs: CorrelationSet) -> ChshReport:
 # No-signalling
 
 
-@dataclass(frozen=True)
-class MarginalDelta:
+class MarginalDelta(NamedTuple):
     station: str           # which station's marginal is compared
     setting: object        # that station's own setting
     remote_settings: tuple  # the two remote settings being contrasted
@@ -208,8 +203,7 @@ class MarginalDelta:
     z: "float | None"      # None when either standard error is zero
 
 
-@dataclass(frozen=True)
-class NoSignallingReport:
+class NoSignallingReport(NamedTuple):
     deltas: tuple
     max_abs_delta: float
     max_abs_z: "float | None"

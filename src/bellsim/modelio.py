@@ -36,8 +36,8 @@ one encoder and one decoder per kind; only the assembly of the decoded
 columns into a model part is particular to a section.
 
 Lines end at ``\\n``, ``\\r\\n`` or ``\\r`` and parse errors number them
-that way; ``#`` starts a comment.  ``_lines`` is this line rule for every
-text input: model, config and time-tag files.  Tokens are
+that way; ``#`` starts a comment (the line rule of every text input,
+``textio``).  Tokens are
 whitespace-separated.  A block whose rows are plain (integers of at most 18
 digits, ``n`` or ``n/d`` probabilities, fields separated by spaces or tabs,
 no comment or blank line, closed by a line that is exactly ``end``) is read
@@ -59,6 +59,7 @@ from __future__ import annotations
 import re
 from collections import deque
 from fractions import Fraction
+from functools import cache
 from itertools import islice
 from pathlib import Path
 
@@ -71,6 +72,7 @@ from .core import (
     ResponseTable,
 )
 from .errors import BellsimError, ParseError
+from .textio import _contents, _decode_label, _read_ascii, _split
 
 FORMAT_VERSION = 1
 
@@ -92,53 +94,6 @@ def _encode_token(value) -> str:
                            "not round-trip")
     raise BellsimError(f"cannot encode {value!r} as a model file token; "
                        "use int or string labels")
-
-
-def _split(text: str) -> list[str]:
-    """The lines of ``text``, which end at ``\\n``, ``\\r\\n`` or ``\\r``."""
-    return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
-
-
-def _contents(numbered):
-    """``(line_number, content)`` for each ``(line_number, line)`` of
-    ``numbered`` that is not blank once its ``#`` comment is cut off; content
-    is stripped of surrounding whitespace."""
-    for line_number, raw in numbered:
-        content = raw.split("#", 1)[0].strip()
-        if content:
-            yield line_number, content
-
-
-def _lines(text: str):
-    """``(line_number, content)`` for each line of ``text`` that is not blank
-    once its ``#`` comment is cut off, as ``_contents`` gives them."""
-    return _contents(enumerate(_split(text), start=1))
-
-
-def _line_number(before: str) -> int:
-    """The line of the character that follows the text ``before``, counted
-    as ``_lines`` counts them."""
-    return len(_split(before))
-
-
-def _read_ascii(path: Path) -> str:
-    """The text of an ASCII file; any other byte is a ParseError naming
-    its line, counted as ``_lines`` counts them."""
-    data = path.read_bytes()
-    try:
-        return data.decode("ascii")
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"non-ASCII byte 0x{data[exc.start]:02x}",
-                         line_number=_line_number(data[:exc.start].decode("ascii")),
-                         path=str(path)) from None
-
-
-def _decode_label(token: str):
-    """A label or atom token: an int when it parses as one, else the string."""
-    try:
-        return int(token)
-    except ValueError:
-        return token
 
 
 def _require_table(space, what: str) -> DiscreteDistribution:
@@ -255,13 +210,15 @@ _PLAIN_FIELD = {"label": _INT, "outcome": _INT,
                 "probability": _INT + r"(?:/(?!0+\b)[0-9]{1,18})?"}
 
 
-def _plain_rows(kinds) -> re.Pattern:
+@cache
+def _plain_body(section: str) -> "re.Pattern | None":
+    """The pattern of a plain ``section`` body, compiled on first use; None
+    for a section with no plain form."""
+    kinds = _BLOCKS[section][1]
+    if not set(kinds) <= _PLAIN_FIELD.keys():
+        return None
     row = r"[ \t]+".join(_PLAIN_FIELD[kind] for kind in kinds)
     return re.compile(f"(?:{row}(?:\n{row})*)?")
-
-
-_PLAIN_BODY = {section: _plain_rows(kinds) for section, (_, kinds) in _BLOCKS.items()
-               if set(kinds) <= _PLAIN_FIELD.keys()}
 
 
 def _plain_block(split, numbered, start: int, section: str):
@@ -270,14 +227,15 @@ def _plain_block(split, numbered, start: int, section: str):
     ``end`` is a plain row; its lines and that ``end`` are then consumed from
     ``numbered``.  None, with nothing consumed, for any other body, which
     the line loop then reads."""
-    if section not in _PLAIN_BODY:
+    pattern = _plain_body(section)
+    if pattern is None:
         return None
     try:
         end = split.index("end", start)
     except ValueError:
         return None
     body = "\n".join(split[start:end])
-    if _PLAIN_BODY[section].fullmatch(body) is None:
+    if pattern.fullmatch(body) is None:
         return None
     deque(islice(numbered, end + 1 - start), maxlen=0)
     return body
@@ -358,6 +316,8 @@ def loads(text: str, path=None) -> ExperimentModel:
             body = _plain_block(split, numbered, ln, section)
             *keys, column = (_line_columns(lines, path, section) if body is None
                              else _plain_columns(body, kinds))
+            if not column and kinds[-1] == "probability":    # a distribution needs an atom
+                raise ParseError(f"empty {section} block", ln, path)
             if section == "source":
                 source = DiscreteDistribution(list(zip(*keys)), column)
             elif section == "instruments":

@@ -34,6 +34,7 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass
+from itertools import product
 from pathlib import Path
 from typing import NamedTuple
 
@@ -48,7 +49,7 @@ from .errors import (
     SettingConflict,
     UnsortedStream,
 )
-from .modelio import _decode_label, _lines, _read_ascii
+from .textio import _decode_label, _lines, _read_ascii
 
 _INT64 = 2 ** 63
 
@@ -134,8 +135,7 @@ class CoincidenceRecords:
         return cls.from_rows([(r.window, r.sp.x, r.sp.y, r.a, r.b) for r in records])
 
 
-@dataclass(frozen=True)
-class PairingResult:
+class PairingResult(NamedTuple):
     records: CoincidenceRecords
     dropped_a: int    # same-bin extra clicks discarded at station A
     dropped_b: int
@@ -145,8 +145,7 @@ class PairingResult:
 # Schedules
 
 
-@dataclass(frozen=True)
-class FixedSettings:
+class FixedSettings(NamedTuple):
     """Every window uses the same setting pair."""
 
     x: object
@@ -335,7 +334,9 @@ def _first_clicks(stream: ClickStream, window_ns: int):
         raise UnsortedStream(f"station {stream.station}: timestamp {t[i + 1]} after {t[i]}")
     if len(t) and t[0] < 0:
         raise BellsimError(f"station {stream.station}: negative timestamp {t[0]}")
-    bins, starts = np.unique(t // window_ns, return_index=True)
+    bin_of = t // window_ns
+    starts = np.flatnonzero(np.diff(bin_of, prepend=-1))     # t is sorted, so are its bins
+    bins = bin_of[starts]
     kept = np.lexsort((stream.value, t))[starts]      # earliest, ties by value
     lo = np.minimum.reduceat(stream.setting, starts)
     hi = np.maximum.reduceat(stream.setting, starts)
@@ -436,7 +437,7 @@ def pair_coincidences(stream_a: ClickStream, stream_b: ClickStream, window_ns: i
 def ingest_timetag_file(path, station: str = "A") -> ClickStream:
     """Read a time-tag file: ``timestamp_ns<TAB>setting<TAB>outcome`` per
     line, ``#`` comments, outcomes +1 or -1.  Any whitespace separates the
-    fields.  Lines end at ``\\n``, ``\\r\\n`` or ``\\r`` (``modelio._lines``)
+    fields.  Lines end at ``\\n``, ``\\r\\n`` or ``\\r`` (``textio._lines``)
     and errors name the line counted that way."""
     path = Path(path)
     times, settings, values = [], [], []
@@ -489,29 +490,67 @@ def _check_writable(labels, time_tags: bool) -> None:
             raise BellsimError(f"setting label {label!r} would not read back from a {kind} file")
 
 
+def _line_blocks(heads: np.ndarray, columns, tail):
+    """The text of one line per entry of ``heads``, a block of ``CHUNK``
+    lines at a time: the entry's ``str`` followed by ``tail(*values)``.
+    ``columns`` holds ``(codes, values)`` pairs, and a line's values are
+    ``values[code]`` of each pair.  ``tail`` runs once per combination of
+    values, not once per line, and before this returns."""
+    dims = [len(values) for _, values in columns]
+    codes = np.ravel_multi_index([c for c, _ in columns], dims)
+    tails = _label_array([tail(*combination)
+                          for combination in product(*(values for _, values in columns))])
+
+    def block(start):
+        lines = slice(start, start + _rng.CHUNK)
+        parts = [None] * (2 * len(codes[lines]))
+        parts[0::2] = map(str, heads[lines].tolist())
+        parts[1::2] = tails[codes[lines]].tolist()
+        return "".join(parts)
+
+    return map(block, range(0, len(heads), _rng.CHUNK))
+
+
+_OUTCOMES = (-1, 0, 1)      # an outcome column's values, coded as outcome + 1
+
+
 def write_timetag_file(stream: ClickStream, path) -> None:
     _check_writable(stream.labels, time_tags=True)
-    settings = _label_array(stream.labels)[stream.setting].tolist()
-    lines = map("{}\t{}\t{:+d}\n".format, stream.t.tolist(), settings, stream.value.tolist())
-    Path(path).write_text(f"# station {stream.station}: timestamp_ns setting outcome\n"
-                          + "".join(lines), encoding="ascii")
+    blocks = _line_blocks(stream.t, ((stream.setting, stream.labels),
+                                     (stream.value + 1, _OUTCOMES)), "\t{}\t{:+d}\n".format)
+    with Path(path).open("w", encoding="ascii") as fh:
+        fh.write(f"# station {stream.station}: timestamp_ns setting outcome\n")
+        fh.writelines(blocks)
 
 
 def write_coincidence_csv(records, path) -> None:
-    """CSV with header ``window,x,y,a,b``; unknown settings are empty fields."""
+    """CSV with header ``window,x,y,a,b``; unknown settings are empty fields.
+    Everything after the window field is rendered by ``csv.writer``, once
+    per combination of settings and outcomes, so quoting and line ends are
+    its own."""
     r = CoincidenceRecords.of(records)
     _check_writable(r.settings_a + r.settings_b, time_tags=False)
-    x = _label_array(r.settings_a + ("",))[r.x].tolist()     # code -1 picks ""
-    y = _label_array(r.settings_b + ("",))[r.y].tolist()
+    buf = io.StringIO()
+    row_writer = csv.writer(buf)
+
+    def tail(*fields):
+        buf.seek(0)
+        buf.truncate()
+        row_writer.writerow(("", *fields))
+        return buf.getvalue()
+
+    # Code -1, an unknown setting, picks the empty field in front of the labels.
+    blocks = _line_blocks(r.window, ((r.x + 1, ("",) + r.settings_a),
+                                     (r.y + 1, ("",) + r.settings_b),
+                                     (r.a + 1, _OUTCOMES), (r.b + 1, _OUTCOMES)), tail)
     with Path(path).open("w", newline="", encoding="ascii") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["window", "x", "y", "a", "b"])
-        writer.writerows(zip(r.window.tolist(), x, y, r.a.tolist(), r.b.tolist()))
+        csv.writer(fh).writerow(["window", "x", "y", "a", "b"])
+        fh.writelines(blocks)
 
 
 def read_coincidence_csv(path) -> CoincidenceRecords:
     """Read a CSV that ``write_coincidence_csv`` wrote.  An error names the
-    csv module's physical line, whose lines end as in ``modelio._lines``."""
+    csv module's physical line, whose lines end as in ``textio._lines``."""
     path = Path(path)
     rows = []
     reader = csv.reader(io.StringIO(_read_ascii(path), newline=""))

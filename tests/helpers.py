@@ -17,8 +17,9 @@ Two more keep the event-object stream path for comparison with the
 columnar one: a generator that builds one ``ClickEvent`` per click, and a
 pairer that walks both event lists bin by bin with ``groupby``.
 
-The last four keep the text readers that each had their own line loop:
-model, config, time-tag and coincidence CSV files.
+Four more keep the text readers that each had their own line loop:
+model, config, time-tag and coincidence CSV files.  The last two keep the
+text writers that formatted one whole line per click or record.
 """
 
 from __future__ import annotations
@@ -529,6 +530,12 @@ def _oracle_parse_prob(reader, token, ln):
         reader.fail(f"bad probability {token!r}", ln)
 
 
+def _oracle_distribution(reader, atoms, probs, ln, what):
+    if not atoms:
+        reader.fail(f"empty {what} block", ln)
+    return DiscreteDistribution(atoms, probs)
+
+
 def oracle_loads(text, path=None):
     """A model file's text as a model, last copy of a repeated section kept."""
     reader = _OracleReader(text, path)
@@ -568,14 +575,15 @@ def oracle_loads(text, path=None):
                 rows = _oracle_read_block(reader, 3, "source")
                 atoms = [(_decode_label(a), _decode_label(b)) for _, (a, b, _p) in rows]
                 probs = [_oracle_parse_prob(reader, p, ln2) for ln2, (_a, _b, p) in rows]
-                source = DiscreteDistribution(atoms, probs)
+                source = _oracle_distribution(reader, atoms, probs, ln, "source")
             elif section == "instruments":
                 if len(tokens) != 4 or tokens[2] not in ("A", "B"):
                     reader.fail("expected 'begin instruments A|B setting'", ln)
                 rows = _oracle_read_block(reader, 2, "instruments")
                 atoms = [_decode_label(a) for _, (a, _p) in rows]
                 probs = [_oracle_parse_prob(reader, p, ln2) for ln2, (_a, p) in rows]
-                instruments[tokens[2]][_decode_label(tokens[3])] = DiscreteDistribution(atoms, probs)
+                instruments[tokens[2]][_decode_label(tokens[3])] = _oracle_distribution(
+                    reader, atoms, probs, ln, "instruments")
             elif section == "joint-instruments":
                 if len(tokens) != 4:
                     reader.fail("expected 'begin joint-instruments x y'", ln)
@@ -583,7 +591,7 @@ def oracle_loads(text, path=None):
                 atoms = [(_decode_label(a), _decode_label(b)) for _, (a, b, _p) in rows]
                 probs = [_oracle_parse_prob(reader, p, ln2) for ln2, (_a, _b, p) in rows]
                 pair = (_decode_label(tokens[2]), _decode_label(tokens[3]))
-                joints[pair] = DiscreteDistribution(atoms, probs)
+                joints[pair] = _oracle_distribution(reader, atoms, probs, ln, "joint-instruments")
             elif section == "responses":
                 if len(tokens) != 4 or tokens[2] not in ("A", "B"):
                     reader.fail("expected 'begin responses A|B setting'", ln)
@@ -728,3 +736,24 @@ def oracle_read_coincidence_csv(path):
     except csv.Error as exc:
         raise ParseError(str(exc), line_number=line_number + 1, path=str(path)) from None
     return CoincidenceRecords.from_rows(rows)
+
+
+def oracle_write_timetag_file(stream, path):
+    """A time-tag file written one formatted line per click."""
+    _streams._check_writable(stream.labels, time_tags=True)
+    settings = _streams._label_array(stream.labels)[stream.setting].tolist()
+    lines = map("{}\t{}\t{:+d}\n".format, stream.t.tolist(), settings, stream.value.tolist())
+    Path(path).write_text(f"# station {stream.station}: timestamp_ns setting outcome\n"
+                          + "".join(lines), encoding="ascii")
+
+
+def oracle_write_coincidence_csv(records, path):
+    """A coincidence CSV written one ``csv.writer`` row per record."""
+    r = CoincidenceRecords.of(records)
+    _streams._check_writable(r.settings_a + r.settings_b, time_tags=False)
+    x = _streams._label_array(r.settings_a + ("",))[r.x].tolist()     # code -1 picks ""
+    y = _streams._label_array(r.settings_b + ("",))[r.y].tolist()
+    with Path(path).open("w", newline="", encoding="ascii") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["window", "x", "y", "a", "b"])
+        writer.writerows(zip(r.window.tolist(), x, y, r.a.tolist(), r.b.tolist()))

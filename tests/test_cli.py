@@ -475,6 +475,26 @@ _INPUT_ERRORS = {
     "model-section": (
         {"b.model": "variant m1\nbegin bogus\n"}, ("simulate", "--model", "b.model"), 4,
         "error: b.model:2: unknown section 'bogus'"),
+    # An empty distribution block, read in one pass or (with a comment) by
+    # the line loop.
+    "model-empty-source": (
+        {"e.model": _PRODUCT_HEAD + "begin source\nend\n"},
+        ("simulate", "--model", "e.model"), 4, "error: e.model:4: empty source block"),
+    "model-empty-source-line-loop": (
+        {"e.model": _PRODUCT_HEAD + "\nbegin source\n# none\nend\n"},
+        ("simulate", "--model", "e.model"), 4, "error: e.model:5: empty source block"),
+    "model-empty-instruments": (
+        {"e.model": _PRODUCT_HEAD + "begin source\n1 1 1\nend\nbegin instruments A 1\nend\n"},
+        ("simulate", "--model", "e.model"), 4, "error: e.model:7: empty instruments block"),
+    "model-empty-instruments-line-loop": (
+        {"e.model": _PRODUCT_HEAD + "begin instruments B 2\n# no rows\nend\n"},
+        ("simulate", "--model", "e.model"), 4, "error: e.model:4: empty instruments block"),
+    "model-empty-joint": (
+        {"e.model": "variant m3\nsettings A 1 2\nsettings B 1 2\nbegin joint-instruments 1 2\nend\n"},
+        ("simulate", "--model", "e.model"), 4, "error: e.model:4: empty joint-instruments block"),
+    "model-empty-joint-line-loop": (
+        {"e.model": "variant m3\nbegin joint-instruments 2 1\n  \nend\n"},
+        ("simulate", "--model", "e.model"), 4, "error: e.model:2: empty joint-instruments block"),
     "model-no-source": (
         {"s.model": "variant lhvm\nsettings A 1 2\nsettings B 1 2\n"},
         ("simulate", "--model", "s.model"), 4, "error: s.model: missing source block"),

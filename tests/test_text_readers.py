@@ -1,7 +1,7 @@
 """Model, config, time-tag and coincidence CSV readers against the line
 loops they replaced.
 
-Every text input now goes through ``modelio._lines``: lines end at
+Every text input now goes through ``textio._lines``: lines end at
 ``\\n``, ``\\r\\n`` or ``\\r``, ``#`` starts a comment, and an error names
 the line counted that way.  On ASCII text without ``\\v``, ``\\f``,
 ``\\x1c``, ``\\x1d`` or ``\\x1e``, without quoted line breaks and without a
