@@ -5,11 +5,17 @@ reports), ``analyze`` (time-tag files or a coincidence CSV -> reports),
 ``check-coupling`` (joint spec -> feasibility verdict), ``scenario``
 (export a shipped scenario) and ``list-scenarios``.
 
-Exit codes: 0 success, 2 configuration error (including a missing or
-unreadable file), 3 model validation failure, 4 input error (unparsable
-line, non-ASCII byte, decreasing timestamp, or two settings at one station
-in one window), 5 empty setting cell.  All printed tables are also
-written machine-readably; identical configuration and seed produce
+Each fallback is the ``default=`` of its flag; ``--out-dir`` falls back
+to ``$BELLSIM_OUT``, then ``.``.  A ``--config`` file (the keys of
+``_CONFIG_KEYS``) becomes the invoked command's parser defaults and argv
+is parsed again, so a flag wins over the file and the file over the
+fallback.
+
+Exit codes (``_EXIT_CODES``): 0 success, 2 configuration error (including
+a missing or unreadable file), 3 model validation failure, 4 input error
+(unparsable line, non-ASCII byte, decreasing timestamp, or two settings at
+one station in one window), 5 empty setting cell.  All printed tables are
+also written machine-readably; identical configuration and seed produce
 byte-identical artifacts whatever the thread count.
 
 ``coupling`` and ``modelio`` are imported by the handlers that use them,
@@ -157,19 +163,18 @@ def _emit_analysis(out_dir: Path, payload: dict) -> list[str]:
                 writer.writerow([conditioning] + [pair[k] for k in _CSV_COLUMNS])
         written.append(csv_path.name)
     for conditioning in (RAW, POSTSELECTED):
-        section = payload[conditioning]
-        if "chsh" not in section:
+        report = payload[conditioning].get("chsh")
+        if report is None:
             continue
-        order = section["chsh"]["pair_order"]
-        caption = (f"{conditioning} correlator per setting pair; "
-                   f"pair index order: {order}")
-        rows = list(enumerate(section["chsh"]["correlators"]))
-        written += _write_plot_data(out_dir, f"correlators_{conditioning}", rows, caption)
-        s_rows = list(enumerate(v["s"] for v in section["chsh"]["s_values"]))
-        patterns = [v["pattern"] for v in section["chsh"]["s_values"]]
-        caption = (f"{conditioning} CHSH value per sign pattern; "
-                   f"pattern index order: {patterns}")
-        written += _write_plot_data(out_dir, f"chsh_{conditioning}", s_rows, caption)
+        s_values = report["s_values"]
+        for stem, what, values, order in (
+                ("correlators", "correlator per setting pair; pair",
+                 report["correlators"], report["pair_order"]),
+                ("chsh", "CHSH value per sign pattern; pattern",
+                 [v["s"] for v in s_values], [v["pattern"] for v in s_values])):
+            caption = f"{conditioning} {what} index order: {order}"
+            written += _write_plot_data(out_dir, f"{stem}_{conditioning}",
+                                        enumerate(values), caption)
     return written
 
 
@@ -199,7 +204,17 @@ def _print_summary(payload: dict, header: str, written: list[str]) -> None:
     print("wrote: " + " ".join(written))
 
 
-def _build_rule(args, model):
+def _report(out: Path, records, run: dict, header: str, written: list[str]) -> int:
+    """The common end of ``simulate`` and ``analyze``: estimate, write the
+    analysis files and print the summary."""
+    payload = _analysis_payload(records)
+    payload["run"] = run
+    written += _emit_analysis(out, payload)
+    _print_summary(payload, header, written)
+    return EXIT_OK
+
+
+def _build_rule(args):
     if args.setting_rule == "fixed":
         if args.x is None or args.y is None:
             raise ConfigError("fixed rule needs --x and --y")
@@ -222,6 +237,8 @@ def _cmd_simulate(args) -> int:
         raise ConfigError("exactly one of --scenario or --model is required")
     if args.seed is None:
         raise ConfigError("seed required: stochastic commands must be reproducible")
+    if args.seed < 0:
+        raise ConfigError("seed must be a non-negative integer")
     if args.scenario is not None:
         model = build_scenario(args.scenario, p_same=args.p_same).model
         header_name = f"scenario {args.scenario}"
@@ -233,12 +250,10 @@ def _cmd_simulate(args) -> int:
         model = modelio.load(args.model)
         header_name = f"model {args.model}"
     ensure_valid(model)
-    if args.windows is not None:
-        schedule = Schedule.for_windows(args.windows, args.window_ns, _build_rule(args, model))
-    elif args.duration_ns is not None:
-        schedule = Schedule(args.duration_ns, args.window_ns, _build_rule(args, model))
-    else:
+    if args.windows is None and args.duration_ns is None:
         raise ConfigError("one of --windows or --duration-ns is required")
+    duration = args.duration_ns if args.windows is None else args.windows * args.window_ns
+    schedule = Schedule(duration, args.window_ns, _build_rule(args))
 
     out = _out_dir(args)
     stream_a, stream_b = generate_streams(model, schedule, args.detection_rate,
@@ -252,8 +267,7 @@ def _cmd_simulate(args) -> int:
     pairing = pair_coincidences(stream_a, stream_b, schedule.window_ns, assignment)
     write_coincidence_csv(pairing.records, out / "coincidences.csv")
     written.append("coincidences.csv")
-    payload = _analysis_payload(pairing.records)
-    payload["run"] = {
+    run = {
         "command": "simulate",
         "source": header_name,
         "windows": schedule.n_windows,
@@ -264,10 +278,8 @@ def _cmd_simulate(args) -> int:
         "dropped_a": pairing.dropped_a,
         "dropped_b": pairing.dropped_b,
     }
-    written += _emit_analysis(out, payload)
-    _print_summary(payload, f"{header_name} | windows {schedule.n_windows} | "
-                            f"seed {args.seed} | rule {args.setting_rule}", written)
-    return EXIT_OK
+    return _report(out, pairing.records, run, f"{header_name} | windows {schedule.n_windows} | "
+                   f"seed {args.seed} | rule {args.setting_rule}", written)
 
 
 def _cmd_analyze(args) -> int:
@@ -293,11 +305,8 @@ def _cmd_analyze(args) -> int:
     else:
         records = read_coincidence_csv(args.coincidences)
         source = f"coincidences {args.coincidences}"
-    payload = _analysis_payload(records)
-    payload["run"] = {"command": "analyze", "source": source, "records": len(records)}
-    written += _emit_analysis(out, payload)
-    _print_summary(payload, source, written)
-    return EXIT_OK
+    run = {"command": "analyze", "source": source, "records": len(records)}
+    return _report(out, records, run, source, written)
 
 
 def _inline_value(flag: str, text: str) -> float:
@@ -336,10 +345,7 @@ def _cmd_check_coupling(args) -> int:
         spec = _spec_from_flags(args)
     result = coupling_feasibility(spec, exact=args.exact)
     payload = {"spec": jointspec_to_dict(spec), "result": coupling_result_to_dict(result)}
-    if args.out_dir is not None:
-        out = Path(args.out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        _write_json(out / "coupling.json", payload)
+    _write_json(_out_dir(args) / "coupling.json", payload)
     if result.feasible:
         print("feasible: a joint distribution over the sign quadruples exists")
         for atom, p in result.witness.items():
@@ -379,7 +385,8 @@ def _cmd_list_scenarios(_args) -> int:
     return EXIT_OK
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser():
+    """The ``bellsim`` parser and its subcommand parsers by name."""
     parser = argparse.ArgumentParser(
         prog="bellsim",
         description="simulate and analyse two-station correlation experiments")
@@ -390,24 +397,24 @@ def _build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--scenario", help="shipped scenario name")
     sim.add_argument("--model", help="model definition file")
     sim.add_argument("--windows", type=int)
-    sim.add_argument("--duration-ns", type=int, dest="duration_ns")
-    sim.add_argument("--window-ns", type=int, dest="window_ns")
-    sim.add_argument("--setting-rule", dest="setting_rule",
-                     choices=("fixed", "round-robin", "random"))
+    sim.add_argument("--duration-ns", type=int)
+    sim.add_argument("--window-ns", type=int, default=1000)
+    sim.add_argument("--setting-rule", choices=("fixed", "round-robin", "random"),
+                     default="random")
     sim.add_argument("--x", help="station A setting for the fixed rule")
     sim.add_argument("--y", help="station B setting for the fixed rule")
-    sim.add_argument("--p-same", type=float, dest="p_same",
+    sim.add_argument("--p-same", type=float,
                      help="correlation knob of the lhvm-socks scenario")
-    sim.add_argument("--detection-rate", type=float, dest="detection_rate")
+    sim.add_argument("--detection-rate", type=float, default=1.0)
     sim.add_argument("--seed", type=int)
-    sim.add_argument("--threads", type=int)
-    sim.add_argument("--write-streams", action="store_true", dest="write_streams")
+    sim.add_argument("--threads", type=int, default=1)
+    sim.add_argument("--write-streams", action="store_true")
     sim.set_defaults(handler=_cmd_simulate)
 
     ana = sub.add_parser("analyze", help="analyse time-tag files or a coincidence CSV")
-    ana.add_argument("--stream-a", dest="stream_a")
-    ana.add_argument("--stream-b", dest="stream_b")
-    ana.add_argument("--window-ns", type=int, dest="window_ns")
+    ana.add_argument("--stream-a")
+    ana.add_argument("--stream-b")
+    ana.add_argument("--window-ns", type=int, default=1000)
     ana.add_argument("--coincidences")
     ana.set_defaults(handler=_cmd_analyze)
 
@@ -415,10 +422,8 @@ def _build_parser() -> argparse.ArgumentParser:
     chk.add_argument("--spec", help="joint spec JSON file")
     chk.add_argument("--corr", nargs=3, action="append", metavar=("X", "Y", "V"),
                      help="inline correlator e_ab(x, y); repeat four times")
-    chk.add_argument("--mean-a", nargs=3, action="append", dest="mean_a",
-                     metavar=("X", "Y", "V"))
-    chk.add_argument("--mean-b", nargs=3, action="append", dest="mean_b",
-                     metavar=("X", "Y", "V"))
+    chk.add_argument("--mean-a", nargs=3, action="append", metavar=("X", "Y", "V"))
+    chk.add_argument("--mean-b", nargs=3, action="append", metavar=("X", "Y", "V"))
     chk.add_argument("--exact", action="store_true",
                      help="exact rational arithmetic in the feasibility solve")
     chk.set_defaults(handler=_cmd_check_coupling)
@@ -430,52 +435,40 @@ def _build_parser() -> argparse.ArgumentParser:
     lst = sub.add_parser("list-scenarios", help="list shipped scenarios")
     lst.set_defaults(handler=_cmd_list_scenarios)
 
-    for p in (sim, ana, chk, sce, lst):
-        p.add_argument("--out-dir", dest="out_dir",
+    out_dir = os.environ.get("BELLSIM_OUT", ".")
+    for p in sub.choices.values():
+        p.add_argument("--out-dir", default=out_dir,
                        help="output directory (default: $BELLSIM_OUT or .)")
-    return parser
+    return parser, sub.choices
 
 
-# Filled in after flags and config file are merged; flags win over the
-# config file, the config file wins over these.
-_FALLBACKS = {
-    "window_ns": 1000,
-    "setting_rule": "random",
-    "detection_rate": 1.0,
-    "threads": 1,
-}
+# Exit code of an error: the first row whose classes it is an instance of.
+_EXIT_CODES = (
+    (InvalidModel, EXIT_INVALID_MODEL),
+    ((ParseError, NonMonotonicTimestamps, SettingConflict), EXIT_PARSE),
+    ((EmptyCell, MissingPair), EXIT_EMPTY_CELL),
+    ((BellsimError, OSError), EXIT_CONFIG),
+)
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    # A fresh parser per call: the config file's defaults must not outlive it.
+    parser, commands = _build_parser()
+    args = parser.parse_args(argv)
     try:
-        overrides = {} if args.config is None else _load_config(args.config)
-        for key, value in {**_FALLBACKS, **overrides}.items():
-            if getattr(args, key, None) is None:
-                setattr(args, key, value)
-        if getattr(args, "out_dir", None) is None:
-            args.out_dir = os.environ.get("BELLSIM_OUT", ".")
+        if args.config is not None:
+            commands[args.command].set_defaults(**_load_config(args.config))
+            args = parser.parse_args(argv)
         return args.handler(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except InvalidModel as exc:
-        print("error: model validation failed", file=sys.stderr)
-        for violation in exc.violations:
-            print(f"  {violation}", file=sys.stderr)
-        return EXIT_INVALID_MODEL
-    except (ParseError, NonMonotonicTimestamps, SettingConflict) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except (EmptyCell, MissingPair) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_EMPTY_CELL
-    except OSError as exc:
-        print(f"error: {exc.filename}: {exc.strerror}", file=sys.stderr)
-        return EXIT_CONFIG
-    except BellsimError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    except (BellsimError, OSError) as exc:
+        if isinstance(exc, InvalidModel):
+            message = "\n  ".join(["model validation failed", *exc.violations])
+        elif isinstance(exc, OSError):
+            message = f"{exc.filename}: {exc.strerror}"
+        else:
+            message = str(exc)
+        print(f"error: {message}", file=sys.stderr)
+        return next(code for kinds, code in _EXIT_CODES if isinstance(exc, kinds))
 
 
 if __name__ == "__main__":

@@ -211,7 +211,8 @@ class ResponseTable:
 
     mapping: dict
 
-    def __init__(self, mapping: dict):
+    def __init__(self, mapping):
+        # A dict or (key, outcome) pairs; either way the table keeps its own dict.
         object.__setattr__(self, "mapping", dict(mapping))
 
     def __call__(self, source_value, instrument_value) -> Outcome:

@@ -325,7 +325,7 @@ def loads(text: str, path=None) -> ExperimentModel:
             elif section == "joint-instruments":
                 joints[heading[1:]] = DiscreteDistribution(list(zip(*keys)), column)
             elif section == "responses":
-                responses[heading[1]][heading[2]] = ResponseTable(dict(zip(zip(*keys), column)))
+                responses[heading[1]][heading[2]] = ResponseTable(zip(zip(*keys), column))
             else:
                 angles[heading[1]] = dict(zip(keys[0], column))
         else:

@@ -34,6 +34,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .core import (
     DiscreteDistribution,
     ExactResult,
@@ -174,6 +176,9 @@ def lhvm_socks_scenario(p_same=Fraction(3, 4), flip_b2: bool = False) -> Scenari
     correlator is (2*p_same - 1) times a sign, so the CHSH bound 2 holds
     with room to spare and marginals are setting-independent.
     """
+    # NaN and the infinities have no Fraction; they are out of range too.
+    if isinstance(p_same, (float, np.floating)) and not math.isfinite(p_same):
+        raise BellsimError("p_same must be within [0, 1]")
     p_same = _as_fraction(p_same)
     if not 0 <= p_same <= 1:
         raise BellsimError("p_same must be within [0, 1]")

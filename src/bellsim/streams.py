@@ -54,6 +54,13 @@ from .textio import _decode_label, _lines, _read_ascii
 _INT64 = 2 ** 63
 
 
+def _check_width(window_ns: int) -> None:
+    if window_ns <= 0:
+        raise BellsimError("window width must be positive")
+    if window_ns >= _INT64:
+        raise BellsimError(f"window width {window_ns} ns does not fit in a signed 64-bit integer")
+
+
 def _codes(values, labels=()) -> tuple[np.ndarray, tuple]:
     """Codes of a sequence of labels in ``labels``, which is extended by
     the labels it lacks in order of first appearance; None codes as -1."""
@@ -169,10 +176,13 @@ class Schedule:
     rule: object
 
     def __post_init__(self):
-        if self.window_ns <= 0:
-            raise BellsimError("window width must be positive")
+        _check_width(self.window_ns)
         if self.duration_ns < self.window_ns:
             raise BellsimError("duration must cover at least one window")
+        last_start = (self.n_windows - 1) * self.window_ns     # the last click time
+        if last_start >= _INT64:
+            raise BellsimError(
+                f"last window start {last_start} ns does not fit in a signed 64-bit integer")
 
     @property
     def n_windows(self) -> int:
@@ -385,8 +395,7 @@ def pair_coincidences(stream_a: ClickStream, stream_b: ClickStream, window_ns: i
     bin when the scan passes its current one, and the schedule of a bin
     after that.
     """
-    if window_ns <= 0:
-        raise BellsimError("window width must be positive")
+    _check_width(window_ns)
     bins_a, set_a, val_a, dropped_a, pending_a = _first_clicks(stream_a, window_ns)
     bins_b, set_b, val_b, dropped_b, pending_b = _first_clicks(stream_b, window_ns)
     both = np.sort(np.concatenate((bins_a, bins_b)))      # their union, sorted

@@ -186,6 +186,22 @@ class TestSimulate:
         run_info = json.loads((out2 / "analysis.json").read_text())["run"]
         assert run_info["seed"] == 6
 
+    def test_negative_config_seed_exits_2_before_writing(self, tmp_path, capsys):
+        config = tmp_path / "run.cfg"
+        config.write_text("scenario = lf\nwindows = 10\nseed = -1\n")
+        out = tmp_path / "out"
+        code, _, err = run(capsys, "--config", str(config), "simulate", "--out-dir", str(out))
+        assert (code, err) == (2, "error: seed must be a non-negative integer\n")
+        assert not out.exists()
+
+    def test_last_window_start_just_inside_int64_runs(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        code, _, _ = run(capsys, "simulate", "--scenario", "quantum", "--windows", "2",
+                         "--window-ns", str(2 ** 62), "--seed", "1", "--out-dir", str(out))
+        assert code == 0
+        rows = (out / "coincidences.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[0] for row in rows] == ["0", "1"]
+
     def test_non_ascii_config_names_file_and_line_exits_2(self, tmp_path, capsys):
         config = tmp_path / "run.cfg"
         config.write_bytes(b"scenario = lf\nseed = 5 # \xff\n")
@@ -519,6 +535,26 @@ _INPUT_ERRORS = {
         {"lf.model": None},
         ("simulate", "--model", "lf.model", "--p-same", "0.5"), 2,
         "error: --p-same only applies to --scenario lhvm-socks"),
+    "simulate-negative-seed": (
+        {}, ("simulate", "--scenario", "lf", "--windows", "10", "--seed", "-1", "--out-dir", "o"),
+        2, "error: seed must be a non-negative integer"),
+    "simulate-p-same-nan": (
+        {}, ("simulate", "--scenario", "lhvm-socks", "--p-same", "nan"), 2,
+        "error: p_same must be within [0, 1]"),
+    "simulate-p-same-inf": (
+        {}, ("simulate", "--scenario", "lhvm-socks", "--p-same", "inf"), 2,
+        "error: p_same must be within [0, 1]"),
+    "simulate-p-same-minus-inf": (
+        {}, ("simulate", "--scenario", "lhvm-socks", "--p-same=-inf"), 2,
+        "error: p_same must be within [0, 1]"),
+    # The third window starts at 2·2^62 ns, past int64.
+    "simulate-window-start-range": (
+        {}, (*_SIMULATE, "--windows", "3", "--window-ns", str(2 ** 62)), 2,
+        "error: last window start 9223372036854775808 ns does not fit in a "
+        "signed 64-bit integer"),
+    "simulate-width-range": (
+        {}, (*_SIMULATE, "--windows", "3", "--window-ns", str(2 ** 70)), 2,
+        f"error: window width {2 ** 70} ns does not fit in a signed 64-bit integer"),
     "simulate-config-rule": (
         {"r.cfg": "setting_rule = bogus\n"},
         ("--config", "r.cfg", *_SIMULATE, "--windows", "10"), 2,
@@ -530,6 +566,10 @@ _INPUT_ERRORS = {
         {"ok.txt": _STREAM},
         ("analyze", "--stream-a", "ok.txt", "--stream-b", "ok.txt", "--window-ns", "0"), 2,
         "error: window width must be positive"),
+    "analyze-width-range": (
+        {"ok.txt": _STREAM},
+        ("analyze", "--stream-a", "ok.txt", "--stream-b", "ok.txt", "--window-ns", str(2 ** 70)),
+        2, f"error: window width {2 ** 70} ns does not fit in a signed 64-bit integer"),
     "analyze-timestamp-range": (
         {"t1.txt": _STREAM + "9223372036854775808\t1\t+1\n", "ok.txt": _STREAM},
         ("analyze", "--stream-a", "t1.txt", "--stream-b", "ok.txt"), 4,
@@ -589,3 +629,75 @@ def test_duration_covers_the_same_windows_as_a_window_count(tmp_path, capsys):
         assert code == 0
         outputs.append([(out / f).read_bytes() for f in ("analysis.json", "coincidences.csv")])
     assert outputs[0] == outputs[1]
+
+
+class TestPrecedence:
+    """A flag wins over the config file, the file over the fallback."""
+
+    @pytest.mark.parametrize("command", ("simulate", "check-coupling"))
+    @pytest.mark.parametrize("level", ("flag", "config", "env", "cwd"))
+    def test_out_dir(self, command, level, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv("BELLSIM_OUT", raising=False)
+        argv = (["simulate", "--scenario", "lf", "--windows", "10", "--seed", "1"]
+                if command == "simulate" else _coupling_flags())
+        written = "analysis.json" if command == "simulate" else "coupling.json"
+        levels = ("flag", "config", "env", "cwd")
+        present = levels[levels.index(level):]
+        if "flag" in present:
+            argv += ["--out-dir", "flag"]
+        if "config" in present:
+            (tmp_path / "run.cfg").write_text("out_dir = config\n")
+            argv = ["--config", "run.cfg", *argv]
+        if "env" in present:
+            monkeypatch.setenv("BELLSIM_OUT", "env")
+        code, _, _ = run(capsys, *argv)
+        assert code == 0
+        dirs = {name: tmp_path / ("." if name == "cwd" else name) for name in levels}
+        assert [name for name in levels if (dirs[name] / written).exists()] == [level]
+
+    def _simulate_files(self, capsys, out, *argv):
+        code, stdout, _ = run(capsys, *argv, "--out-dir", str(out))
+        assert code == 0
+        return stdout, {f.name: f.read_bytes() for f in sorted(out.iterdir())}
+
+    def test_fallbacks_equal_their_flags_and_config_keys(self, tmp_path, capsys):
+        base = ("simulate", "--scenario", "m2-demo", "--windows", "500", "--seed", "3")
+        config = tmp_path / "run.cfg"
+        config.write_text("window_ns = 1000\nsetting_rule = random\n"
+                          "detection_rate = 1.0\nthreads = 1\n")
+        outputs = [
+            self._simulate_files(capsys, tmp_path / "fallback", *base),
+            self._simulate_files(capsys, tmp_path / "flags", *base, "--window-ns", "1000",
+                                 "--setting-rule", "random", "--detection-rate", "1.0",
+                                 "--threads", "1"),
+            self._simulate_files(capsys, tmp_path / "config", "--config", str(config), *base),
+        ]
+        assert outputs[0] == outputs[1] == outputs[2]
+
+    def test_config_defaults_do_not_outlive_their_call(self, tmp_path, capsys):
+        config = tmp_path / "run.cfg"
+        config.write_text("window_ns = 2000\nsetting_rule = round-robin\n")
+        widths = []
+        for name, prefix in (("config", ("--config", str(config))), ("plain", ())):
+            out = tmp_path / name
+            code, _, _ = run(capsys, *prefix, "simulate", "--scenario", "lf", "--windows", "10",
+                             "--seed", "1", "--out-dir", str(out))
+            assert code == 0
+            run_info = json.loads((out / "analysis.json").read_text())["run"]
+            widths.append((run_info["window_ns"], run_info["setting_rule"]))
+        assert widths == [(2000, "round-robin"), (1000, "random")]
+
+    def test_config_key_without_a_flag_is_ignored(self, tmp_path, capsys):
+        csv_path = tmp_path / "c.csv"
+        csv_path.write_text("window,x,y,a,b\n0,1,1,1,1\n1,1,2,1,-1\n")
+        config = tmp_path / "run.cfg"
+        config.write_text("seed = 5\nscenario = lf\nthreads = 2\n")
+        outputs = []
+        for name, prefix in (("plain", ()), ("config", ("--config", str(config)))):
+            out = tmp_path / name
+            code, stdout, _ = run(capsys, *prefix, "analyze", "--coincidences", str(csv_path),
+                                  "--out-dir", str(out))
+            assert code == 0
+            outputs.append((stdout, (out / "analysis.json").read_bytes()))
+        assert outputs[0] == outputs[1]

@@ -16,7 +16,7 @@ from bellsim.core import (
     validate_model,
 )
 from bellsim.coupling import joint_moments, lf_coupling
-from bellsim.errors import ConstructionInvalid
+from bellsim.errors import BellsimError, ConstructionInvalid
 from bellsim.scenarios import (
     CANONICAL_ANGLES,
     Scenario,
@@ -133,6 +133,12 @@ class TestSocks:
         scenario = lhvm_socks_scenario(p_same, flip_b2=True)
         scenario.verify()
         assert scenario.s_max_abs_raw <= 2
+
+    @pytest.mark.parametrize("p_same", [math.nan, math.inf, -math.inf, np.float64(math.nan),
+                                        np.float32(math.inf), 1.5, Fraction(-1, 3)])
+    def test_knob_outside_the_unit_interval_rejected(self, p_same):
+        with pytest.raises(BellsimError, match=r"^p_same must be within \[0, 1\]$"):
+            lhvm_socks_scenario(p_same)
 
 
 class TestM2Demo:

@@ -80,6 +80,19 @@ class TestGenerate:
         for e in events(sb):
             assert e.setting == assignment[e.t // 10].y
 
+    def test_schedule_window_starts_must_fit_in_int64(self):
+        # Click times are int64 window starts; (n - 1)·W = 2^63 would wrap.
+        width = 2 ** 62
+        sched = Schedule.for_windows(2, width, FixedSettings(1, 1))
+        sa, _ = generate_streams(lf_scenario().model, sched, 1.0, 1)
+        assert [e.t for e in events(sa)] == [0, width]
+        with pytest.raises(BellsimError, match="^last window start 9223372036854775808 ns"):
+            Schedule.for_windows(3, width, FixedSettings(1, 1))
+        with pytest.raises(BellsimError, match="^last window start"):
+            Schedule(3 * width, width, FixedSettings(1, 1))
+        with pytest.raises(BellsimError, match="^window width 9223372036854775808 ns"):
+            Schedule.for_windows(1, 2 ** 63, FixedSettings(1, 1))
+
 
 class TestPairing:
     def test_empty_streams_empty_records(self):
@@ -100,6 +113,11 @@ class TestPairing:
             CoincidenceRecord(1, SettingPair(None, 2), 0, -1),
         ]
         assert result.dropped_a == 1 and result.dropped_b == 0
+
+    @pytest.mark.parametrize("width", (2 ** 63, 2 ** 70))
+    def test_width_past_int64_rejected(self, width):
+        with pytest.raises(BellsimError, match=f"^window width {width} ns does not fit"):
+            pair_coincidences(stream("A", (5, 1, 1)), stream("B"), width)
 
     def test_unsorted_stream_rejected(self):
         sa = stream("A", (9, 1, 1), (3, 1, 1))
