@@ -239,6 +239,8 @@ def _cmd_simulate(args) -> int:
         raise ConfigError("seed required: stochastic commands must be reproducible")
     if args.seed < 0:
         raise ConfigError("seed must be a non-negative integer")
+    if args.threads < 1:
+        raise ConfigError("threads must be a positive integer")
     if args.scenario is not None:
         model = build_scenario(args.scenario, p_same=args.p_same).model
         header_name = f"scenario {args.scenario}"
@@ -265,6 +267,7 @@ def _cmd_simulate(args) -> int:
         written += ["stream_a.txt", "stream_b.txt"]
     assignment = schedule_settings(model, schedule, args.seed)
     pairing = pair_coincidences(stream_a, stream_b, schedule.window_ns, assignment)
+    del stream_a, stream_b, assignment      # the records are all that is left to use
     write_coincidence_csv(pairing.records, out / "coincidences.csv")
     written.append("coincidences.csv")
     run = {
@@ -286,8 +289,6 @@ def _cmd_analyze(args) -> int:
     have_streams = args.stream_a is not None or args.stream_b is not None
     if have_streams == (args.coincidences is not None):
         raise ConfigError("pass either --stream-a/--stream-b or --coincidences")
-    out = _out_dir(args)
-    written = []
     if have_streams:
         if args.stream_a is None or args.stream_b is None:
             raise ConfigError("both --stream-a and --stream-b are required")
@@ -299,12 +300,16 @@ def _cmd_analyze(args) -> int:
             path = args.stream_a if exc.station == "A" else args.stream_b
             raise SettingConflict(f"{path}: {exc}") from None
         records = pairing.records
-        write_coincidence_csv(records, out / "coincidences.csv")
-        written.append("coincidences.csv")
         source = f"streams {args.stream_a} {args.stream_b} (W = {args.window_ns} ns)"
     else:
         records = read_coincidence_csv(args.coincidences)
         source = f"coincidences {args.coincidences}"
+    # The output directory exists only once the inputs are read and paired.
+    out = _out_dir(args)
+    written = []
+    if have_streams:
+        write_coincidence_csv(records, out / "coincidences.csv")
+        written.append("coincidences.csv")
     run = {"command": "analyze", "source": source, "records": len(records)}
     return _report(out, records, run, source, written)
 

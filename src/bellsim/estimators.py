@@ -13,9 +13,11 @@ moves when only the remote setting changes.
 
 Every statistic derives from one 3x3 count table per setting pair over
 the outcomes (a, b) in {-1, 0, +1}^2, built in a single counting pass
-over the records; `core.table_sums` reads off its integer counts and
-sums, the same closed form that exact enumeration uses, and the means and
-``c_hat`` are their float quotients.
+over the records and kept on them (``CoincidenceRecords.count_tables``),
+so both conditionings of one records object share one count;
+`core.table_sums` reads off its integer counts and sums, the same closed
+form that exact enumeration uses, and the means and ``c_hat`` are their
+float quotients.
 
 Standard errors are plug-in (sample standard deviation over sqrt(n),
 no small-sample corrections), sqrt((n * sum(v^2) - sum(v)^2) / n^3) on
@@ -27,8 +29,6 @@ from __future__ import annotations
 
 import math
 from typing import NamedTuple
-
-import numpy as np
 
 from .core import ExactResult, SettingPair, chsh_values, table_sums
 from .errors import EmptyCell, MissingPair
@@ -70,22 +70,10 @@ class CorrelationSet(NamedTuple):
 
 
 def _count_tables(records):
-    """A 3x3 count table per setting pair, in order of first appearance,
-    plus the number of records whose setting pair is partially unknown.
-
-    ``records`` is ``CoincidenceRecords`` or any iterable of
-    ``CoincidenceRecord``s, which is converted to columns first.
-    """
-    r = CoincidenceRecords.of(records)
-    n_b = len(r.settings_b)
-    known = (r.x >= 0) & (r.y >= 0)
-    pair = r.x[known] * n_b + r.y[known]
-    cell = (pair * 3 + r.a[known] + 1) * 3 + r.b[known] + 1
-    counts = np.bincount(cell, minlength=9 * len(r.settings_a) * n_b).reshape(-1, 3, 3)
-    pairs, first = np.unique(pair, return_index=True)
-    tables = {SettingPair(r.settings_a[p // n_b], r.settings_b[p % n_b]): counts[p].tolist()
-              for p in pairs[np.argsort(first)].tolist()}
-    return tables, len(r) - len(pair)
+    """``CoincidenceRecords.count_tables`` of ``records``, which is
+    ``CoincidenceRecords`` or any iterable of ``CoincidenceRecord``s,
+    converted to columns first."""
+    return CoincidenceRecords.of(records).count_tables
 
 
 def _estimate(records, conditioning: str) -> CorrelationSet:

@@ -194,6 +194,14 @@ class TestSimulate:
         assert (code, err) == (2, "error: seed must be a non-negative integer\n")
         assert not out.exists()
 
+    def test_zero_config_threads_exits_2_before_writing(self, tmp_path, capsys):
+        config = tmp_path / "run.cfg"
+        config.write_text("scenario = lf\nwindows = 10\nseed = 1\nthreads = 0\n")
+        out = tmp_path / "out"
+        code, _, err = run(capsys, "--config", str(config), "simulate", "--out-dir", str(out))
+        assert (code, err) == (2, "error: threads must be a positive integer\n")
+        assert not out.exists()
+
     def test_last_window_start_just_inside_int64_runs(self, tmp_path, capsys):
         out = tmp_path / "out"
         code, _, _ = run(capsys, "simulate", "--scenario", "quantum", "--windows", "2",
@@ -332,6 +340,20 @@ class TestAnalyze:
                            "--stream-b", str(stream_b), "--out-dir", str(tmp_path / "out"))
         assert code == 2
         assert err == f"error: {missing}: No such file or directory\n"
+
+    @pytest.mark.parametrize("inputs, code", [
+        (("--stream-a", "a.txt", "--stream-b", "a.txt", "--window-ns", str(2 ** 70)), 2),
+        (("--coincidences", "nowhere.csv"), 2),
+        (("--stream-a", "a.txt", "--stream-b", "bad.txt"), 4),
+    ], ids=["width-range", "missing-csv", "bad-stream"])
+    def test_failure_leaves_no_output_directory(self, inputs, code, tmp_path, capsys,
+                                                monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "a.txt").write_text("5\t1\t+1\n")
+        (tmp_path / "bad.txt").write_text("5\t1\tx\n")
+        got, _, _ = run(capsys, "analyze", *inputs, "--out-dir", "o2")
+        assert got == code
+        assert not (tmp_path / "o2").exists()
 
     def test_missing_csv_file_exits_2(self, tmp_path, capsys):
         missing = tmp_path / "nowhere.csv"
@@ -555,6 +577,12 @@ _INPUT_ERRORS = {
     "simulate-width-range": (
         {}, (*_SIMULATE, "--windows", "3", "--window-ns", str(2 ** 70)), 2,
         f"error: window width {2 ** 70} ns does not fit in a signed 64-bit integer"),
+    "simulate-zero-threads": (
+        {}, (*_SIMULATE, "--windows", "10", "--threads", "0"), 2,
+        "error: threads must be a positive integer"),
+    "simulate-negative-threads": (
+        {}, (*_SIMULATE, "--windows", "10", "--threads=-1"), 2,
+        "error: threads must be a positive integer"),
     "simulate-config-rule": (
         {"r.cfg": "setting_rule = bogus\n"},
         ("--config", "r.cfg", *_SIMULATE, "--windows", "10"), 2,

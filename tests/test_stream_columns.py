@@ -10,6 +10,7 @@ input error.
 
 from __future__ import annotations
 
+import hypothesis
 import numpy as np
 import pytest
 from hypothesis import given
@@ -82,6 +83,22 @@ LABELS = (1, 2, "s")   # mixed label types: schedule labels must not need sortin
 
 @st.composite
 def pairing_cases(draw):
+    """A case of one of two families: ``crowded_pairing_cases`` or
+    ``single_click_pairing_cases``."""
+    return draw(st.one_of(crowded_pairing_cases(), single_click_pairing_cases()))
+
+
+def _window_settings(draw, table):
+    """``table``'s settings per station, coded into labels in an order drawn
+    apart from the order in which the streams meet them."""
+    labels_a, labels_b = draw(st.permutations(LABELS)), draw(st.permutations(LABELS))
+    return WindowSettings(tuple(labels_a), tuple(labels_b),
+                          np.array([labels_a.index(v) for v in table["A"]], dtype=np.int64),
+                          np.array([labels_b.index(v) for v in table["B"]], dtype=np.int64))
+
+
+@st.composite
+def crowded_pairing_cases(draw):
     """Two event streams over a few bins of width ``w``, and a schedule.
 
     Clicks sit inside ``n_bins`` bins with timestamps from a small range,
@@ -118,16 +135,53 @@ def pairing_cases(draw):
                  for s in "AB"}
     else:
         table = {s: [draw(st.sampled_from(LABELS))] * n_bins for s in "AB"}
-    labels_a, labels_b = draw(st.permutations(LABELS)), draw(st.permutations(LABELS))
-    settings = WindowSettings(tuple(labels_a), tuple(labels_b),
-                              np.array([labels_a.index(v) for v in table["A"]]),
-                              np.array([labels_b.index(v) for v in table["B"]]))
-    return stream_a, stream_b, w, settings
+    return stream_a, stream_b, w, _window_settings(draw, table)
 
 
-def _oracle_hint(settings):
-    """The per-window hint the event-object pairer calls."""
-    return None if settings is None else settings.__getitem__
+@st.composite
+def single_click_pairing_cases(draw):
+    """Streams with at most one click per station per bin, spread over up
+    to 200 bins, so that pairing sorts nothing.  A station may be silent;
+    the schedule, when there is one, holds the true settings, now and then
+    with one of them changed, and now and then ends before the last
+    clicks."""
+    w = draw(st.integers(1, 1000))
+    n_bins = draw(st.integers(1, 200))
+    truth = {s: draw(st.lists(st.sampled_from(LABELS), min_size=n_bins, max_size=n_bins))
+             for s in "AB"}
+
+    def clicks(station):
+        bins = draw(st.sets(st.integers(0, n_bins - 1), max_size=n_bins))
+        return EventStream(station, tuple(
+            ClickEvent(k * w + draw(st.integers(0, w - 1)), truth[station][k],
+                       draw(st.sampled_from((-1, 1))))
+            for k in sorted(bins)))
+
+    stream_a, stream_b = clicks("A"), clicks("B")
+    if draw(st.booleans()):
+        return stream_a, stream_b, w, None
+    n_windows = n_bins if draw(st.integers(0, 3)) else draw(st.integers(1, n_bins))
+    table = {s: truth[s][:n_windows] for s in "AB"}
+    if draw(st.integers(0, 3)) == 0:
+        station, k = draw(st.sampled_from("AB")), draw(st.integers(0, n_windows - 1))
+        table[station][k] = draw(st.sampled_from(LABELS))
+    return stream_a, stream_b, w, _window_settings(draw, table)
+
+
+def _oracle_hint(settings, stream_a, w):
+    """The per-window hint the event-object pairer calls; past the schedule
+    it raises the error that ``pair_coincidences`` raises there."""
+    if settings is None:
+        return None
+
+    def hint(k):
+        if k >= len(settings):
+            station = "A" if any(e.t // w == k for e in stream_a.events) else "B"
+            raise BellsimError(
+                f"station {station}, window {k}: past the schedule's {len(settings)} windows")
+        return settings[k]
+
+    return hint
 
 
 def _outcome(fn):
@@ -137,11 +191,12 @@ def _outcome(fn):
         return type(exc), str(exc)
 
 
+@hypothesis.settings(max_examples=200)
 @given(pairing_cases())
 def test_pairing_matches_event_oracle(case):
     stream_a, stream_b, w, settings = case
     want = _outcome(lambda: oracle_pair_coincidences(stream_a, stream_b, w,
-                                                     _oracle_hint(settings)))
+                                                     _oracle_hint(settings, stream_a, w)))
 
     def columnar_pairing():
         result = pair_coincidences(columnar(stream_a), columnar(stream_b), w, settings)
@@ -151,28 +206,34 @@ def test_pairing_matches_event_oracle(case):
 
 
 def test_pairing_fuzz_reaches_every_outcome():
-    """The strategy above produces records, drops, unsorted streams and
-    conflicts both inside a stream and against the schedule."""
+    """The strategy above produces records, drops, unsorted streams,
+    conflicts both inside a stream and against the schedule, clicks past
+    the schedule, and records from more bins than a crowded case has, with
+    one click per station per bin and a schedule filling silent sides."""
     seen = set()
 
+    @hypothesis.settings(max_examples=200)
     @given(pairing_cases())
     def collect(case):
         stream_a, stream_b, w, settings = case
         outcome = _outcome(lambda: oracle_pair_coincidences(stream_a, stream_b, w,
-                                                            _oracle_hint(settings)))
+                                                            _oracle_hint(settings, stream_a, w)))
         if isinstance(outcome[0], type):
             kind = "schedule" if "schedule says" in outcome[1] else outcome[0].__name__
-            seen.add(kind)
+            seen.add("past schedule" if "past the schedule" in outcome[1] else kind)
         else:
             seen.add("records")
             if outcome[1] or outcome[2]:
                 seen.add("dropped")
             if not stream_a.events or not stream_b.events:
                 seen.add("silent side")
+            if len(outcome[0]) > 6 and settings is not None and any(
+                    0 in (r.a, r.b) for r in outcome[0]):
+                seen.add("many single-click bins")
 
     collect()
     assert seen == {"records", "dropped", "silent side", "UnsortedStream",
-                    "SettingConflict", "schedule"}
+                    "SettingConflict", "schedule", "past schedule", "many single-click bins"}
 
 
 def test_schedule_columns_as_hint_match_per_window_hint():

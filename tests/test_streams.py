@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from bellsim.scenarios import build_scenario, lf_scenario, scenario_names
 from bellsim.streams import (
     ClickStream,
     CoincidenceRecord,
+    CoincidenceRecords,
     FixedSettings,
     RandomSettings,
     RoundRobinSettings,
@@ -190,6 +192,32 @@ class TestPairing:
         sa, sb = generate_streams(model, sched, 0.7, 19)
         result = pair_coincidences(sa, sb, 10)
         assert len(result.records) <= math.ceil(sched.duration_ns / sched.window_ns)
+
+    def test_record_columns_are_read_only(self):
+        paired = pair_coincidences(stream("A", (5, 1, 1)), stream("B", (17, 2, -1)), 10).records
+        for records in (paired, CoincidenceRecords.from_rows([(0, 1, None, 1, 0)])):
+            for name in ("window", "x", "y", "a", "b"):
+                with pytest.raises(ValueError, match="read-only"):
+                    getattr(records, name)[0] = 1
+
+    def test_peak_memory_per_window(self):
+        """Pairing generated streams with their schedule holds at most 64
+        bytes per window beyond its inputs, records included; numpy reports
+        its data buffers to tracemalloc."""
+        model = build_scenario("quantum").model
+        schedule = Schedule.for_windows(200_000, 1000, RandomSettings())
+        stream_a, stream_b = generate_streams(model, schedule, 0.9, 7)
+        settings = schedule_settings(model, schedule, 7)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            result = pair_coincidences(stream_a, stream_b, 1000, settings)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(result.records) > 190_000
+        assert (peak - before) / schedule.n_windows <= 64
 
 
 class TestRoundTrip:

@@ -43,7 +43,7 @@ from bellsim.errors import (
 )
 from bellsim.estimators import POSTSELECTED, RAW, estimate_postselected, estimate_raw
 from bellsim.scenarios import lhvm_socks_scenario, scenario_names, build_scenario
-from bellsim.streams import CoincidenceRecord
+from bellsim.streams import CoincidenceRecord, CoincidenceRecords
 
 from helpers import (
     ORACLE_STATISTICS,
@@ -445,6 +445,23 @@ def test_estimates_match_per_record_estimator(conditioning, records):
     assert got_error == want_error
     if want is not None:
         assert_same_estimates(got, want)
+
+
+@given(records=records_strategy)
+def test_one_count_serves_both_conditionings_in_either_order(records):
+    """Raw then post-selected, and post-selected then raw, on one records
+    object: each estimate equals that of a fresh copy and the per-record
+    estimator's."""
+    for order in ((RAW, POSTSELECTED), (POSTSELECTED, RAW)):
+        shared = CoincidenceRecords.of(records)
+        for conditioning in order:
+            estimate = estimate_raw if conditioning == RAW else estimate_postselected
+            got, got_error = _outcome(estimate, shared)
+            assert (got, got_error) == _outcome(estimate, CoincidenceRecords.of(records))
+            want, want_error = _outcome(lambda r: oracle_estimate(r, conditioning), records)
+            assert got_error == want_error
+            if want is not None:
+                assert_same_estimates(got, want)
 
 
 def test_large_counts_match_per_record_estimator():
