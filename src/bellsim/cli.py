@@ -183,11 +183,9 @@ def _print_summary(payload: dict, header: str, written: list[str]) -> None:
     post = payload[POSTSELECTED]
     raw = payload[RAW]
     print(f"{'pair':>12} {'raw e_ab':>12} {'post e_ab':>12} {'c_hat':>8} {'n_raw':>8}")
-    raw_pairs = {(p['x'], p['y']): p for p in raw["correlations"]["pairs"]}
-    for p in post["correlations"]["pairs"]:
-        key = (p["x"], p["y"])
-        raw_e = raw_pairs[key]["e_ab"] if key in raw_pairs else float("nan")
-        print(f"{str(key):>12} {raw_e:>12.5f} {p['e_ab']:>12.5f} "
+    # Both conditionings list the same pairs, in the same order.
+    for r, p in zip(raw["correlations"]["pairs"], post["correlations"]["pairs"]):
+        print(f"{str((p['x'], p['y'])):>12} {r['e_ab']:>12.5f} {p['e_ab']:>12.5f} "
               f"{p['c_hat']:>8.4f} {p['n_raw']:>8}")
     for conditioning, section in ((RAW, raw), (POSTSELECTED, post)):
         if "chsh" not in section:
@@ -374,7 +372,7 @@ def _cmd_scenario(args) -> int:
         expected[conditioning] = [
             {"x": sp.x, "y": sp.y, "e_ab": float(r.e_ab), "e_a": float(r.e_a),
              "e_b": float(r.e_b), "c_xy": float(r.c_xy)}
-            for sp, r in sorted(table.items(), key=lambda kv: str(kv[0]))
+            for sp, r in table.items()
         ]
     expected["s_max_abs_raw"] = float(scenario.s_max_abs_raw)
     expected["s_max_abs_postselected"] = float(scenario.s_max_abs_postselected)

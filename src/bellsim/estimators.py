@@ -51,7 +51,7 @@ class PairStats(NamedTuple):
 
 
 class CorrelationSet(NamedTuple):
-    """Per-setting-pair statistics plus the conditioning they were computed under."""
+    """Per-setting-pair statistics and their conditioning; estimates list pairs in pair order."""
 
     settings_a: tuple
     settings_b: tuple
@@ -77,7 +77,7 @@ def _count_tables(records):
 
 
 def _estimate(records, conditioning: str) -> CorrelationSet:
-    tables, unassigned = _count_tables(records)
+    settings_a, settings_b, tables, unassigned = _count_tables(records)
     if not tables:
         raise EmptyCell("no records with a known setting pair")
     out = {}
@@ -89,10 +89,7 @@ def _estimate(records, conditioning: str) -> CorrelationSet:
         means = (s / n for s in sums)
         ses = (math.sqrt((n * q - s * s) / n ** 3) for s, q in zip(sums, squares))
         out[sp] = PairStats(*means, raw[0], selected[0], selected[0] / raw[0], *ses)
-    # Settings in order of first appearance in the records.
-    order_a = tuple(dict.fromkeys(sp.x for sp in tables))
-    order_b = tuple(dict.fromkeys(sp.y for sp in tables))
-    return CorrelationSet(order_a, order_b, out, conditioning, unassigned)
+    return CorrelationSet(settings_a, settings_b, out, conditioning, unassigned)
 
 
 def estimate_raw(records) -> CorrelationSet:
@@ -249,7 +246,7 @@ def correlation_set_to_dict(cs: CorrelationSet) -> dict:
                 "n_raw": p.n_raw, "n_post": p.n_post, "c_hat": float(p.c_hat),
                 "se_ab": p.se_ab, "se_a": p.se_a, "se_b": p.se_b,
             }
-            for sp, p in sorted(cs.pairs.items(), key=lambda kv: str(kv[0]))
+            for sp, p in cs.pairs.items()
         ],
     }
 

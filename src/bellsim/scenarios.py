@@ -61,7 +61,7 @@ class Scenario:
     name: str
     description: str
     model: ExperimentModel
-    expected_raw: dict                 # SettingPair -> ExactResult
+    expected_raw: dict                 # SettingPair -> ExactResult, in model.pairs() order
     expected_postselected: dict
     s_max_abs_raw: object
     s_max_abs_postselected: object

@@ -40,9 +40,10 @@ from __future__ import annotations
 
 import csv
 import io
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product
+from itertools import compress, product
 from pathlib import Path
 from typing import NamedTuple
 
@@ -69,9 +70,15 @@ def _check_width(window_ns: int) -> None:
         raise BellsimError(f"window width {window_ns} ns does not fit in a signed 64-bit integer")
 
 
-def _codes(values, labels=()) -> tuple[np.ndarray, tuple]:
+def _codes(values, labels=None) -> tuple[np.ndarray, tuple]:
     """Codes of a sequence of labels in ``labels``, which is extended by
-    the labels it lacks in order of first appearance; None codes as -1."""
+    the labels it lacks in order of first appearance; None codes as -1.
+    Without ``labels``, the labels found come in canonical order: ints
+    numerically, then strings, then any other label by its ``repr``."""
+    if labels is None:
+        labels = sorted((v for v in dict.fromkeys(values) if v is not None),
+                        key=lambda v: (0, v) if isinstance(v, numbers.Integral)
+                        else (1, v) if isinstance(v, str) else (2, repr(v)))
     index = {label: i for i, label in enumerate(labels)}
     codes = [-1 if v is None else index.setdefault(v, len(index)) for v in values]
     return np.array(codes, dtype=np.int64), tuple(index)
@@ -131,30 +138,28 @@ class CoincidenceRecords:
         return len(self.window)
 
     @cached_property
-    def count_tables(self) -> tuple[dict, int]:
-        """A 3x3 count table over the outcomes (a, b) per setting pair, in
-        order of first appearance, and the number of records whose setting
-        pair is partially unknown.  Counted once per records object."""
-        n_b = len(self.settings_b)
+    def count_tables(self) -> tuple[tuple, tuple, dict, int]:
+        """Each station's labels that occur in a known setting pair, in label
+        order; a 3x3 count table over the outcomes (a, b) per such pair, in
+        that order; and the number of records with a partially unknown pair."""
+        n_a, n_b = len(self.settings_a), len(self.settings_b)
         x, y, a, b = self.x, self.y, self.a, self.b
         known = (x >= 0) & (y >= 0)
         if not known.all():
             x, y, a, b = x[known], y[known], a[known], b[known]
         cell = x * n_b
         cell += y                           # the pair code x·|B| + y
-        n = len(cell)
-        first = np.full(len(self.settings_a) * n_b, n, dtype=np.int64)
-        np.minimum.at(first, cell, np.arange(n))        # each pair's first record
         cell *= 3
         cell += a
         cell *= 3
         cell += b
         cell += 4                           # (pair·3 + a + 1)·3 + b + 1
-        counts = np.bincount(cell, minlength=9 * len(first)).reshape(-1, 3, 3)
-        seen = np.flatnonzero(first < n)
-        tables = {SettingPair(self.settings_a[p // n_b], self.settings_b[p % n_b]):
-                  counts[p].tolist() for p in seen[np.argsort(first[seen])].tolist()}
-        return tables, len(self) - n
+        counts = np.bincount(cell, minlength=9 * n_a * n_b).reshape(n_a, n_b, 3, 3)
+        seen = counts.any(axis=(2, 3))
+        tables = {SettingPair(self.settings_a[i], self.settings_b[j]): counts[i, j].tolist()
+                  for i, j in np.argwhere(seen).tolist()}
+        return (tuple(compress(self.settings_a, seen.any(axis=1))),
+                tuple(compress(self.settings_b, seen.any(axis=0))), tables, len(self) - len(cell))
 
     def __iter__(self):
         x = _label_array(self.settings_a + (None,))[self.x].tolist()    # code -1 picks None

@@ -27,6 +27,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import groupby
@@ -200,29 +201,64 @@ def _oracle_mean_se(values):
     return mean, math.sqrt(var / n)
 
 
+def oracle_label_order(labels) -> tuple:
+    """The distinct labels in canonical order: ints numerically, then
+    strings, then the rest by ``repr``; None is left out."""
+    labels = [label for label in dict.fromkeys(labels) if label is not None]
+    ints = sorted(label for label in labels if isinstance(label, numbers.Integral))
+    strings = sorted(label for label in labels if isinstance(label, str))
+    rest = sorted((label for label in labels if not isinstance(label, (numbers.Integral, str))),
+                  key=repr)
+    return tuple(ints + strings + rest)
+
+
+def oracle_records(rows) -> CoincidenceRecords:
+    """Records of ``(window, x, y, a, b)`` rows, setting labels in
+    canonical order, coded with Python lists."""
+    rows = list(rows)
+    settings_a = oracle_label_order(row[1] for row in rows)
+    settings_b = oracle_label_order(row[2] for row in rows)
+
+    def column(values, dtype=np.int64):
+        return np.array(list(values), dtype=dtype)
+
+    return CoincidenceRecords(
+        column(row[0] for row in rows),
+        column(-1 if row[1] is None else settings_a.index(row[1]) for row in rows),
+        column(-1 if row[2] is None else settings_b.index(row[2]) for row in rows),
+        column((row[3] for row in rows), np.int8), column((row[4] for row in rows), np.int8),
+        settings_a, settings_b)
+
+
 def oracle_estimate(records, conditioning):
     """Per-record estimator: raw or post-selected statistics per setting pair.
 
-    Groups records by pair in first-appearance order and averages Python
-    lists; raises EmptyCell like the package's estimators.
+    Settings follow the label order of ``records`` when they are
+    ``CoincidenceRecords``, else canonical order (``oracle_label_order``),
+    keeping the labels that occur in a known pair.  Groups records by pair
+    in that order and averages Python lists; raises EmptyCell like the
+    package's estimators.
     """
+    if isinstance(records, CoincidenceRecords):
+        labels_a, labels_b = records.settings_a, records.settings_b
+    else:
+        records = list(records)
+        labels_a = oracle_label_order(r.sp.x for r in records)
+        labels_b = oracle_label_order(r.sp.y for r in records)
     groups = {}
-    order_a = []
-    order_b = []
     skipped = 0
     for r in records:
         if r.sp.x is None or r.sp.y is None:
             skipped += 1
             continue
-        if r.sp.x not in order_a:
-            order_a.append(r.sp.x)
-        if r.sp.y not in order_b:
-            order_b.append(r.sp.y)
         groups.setdefault(SettingPair(*r.sp), []).append(r)
     if not groups:
         raise EmptyCell("no records with a known setting pair")
+    order_a = tuple(x for x in labels_a if any(sp.x == x for sp in groups))
+    order_b = tuple(y for y in labels_b if any(sp.y == y for sp in groups))
     out = {}
-    for sp, group in groups.items():
+    for sp in [SettingPair(x, y) for x in order_a for y in order_b if (x, y) in groups]:
+        group = groups[sp]
         survivors = [r for r in group if r.a * r.b != 0]
         used = group if conditioning == RAW else survivors
         if not used:
@@ -232,7 +268,7 @@ def oracle_estimate(records, conditioning):
         e_b, se_b = _oracle_mean_se([r.b for r in used])
         out[sp] = PairStats(e_ab, e_a, e_b, len(group), len(survivors),
                             len(survivors) / len(group), se_ab, se_a, se_b)
-    return CorrelationSet(tuple(order_a), tuple(order_b), out, conditioning, skipped)
+    return CorrelationSet(order_a, order_b, out, conditioning, skipped)
 
 
 def _oracle_terms(model, sp):
@@ -697,7 +733,7 @@ def oracle_ingest_timetag_file(path, station="A") -> ClickStream:
         times.append(t)
         settings.append(_decode_label(fields[1]))
         values.append(value)
-    labels = tuple(dict.fromkeys(settings))
+    labels = oracle_label_order(settings)
     return ClickStream(station, times, [labels.index(s) for s in settings], values, labels)
 
 
@@ -735,7 +771,7 @@ def oracle_read_coincidence_csv(path):
                          None if row[2] == "" else _decode_label(row[2]), a, b))
     except csv.Error as exc:
         raise ParseError(str(exc), line_number=line_number + 1, path=str(path)) from None
-    return CoincidenceRecords.from_rows(rows)
+    return oracle_records(rows)
 
 
 def oracle_write_timetag_file(stream, path):

@@ -348,7 +348,8 @@ integer_tables = st.one_of(_tables, _tables.map(_without_corners)).filter(
 def test_count_statistics_match_generic_table_passes(conditioning, table):
     sp = SettingPair(1, 2)
     estimate = estimate_raw if conditioning == RAW else estimate_postselected
-    with mock.patch.object(estimators, "_count_tables", return_value=({sp: table}, 0)):
+    with mock.patch.object(estimators, "_count_tables",
+                           return_value=((1,), (2,), {sp: table}, 0)):
         got, error = _outcome(estimate, [])
     want = oracle_table_stats(table)
     post = conditioning == POSTSELECTED

@@ -277,6 +277,10 @@ def _clicks(stream):
             stream.labels)
 
 
+def _records(records):
+    return list(records), records.settings_a, records.settings_b
+
+
 timetag_lines = st.builds(
     lambda fields, sep: sep.join(fields),
     st.lists(st.one_of(st.integers(0, 60).map(str),
@@ -330,8 +334,8 @@ def csv_texts(draw):
 @given(text=csv_texts())
 def test_csv_reader_matches_row_loop(scratch, text):
     path = _write(scratch, "c.csv", text)
-    got = outcome(lambda p: list(read_coincidence_csv(p)), path)
-    assert got == outcome(lambda p: list(oracle_read_coincidence_csv(p)), path)
+    got = outcome(lambda p: _records(read_coincidence_csv(p)), path)
+    assert got == outcome(lambda p: _records(oracle_read_coincidence_csv(p)), path)
 
 
 # --------------------------------------------------------------------------
