@@ -7,9 +7,9 @@ reports), ``analyze`` (time-tag files or a coincidence CSV -> reports),
 
 Each fallback is the ``default=`` of its flag; ``--out-dir`` falls back
 to ``$BELLSIM_OUT``, then ``.``.  A ``--config`` file (the keys of
-``_CONFIG_KEYS``) becomes the invoked command's parser defaults and argv
-is parsed again, so a flag wins over the file and the file over the
-fallback.
+``_config_keys``: the ``simulate`` flags that take a value) becomes the
+invoked command's parser defaults and argv is parsed again, so a flag wins
+over the file and the file over the fallback.
 
 Exit codes (``_EXIT_CODES``): 0 success, 2 configuration error (including
 a missing or unreadable file), 3 model validation failure, 4 input error
@@ -66,7 +66,7 @@ from .streams import (
     write_coincidence_csv,
     write_timetag_file,
 )
-from .textio import _decode_label, _lines, _read_ascii
+from .textio import _decode_label, _label_order, _lines, _read_ascii
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -74,26 +74,15 @@ EXIT_INVALID_MODEL = 3
 EXIT_PARSE = 4
 EXIT_EMPTY_CELL = 5
 
-# Keys accepted in a plain-text config file (key = value per line).
-_CONFIG_KEYS = {
-    "scenario": str,
-    "model": str,
-    "windows": int,
-    "duration_ns": int,
-    "window_ns": int,
-    "setting_rule": str,
-    "x": str,
-    "y": str,
-    "p_same": float,
-    "detection_rate": float,
-    "seed": int,
-    "threads": int,
-    "out_dir": str,
-}
-
-
 class ConfigError(BellsimError):
     pass
+
+
+def _config_keys() -> dict:
+    """The keys a config file may set, each with the type its value is read
+    as: the ``dest`` of every ``simulate`` flag that takes a value."""
+    simulate = _build_parser()[1]["simulate"]
+    return {a.dest: a.type or str for a in simulate._actions if a.nargs != 0}
 
 
 def _load_config(path) -> dict:
@@ -101,16 +90,17 @@ def _load_config(path) -> dict:
         text = _read_ascii(Path(path))
     except ParseError as exc:      # a bad config file is a configuration error
         raise ConfigError(str(exc)) from None
+    keys = _config_keys()
     values = {}
     for line_number, content in _lines(text):
         if "=" not in content:
             raise ConfigError(f"{path}:{line_number}: expected 'key = value'")
         key, _, value = content.partition("=")
         key = key.strip().replace("-", "_")
-        if key not in _CONFIG_KEYS:
+        if key not in keys:
             raise ConfigError(f"{path}:{line_number}: unknown key {key!r}")
         try:
-            values[key] = _CONFIG_KEYS[key](value.strip())
+            values[key] = keys[key](value.strip())
         except ValueError:
             raise ConfigError(f"{path}:{line_number}: bad value for {key!r}") from None
     return values
@@ -329,8 +319,8 @@ def _spec_from_flags(args):
             raise ConfigError(f"--spec missing and no inline {label} values given")
         tables[label] = {(_decode_label(x), _decode_label(y)): _inline_value(flag, v)
                          for x, y, v in rows}
-    xs = tuple(dict.fromkeys(x for x, _ in tables["e_ab"]))
-    ys = tuple(dict.fromkeys(y for _, y in tables["e_ab"]))
+    xs = _label_order(x for x, _ in tables["e_ab"])
+    ys = _label_order(y for _, y in tables["e_ab"])
     return JointSpec(xs, ys, tables["e_ab"], tables["e_a"], tables["e_b"])
 
 

@@ -65,8 +65,8 @@ class JointSpec:
     def __init__(self, settings_a, settings_b, e_ab, e_a, e_b):
         settings_a = tuple(settings_a)
         settings_b = tuple(settings_b)
-        if len(settings_a) != 2 or len(settings_b) != 2:
-            raise BellsimError("a joint spec needs exactly two settings per station")
+        if any(len(s) != 2 or s[0] == s[1] for s in (settings_a, settings_b)):
+            raise BellsimError("a joint spec needs exactly two distinct settings per station")
         pairs = [SettingPair(x, y) for x in settings_a for y in settings_b]
         tables = {}
         for label, table in (("e_ab", e_ab), ("e_a", e_a), ("e_b", e_b)):

@@ -31,7 +31,7 @@ import math
 from typing import NamedTuple
 
 from .core import ExactResult, SettingPair, chsh_values, table_sums
-from .errors import EmptyCell, MissingPair
+from .errors import EmptyCell, MissingPair, UnknownSetting
 from .streams import CoincidenceRecords
 
 RAW = "raw"
@@ -111,19 +111,28 @@ def correlation_set_from_exact(results: dict, settings_a, settings_b,
                                conditioning: str) -> CorrelationSet:
     """Wrap exact per-pair results so they flow through the same reports.
 
+    Pairs are listed in the ``pair_order()`` of ``settings_a`` and
+    ``settings_b``; a result for a pair outside them is UnknownSetting.
     Standard errors are zero and counts are zero; exact rational values are
     preserved as-is so downstream sums stay exact.
     """
-    pairs = {}
+    settings_a, settings_b = tuple(settings_a), tuple(settings_b)
+    order = [SettingPair(x, y) for x in settings_a for y in settings_b]
+    stats = {}
     for sp, r in results.items():
+        sp = SettingPair(*sp)
         if not isinstance(r, ExactResult):
             raise TypeError(f"expected ExactResult for pair {tuple(sp)}")
-        pairs[SettingPair(*sp)] = PairStats(
+        if sp not in order:
+            raise UnknownSetting(f"result for pair {tuple(sp)} outside the settings "
+                                 f"{settings_a} x {settings_b}")
+        stats[sp] = PairStats(
             e_ab=r.e_ab, e_a=r.e_a, e_b=r.e_b,
             n_raw=0, n_post=0, c_hat=r.c_xy,
             se_ab=0.0, se_a=0.0, se_b=0.0,
         )
-    return CorrelationSet(tuple(settings_a), tuple(settings_b), pairs, conditioning)
+    pairs = {sp: stats[sp] for sp in order if sp in stats}
+    return CorrelationSet(settings_a, settings_b, pairs, conditioning)
 
 
 # --------------------------------------------------------------------------

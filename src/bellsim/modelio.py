@@ -44,9 +44,11 @@ no comment or blank line, closed by a line that is exactly ``end``) is read
 in one pass, which decodes each distinct probability once; angles have no
 plain form.  Any other block is read line by line, with the same result and
 the same errors.  A directive or block may appear only once; labels
-are compared decoded, so ``1`` and ``01`` name one setting.  Setting labels
-and atoms are integers or bare strings (no whitespace; strings must not
-look like integers, or the round trip would change their type).
+are compared decoded, so ``1`` and ``01`` name one setting.  Setting labels,
+atoms and the name are written as ``textio._label_text`` writes them for a
+model file: ASCII text with no whitespace or ``#`` that reads back as the
+label itself, so an int (numpy's too) or a string that does not look like
+one; any other label is refused.
 Probabilities are written as exact rationals (``1/6``) and angles as
 shortest-repr floats, so ``load(save(m)) == m``.
 
@@ -72,28 +74,9 @@ from .core import (
     ResponseTable,
 )
 from .errors import BellsimError, ParseError
-from .textio import _contents, _decode_label, _read_ascii, _split
+from .textio import _contents, _decode_label, _label_text, _read_ascii, _split
 
 FORMAT_VERSION = 1
-
-
-def _encode_token(value) -> str:
-    if isinstance(value, bool):
-        raise BellsimError(f"cannot encode {value!r} as a model file token")
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, str):
-        if not value or any(c.isspace() or c == "#" for c in value):
-            raise BellsimError(f"label {value!r} is not encodable "
-                               "(empty, or holds whitespace or '#')")
-        try:
-            int(value)
-        except ValueError:
-            return value
-        raise BellsimError(f"string label {value!r} looks like an integer and would "
-                           "not round-trip")
-    raise BellsimError(f"cannot encode {value!r} as a model file token; "
-                       "use int or string labels")
 
 
 def _require_table(space, what: str) -> DiscreteDistribution:
@@ -118,8 +101,8 @@ _BLOCKS = {
     "angles": (("A|B",), ("label", "angle")),
 }
 
-_ENCODE = {"label": _encode_token, "probability": str, "outcome": str,
-           "angle": lambda angle: repr(float(angle))}
+_ENCODE = {"label": lambda label: _label_text(label, "model"), "probability": str,
+           "outcome": str, "angle": lambda angle: repr(float(angle))}
 _DECODE = {"label": _decode_label, "probability": Fraction, "outcome": int, "angle": float}
 
 
@@ -128,7 +111,7 @@ def _dump_block(lines: list, section: str, heading, rows) -> None:
     fields and one row per tuple of ``rows`` to ``lines``."""
     fields, kinds = _BLOCKS[section]
     lines.append(" ".join(["begin", section] + [
-        value if field == "A|B" else _encode_token(value)
+        value if field == "A|B" else _ENCODE["label"](value)
         for field, value in zip(fields, heading, strict=True)]))
     for row in rows:
         pairs = tuple(zip(kinds, row, strict=True))     # a row of another width raises
@@ -139,9 +122,9 @@ def _dump_block(lines: list, section: str, heading, rows) -> None:
 def dumps(model: ExperimentModel) -> str:
     lines = [f"version {FORMAT_VERSION}", f"variant {model.variant.value}"]
     if model.name:
-        lines.append("name " + _encode_token(model.name))
-    lines.append("settings A " + " ".join(_encode_token(s) for s in model.settings_a))
-    lines.append("settings B " + " ".join(_encode_token(s) for s in model.settings_b))
+        lines.append("name " + _label_text(model.name, "model"))
+    for station, settings in (("A", model.settings_a), ("B", model.settings_b)):
+        lines.append(f"settings {station} " + " ".join(map(_ENCODE["label"], settings)))
     lines.append("")
 
     if model.variant is ModelVariant.QUANTUM:

@@ -40,7 +40,6 @@ from __future__ import annotations
 
 import csv
 import io
-import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress, product
@@ -58,7 +57,7 @@ from .errors import (
     SettingConflict,
     UnsortedStream,
 )
-from .textio import _decode_label, _lines, _read_ascii
+from .textio import _decode_label, _label_order, _label_text, _lines, _read_ascii
 
 _INT64 = 2 ** 63
 
@@ -73,12 +72,10 @@ def _check_width(window_ns: int) -> None:
 def _codes(values, labels=None) -> tuple[np.ndarray, tuple]:
     """Codes of a sequence of labels in ``labels``, which is extended by
     the labels it lacks in order of first appearance; None codes as -1.
-    Without ``labels``, the labels found come in canonical order: ints
-    numerically, then strings, then any other label by its ``repr``."""
+    Without ``labels``, the labels found come in canonical order
+    (``textio._label_order``)."""
     if labels is None:
-        labels = sorted((v for v in dict.fromkeys(values) if v is not None),
-                        key=lambda v: (0, v) if isinstance(v, numbers.Integral)
-                        else (1, v) if isinstance(v, str) else (2, repr(v)))
+        labels = _label_order(values)
     index = {label: i for i, label in enumerate(labels)}
     codes = [-1 if v is None else index.setdefault(v, len(index)) for v in values]
     return np.array(codes, dtype=np.int64), tuple(index)
@@ -419,7 +416,7 @@ def _first_clicks(stream: ClickStream, window_ns: int):
         codes = np.unique(settings[heads[c]:stop]).tolist()
         conflict = SettingConflict(
             f"station {stream.station}, window {bins[j]}: "
-            f"settings {sorted(str(stream.labels[code]) for code in codes)}")
+            f"settings {list(_label_order(stream.labels[code] for code in codes))}")
         conflict.station = stream.station
         if j == 0:
             raise conflict
@@ -561,19 +558,6 @@ def ingest_timetag_file(path, station: str = "A") -> ClickStream:
     return ClickStream(station, times, codes, values, labels)
 
 
-def _check_writable(labels, time_tags: bool) -> None:
-    """Refuse, as a BellsimError, a setting label whose text would not read
-    back as that label: empty, not ASCII, or decoded by ``_decode_label``
-    to another label (``'1'`` reads back as ``1``).  A time-tag field also
-    holds no whitespace or ``#``; the CSV writer quotes anything else."""
-    for label in labels:
-        text = str(label)
-        if (not text or not text.isascii() or _decode_label(text) != label
-                or time_tags and any(c.isspace() or c == "#" for c in text)):
-            kind = "time-tag" if time_tags else "CSV"
-            raise BellsimError(f"setting label {label!r} would not read back from a {kind} file")
-
-
 def _line_blocks(heads: np.ndarray, columns, tail):
     """The text of one line per entry of ``heads``, a block of ``CHUNK``
     lines at a time: the entry's ``str`` followed by ``tail(*values)``.
@@ -599,8 +583,10 @@ _OUTCOMES = (-1, 0, 1)      # an outcome column's values, coded as outcome + 1
 
 
 def write_timetag_file(stream: ClickStream, path) -> None:
-    _check_writable(stream.labels, time_tags=True)
-    blocks = _line_blocks(stream.t, ((stream.setting, stream.labels),
+    """A time-tag file of ``stream``; each setting is written as
+    ``textio._label_text`` writes it for a time-tag file."""
+    texts = tuple(_label_text(label, "time-tag") for label in stream.labels)
+    blocks = _line_blocks(stream.t, ((stream.setting, texts),
                                      (stream.value + 1, _OUTCOMES)), "\t{}\t{:+d}\n".format)
     with Path(path).open("w", encoding="ascii") as fh:
         fh.write(f"# station {stream.station}: timestamp_ns setting outcome\n")
@@ -611,9 +597,11 @@ def write_coincidence_csv(records, path) -> None:
     """CSV with header ``window,x,y,a,b``; unknown settings are empty fields.
     Everything after the window field is rendered by ``csv.writer``, once
     per combination of settings and outcomes, so quoting and line ends are
-    its own."""
+    its own; each setting is written as ``textio._label_text`` writes it
+    for a CSV file."""
     r = CoincidenceRecords.of(records)
-    _check_writable(r.settings_a + r.settings_b, time_tags=False)
+    texts_a, texts_b = (tuple(_label_text(label, "CSV") for label in labels)
+                        for labels in (r.settings_a, r.settings_b))
     buf = io.StringIO()
     row_writer = csv.writer(buf)
 
@@ -624,8 +612,8 @@ def write_coincidence_csv(records, path) -> None:
         return buf.getvalue()
 
     # Code -1, an unknown setting, picks the empty field in front of the labels.
-    blocks = _line_blocks(r.window, ((r.x + 1, ("",) + r.settings_a),
-                                     (r.y + 1, ("",) + r.settings_b),
+    blocks = _line_blocks(r.window, ((r.x + 1, ("",) + texts_a),
+                                     (r.y + 1, ("",) + texts_b),
                                      (r.a + 1, _OUTCOMES), (r.b + 1, _OUTCOMES)), tail)
     with Path(path).open("w", newline="", encoding="ascii") as fh:
         csv.writer(fh).writerow(["window", "x", "y", "a", "b"])

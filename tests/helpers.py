@@ -49,7 +49,7 @@ from bellsim import rng as _rng
 from bellsim import streams as _streams
 from bellsim.core import SettingPair, _PairSampler, ensure_valid
 from bellsim.estimators import RAW, CorrelationSet, PairStats
-from bellsim.cli import _CONFIG_KEYS, ConfigError
+from bellsim.cli import ConfigError
 from bellsim.errors import (
     BellsimError,
     EmptyCell,
@@ -60,6 +60,7 @@ from bellsim.errors import (
 )
 from bellsim.modelio import _decode_label
 from bellsim.streams import ClickStream, CoincidenceRecord, CoincidenceRecords
+from bellsim.textio import _label_text
 
 
 def brute_force_expectations(model, sp):
@@ -461,7 +462,7 @@ def _oracle_binned(stream, window_ns):
         settings = {e.setting for e in group}
         if len(settings) > 1:
             conflict = SettingConflict(f"station {stream.station}, window {bin_index}: "
-                                       f"settings {sorted(map(str, settings))}")
+                                       f"settings {list(oracle_label_order(settings))}")
             conflict.station = stream.station
             raise conflict
         kept = min(group, key=lambda e: (e.t, e.value))
@@ -674,6 +675,24 @@ def oracle_loads(text, path=None):
         name=name)
 
 
+# The keys of a config file and the type each value is read as, written out.
+ORACLE_CONFIG_KEYS = {
+    "scenario": str,
+    "model": str,
+    "windows": int,
+    "duration_ns": int,
+    "window_ns": int,
+    "setting_rule": str,
+    "x": str,
+    "y": str,
+    "p_same": float,
+    "detection_rate": float,
+    "seed": int,
+    "threads": int,
+    "out_dir": str,
+}
+
+
 def oracle_load_config(path) -> dict:
     """A config file's ``key = value`` lines, lines broken by ``splitlines``."""
     values = {}
@@ -685,10 +704,10 @@ def oracle_load_config(path) -> dict:
             raise ConfigError(f"{path}:{line_number}: expected 'key = value'")
         key, _, value = stripped.partition("=")
         key = key.strip().replace("-", "_")
-        if key not in _CONFIG_KEYS:
+        if key not in ORACLE_CONFIG_KEYS:
             raise ConfigError(f"{path}:{line_number}: unknown key {key!r}")
         try:
-            values[key] = _CONFIG_KEYS[key](value.strip())
+            values[key] = ORACLE_CONFIG_KEYS[key](value.strip())
         except ValueError:
             raise ConfigError(f"{path}:{line_number}: bad value for {key!r}") from None
     return values
@@ -776,8 +795,8 @@ def oracle_read_coincidence_csv(path):
 
 def oracle_write_timetag_file(stream, path):
     """A time-tag file written one formatted line per click."""
-    _streams._check_writable(stream.labels, time_tags=True)
-    settings = _streams._label_array(stream.labels)[stream.setting].tolist()
+    texts = [_label_text(label, "time-tag") for label in stream.labels]
+    settings = _streams._label_array(texts)[stream.setting].tolist()
     lines = map("{}\t{}\t{:+d}\n".format, stream.t.tolist(), settings, stream.value.tolist())
     Path(path).write_text(f"# station {stream.station}: timestamp_ns setting outcome\n"
                           + "".join(lines), encoding="ascii")
@@ -786,9 +805,10 @@ def oracle_write_timetag_file(stream, path):
 def oracle_write_coincidence_csv(records, path):
     """A coincidence CSV written one ``csv.writer`` row per record."""
     r = CoincidenceRecords.of(records)
-    _streams._check_writable(r.settings_a + r.settings_b, time_tags=False)
-    x = _streams._label_array(r.settings_a + ("",))[r.x].tolist()     # code -1 picks ""
-    y = _streams._label_array(r.settings_b + ("",))[r.y].tolist()
+    texts_a = tuple(_label_text(label, "CSV") for label in r.settings_a)
+    texts_b = tuple(_label_text(label, "CSV") for label in r.settings_b)
+    x = _streams._label_array(texts_a + ("",))[r.x].tolist()     # code -1 picks ""
+    y = _streams._label_array(texts_b + ("",))[r.y].tolist()
     with Path(path).open("w", newline="", encoding="ascii") as fh:
         writer = csv.writer(fh)
         writer.writerow(["window", "x", "y", "a", "b"])

@@ -300,7 +300,7 @@ class TestAnalyze:
                            "--out-dir", str(tmp_path / "out"))
         assert code == 4
         assert err == (f"error: {streams[station]}: station {station}, window 1: "
-                       "settings ['1', '2']\n")
+                       "settings [1, 2]\n")
 
     def test_postselection_empty_cell_exits_5(self, tmp_path, capsys):
         csv = tmp_path / "c.csv"
@@ -622,7 +622,12 @@ _INPUT_ERRORS = {
         "error: e_ab: missing entry for pair (2, 2)"),
     "coupling-three-settings": (
         {}, _coupling_flags(extra=["--corr", "3", "1", "0"]), 2,
-        "error: a joint spec needs exactly two settings per station"),
+        "error: a joint spec needs exactly two distinct settings per station"),
+    "coupling-repeated-setting": (
+        {"s.json": '{"settings_a": [1, 1], "settings_b": [1, 2], "e_ab": [], "e_a": [], '
+                   '"e_b": []}'},
+        ("check-coupling", "--spec", "s.json"), 2,
+        "error: a joint spec needs exactly two distinct settings per station"),
     "coupling-no-e-a": (
         {}, _coupling_flags(drop=["--mean-a"]), 2,
         "error: --spec missing and no inline e_a values given"),

@@ -21,6 +21,7 @@ from bellsim.coupling import (
     random_consistent_spec,
     solve_phase_one,
 )
+from bellsim.errors import BellsimError
 from bellsim.estimators import POSTSELECTED, correlation_set_from_exact
 from bellsim.scenarios import lf_scenario, quantum_scenario
 
@@ -45,6 +46,15 @@ def lf_spec():
     scenario = lf_scenario()
     return JointSpec.from_exact_results(scenario.expected_postselected,
                                         SETTINGS_PM, SETTINGS_PM)
+
+
+@pytest.mark.parametrize("settings_a, settings_b", [
+    ((1, 1), (1, 2)), ((1, 2), ("b", "b")), ((1, 2, 3), (1, 2)), ((1,), (1, 2))])
+def test_spec_needs_two_distinct_settings_per_station(settings_a, settings_b):
+    zeros = {SettingPair(x, y): 0 for x in settings_a for y in settings_b}
+    with pytest.raises(BellsimError,
+                       match="^a joint spec needs exactly two distinct settings per station$"):
+        JointSpec(settings_a, settings_b, zeros, zeros, zeros)
 
 
 class TestLfCoupling:

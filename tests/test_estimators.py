@@ -6,7 +6,7 @@ import pytest
 
 from bellsim.core import SettingPair, enumerate_postselected, enumerate_raw, simulate_trials
 from bellsim.coupling import joint_moments
-from bellsim.errors import EmptyCell, MissingPair
+from bellsim.errors import EmptyCell, MissingPair, UnknownSetting
 from bellsim.estimators import (
     POSTSELECTED,
     RAW,
@@ -14,6 +14,7 @@ from bellsim.estimators import (
     PairStats,
     chsh,
     correlation_set_from_exact,
+    correlation_set_to_dict,
     estimate_postselected,
     estimate_raw,
     no_signalling,
@@ -217,3 +218,20 @@ class TestExactSets:
         for sp in scenario.model.pairs():
             assert enumerate_raw(scenario.model, sp) == scenario.expected_raw[sp]
             assert enumerate_postselected(scenario.model, sp) == scenario.expected_postselected[sp]
+
+    def test_pairs_follow_the_given_settings_not_the_results(self):
+        scenario = quantum_scenario()
+        table = scenario.expected_raw
+        settings = (scenario.model.settings_a, scenario.model.settings_b)
+        reversed_cs = correlation_set_from_exact(dict(reversed(table.items())), *settings, RAW)
+        cs = correlation_set_from_exact(table, *settings, RAW)
+        assert list(reversed_cs.pairs) == cs.pair_order() == list(cs.pairs)
+        assert correlation_set_to_dict(reversed_cs) == correlation_set_to_dict(cs)
+        assert chsh(reversed_cs) == chsh(cs)
+
+    def test_result_outside_the_settings_is_refused(self):
+        table = dict(lf_scenario().expected_raw)
+        table[SettingPair(1, 2)] = table[SettingPair(1, 1)]
+        with pytest.raises(UnknownSetting, match=r"^result for pair \(1, 2\) outside the "
+                                                 r"settings \(1, -1\) x \(1, -1\)$"):
+            correlation_set_from_exact(table, (1, -1), (1, -1), RAW)

@@ -1,4 +1,5 @@
-"""The README's library sketch runs as written.
+"""The README's library sketch runs as written, and its list of config
+keys is the one the command line reads.
 
 The python block under "Library sketch" is executed as a script; the
 names it leaves behind are then checked against the package: the stream
@@ -13,6 +14,10 @@ import contextlib
 import io
 import re
 from pathlib import Path
+
+from bellsim.cli import _config_keys
+
+from helpers import ORACLE_CONFIG_KEYS
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -39,3 +44,12 @@ def test_library_sketch_runs():
     for sp in cs.pair_order():
         stats = cs.stats(*sp)
         assert (spec.e_ab[sp], spec.e_a[sp], spec.e_b[sp]) == (stats.e_ab, stats.e_a, stats.e_b)
+
+
+def test_config_keys_are_the_readme_keys():
+    text = README.read_text(encoding="utf-8")
+    sentence = text[text.index("can supply these keys:"):text.index("(a `-` may")]
+    keys = re.findall(r"`(\w+)`", sentence)
+    assert len(keys) == 13
+    assert list(_config_keys()) == keys
+    assert _config_keys() == ORACLE_CONFIG_KEYS

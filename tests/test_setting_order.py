@@ -88,6 +88,40 @@ def test_analyze_reports_the_roadmap_records_in_label_order(tmp_path):
         assert [d["delta"] for d in raw["no_signalling"]["deltas"]] == [-1, -2, -1, -2]
 
 
+# Inline check-coupling values per (x, y): e_ab, e_a, e_b.  The first set
+# is the moments of a classical distribution, so the run prints a witness;
+# the second breaks a CHSH bound.
+_COUPLING_VALUES = (
+    {("2", "1"): (0.5, 0.25, 0.75), ("2", "b"): (0.0, 0.25, 0.25),
+     ("10", "1"): (-0.25, 0.0, 0.75), ("10", "b"): (0.25, 0.0, 0.25)},
+    {("2", "1"): (0.7, 0.0, 0.0), ("2", "b"): (0.7, 0.0, 0.0),
+     ("10", "1"): (0.7, 0.0, 0.0), ("10", "b"): (-0.7, 0.0, 0.0)},
+)
+
+
+def _check_coupling(directory: Path, triples: list) -> tuple:
+    """``bellsim check-coupling`` on inline ``(flag, x, y, value)`` triples;
+    the exit code, stdout and ``coupling.json``."""
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        code = main(["check-coupling", *(arg for triple in triples for arg in triple),
+                     "--out-dir", str(directory)])
+    return code, stdout.getvalue(), (directory / "coupling.json").read_bytes()
+
+
+@settings(max_examples=40)
+@given(values=st.sampled_from(_COUPLING_VALUES), data=st.data())
+def test_check_coupling_ignores_the_order_of_inline_flags(values, data):
+    triples = [(flag, x, y, str(v[k])) for (x, y), v in values.items()
+               for k, flag in enumerate(("--corr", "--mean-a", "--mean-b"))]
+    permuted = data.draw(st.permutations(triples))
+    with tempfile.TemporaryDirectory() as tmp:
+        want = _check_coupling(Path(tmp), triples)
+        assert _check_coupling(Path(tmp), permuted) == want
+    spec = json.loads(want[2])["spec"]
+    assert (spec["settings_a"], spec["settings_b"]) == ([2, 10], [1, "b"])
+
+
 def _estimates(records):
     out = []
     for estimate in (estimate_raw, estimate_postselected):

@@ -289,7 +289,9 @@ class TestFiles:
     ])
     def test_label_that_would_not_read_back_is_refused(self, label, time_tags, tmp_path):
         path = tmp_path / "out"
-        with pytest.raises(BellsimError, match=f"setting label {label!r} would not read back"):
+        kind = "time-tag" if time_tags else "CSV"
+        with pytest.raises(BellsimError,
+                           match=f"label {label!r} would not read back from a {kind} file"):
             if time_tags:
                 write_timetag_file(ClickStream("A", [0], [0], [1], (label,)), path)
             else:
