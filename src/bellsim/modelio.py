@@ -44,11 +44,13 @@ no comment or blank line, closed by a line that is exactly ``end``) is read
 in one pass, which decodes each distinct probability once; angles have no
 plain form.  Any other block is read line by line, with the same result and
 the same errors.  A directive or block may appear only once; labels
-are compared decoded, so ``1`` and ``01`` name one setting.  Setting labels,
-atoms and the name are written as ``textio._label_text`` writes them for a
-model file: ASCII text with no whitespace or ``#`` that reads back as the
-label itself, so an int (numpy's too) or a string that does not look like
-one; any other label is refused.
+are compared decoded, so ``1`` and ``01`` name one setting.  Setting labels
+and atoms are written as ``textio._label_text`` writes them for a model
+file: ASCII text with no whitespace or ``#`` that reads back as the label
+itself, so an int (numpy's too) or a string that does not look like one;
+any other label is refused.  The name is the rest of its line, undecoded,
+so it is written as itself: an ASCII string with no ``#`` whose words are
+separated by single spaces; any other name is refused.
 Probabilities are written as exact rationals (``1/6``) and angles as
 shortest-repr floats, so ``load(save(m)) == m``.
 
@@ -119,10 +121,20 @@ def _dump_block(lines: list, section: str, heading, rows) -> None:
     lines += ["end", ""]
 
 
+def _name_text(name) -> str:
+    """The text of a ``name`` line for ``name``: the name itself, when
+    ``loads``, which joins the line's words with single spaces, reads it
+    back unchanged."""
+    if not (isinstance(name, str) and name.isascii() and "#" not in name
+            and " ".join(name.split()) == name):
+        raise BellsimError(f"label {name!r} would not read back from a model file")
+    return name
+
+
 def dumps(model: ExperimentModel) -> str:
     lines = [f"version {FORMAT_VERSION}", f"variant {model.variant.value}"]
     if model.name:
-        lines.append("name " + _label_text(model.name, "model"))
+        lines.append("name " + _name_text(model.name))
     for station, settings in (("A", model.settings_a), ("B", model.settings_b)):
         lines.append(f"settings {station} " + " ".join(map(_ENCODE["label"], settings)))
     lines.append("")

@@ -27,13 +27,18 @@ labels themselves, None for an unknown setting.  ``WindowSettings``
 holds per window ``x`` and ``y``, codes into the model's setting labels;
 pairing maps those labels into each stream's labels once and reads the
 codes of the occupied windows.  Record columns are read-only: the count
-table the estimators read is kept on the records object.
+table the estimators read is kept on the records object.  The codes of
+the schedule and of the records take the narrowest signed dtype that
+holds every code and code + 1 (``_code_dtype``: int8 up to 127 labels);
+a ``ClickStream``'s codes are int64.
 
-Only bins holding more than one click of a station are sorted and
-checked for conflicts; generated streams have one click per station per
-window and are not sorted at all.  Pairing them with their schedule
-allocates about 42 bytes per window beyond its inputs at its peak, 26 of
-them the records themselves.
+Generation writes each station's clicks into columns allocated once for
+every window, 34 bytes per window for both stations, and trims them to
+the clicks.  Only bins holding more than one click of a station are
+sorted and checked for conflicts; generated streams have one click per
+station per window and are not sorted at all.  Pairing them with their
+schedule allocates about 39 bytes per window beyond its inputs at its
+peak, 12 of them the records themselves.
 """
 
 from __future__ import annotations
@@ -69,16 +74,28 @@ def _check_width(window_ns: int) -> None:
         raise BellsimError(f"window width {window_ns} ns does not fit in a signed 64-bit integer")
 
 
+def _code_dtype(n_labels: int) -> np.dtype:
+    """The narrowest signed integer dtype that holds the codes -1 ..
+    ``n_labels`` - 1 of a label tuple and each code + 1: int8 up to 127
+    labels.  Arithmetic on codes widens to ``np.intp`` first; a narrow
+    array combined with a Python int keeps its dtype and would wrap."""
+    for dtype in (np.int8, np.int16, np.int32):
+        if n_labels <= np.iinfo(dtype).max:
+            return np.dtype(dtype)
+    return np.dtype(np.int64)
+
+
 def _codes(values, labels=None) -> tuple[np.ndarray, tuple]:
     """Codes of a sequence of labels in ``labels``, which is extended by
     the labels it lacks in order of first appearance; None codes as -1.
     Without ``labels``, the labels found come in canonical order
-    (``textio._label_order``)."""
+    (``textio._label_order``).  Codes take the ``_code_dtype`` of the
+    extended labels."""
     if labels is None:
         labels = _label_order(values)
     index = {label: i for i, label in enumerate(labels)}
     codes = [-1 if v is None else index.setdefault(v, len(index)) for v in values]
-    return np.array(codes, dtype=np.int64), tuple(index)
+    return np.array(codes, dtype=_code_dtype(len(index))), tuple(index)
 
 
 def _label_array(labels) -> np.ndarray:
@@ -119,8 +136,8 @@ class CoincidenceRecords:
     """Paired outcomes, one array entry per occupied bin, in bin order."""
 
     window: np.ndarray    # int64
-    x: np.ndarray         # int64 code into ``settings_a``, -1 when unknown
-    y: np.ndarray         # int64 code into ``settings_b``, -1 when unknown
+    x: np.ndarray         # code into ``settings_a``, -1 when unknown: ``_code_dtype``
+    y: np.ndarray         # code into ``settings_b``, -1 when unknown
     a: np.ndarray         # int8 outcomes in {-1, 0, +1}, never both 0
     b: np.ndarray
     settings_a: tuple
@@ -144,7 +161,8 @@ class CoincidenceRecords:
         known = (x >= 0) & (y >= 0)
         if not known.all():
             x, y, a, b = x[known], y[known], a[known], b[known]
-        cell = x * n_b
+        cell = x.astype(np.intp)
+        cell *= n_b
         cell += y                           # the pair code x·|B| + y
         cell *= 3
         cell += a
@@ -279,7 +297,8 @@ def _draw_chunk(model, rule, master_seed, chunk_index, start, stop):
     u = gen.random((_rng.CHUNK, 7))[: stop - start]
     xs, ys = _setting_indices(model, rule, np.arange(start, stop, dtype=np.int64),
                               u[:, _COL_SETTING_A], u[:, _COL_SETTING_B])
-    return gen, u, xs, ys
+    return (gen, u, xs.astype(_code_dtype(len(model.settings_a))),
+            ys.astype(_code_dtype(len(model.settings_b))))
 
 
 @dataclass(frozen=True, eq=False)
@@ -289,8 +308,8 @@ class WindowSettings:
 
     settings_a: tuple
     settings_b: tuple
-    x: np.ndarray
-    y: np.ndarray
+    x: np.ndarray         # code into ``settings_a``: ``_code_dtype``
+    y: np.ndarray         # code into ``settings_b``
 
     def __len__(self):
         return len(self.x)
@@ -328,6 +347,11 @@ def generate_streams(model: ExperimentModel, schedule: Schedule,
     emits no click, and surviving clicks are independently thinned with
     probability ``1 - detection_rate``.  Clicks are stamped at the window
     start.  Results are bit-identical for any ``workers`` count.
+
+    A station clicks at most once per window, so each station's columns
+    are allocated once for every window, and chunk c writes its clicks in
+    place from window c·CHUNK on; one pass then closes the gaps between
+    the chunks and trims the columns to the clicks.
     """
     ensure_valid(model)
     if not 0.0 <= detection_rate <= 1.0:
@@ -336,10 +360,16 @@ def generate_streams(model: ExperimentModel, schedule: Schedule,
     samplers = [_PairSampler(model, sp) for sp in model.pairs()]    # by code x·|B| + y
     fast = all(s.fast for s in samplers)
     w = schedule.window_ns
+    n = schedule.n_windows
+    # Per station: t, setting and value, at capacity.
+    columns = [(np.empty(n, np.int64), np.empty(n, np.int64), np.empty(n, np.int8))
+               for _ in range(2)]
 
     def build(chunk_index, start, stop):
         gen, u, xs, ys = _draw_chunk(model, schedule.rule, master_seed, chunk_index, start, stop)
-        code = xs * n_b + ys
+        code = xs.astype(np.intp)
+        code *= n_b
+        code += ys
         a = np.zeros(stop - start, dtype=np.int8)
         b = np.zeros(stop - start, dtype=np.int8)
         if fast:
@@ -354,15 +384,30 @@ def generate_streams(model: ExperimentModel, schedule: Schedule,
             for i, pair_code in enumerate(code.tolist()):
                 ai, bi = samplers[pair_code].draw(gen, 1)
                 a[i], b[i] = ai[0], bi[0]
-        i_a = np.flatnonzero((a != 0) & (u[:, _COL_THIN_A] < detection_rate))
-        i_b = np.flatnonzero((b != 0) & (u[:, _COL_THIN_B] < detection_rate))
-        return (start + i_a, xs[i_a], a[i_a]), (start + i_b, ys[i_b], b[i_b])
+        counts = []
+        for (t, setting, value), outcome, codes, thin in ((columns[0], a, xs, _COL_THIN_A),
+                                                          (columns[1], b, ys, _COL_THIN_B)):
+            i = np.flatnonzero((outcome != 0) & (u[:, thin] < detection_rate))
+            slot = slice(start, start + len(i))
+            np.add(i, start, out=t[slot])
+            t[slot] *= w
+            setting[slot] = codes[i]
+            value[slot] = outcome[i]
+            counts.append(len(i))
+        return counts
 
-    parts = _rng.map_chunks(build, schedule.n_windows, workers=workers)
+    counts = _rng.map_chunks(build, n, workers=workers)     # per chunk: clicks at A, at B
     streams = []
-    for station, labels, side in (("A", model.settings_a, 0), ("B", model.settings_b, 1)):
-        windows, setting, value = (np.concatenate(c) for c in zip(*(p[side] for p in parts)))
-        streams.append(ClickStream(station, windows * w, setting, value, labels))
+    for side, (station, labels) in enumerate((("A", model.settings_a), ("B", model.settings_b))):
+        for column in columns[side]:
+            end = 0
+            for c, chunk_counts in enumerate(counts):
+                start, k = c * _rng.CHUNK, chunk_counts[side]
+                if start != end:
+                    column[end:end + k] = column[start:start + k]
+                end += k
+            column.resize(end, refcheck=False)     # in place; no view of it is left
+        streams.append(ClickStream(station, *columns[side], labels))
     return tuple(streams)
 
 
@@ -454,6 +499,12 @@ def pair_coincidences(stream_a: ClickStream, stream_b: ClickStream, window_ns: i
     after that.
     """
     _check_width(window_ns)
+    labels_a, labels_b = stream_a.labels, stream_b.labels
+    if settings is not None:
+        # The schedule's labels, as codes into the stream's labels extended
+        # by those the streams lack; the record codes fit the extended labels.
+        codes_a, labels_a = _codes(settings.settings_a, labels_a)
+        codes_b, labels_b = _codes(settings.settings_b, labels_b)
     bins_a, set_a, val_a, dropped_a, pending_a = _first_clicks(stream_a, window_ns)
     bins_b, set_b, val_b, dropped_b, pending_b = _first_clicks(stream_b, window_ns)
     # The union of the occupied bins: one sort in place, one mask of firsts.
@@ -471,14 +522,13 @@ def pair_coincidences(stream_a: ClickStream, stream_b: ClickStream, window_ns: i
     pos_b = np.searchsorted(windows, bins_b)
     del bins_b
     n = len(windows)
-    x = np.full(n, -1, dtype=np.int64)
-    y = np.full(n, -1, dtype=np.int64)
+    x = np.full(n, -1, dtype=_code_dtype(len(labels_a)))
+    y = np.full(n, -1, dtype=_code_dtype(len(labels_b)))
     a = np.zeros(n, dtype=np.int8)
     b = np.zeros(n, dtype=np.int8)
     x[pos_a], a[pos_a] = set_a, val_a
     y[pos_b], b[pos_b] = set_b, val_b
     del pos_a, pos_b
-    labels_a, labels_b = stream_a.labels, stream_b.labels
     errors = []     # ((window, order within the window's scan step), exception)
     for order, pending in enumerate((pending_a, pending_b)):
         if pending is not None:
@@ -491,8 +541,6 @@ def pair_coincidences(stream_a: ClickStream, stream_b: ClickStream, window_ns: i
             errors.append(((k, 2), BellsimError(
                 f"station {station}, window {k}: past the schedule's {len(settings)} windows")))
         covered = windows[:inside]
-        codes_a, labels_a = _codes(settings.settings_a, labels_a)
-        codes_b, labels_b = _codes(settings.settings_b, labels_b)
         # Per station: the schedule's setting of each covered window, checked
         # against the clicks and written into the silent slots in place.
         for order, column, codes, scheduled, labels, station in (
@@ -612,8 +660,8 @@ def write_coincidence_csv(records, path) -> None:
         return buf.getvalue()
 
     # Code -1, an unknown setting, picks the empty field in front of the labels.
-    blocks = _line_blocks(r.window, ((r.x + 1, ("",) + texts_a),
-                                     (r.y + 1, ("",) + texts_b),
+    blocks = _line_blocks(r.window, ((np.add(r.x, 1, dtype=np.intp), ("",) + texts_a),
+                                     (np.add(r.y, 1, dtype=np.intp), ("",) + texts_b),
                                      (r.a + 1, _OUTCOMES), (r.b + 1, _OUTCOMES)), tail)
     with Path(path).open("w", newline="", encoding="ascii") as fh:
         csv.writer(fh).writerow(["window", "x", "y", "a", "b"])

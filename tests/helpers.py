@@ -15,7 +15,11 @@ comparison with the closed-form ``core.table_sums``.
 
 Two more keep the event-object stream path for comparison with the
 columnar one: a generator that builds one ``ClickEvent`` per click, and a
-pairer that walks both event lists bin by bin with ``groupby``.
+pairer that walks both event lists bin by bin with ``groupby``.  Three
+keep the whole-array columnar path as it was before generation wrote its
+clicks in place and setting codes were narrowed: a generator that joins
+per-chunk parts with ``np.concatenate``, and a schedule and a pairer with
+int64 setting codes.
 
 Four more keep the text readers that each had their own line loop:
 model, config, time-tag and coincidence CSV files.  The last two keep the
@@ -510,6 +514,120 @@ def oracle_pair_coincidences(stream_a, stream_b, window_ns, settings_hint=None):
             b=ev_b.value if ev_b is not None else 0,
         ))
     return records, dropped_a, dropped_b
+
+
+# --------------------------------------------------------------------------
+# Whole-array columnar oracles, int64 setting codes
+
+
+def _oracle_setting_codes(model, rule, start, stop, u):
+    """The windows' setting codes, int64, from a chunk's uniform matrix."""
+    xs, ys = _streams._setting_indices(model, rule, np.arange(start, stop, dtype=np.int64),
+                                       u[:, 0], u[:, 1])
+    return np.asarray(xs, dtype=np.int64), np.asarray(ys, dtype=np.int64)
+
+
+def oracle_columnar_generate_streams(model, schedule, detection_rate, master_seed, workers=1):
+    """Both stations' click columns: each chunk returns its own parts, and
+    each column is their ``np.concatenate``."""
+    ensure_valid(model)
+    if not 0.0 <= detection_rate <= 1.0:
+        raise BellsimError("detection_rate must be within [0, 1]")
+    n_b = len(model.settings_b)
+    samplers = [_PairSampler(model, sp) for sp in model.pairs()]    # by code x·|B| + y
+    fast = all(s.fast for s in samplers)
+    w = schedule.window_ns
+
+    def build(chunk_index, start, stop):
+        gen = _rng.chunk_generator(master_seed, (_rng.PURPOSE_STREAMS,), chunk_index)
+        u = gen.random((_rng.CHUNK, 7))[: stop - start]
+        xs, ys = _oracle_setting_codes(model, schedule.rule, start, stop, u)
+        code = xs * n_b + ys
+        a = np.zeros(stop - start, dtype=np.int8)
+        b = np.zeros(stop - start, dtype=np.int8)
+        if fast:
+            for pair_code, sampler in enumerate(samplers):
+                mask = code == pair_code
+                if mask.any():
+                    a[mask], b[mask] = sampler.outcomes_from_uniforms(
+                        u[mask, 2], u[mask, 3], u[mask, 4])
+        else:
+            for i, pair_code in enumerate(code.tolist()):
+                ai, bi = samplers[pair_code].draw(gen, 1)
+                a[i], b[i] = ai[0], bi[0]
+        i_a = np.flatnonzero((a != 0) & (u[:, 5] < detection_rate))
+        i_b = np.flatnonzero((b != 0) & (u[:, 6] < detection_rate))
+        return (start + i_a, xs[i_a], a[i_a]), (start + i_b, ys[i_b], b[i_b])
+
+    parts = _rng.map_chunks(build, schedule.n_windows, workers=workers)
+    streams = []
+    for station, labels, side in (("A", model.settings_a, 0), ("B", model.settings_b, 1)):
+        windows, setting, value = (np.concatenate(c) for c in zip(*(p[side] for p in parts)))
+        streams.append(ClickStream(station, windows * w, setting, value, labels))
+    return tuple(streams)
+
+
+def oracle_columnar_schedule(model, schedule, master_seed) -> _streams.WindowSettings:
+    """The setting pair of every window, int64 code columns."""
+
+    def columns(chunk_index, start, stop):
+        gen = _rng.chunk_generator(master_seed, (_rng.PURPOSE_STREAMS,), chunk_index)
+        u = gen.random((_rng.CHUNK, 7))[: stop - start]
+        return _oracle_setting_codes(model, schedule.rule, start, stop, u)
+
+    xs, ys = (np.concatenate(c) for c in zip(*_rng.map_chunks(columns, schedule.n_windows)))
+    return _streams.WindowSettings(model.settings_a, model.settings_b, xs, ys)
+
+
+def _oracle_int64_codes(values, labels):
+    """Codes of ``values`` in ``labels``, extended by the labels it lacks."""
+    index = {label: i for i, label in enumerate(labels)}
+    codes = [index.setdefault(v, len(index)) for v in values]
+    return np.array(codes, dtype=np.int64), tuple(index)
+
+
+def oracle_columnar_pair_coincidences(stream_a, stream_b, window_ns, settings=None):
+    """``pair_coincidences`` on whole columns with int64 record codes:
+    union of the occupied bins, then the schedule's codes into the silent
+    slots.  Returns (records, dropped_a, dropped_b); raises the first error
+    in scan order."""
+    _streams._check_width(window_ns)
+    bins_a, set_a, val_a, dropped_a, pending_a = _streams._first_clicks(stream_a, window_ns)
+    bins_b, set_b, val_b, dropped_b, pending_b = _streams._first_clicks(stream_b, window_ns)
+    windows = np.unique(np.concatenate((bins_a, bins_b)))
+    pos_a, pos_b = np.searchsorted(windows, bins_a), np.searchsorted(windows, bins_b)
+    n = len(windows)
+    x = np.full(n, -1, dtype=np.int64)
+    y = np.full(n, -1, dtype=np.int64)
+    a = np.zeros(n, dtype=np.int8)
+    b = np.zeros(n, dtype=np.int8)
+    x[pos_a], a[pos_a] = set_a, val_a
+    y[pos_b], b[pos_b] = set_b, val_b
+    labels_a, labels_b = stream_a.labels, stream_b.labels
+    errors = [((p[0], order), p[1]) for order, p in enumerate((pending_a, pending_b))
+              if p is not None]
+    if settings is not None:
+        inside = int(np.searchsorted(windows, len(settings)))
+        if inside < n:
+            k = int(windows[inside])
+            station = "A" if a[inside] else "B"
+            errors.append(((k, 2), BellsimError(
+                f"station {station}, window {k}: past the schedule's {len(settings)} windows")))
+        covered = windows[:inside]
+        codes_a, labels_a = _oracle_int64_codes(settings.settings_a, labels_a)
+        codes_b, labels_b = _oracle_int64_codes(settings.settings_b, labels_b)
+        for order, column, codes, scheduled, labels, station in (
+                (2, x, codes_a, settings.x, labels_a, "A"),
+                (3, y, codes_b, settings.y, labels_b, "B")):
+            clicked = column[:inside]
+            sched = codes[np.asarray(scheduled, dtype=np.int64)[covered]]
+            found = _streams._schedule_conflict(covered, clicked, sched, labels, station)
+            if found is not None:
+                errors.append(((found[0], order), found[1]))
+            clicked[clicked < 0] = sched[clicked < 0]
+    if errors:
+        raise min(errors, key=lambda e: e[0])[1]
+    return CoincidenceRecords(windows, x, y, a, b, labels_a, labels_b), dropped_a, dropped_b
 
 
 # --------------------------------------------------------------------------

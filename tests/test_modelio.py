@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -255,3 +256,29 @@ def test_random_quantum_models_round_trip(settings, data):
     model = ExperimentModel.quantum_model(settings, settings[::-1], angles_a, angles_b,
                                           name=name)
     assert_refused_or_round_trips(model, any(map(_unencodable, [*settings, name])))
+
+
+def _quantum_named(name):
+    return ExperimentModel.quantum_model(("u", "v"), ("u", "v"), {"u": 0.0, "v": 1.0},
+                                         {"u": 0.0, "v": 1.0}, name=name)
+
+
+def _name_reads_back(name):
+    """A name that the rest of its ``name`` line gives back: ASCII with no
+    '#', words separated by single spaces, or empty (no line at all)."""
+    return name.isascii() and re.fullmatch(r"([^\s#]+( [^\s#]+)*)?", name) is not None
+
+
+def test_name_that_reads_as_an_int_round_trips():
+    # The name line is not decoded: "name 5" reads back as the string "5".
+    model = _quantum_named("5")
+    assert "\nname 5\n" in modelio.dumps(model)
+    assert modelio.loads(modelio.dumps(model)) == model
+    assert modelio.loads(modelio.dumps(_quantum_named("my model 2"))).name == "my model 2"
+    with pytest.raises(BellsimError, match="^label 5 would not read back from a model file$"):
+        modelio.dumps(_quantum_named(5))
+
+
+@given(name=st.text(st.sampled_from("q05 \t#-\u00e9\x0b\x1c"), max_size=6))
+def test_random_names_round_trip_or_are_refused(name):
+    assert_refused_or_round_trips(_quantum_named(name), not _name_reads_back(name))

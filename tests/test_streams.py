@@ -219,6 +219,25 @@ class TestPairing:
         assert len(result.records) > 190_000
         assert (peak - before) / schedule.n_windows <= 64
 
+    def test_peak_memory_through_pairing(self):
+        """Generation, the schedule and pairing, with one worker, hold at
+        most 80 bytes per window at their peak: generation writes its
+        clicks into columns allocated once, and setting codes are int8
+        (92 bytes per window with per-chunk parts and int64 codes)."""
+        model = build_scenario("quantum").model
+        schedule = Schedule.for_windows(200_000, 1000, RandomSettings())
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            stream_a, stream_b = generate_streams(model, schedule, 0.9, 7, workers=1)
+            settings = schedule_settings(model, schedule, 7)
+            result = pair_coincidences(stream_a, stream_b, 1000, settings)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(result.records) > 190_000
+        assert (peak - before) / schedule.n_windows <= 80
+
 
 class TestRoundTrip:
     @pytest.mark.parametrize("name", scenario_names())
