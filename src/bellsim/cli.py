@@ -44,6 +44,7 @@ from .errors import (
 from .estimators import (
     POSTSELECTED,
     RAW,
+    PairStats,
     chsh,
     chsh_report_to_dict,
     correlation_set_to_dict,
@@ -136,8 +137,7 @@ def _analysis_payload(records) -> dict:
     return sections
 
 
-_CSV_COLUMNS = ("x", "y", "e_ab", "e_a", "e_b", "n_raw", "n_post", "c_hat",
-                "se_ab", "se_a", "se_b")
+_CSV_COLUMNS = ("x", "y") + PairStats._fields
 
 
 def _emit_analysis(out_dir: Path, payload: dict) -> list[str]:
@@ -245,9 +245,10 @@ def _cmd_simulate(args) -> int:
     duration = args.duration_ns if args.windows is None else args.windows * args.window_ns
     schedule = Schedule(duration, args.window_ns, _build_rule(args))
 
-    out = _out_dir(args)
     stream_a, stream_b = generate_streams(model, schedule, args.detection_rate,
                                           args.seed, workers=args.threads)
+    # The output directory exists only once generation has passed its checks.
+    out = _out_dir(args)
     written = []
     if args.write_streams:
         write_timetag_file(stream_a, out / "stream_a.txt")

@@ -39,6 +39,12 @@ the integer counts and sums that every reported number is a quotient of;
 enumeration divides them as Fractions, estimation as floats.  Fractions
 are built only for the results, and for `outcome_table`'s ``n / d`` cells.
 
+`pair_order` (station A's setting first) and `marginal_contrasts` (a
+station's marginal at one setting, across the two remote settings) are
+defined here once: the no-signalling deltas of `estimators.no_signalling`
+and the marginal-consistency certificate and moment rows of `coupling`
+compare the same four contrasts.
+
 A model's validity, its exact outcome tables and its outcome grids are
 computed once per `ExperimentModel` instance, on first use, and shared by
 every later call (`enumerate_raw`, `enumerate_postselected`,
@@ -77,7 +83,7 @@ from . import rng as _rng
 
 # An outcome is a plain int; 0 encodes "no detection".
 Outcome = int
-VALID_OUTCOMES = (-1, 0, 1)
+VALID_OUTCOMES = (-1, 0, 1)     # outcome o at index o + 1, as the stream writers code it
 
 # Absolute tolerance on probability normalisation.
 PROB_TOL = 1e-9
@@ -268,7 +274,7 @@ class ExperimentModel:
     name: str = ""
 
     def pairs(self) -> list[SettingPair]:
-        return [SettingPair(x, y) for x in self.settings_a for y in self.settings_b]
+        return pair_order(self.settings_a, self.settings_b)
 
     @cached_property
     def _violations(self) -> tuple:
@@ -402,27 +408,24 @@ def validate_model(model: ExperimentModel) -> list[str]:
                     v.append(f"angles {station}: angle for {s!r} is not finite")
         if v:
             return v
-        for x in model.settings_a:
-            for y in model.settings_b:
-                try:    # the correlation is cos(2 (a - b)); finite angles can overflow it
-                    finite = math.isfinite(2.0 * (model.angles_a[x] - model.angles_b[y]))
-                except OverflowError:   # int angles whose difference passes the float range
-                    finite = False
-                if not finite:
-                    v.append(f"angles: difference for pair {(x, y)!r} is not finite")
+        for x, y in model.pairs():
+            try:    # the correlation is cos(2 (a - b)); finite angles can overflow it
+                finite = math.isfinite(2.0 * (model.angles_a[x] - model.angles_b[y]))
+            except OverflowError:   # int angles whose difference passes the float range
+                finite = False
+            if not finite:
+                v.append(f"angles: difference for pair {(x, y)!r} is not finite")
         return v
 
     _check_space(model.source, "source", v, want_pairs=True)
 
     if model.variant is ModelVariant.M3:
         joints = model.instruments_joint or {}
-        for x in model.settings_a:
-            for y in model.settings_b:
-                sp = SettingPair(x, y)
-                if sp not in joints:
-                    v.append(f"joint instruments: no distribution for pair {tuple(sp)}")
-                else:
-                    _check_space(joints[sp], f"joint instruments {tuple(sp)}", v, want_pairs=True)
+        for sp in model.pairs():
+            if sp not in joints:
+                v.append(f"joint instruments: no distribution for pair {tuple(sp)}")
+            else:
+                _check_space(joints[sp], f"joint instruments {tuple(sp)}", v, want_pairs=True)
     else:
         for station, insts, settings in (("A", model.instruments_a, model.settings_a),
                                          ("B", model.instruments_b, model.settings_b)):
@@ -559,6 +562,23 @@ def table_sums(table) -> tuple[tuple, tuple]:
            (both, both + m0 + p0, both + zm + zp))
     post = (both, (ab, pm + pp - mm - mp, mp + pp - mm - pm), (both, both, both))
     return raw, post
+
+
+def pair_order(settings_a, settings_b) -> list[SettingPair]:
+    """Every setting pair, station A's setting first: the pair of the
+    settings at positions (x, y) sits at position x·|B| + y."""
+    return [SettingPair(x, y) for x in settings_a for y in settings_b]
+
+
+def marginal_contrasts(settings_a, settings_b) -> tuple:
+    """The four no-signalling contrasts of a 2x2 experiment, in the slot
+    order of a sign quadruple (a_x0, a_x1, b_y0, b_y1): one ``(station,
+    setting, remote settings, pair, other pair)`` per station setting,
+    whose two pairs differ only in the remote setting."""
+    (x0, x1), (y0, y1) = settings_a, settings_b
+    p00, p01, p10, p11 = pair_order(settings_a, settings_b)
+    return (("A", x0, (y0, y1), p00, p01), ("A", x1, (y0, y1), p10, p11),
+            ("B", y0, (x0, x1), p00, p10), ("B", y1, (x0, x1), p01, p11))
 
 
 def chsh_values(correlators) -> list[tuple[str, object]]:

@@ -12,7 +12,9 @@ Necessary conditions are checked by name so infeasibility always comes
 with a certificate:
 
 * marginal consistency: a coupling forces each station's marginal to be
-  the same under both remote settings;
+  the same under both remote settings, so each of the four contrasts of
+  `core.marginal_contrasts` must vanish (the no-signalling deltas that
+  ``analysis.json`` reports are the same four contrasts);
 * per-pair realizability: each pair (e_a, e_b, e_ab) must itself be a
   valid two-variable distribution, i.e. all four cells
   (1 + a*e_a + b*e_b + a*b*e_ab)/4 must be non-negative;
@@ -36,7 +38,14 @@ from fractions import Fraction
 from itertools import product
 from pathlib import Path
 
-from .core import DiscreteDistribution, SettingPair, _as_fraction, chsh_values
+from .core import (
+    DiscreteDistribution,
+    SettingPair,
+    _as_fraction,
+    chsh_values,
+    marginal_contrasts,
+    pair_order,
+)
 from .errors import BellsimError, ParseError
 from .textio import _line_number, _read_ascii
 
@@ -67,7 +76,7 @@ class JointSpec:
         settings_b = tuple(settings_b)
         if any(len(s) != 2 or s[0] == s[1] for s in (settings_a, settings_b)):
             raise BellsimError("a joint spec needs exactly two distinct settings per station")
-        pairs = [SettingPair(x, y) for x in settings_a for y in settings_b]
+        pairs = pair_order(settings_a, settings_b)
         tables = {}
         for label, table in (("e_ab", e_ab), ("e_a", e_a), ("e_b", e_b)):
             table = {SettingPair(*k): v for k, v in dict(table).items()}
@@ -85,7 +94,7 @@ class JointSpec:
         object.__setattr__(self, "e_b", tables["e_b"])
 
     def pairs(self) -> list[SettingPair]:
-        return [SettingPair(x, y) for x in self.settings_a for y in self.settings_b]
+        return pair_order(self.settings_a, self.settings_b)
 
     @classmethod
     def from_correlation_set(cls, cs) -> "JointSpec":
@@ -115,16 +124,12 @@ class CouplingResult:
 def marginal_consistency(spec: JointSpec) -> tuple[bool, list[str]]:
     """Does each station's marginal ignore the remote setting, within
     ``MOMENT_TOL``?"""
-    (x0, x1), (y0, y1) = spec.settings_a, spec.settings_b
     offenders = []
-    for x in (x0, x1):
-        d = float(spec.e_a[SettingPair(x, y0)]) - float(spec.e_a[SettingPair(x, y1)])
+    for station, setting, _, sp0, sp1 in marginal_contrasts(spec.settings_a, spec.settings_b):
+        name, table = ("e_a", spec.e_a) if station == "A" else ("e_b", spec.e_b)
+        d = float(table[sp0]) - float(table[sp1])
         if abs(d) > MOMENT_TOL:
-            offenders.append(f"e_a({x!r}) differs across remote settings by {d}")
-    for y in (y0, y1):
-        d = float(spec.e_b[SettingPair(x0, y)]) - float(spec.e_b[SettingPair(x1, y)])
-        if abs(d) > MOMENT_TOL:
-            offenders.append(f"e_b({y!r}) differs across remote settings by {d}")
+            offenders.append(f"{name}({setting!r}) differs across remote settings by {d}")
     return not offenders, offenders
 
 
@@ -240,24 +245,20 @@ def _moment_system(spec: JointSpec, exact: bool):
     """Rows and targets: normalisation, 4 singleton moments, 4 pairwise moments."""
     conv = _as_fraction if exact else float
     half = Fraction(1, 2) if exact else 0.5
-    (x0, x1), (y0, y1) = spec.settings_a, spec.settings_b
     rows = [[1] * len(ATOMS)]
     rhs = [conv(1)]
-    # Common marginal per station setting: average the two remote versions
+    # Per contrast, in the atoms' slot order, the average of its two sides
     # (they agree within tolerance once marginal_consistency has passed).
-    singles = [
-        (0, (spec.e_a[SettingPair(x0, y0)], spec.e_a[SettingPair(x0, y1)])),
-        (1, (spec.e_a[SettingPair(x1, y0)], spec.e_a[SettingPair(x1, y1)])),
-        (2, (spec.e_b[SettingPair(x0, y0)], spec.e_b[SettingPair(x1, y0)])),
-        (3, (spec.e_b[SettingPair(x0, y1)], spec.e_b[SettingPair(x1, y1)])),
-    ]
-    for slot, (v1, v2) in singles:
+    contrasts = marginal_contrasts(spec.settings_a, spec.settings_b)
+    for slot, (station, _, _, sp0, sp1) in enumerate(contrasts):
+        table = spec.e_a if station == "A" else spec.e_b
         rows.append([atom[slot] for atom in ATOMS])
-        rhs.append((conv(v1) + conv(v2)) * half)
-    for i, x in enumerate((x0, x1)):
-        for j, y in enumerate((y0, y1)):
-            rows.append([atom[i] * atom[2 + j] for atom in ATOMS])
-            rhs.append(conv(spec.e_ab[SettingPair(x, y)]))
+        rhs.append((conv(table[sp0]) + conv(table[sp1])) * half)
+    # The pair at position 2i + j of the pair order correlates slots i and 2 + j.
+    for k, sp in enumerate(spec.pairs()):
+        i, j = divmod(k, 2)
+        rows.append([atom[i] * atom[2 + j] for atom in ATOMS])
+        rhs.append(conv(spec.e_ab[sp]))
     return rows, rhs
 
 
@@ -307,12 +308,11 @@ def joint_moments(dist: DiscreteDistribution, settings_a, settings_b) -> JointSp
     e_a = {}
     e_b = {}
     e_ab = {}
-    for i, x in enumerate(settings_a):
-        for j, y in enumerate(settings_b):
-            sp = SettingPair(x, y)
-            e_a[sp] = sum(p * atom[i] for atom, p in dist.items())
-            e_b[sp] = sum(p * atom[2 + j] for atom, p in dist.items())
-            e_ab[sp] = sum(p * atom[i] * atom[2 + j] for atom, p in dist.items())
+    for k, sp in enumerate(pair_order(settings_a, settings_b)):
+        i, j = divmod(k, len(settings_b))
+        e_a[sp] = sum(p * atom[i] for atom, p in dist.items())
+        e_b[sp] = sum(p * atom[2 + j] for atom, p in dist.items())
+        e_ab[sp] = sum(p * atom[i] * atom[2 + j] for atom, p in dist.items())
     return JointSpec(settings_a, settings_b, e_ab, e_a, e_b)
 
 
@@ -351,18 +351,11 @@ def random_consistent_spec(generator, zero_marginals: bool = False,
     else:
         ma = {x: generator.uniform(-1, 1) for x in settings_a}
         mb = {y: generator.uniform(-1, 1) for y in settings_b}
-    e_a = {}
-    e_b = {}
-    e_ab = {}
-    for x in settings_a:
-        for y in settings_b:
-            sp = SettingPair(x, y)
-            lo = abs(ma[x] + mb[y]) - 1
-            hi = 1 - abs(ma[x] - mb[y])
-            e_ab[sp] = generator.uniform(lo, hi)
-            e_a[sp] = ma[x]
-            e_b[sp] = mb[y]
-    return JointSpec(settings_a, settings_b, e_ab, e_a, e_b)
+    pairs = pair_order(settings_a, settings_b)
+    e_ab = {sp: generator.uniform(abs(ma[sp.x] + mb[sp.y]) - 1, 1 - abs(ma[sp.x] - mb[sp.y]))
+            for sp in pairs}
+    return JointSpec(settings_a, settings_b, e_ab,
+                     {sp: ma[sp.x] for sp in pairs}, {sp: mb[sp.y] for sp in pairs})
 
 
 # --------------------------------------------------------------------------

@@ -9,7 +9,9 @@ usually quoted from coincidence experiments; its per-pair detection rate
 Outcomes under different setting pairs are bookkept as distinct random
 variables: every statistic is indexed by the full pair (x, y), and the
 no-signalling report quantifies how much a station's conditional marginal
-moves when only the remote setting changes.
+moves when only the remote setting changes.  Its four deltas are the
+contrasts of `core.marginal_contrasts`, the same four that
+`coupling.marginal_consistency` requires to vanish.
 
 Every statistic derives from one 3x3 count table per setting pair over
 the outcomes (a, b) in {-1, 0, +1}^2, built in a single counting pass
@@ -30,7 +32,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .core import ExactResult, SettingPair, chsh_values, table_sums
+from .core import ExactResult, SettingPair, chsh_values, marginal_contrasts, pair_order, table_sums
 from .errors import EmptyCell, MissingPair, UnknownSetting
 from .streams import CoincidenceRecords
 
@@ -66,7 +68,7 @@ class CorrelationSet(NamedTuple):
             raise MissingPair(f"no statistics for setting pair ({x!r}, {y!r})") from None
 
     def pair_order(self) -> list[SettingPair]:
-        return [SettingPair(x, y) for x in self.settings_a for y in self.settings_b]
+        return pair_order(self.settings_a, self.settings_b)
 
 
 def _count_tables(records):
@@ -117,7 +119,7 @@ def correlation_set_from_exact(results: dict, settings_a, settings_b,
     preserved as-is so downstream sums stay exact.
     """
     settings_a, settings_b = tuple(settings_a), tuple(settings_b)
-    order = [SettingPair(x, y) for x in settings_a for y in settings_b]
+    order = pair_order(settings_a, settings_b)
     stats = {}
     for sp, r in results.items():
         sp = SettingPair(*sp)
@@ -207,28 +209,20 @@ class NoSignallingReport(NamedTuple):
 def no_signalling(cs: CorrelationSet) -> NoSignallingReport:
     """Contrast each station's marginal across the other station's settings.
 
-    Under the stated conditioning: delta_a(x) = e_a(x, y0) - e_a(x, y1) and
+    Under the stated conditioning, one delta per contrast of
+    `core.marginal_contrasts`: delta_a(x) = e_a(x, y0) - e_a(x, y1) and
     delta_b(y) = e_b(x0, y) - e_b(x1, y), with z = delta over the pooled
     standard error.
     """
     _four_pairs(cs)
-    (x0, x1) = cs.settings_a
-    (y0, y1) = cs.settings_b
     deltas = []
-    for x in (x0, x1):
-        p0 = cs.stats(x, y0)
-        p1 = cs.stats(x, y1)
-        delta = p0.e_a - p1.e_a
-        se = math.hypot(p0.se_a, p1.se_a)
-        deltas.append(MarginalDelta("A", x, (y0, y1), delta,
-                                    float(delta) / se if se > 0 else None))
-    for y in (y0, y1):
-        p0 = cs.stats(x0, y)
-        p1 = cs.stats(x1, y)
-        delta = p0.e_b - p1.e_b
-        se = math.hypot(p0.se_b, p1.se_b)
-        deltas.append(MarginalDelta("B", y, (x0, x1), delta,
-                                    float(delta) / se if se > 0 else None))
+    for station, setting, remote, sp0, sp1 in marginal_contrasts(cs.settings_a, cs.settings_b):
+        mean, se = ("e_a", "se_a") if station == "A" else ("e_b", "se_b")
+        p0, p1 = cs.pairs[sp0], cs.pairs[sp1]
+        delta = getattr(p0, mean) - getattr(p1, mean)
+        pooled = math.hypot(getattr(p0, se), getattr(p1, se))
+        deltas.append(MarginalDelta(station, setting, remote, delta,
+                                    float(delta) / pooled if pooled > 0 else None))
     zs = [abs(d.z) for d in deltas if d.z is not None]
     return NoSignallingReport(
         deltas=tuple(deltas),

@@ -196,11 +196,9 @@ def lhvm_socks_scenario(p_same=Fraction(3, 4), flip_b2: bool = False) -> Scenari
         _point_instruments(settings), _point_instruments(settings),
         responses_a, responses_b, name="lhvm-socks")
     q = 2 * p_same - 1
-    table = {}
-    for x in settings:
-        for y in settings:
-            table[SettingPair(x, y)] = ExactResult(
-                e_ab=q * sign_b[y], e_a=Fraction(0), e_b=Fraction(0), c_xy=Fraction(1))
+    table = {sp: ExactResult(e_ab=q * sign_b[sp.y], e_a=Fraction(0), e_b=Fraction(0),
+                             c_xy=Fraction(1))
+             for sp in model.pairs()}
     return Scenario(
         name="lhvm-socks",
         description="shared-coin classical model with correlation knob p_same",
@@ -251,31 +249,28 @@ def m2_demo_scenario() -> Scenario:
         ModelVariant.M2, settings, settings, source,
         instruments_a, instruments_b, responses_a, responses_b, name="m2-demo")
 
-    one = Fraction(1)
-    zero = Fraction(0)
     quarter = Fraction(1, 4)
     expected_raw = {}
     expected_post = {}
-    for x in settings:
-        for y in settings:
-            sp = SettingPair(x, y)
-            qa, qb = _M2_GATE_A[x], _M2_GATE_B[y]
-            base_ab = sum(_M2_BASE_A[x][l] * _M2_BASE_B[y][l] for l in lam)
-            base_a = sum(_M2_BASE_A[x][l] for l in lam)
-            base_b = sum(_M2_BASE_B[y][l] for l in lam)
-            surviving = [l for l in lam if _M2_BASE_A[x][l] != 0 and _M2_BASE_B[y][l] != 0]
-            c = qa * qb * Fraction(len(surviving), len(lam))
-            expected_raw[sp] = ExactResult(
-                e_ab=qa * qb * base_ab * quarter,
-                e_a=qa * base_a * quarter,
-                e_b=qb * base_b * quarter,
-                c_xy=c)
-            expected_post[sp] = ExactResult(
-                e_ab=Fraction(sum(_M2_BASE_A[x][l] * _M2_BASE_B[y][l] for l in surviving),
-                              len(surviving)),
-                e_a=Fraction(sum(_M2_BASE_A[x][l] for l in surviving), len(surviving)),
-                e_b=Fraction(sum(_M2_BASE_B[y][l] for l in surviving), len(surviving)),
-                c_xy=c)
+    for sp in model.pairs():
+        x, y = sp
+        qa, qb = _M2_GATE_A[x], _M2_GATE_B[y]
+        base_ab = sum(_M2_BASE_A[x][l] * _M2_BASE_B[y][l] for l in lam)
+        base_a = sum(_M2_BASE_A[x][l] for l in lam)
+        base_b = sum(_M2_BASE_B[y][l] for l in lam)
+        surviving = [l for l in lam if _M2_BASE_A[x][l] != 0 and _M2_BASE_B[y][l] != 0]
+        c = qa * qb * Fraction(len(surviving), len(lam))
+        expected_raw[sp] = ExactResult(
+            e_ab=qa * qb * base_ab * quarter,
+            e_a=qa * base_a * quarter,
+            e_b=qb * base_b * quarter,
+            c_xy=c)
+        expected_post[sp] = ExactResult(
+            e_ab=Fraction(sum(_M2_BASE_A[x][l] * _M2_BASE_B[y][l] for l in surviving),
+                          len(surviving)),
+            e_a=Fraction(sum(_M2_BASE_A[x][l] for l in surviving), len(surviving)),
+            e_b=Fraction(sum(_M2_BASE_B[y][l] for l in surviving), len(surviving)),
+            c_xy=c)
     scenario = Scenario(
         name="m2-demo",
         description="raw table classical, post-selected table at S = 4 with signalling",
@@ -346,10 +341,9 @@ def quantum_scenario(angles=CANONICAL_ANGLES) -> Scenario:
     model = ExperimentModel.quantum_model(
         settings, settings, {1: a1, 2: a2}, {1: b1, 2: b2}, name="quantum")
     table = {}
-    for x, ta in ((1, a1), (2, a2)):
-        for y, tb in ((1, b1), (2, b2)):
-            table[SettingPair(x, y)] = ExactResult(
-                e_ab=quantum_reference_correlation(ta, tb), e_a=0.0, e_b=0.0, c_xy=1.0)
+    for sp in model.pairs():
+        e_ab = quantum_reference_correlation(model.angles_a[sp.x], model.angles_b[sp.y])
+        table[sp] = ExactResult(e_ab=e_ab, e_a=0.0, e_b=0.0, c_xy=1.0)
     report = chsh(correlation_set_from_exact(table, settings, settings, RAW))
     return Scenario(
         name="quantum",

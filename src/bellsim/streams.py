@@ -54,7 +54,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import rng as _rng
-from .core import ExperimentModel, SettingPair, _PairSampler, ensure_valid
+from .core import VALID_OUTCOMES, ExperimentModel, SettingPair, _PairSampler, ensure_valid
 from .errors import (
     BellsimError,
     NonMonotonicTimestamps,
@@ -627,15 +627,12 @@ def _line_blocks(heads: np.ndarray, columns, tail):
     return map(block, range(0, len(heads), _rng.CHUNK))
 
 
-_OUTCOMES = (-1, 0, 1)      # an outcome column's values, coded as outcome + 1
-
-
 def write_timetag_file(stream: ClickStream, path) -> None:
     """A time-tag file of ``stream``; each setting is written as
     ``textio._label_text`` writes it for a time-tag file."""
     texts = tuple(_label_text(label, "time-tag") for label in stream.labels)
     blocks = _line_blocks(stream.t, ((stream.setting, texts),
-                                     (stream.value + 1, _OUTCOMES)), "\t{}\t{:+d}\n".format)
+                                     (stream.value + 1, VALID_OUTCOMES)), "\t{}\t{:+d}\n".format)
     with Path(path).open("w", encoding="ascii") as fh:
         fh.write(f"# station {stream.station}: timestamp_ns setting outcome\n")
         fh.writelines(blocks)
@@ -662,7 +659,7 @@ def write_coincidence_csv(records, path) -> None:
     # Code -1, an unknown setting, picks the empty field in front of the labels.
     blocks = _line_blocks(r.window, ((np.add(r.x, 1, dtype=np.intp), ("",) + texts_a),
                                      (np.add(r.y, 1, dtype=np.intp), ("",) + texts_b),
-                                     (r.a + 1, _OUTCOMES), (r.b + 1, _OUTCOMES)), tail)
+                                     (r.a + 1, VALID_OUTCOMES), (r.b + 1, VALID_OUTCOMES)), tail)
     with Path(path).open("w", newline="", encoding="ascii") as fh:
         csv.writer(fh).writerow(["window", "x", "y", "a", "b"])
         fh.writelines(blocks)

@@ -22,8 +22,12 @@ per-chunk parts with ``np.concatenate``, and a schedule and a pairer with
 int64 setting codes.
 
 Four more keep the text readers that each had their own line loop:
-model, config, time-tag and coincidence CSV files.  The last two keep the
-text writers that formatted one whole line per click or record.
+model, config, time-tag and coincidence CSV files.  Two keep the text
+writers that formatted one whole line per click or record.  The last five
+keep the 2x2 bookkeeping that spelled the pair order and the four
+no-signalling contrasts out by hand: the no-signalling report, the
+coupling's marginal-consistency check, moment system and decision, and
+the moments of an explicit joint.
 """
 
 from __future__ import annotations
@@ -52,7 +56,23 @@ from bellsim import core as _core
 from bellsim import rng as _rng
 from bellsim import streams as _streams
 from bellsim.core import SettingPair, _PairSampler, ensure_valid
-from bellsim.estimators import RAW, CorrelationSet, PairStats
+from bellsim.coupling import (
+    ATOMS,
+    MOMENT_TOL,
+    CouplingResult,
+    JointSpec,
+    chsh_statistics,
+    pairwise_realizability,
+    solve_phase_one,
+)
+from bellsim.estimators import (
+    RAW,
+    CorrelationSet,
+    MarginalDelta,
+    NoSignallingReport,
+    PairStats,
+    _four_pairs,
+)
 from bellsim.cli import ConfigError
 from bellsim.errors import (
     BellsimError,
@@ -931,3 +951,120 @@ def oracle_write_coincidence_csv(records, path):
         writer = csv.writer(fh)
         writer.writerow(["window", "x", "y", "a", "b"])
         writer.writerows(zip(r.window.tolist(), x, y, r.a.tolist(), r.b.tolist()))
+
+
+# --------------------------------------------------------------------------
+# Hand-written 2x2 bookkeeping
+#
+# The no-signalling report, the coupling's marginal-consistency check, its
+# moment system and the moments of an explicit joint, as they were before
+# the pair order and the four no-signalling contrasts were defined once
+# (`core.pair_order`, `core.marginal_contrasts`).  Each spells the pairs
+# and contrasts out by hand; `oracle_coupling_feasibility` is today's
+# decision with the first two of them in place of the package's.
+
+
+def oracle_no_signalling(cs: CorrelationSet) -> NoSignallingReport:
+    _four_pairs(cs)
+    (x0, x1) = cs.settings_a
+    (y0, y1) = cs.settings_b
+    deltas = []
+    for x in (x0, x1):
+        p0 = cs.stats(x, y0)
+        p1 = cs.stats(x, y1)
+        delta = p0.e_a - p1.e_a
+        se = math.hypot(p0.se_a, p1.se_a)
+        deltas.append(MarginalDelta("A", x, (y0, y1), delta,
+                                    float(delta) / se if se > 0 else None))
+    for y in (y0, y1):
+        p0 = cs.stats(x0, y)
+        p1 = cs.stats(x1, y)
+        delta = p0.e_b - p1.e_b
+        se = math.hypot(p0.se_b, p1.se_b)
+        deltas.append(MarginalDelta("B", y, (x0, x1), delta,
+                                    float(delta) / se if se > 0 else None))
+    zs = [abs(d.z) for d in deltas if d.z is not None]
+    return NoSignallingReport(
+        deltas=tuple(deltas),
+        max_abs_delta=max(abs(d.delta) for d in deltas),
+        max_abs_z=max(zs) if zs else None,
+        conditioning=cs.conditioning,
+    )
+
+
+def oracle_marginal_consistency(spec: JointSpec) -> tuple[bool, list[str]]:
+    (x0, x1), (y0, y1) = spec.settings_a, spec.settings_b
+    offenders = []
+    for x in (x0, x1):
+        d = float(spec.e_a[SettingPair(x, y0)]) - float(spec.e_a[SettingPair(x, y1)])
+        if abs(d) > MOMENT_TOL:
+            offenders.append(f"e_a({x!r}) differs across remote settings by {d}")
+    for y in (y0, y1):
+        d = float(spec.e_b[SettingPair(x0, y)]) - float(spec.e_b[SettingPair(x1, y)])
+        if abs(d) > MOMENT_TOL:
+            offenders.append(f"e_b({y!r}) differs across remote settings by {d}")
+    return not offenders, offenders
+
+
+def oracle_moment_system(spec: JointSpec, exact: bool):
+    conv = _core._as_fraction if exact else float
+    half = Fraction(1, 2) if exact else 0.5
+    (x0, x1), (y0, y1) = spec.settings_a, spec.settings_b
+    rows = [[1] * len(ATOMS)]
+    rhs = [conv(1)]
+    singles = [
+        (0, (spec.e_a[SettingPair(x0, y0)], spec.e_a[SettingPair(x0, y1)])),
+        (1, (spec.e_a[SettingPair(x1, y0)], spec.e_a[SettingPair(x1, y1)])),
+        (2, (spec.e_b[SettingPair(x0, y0)], spec.e_b[SettingPair(x1, y0)])),
+        (3, (spec.e_b[SettingPair(x0, y1)], spec.e_b[SettingPair(x1, y1)])),
+    ]
+    for slot, (v1, v2) in singles:
+        rows.append([atom[slot] for atom in ATOMS])
+        rhs.append((conv(v1) + conv(v2)) * half)
+    for i, x in enumerate((x0, x1)):
+        for j, y in enumerate((y0, y1)):
+            rows.append([atom[i] * atom[2 + j] for atom in ATOMS])
+            rhs.append(conv(spec.e_ab[SettingPair(x, y)]))
+    return rows, rhs
+
+
+def oracle_coupling_feasibility(spec: JointSpec, exact: bool = False) -> CouplingResult:
+    consistent, offenders = oracle_marginal_consistency(spec)
+    if not consistent:
+        return CouplingResult(False, None, "marginal-consistency: " + offenders[0],
+                              residual=None)
+    rows, rhs = oracle_moment_system(spec, exact)
+    optimum, x = solve_phase_one(rows, rhs, exact=exact)
+    residual = float(optimum)
+    if residual <= MOMENT_TOL:
+        probs = [v if v > 0 else 0 for v in x]
+        witness = DiscreteDistribution(ATOMS, probs)
+        return CouplingResult(True, witness, None, residual=residual)
+    for pattern, value in chsh_statistics(spec):
+        if abs(float(value)) > 2 + MOMENT_TOL:
+            return CouplingResult(
+                False, None,
+                f"CHSH pattern {pattern}: |S| = {abs(float(value))} > 2",
+                residual=residual)
+    realizable, offenders = pairwise_realizability(spec)
+    if not realizable:
+        return CouplingResult(False, None, "pairwise-realizability: " + offenders[0],
+                              residual=residual)
+    return CouplingResult(False, None,
+                          f"no joint distribution matches the moments "
+                          f"(L1 mismatch {residual})", residual=residual)
+
+
+def oracle_joint_moments(dist: DiscreteDistribution, settings_a, settings_b) -> JointSpec:
+    settings_a = tuple(settings_a)
+    settings_b = tuple(settings_b)
+    e_a = {}
+    e_b = {}
+    e_ab = {}
+    for i, x in enumerate(settings_a):
+        for j, y in enumerate(settings_b):
+            sp = SettingPair(x, y)
+            e_a[sp] = sum(p * atom[i] for atom, p in dist.items())
+            e_b[sp] = sum(p * atom[2 + j] for atom, p in dist.items())
+            e_ab[sp] = sum(p * atom[i] * atom[2 + j] for atom, p in dist.items())
+    return JointSpec(settings_a, settings_b, e_ab, e_a, e_b)

@@ -68,6 +68,20 @@ class TestSimulate:
         assert code == 0
         assert len(seen) == 1
 
+    @pytest.mark.parametrize("flags, message", [
+        (("--detection-rate", "2"), "detection_rate must be within [0, 1]"),
+        (("--detection-rate", "nan"), "detection_rate must be within [0, 1]"),
+        (("--setting-rule", "fixed", "--x", "5", "--y", "1"),
+         "fixed settings (5, 1) not declared by the model"),
+    ], ids=["rate-above-one", "rate-nan", "undeclared-fixed-setting"])
+    def test_failure_leaves_no_output_directory(self, flags, message, tmp_path, capsys,
+                                                monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        code, _, err = run(capsys, "simulate", "--scenario", "lf", "--windows", "10",
+                           "--seed", "1", *flags, "--out-dir", "d1")
+        assert (code, err) == (2, f"error: {message}\n")
+        assert not (tmp_path / "d1").exists()
+
     def test_p_same_rejected_for_other_scenarios(self, tmp_path, capsys):
         code, _, err = run(capsys, "simulate", "--scenario", "lf", "--p-same", "0.5",
                            "--windows", "10", "--seed", "1", "--out-dir", str(tmp_path))
@@ -435,6 +449,15 @@ class TestCheckCoupling:
     def test_missing_inputs_config_error(self, tmp_path, capsys):
         code, _, err = run(capsys, "check-coupling", "--out-dir", str(tmp_path))
         assert code == 2
+
+    def test_spec_without_correlators_exits_2(self, tmp_path, capsys):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"settings_a": [1, 2], "settings_b": [1, 2],
+                                    "e_a": [], "e_b": []}))
+        code, _, err = run(capsys, "check-coupling", "--spec", str(spec),
+                           "--out-dir", str(tmp_path / "out"))
+        assert (code, err) == (2, "error: malformed joint spec: 'e_ab'\n")
+        assert not (tmp_path / "out").exists()
 
 
 class TestScenarioCommands:

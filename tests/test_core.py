@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -27,7 +28,7 @@ from bellsim.core import (
     validate_model,
 )
 from bellsim.errors import DegenerateConditioning, InvalidModel, NonFiniteSpace, UnknownSetting
-from bellsim.scenarios import CANONICAL_ANGLES, lf_scenario, quantum_scenario
+from bellsim.scenarios import CANONICAL_ANGLES, lf_scenario, m3_demo_scenario, quantum_scenario
 
 from helpers import brute_force_expectations, random_lhvm_model, sample_standard_error, mc_tolerance
 
@@ -57,6 +58,17 @@ def string_atom_model():
               2: ResponseTable({("p", "i"): 0})}
     return ExperimentModel.product_model(ModelVariant.M1, SETTINGS, SETTINGS, source,
                                          inst, dict(inst), resp_a, resp_b)
+
+
+def quantum_model():
+    return quantum_scenario().model
+
+
+def m3_model_without_pair_2_2():
+    model = m3_demo_scenario().model
+    joints = dict(model.instruments_joint)
+    del joints[SettingPair(2, 2)]
+    return dataclasses.replace(model, instruments_joint=joints)
 
 
 def two_atom_demo_model():
@@ -169,6 +181,29 @@ class TestValidateModel:
         quantum = ExperimentModel.quantum_model(settings_a, SETTINGS, {1: 0.0, 2: 0.5},
                                                 {1: 0.25, 2: 0.5})
         assert validate_model(quantum) == ([want] if kind == "setting label" else [])
+
+    @pytest.mark.parametrize("base, changes, want", [
+        (constant_model, {"source": None}, "source: missing"),
+        (constant_model, {"source": "uniform"}, "source: not a distribution or sampler"),
+        (constant_model, {"source": DiscreteDistribution.uniform([0, 1])},
+         "source: atoms must be 2-tuples"),
+        (constant_model, {"variant": "m9"}, "unknown variant 'm9'"),
+        (constant_model, {"settings_b": (2, 2)},
+         "settings_b: need at least two distinct setting labels"),
+        (quantum_model, {"angles_a": None}, "angles A: missing"),
+        (quantum_model, {"angles_b": {1: 0.0, 2: "0.5"}},
+         "angles B: angle for 2 is not a number"),
+        (m3_model_without_pair_2_2, {}, "joint instruments: no distribution for pair (2, 2)"),
+        (constant_model, {"responses_a": {1: 1, 2: ResponseTable({(0, 0): 1})}},
+         "responses A[1]: not a table or callable"),
+    ], ids=["no-source", "source-type", "source-atoms", "variant", "settings", "no-angles",
+            "angle-type", "m3-pair", "response-type"])
+    def test_violation_messages(self, base, changes, want):
+        broken = dataclasses.replace(base(), **changes)
+        assert validate_model(broken) == [want]
+        with pytest.raises(InvalidModel) as excinfo:
+            enumerate_raw(broken, SettingPair(1, 1))
+        assert excinfo.value.violations == [want]
 
     def test_missing_entries_listed_in_declaration_order(self):
         got = [json.loads(subprocess.run(

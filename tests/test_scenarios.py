@@ -82,6 +82,33 @@ def test_verify_catches_corrupted_expectations():
         corrupted.verify()
 
 
+def _lf_table_with_c_xy_halved_at_1_1():
+    table = dict(lf_scenario().expected_postselected)
+    table[SettingPair(1, 1)] = table[SettingPair(1, 1)]._replace(c_xy=Fraction(1, 2))
+    return table
+
+
+@pytest.mark.parametrize("name, changes, want", [
+    ("lf", {"expected_postselected": _lf_table_with_c_xy_halved_at_1_1()},
+     "postselected c_xy(1, 1): enumerated 1.0, expected 0.5"),
+    ("lf", {"s_max_abs_raw": Fraction(3)}, "raw s_max_abs: 2.0 != 3.0"),
+    ("lf", {"s_max_abs_postselected": 1}, "postselected s_max_abs: 2.0 != 1.0"),
+    ("m3-demo", {"checks": ("raw_chsh_classical",)}, "raw table violates CHSH: 4.0"),
+    ("lf", {"checks": ("postselected_chsh_violation",)},
+     "postselected table does not violate CHSH"),
+    ("lf", {"checks": ("postselected_signalling",)},
+     "postselected marginals show no setting dependence"),
+    ("m2-demo", {"checks": ("no_signalling_everywhere",)},
+     "postselected marginals depend on the remote setting"),
+    ("lf", {"checks": ("bogus",)}, "unknown check 'bogus'"),
+], ids=["field", "raw-s", "postselected-s", "raw-chsh", "no-violation", "no-signalling",
+        "signalling", "unknown-check"])
+def test_verify_messages(name, changes, want):
+    with pytest.raises(ConstructionInvalid) as excinfo:
+        dataclasses.replace(build_scenario(name), **changes).verify()
+    assert str(excinfo.value) == f"scenario {name}: {want}"
+
+
 class TestLf:
     def test_postselected_corner_values(self):
         model = lf_scenario().model
