@@ -458,7 +458,8 @@ def main(argv=None) -> int:
         if isinstance(exc, InvalidModel):
             message = "\n  ".join(["model validation failed", *exc.violations])
         elif isinstance(exc, OSError):
-            message = f"{exc.filename}: {exc.strerror}"
+            reason = exc.strerror or str(exc)
+            message = reason if exc.filename is None else f"{exc.filename}: {reason}"
         else:
             message = str(exc)
         print(f"error: {message}", file=sys.stderr)

@@ -26,8 +26,10 @@ cross-validation in the test suite exercises.
 
 The solver is a self-contained textbook phase-one simplex with Bland's
 rule.  It runs over floats by default and over exact rationals when
-``exact=True``, in which case a feasible verdict is a theorem about the
-given rational inputs.
+``exact=True``.  Float mode allows every check ``MOMENT_TOL``; exact mode
+allows none: the contrasts must vanish, the phase-one optimum must be 0
+and the CHSH and cell certificates compare rationals, so either verdict
+is a theorem about the given rational inputs.
 """
 
 from __future__ import annotations
@@ -121,38 +123,47 @@ class CouplingResult:
     residual: "float | None"                 # phase-one optimum (L1 mismatch)
 
 
-def marginal_consistency(spec: JointSpec) -> tuple[bool, list[str]]:
+def _arithmetic(exact: bool):
+    """The number type a check computes in and the tolerance it allows."""
+    return (_as_fraction, 0) if exact else (float, MOMENT_TOL)
+
+
+def marginal_consistency(spec: JointSpec, exact: bool = False) -> tuple[bool, list[str]]:
     """Does each station's marginal ignore the remote setting, within
-    ``MOMENT_TOL``?"""
+    ``MOMENT_TOL``, or exactly with ``exact=True``?"""
+    conv, tol = _arithmetic(exact)
     offenders = []
     for station, setting, _, sp0, sp1 in marginal_contrasts(spec.settings_a, spec.settings_b):
         name, table = ("e_a", spec.e_a) if station == "A" else ("e_b", spec.e_b)
-        d = float(table[sp0]) - float(table[sp1])
-        if abs(d) > MOMENT_TOL:
-            offenders.append(f"{name}({setting!r}) differs across remote settings by {d}")
+        d = conv(table[sp0]) - conv(table[sp1])
+        if abs(d) > tol:
+            offenders.append(f"{name}({setting!r}) differs across remote settings by {float(d)}")
     return not offenders, offenders
 
 
-def pairwise_realizability(spec: JointSpec) -> tuple[bool, list[str]]:
+def pairwise_realizability(spec: JointSpec, exact: bool = False) -> tuple[bool, list[str]]:
     """Is each pair's (e_a, e_b, e_ab) a valid two-variable distribution,
-    with no cell below ``-MOMENT_TOL / 4``?"""
+    with no cell below ``-MOMENT_TOL / 4``, or below 0 with ``exact=True``?"""
+    conv, tol = _arithmetic(exact)
     offenders = []
     for sp in spec.pairs():
-        ea = float(spec.e_a[sp])
-        eb = float(spec.e_b[sp])
-        eab = float(spec.e_ab[sp])
+        ea = conv(spec.e_a[sp])
+        eb = conv(spec.e_b[sp])
+        eab = conv(spec.e_ab[sp])
         for a, b in product((1, -1), repeat=2):
             cell = (1 + a * ea + b * eb + a * b * eab) / 4
-            if cell < -MOMENT_TOL / 4:
+            if cell < -tol / 4:
                 offenders.append(
-                    f"pair {tuple(sp)}: cell (a={a:+d}, b={b:+d}) has probability {cell}"
+                    f"pair {tuple(sp)}: cell (a={a:+d}, b={b:+d}) has probability {float(cell)}"
                 )
     return not offenders, offenders
 
 
-def chsh_statistics(spec: JointSpec) -> list[tuple[str, float]]:
-    """All eight odd-minus sign combinations of the spec's correlators."""
-    return chsh_values([spec.e_ab[sp] for sp in spec.pairs()])
+def chsh_statistics(spec: JointSpec, exact: bool = False) -> list[tuple[str, float]]:
+    """All eight odd-minus sign combinations of the spec's correlators,
+    summed as exact rationals with ``exact=True``."""
+    values = [spec.e_ab[sp] for sp in spec.pairs()]
+    return chsh_values([_as_fraction(v) for v in values] if exact else values)
 
 
 def chsh_characterization(spec: JointSpec) -> bool:
@@ -266,29 +277,29 @@ def coupling_feasibility(spec: JointSpec, exact: bool = False) -> CouplingResult
     """Decide whether a joint distribution reproduces the spec's moments.
 
     Feasible results carry a witness distribution over the sixteen sign
-    quadruples whose moments match the spec within ``MOMENT_TOL``.  Infeasible
-    results name a violated constraint: marginal consistency, a negative
-    per-pair cell, or a CHSH combination beyond 2.  Infeasibility is a
-    result, not an error.
+    quadruples whose moments match the spec within ``MOMENT_TOL``, or
+    exactly with ``exact=True``.  Infeasible results name a violated
+    constraint: marginal consistency, a negative per-pair cell, or a CHSH
+    combination beyond 2.  Infeasibility is a result, not an error.
     """
-    consistent, offenders = marginal_consistency(spec)
+    _, tol = _arithmetic(exact)
+    consistent, offenders = marginal_consistency(spec, exact)
     if not consistent:
         return CouplingResult(False, None, "marginal-consistency: " + offenders[0],
                               residual=None)
     rows, rhs = _moment_system(spec, exact)
     optimum, x = solve_phase_one(rows, rhs, exact=exact)
     residual = float(optimum)
-    if residual <= MOMENT_TOL:
+    if optimum <= tol:
         probs = [v if v > 0 else 0 for v in x]
         witness = DiscreteDistribution(ATOMS, probs)
         return CouplingResult(True, witness, None, residual=residual)
-    for pattern, value in chsh_statistics(spec):
-        if abs(float(value)) > 2 + MOMENT_TOL:
-            return CouplingResult(
-                False, None,
-                f"CHSH pattern {pattern}: |S| = {abs(float(value))} > 2",
-                residual=residual)
-    realizable, offenders = pairwise_realizability(spec)
+    for pattern, value in chsh_statistics(spec, exact):
+        size = abs(value if exact else float(value))
+        if size > 2 + tol:
+            return CouplingResult(False, None, f"CHSH pattern {pattern}: |S| = {float(size)} > 2",
+                                  residual=residual)
+    realizable, offenders = pairwise_realizability(spec, exact)
     if not realizable:
         return CouplingResult(False, None, "pairwise-realizability: " + offenders[0],
                               residual=residual)

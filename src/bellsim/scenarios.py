@@ -77,6 +77,12 @@ class Scenario:
                 return got == want
             return abs(float(got) - float(want)) <= self.atol
 
+        for label, table in (("raw", self.expected_raw),
+                             ("postselected", self.expected_postselected)):
+            missing = [tuple(sp) for sp in self.model.pairs() if sp not in table]
+            if missing:
+                raise ConstructionInvalid(
+                    f"scenario {self.name}: expected {label} table lacks pairs {missing}")
         for sp in self.model.pairs():
             got_raw = enumerate_raw(self.model, sp)
             got_post = enumerate_postselected(self.model, sp)

@@ -32,9 +32,9 @@ the schedule and of the records take the narrowest signed dtype that
 holds every code and code + 1 (``_code_dtype``: int8 up to 127 labels);
 a ``ClickStream``'s codes are int64.
 
-Generation writes each station's clicks into columns allocated once for
-every window, 34 bytes per window for both stations, and trims them to
-the clicks.  Only bins holding more than one click of a station are
+Generation writes each station's outcome, a thinned one as 0, and
+setting code into columns of one entry per window, and reads the clicks
+off them once.  Only bins holding more than one click of a station are
 sorted and checked for conflicts; generated streams have one click per
 station per window and are not sorted at all.  Pairing them with their
 schedule allocates about 39 bytes per window beyond its inputs at its
@@ -348,10 +348,10 @@ def generate_streams(model: ExperimentModel, schedule: Schedule,
     probability ``1 - detection_rate``.  Clicks are stamped at the window
     start.  Results are bit-identical for any ``workers`` count.
 
-    A station clicks at most once per window, so each station's columns
-    are allocated once for every window, and chunk c writes its clicks in
-    place from window c·CHUNK on; one pass then closes the gaps between
-    the chunks and trims the columns to the clicks.
+    A station clicks at most once per window, so each station's outcome
+    and setting code columns hold one entry per window; chunk c writes
+    its windows' entries from window c·CHUNK on, a thinned outcome as 0,
+    and each station's clicks are read off its columns once at the end.
     """
     ensure_valid(model)
     if not 0.0 <= detection_rate <= 1.0:
@@ -359,19 +359,19 @@ def generate_streams(model: ExperimentModel, schedule: Schedule,
     n_b = len(model.settings_b)
     samplers = [_PairSampler(model, sp) for sp in model.pairs()]    # by code x·|B| + y
     fast = all(s.fast for s in samplers)
-    w = schedule.window_ns
     n = schedule.n_windows
-    # Per station: t, setting and value, at capacity.
-    columns = [(np.empty(n, np.int64), np.empty(n, np.int64), np.empty(n, np.int8))
-               for _ in range(2)]
+    # Per station: the outcome and the setting code of every window.
+    columns = [(np.zeros(n, np.int8), np.empty(n, _code_dtype(len(labels))))
+               for labels in (model.settings_a, model.settings_b)]
 
     def build(chunk_index, start, stop):
         gen, u, xs, ys = _draw_chunk(model, schedule.rule, master_seed, chunk_index, start, stop)
         code = xs.astype(np.intp)
         code *= n_b
         code += ys
-        a = np.zeros(stop - start, dtype=np.int8)
-        b = np.zeros(stop - start, dtype=np.int8)
+        (a, x), (b, y) = ((outcome[start:stop], setting[start:stop])
+                          for outcome, setting in columns)
+        x[:], y[:] = xs, ys
         if fast:
             for pair_code, sampler in enumerate(samplers):
                 mask = code == pair_code
@@ -384,30 +384,17 @@ def generate_streams(model: ExperimentModel, schedule: Schedule,
             for i, pair_code in enumerate(code.tolist()):
                 ai, bi = samplers[pair_code].draw(gen, 1)
                 a[i], b[i] = ai[0], bi[0]
-        counts = []
-        for (t, setting, value), outcome, codes, thin in ((columns[0], a, xs, _COL_THIN_A),
-                                                          (columns[1], b, ys, _COL_THIN_B)):
-            i = np.flatnonzero((outcome != 0) & (u[:, thin] < detection_rate))
-            slot = slice(start, start + len(i))
-            np.add(i, start, out=t[slot])
-            t[slot] *= w
-            setting[slot] = codes[i]
-            value[slot] = outcome[i]
-            counts.append(len(i))
-        return counts
+        a[u[:, _COL_THIN_A] >= detection_rate] = 0
+        b[u[:, _COL_THIN_B] >= detection_rate] = 0
 
-    counts = _rng.map_chunks(build, n, workers=workers)     # per chunk: clicks at A, at B
+    _rng.map_chunks(build, n, workers=workers)
     streams = []
-    for side, (station, labels) in enumerate((("A", model.settings_a), ("B", model.settings_b))):
-        for column in columns[side]:
-            end = 0
-            for c, chunk_counts in enumerate(counts):
-                start, k = c * _rng.CHUNK, chunk_counts[side]
-                if start != end:
-                    column[end:end + k] = column[start:start + k]
-                end += k
-            column.resize(end, refcheck=False)     # in place; no view of it is left
-        streams.append(ClickStream(station, *columns[side], labels))
+    for (outcome, setting), station, labels in zip(columns, "AB",
+                                                    (model.settings_a, model.settings_b)):
+        i = np.flatnonzero(outcome)
+        value, setting = outcome[i], setting[i]
+        i *= schedule.window_ns                 # window indices to click times
+        streams.append(ClickStream(station, i, setting, value, labels))
     return tuple(streams)
 
 

@@ -992,17 +992,20 @@ def oracle_no_signalling(cs: CorrelationSet) -> NoSignallingReport:
     )
 
 
-def oracle_marginal_consistency(spec: JointSpec) -> tuple[bool, list[str]]:
+def oracle_marginal_consistency(spec: JointSpec, exact: bool = False) -> tuple[bool, list[str]]:
+    """Float mode allows ``MOMENT_TOL``; exact mode compares rationals with
+    ``==``."""
+    conv, tol = (_core._as_fraction, 0) if exact else (float, MOMENT_TOL)
     (x0, x1), (y0, y1) = spec.settings_a, spec.settings_b
     offenders = []
     for x in (x0, x1):
-        d = float(spec.e_a[SettingPair(x, y0)]) - float(spec.e_a[SettingPair(x, y1)])
-        if abs(d) > MOMENT_TOL:
-            offenders.append(f"e_a({x!r}) differs across remote settings by {d}")
+        d = conv(spec.e_a[SettingPair(x, y0)]) - conv(spec.e_a[SettingPair(x, y1)])
+        if abs(d) > tol:
+            offenders.append(f"e_a({x!r}) differs across remote settings by {float(d)}")
     for y in (y0, y1):
-        d = float(spec.e_b[SettingPair(x0, y)]) - float(spec.e_b[SettingPair(x1, y)])
-        if abs(d) > MOMENT_TOL:
-            offenders.append(f"e_b({y!r}) differs across remote settings by {d}")
+        d = conv(spec.e_b[SettingPair(x0, y)]) - conv(spec.e_b[SettingPair(x1, y)])
+        if abs(d) > tol:
+            offenders.append(f"e_b({y!r}) differs across remote settings by {float(d)}")
     return not offenders, offenders
 
 
@@ -1029,24 +1032,27 @@ def oracle_moment_system(spec: JointSpec, exact: bool):
 
 
 def oracle_coupling_feasibility(spec: JointSpec, exact: bool = False) -> CouplingResult:
-    consistent, offenders = oracle_marginal_consistency(spec)
+    """Float mode allows every check ``MOMENT_TOL``; exact mode allows none."""
+    tol = 0 if exact else MOMENT_TOL
+    consistent, offenders = oracle_marginal_consistency(spec, exact)
     if not consistent:
         return CouplingResult(False, None, "marginal-consistency: " + offenders[0],
                               residual=None)
     rows, rhs = oracle_moment_system(spec, exact)
     optimum, x = solve_phase_one(rows, rhs, exact=exact)
     residual = float(optimum)
-    if residual <= MOMENT_TOL:
+    if optimum <= tol:
         probs = [v if v > 0 else 0 for v in x]
         witness = DiscreteDistribution(ATOMS, probs)
         return CouplingResult(True, witness, None, residual=residual)
-    for pattern, value in chsh_statistics(spec):
-        if abs(float(value)) > 2 + MOMENT_TOL:
+    for pattern, value in chsh_statistics(spec, exact):
+        size = abs(value) if exact else abs(float(value))
+        if size > 2 + tol:
             return CouplingResult(
                 False, None,
-                f"CHSH pattern {pattern}: |S| = {abs(float(value))} > 2",
+                f"CHSH pattern {pattern}: |S| = {float(size)} > 2",
                 residual=residual)
-    realizable, offenders = pairwise_realizability(spec)
+    realizable, offenders = pairwise_realizability(spec, exact)
     if not realizable:
         return CouplingResult(False, None, "pairwise-realizability: " + offenders[0],
                               residual=residual)

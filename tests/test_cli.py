@@ -1,4 +1,7 @@
+import errno
 import json
+import os
+import sys
 from fractions import Fraction
 
 import pytest
@@ -445,6 +448,36 @@ class TestCheckCoupling:
         code, _, err = run(capsys, *argv)
         assert code == 2
         assert err == f"error: {flag}: bad value 'x'\n"
+
+    @pytest.mark.parametrize("corr, mean_a, mean_b", [
+        # The lf joint's moments with e_a(-1, 1) moved by 1e-10.
+        ({(1, 1): "1", (1, -1): "0", (-1, 1): "0", (-1, -1): "-1"},
+         {(1, 1): "1", (1, -1): "1", (-1, 1): "1e-10", (-1, -1): "0"},
+         {(1, 1): "1", (1, -1): "0", (-1, 1): "1", (-1, -1): "0"}),
+        # Zero marginals, one CHSH combination at 2 + 1e-10.
+        ({(1, 1): "0.5", (1, 2): "0.5", (2, 1): "0.5", (2, 2): "-0.5000000001"},
+         dict.fromkeys(((1, 1), (1, 2), (2, 1), (2, 2)), "0"),
+         dict.fromkeys(((1, 1), (1, 2), (2, 1), (2, 2)), "0")),
+    ], ids=["marginal", "chsh"])
+    def test_exact_mode_allows_no_tolerance(self, corr, mean_a, mean_b, tmp_path, capsys):
+        argv = ["check-coupling", "--out-dir", str(tmp_path)]
+        for flag, table in (("--corr", corr), ("--mean-a", mean_a), ("--mean-b", mean_b)):
+            for (x, y), v in table.items():
+                argv += [flag, str(x), str(y), v]
+        code, stdout, _ = run(capsys, *argv, "--exact")
+        assert code == 0 and stdout.startswith("infeasible: ")
+        code, stdout, _ = run(capsys, *argv)
+        assert code == 0 and stdout.startswith("feasible: ")
+
+    def test_closed_stdout_reports_the_reason_alone(self, tmp_path, capsys, monkeypatch):
+        class ClosedPipe:
+            def write(self, text):
+                raise BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))
+
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        code = main(["check-coupling", "--spec", str(lf_spec_file(tmp_path / "spec.json")),
+                     "--out-dir", str(tmp_path)])
+        assert (code, capsys.readouterr().err) == (2, f"error: {os.strerror(errno.EPIPE)}\n")
 
     def test_missing_inputs_config_error(self, tmp_path, capsys):
         code, _, err = run(capsys, "check-coupling", "--out-dir", str(tmp_path))

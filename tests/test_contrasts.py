@@ -101,6 +101,7 @@ def test_coupling_equals_the_hand_written_oracles(spec):
     assert marginal_consistency(spec) == oracle_marginal_consistency(spec)
     exact = isinstance(spec.e_ab[spec.pairs()[0]], Fraction)
     for mode in {False, exact}:
+        assert marginal_consistency(spec, mode) == oracle_marginal_consistency(spec, mode)
         assert _moment_system(spec, mode) == oracle_moment_system(spec, mode)
         assert coupling_feasibility(spec, mode) == oracle_coupling_feasibility(spec, mode)
 

@@ -161,6 +161,39 @@ class TestFeasibility:
         assert result.feasible and result.residual == 0
 
 
+class TestExactMode:
+    """``exact=True`` allows no tolerance: inputs a hair past a constraint
+    are infeasible, while float mode keeps ``MOMENT_TOL``."""
+
+    def test_marginal_moved_by_a_hair_is_inconsistent(self):
+        spec = joint_moments(lf_coupling(), SETTINGS_PM, SETTINGS_PM)
+        e_a = dict(spec.e_a)
+        e_a[SettingPair(-1, 1)] += Fraction(1, 10 ** 10)
+        spec = JointSpec(SETTINGS_PM, SETTINGS_PM, spec.e_ab, e_a, spec.e_b)
+        result = coupling_feasibility(spec, exact=True)
+        assert not result.feasible and result.residual is None
+        assert result.certificate == ("marginal-consistency: e_a(-1) differs across remote "
+                                      "settings by 1e-10")
+        assert coupling_feasibility(spec).feasible
+
+    def test_chsh_past_two_by_a_hair_is_infeasible(self):
+        zeros = [Fraction(0)] * 2
+        half = Fraction(1, 2)
+        spec = spec_from_tables([half, half, half, -half - Fraction(1, 10 ** 10)], zeros, zeros)
+        result = coupling_feasibility(spec, exact=True)
+        assert not result.feasible and result.residual > 0
+        assert result.certificate == "CHSH pattern +++-: |S| = 2.0000000001 > 2"
+        assert coupling_feasibility(spec).feasible
+
+    def test_cell_below_zero_by_a_hair_is_unrealizable(self):
+        half = Fraction(1, 2)
+        spec = spec_from_tables([-Fraction(1, 10 ** 10), 0, 0, 0], [half, half], [half, half])
+        ok, offenders = pairwise_realizability(spec, exact=True)
+        assert not ok
+        assert offenders[0] == "pair (1, 1): cell (a=-1, b=-1) has probability -2.5e-11"
+        assert pairwise_realizability(spec)[0]
+
+
 class TestFineEquivalence:
     def test_randomized_cross_validation(self):
         gen = np.random.Generator(np.random.PCG64(2024))

@@ -22,6 +22,12 @@ responses) with one and two workers, a run of ``sample_trial`` calls
 together with the generator's next draw, and ``generate_streams`` for the
 two per-element models.
 
+A fourth set pins the commands no simulate run reaches: ``check-coupling``,
+float and ``--exact``, on the raw and post-selected specs of every
+scenario, the lf joint's moments, the PR box, a spec with an unrealizable
+pair and a dozen random consistent specs (stdout and ``coupling.json``), and ``scenario --name`` for every scenario
+(stdout, ``.model`` and ``.expected.json``).
+
 After a change that alters output on purpose, rewrite the digests with
 ``PYTHONPATH=src python tests/test_golden.py``.
 """
@@ -33,6 +39,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import sys
 from pathlib import Path
 
@@ -40,7 +47,20 @@ import numpy as np
 import pytest
 
 from bellsim.cli import main
-from bellsim.core import sample_trial, simulate_trials
+from bellsim.core import (
+    enumerate_postselected,
+    enumerate_raw,
+    pair_order,
+    sample_trial,
+    simulate_trials,
+)
+from bellsim.coupling import (
+    JointSpec,
+    joint_moments,
+    lf_coupling,
+    random_consistent_spec,
+    save_jointspec,
+)
 from bellsim.scenarios import build_scenario, scenario_names
 from bellsim.streams import RandomSettings, Schedule, generate_streams
 
@@ -224,6 +244,75 @@ def test_per_element_generation_matches_golden_digest(name, workers):
     assert generate_streams_digest(MC_MODELS[name](), workers) == want
 
 
+# --------------------------------------------------------------------------
+# Coupling verdicts and scenario exports
+
+
+def coupling_specs() -> dict:
+    """The specs whose check-coupling outputs are pinned, by name."""
+    specs = {}
+    for name in scenario_names():
+        model = build_scenario(name).model
+        for conditioning, enumerate_ in (("raw", enumerate_raw),
+                                         ("postselected", enumerate_postselected)):
+            results = {sp: enumerate_(model, sp) for sp in model.pairs()}
+            specs[f"{name}-{conditioning}"] = JointSpec.from_exact_results(
+                results, model.settings_a, model.settings_b)
+    specs["lf-joint"] = joint_moments(lf_coupling(), (1, -1), (1, -1))
+    pairs = pair_order((1, 2), (1, 2))
+    zeros = dict.fromkeys(pairs, 0)
+    specs["pr-box"] = JointSpec((1, 2), (1, 2), dict(zip(pairs, (1, 1, 1, -1))), zeros, zeros)
+    specs["unrealizable"] = JointSpec(
+        (1, 2), (1, 2), dict(zip(pairs, (0.9, 0, 0, 0))),
+        {sp: 0.9 if sp.x == 1 else 0 for sp in pairs}, {sp: -0.9 if sp.y == 1 else 0 for sp in pairs})
+    for k in range(12):
+        specs[f"random-{k}"] = random_consistent_spec(random.Random(k),
+                                                      zero_marginals=k % 3 == 0)
+    return specs
+
+
+COUPLING_MODES = ("float", "exact")
+
+
+def _digests_with_stdout(argv: list[str], out: Path) -> dict:
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        assert main(argv + ["--out-dir", str(out)]) == 0, argv
+    return {"stdout": hashlib.sha256(stdout.getvalue().encode()).hexdigest(), **_digests(out)}
+
+
+def run_coupling_case(root: Path, name: str, spec: JointSpec, mode: str) -> dict:
+    """``check-coupling`` on the spec saved as a file; digests of stdout and
+    ``coupling.json``."""
+    path = root / f"{name}.json"
+    save_jointspec(spec, path)
+    argv = ["check-coupling", "--spec", str(path)] + (["--exact"] if mode == "exact" else [])
+    return _digests_with_stdout(argv, root / name / mode)
+
+
+def run_scenario_export(root: Path, name: str) -> dict:
+    return _digests_with_stdout(["scenario", "--name", name], root / "scenario" / name)
+
+
+def coupling_digests(root: Path) -> dict:
+    return {f"coupling/{name}/{mode}": run_coupling_case(root, name, spec, mode)
+            for name, spec in coupling_specs().items() for mode in COUPLING_MODES}
+
+
+@pytest.mark.parametrize("mode", COUPLING_MODES)
+def test_check_coupling_matches_golden_digests(mode, tmp_path):
+    digests = json.loads(DIGESTS.read_text())
+    for name, spec in coupling_specs().items():
+        _check(run_coupling_case(tmp_path, name, spec, mode), digests[f"coupling/{name}/{mode}"],
+               f"check-coupling {name}, {mode}")
+
+
+@pytest.mark.parametrize("name", scenario_names())
+def test_scenario_export_matches_golden_digests(name, tmp_path):
+    want = json.loads(DIGESTS.read_text())[f"scenario/{name}"]
+    _check(run_scenario_export(tmp_path, name), want, f"scenario {name}")
+
+
 if __name__ == "__main__":
     import tempfile
 
@@ -232,5 +321,8 @@ if __name__ == "__main__":
     digests = {f"{s}/{r}": run_case(root, s, r) for s, r in CASES}
     digests.update({f"streams/{s}/{r}": run_stream_case(root, s, r) for s, r in CASES})
     digests.update(mc_digests())
+    digests.update(coupling_digests(root))
+    digests.update({f"scenario/{name}": run_scenario_export(root, name)
+                    for name in scenario_names()})
     DIGESTS.write_text(json.dumps(digests, indent=1, sort_keys=True) + "\n")
     print(f"wrote {DIGESTS} (outputs in {root})")

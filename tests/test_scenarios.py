@@ -109,6 +109,18 @@ def test_verify_messages(name, changes, want):
     assert str(excinfo.value) == f"scenario {name}: {want}"
 
 
+@pytest.mark.parametrize("conditioning", ("raw", "postselected"))
+def test_verify_names_missing_pairs(conditioning):
+    scenario = lf_scenario()
+    field = f"expected_{conditioning}"
+    table = {sp: r for sp, r in getattr(scenario, field).items()
+             if sp not in (SettingPair(1, 1), SettingPair(-1, 1))}
+    with pytest.raises(ConstructionInvalid) as excinfo:
+        dataclasses.replace(scenario, **{field: table}).verify()
+    assert str(excinfo.value) == (
+        f"scenario lf: expected {conditioning} table lacks pairs [(1, 1), (-1, 1)]")
+
+
 class TestLf:
     def test_postselected_corner_values(self):
         model = lf_scenario().model

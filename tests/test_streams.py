@@ -95,6 +95,24 @@ class TestGenerate:
         with pytest.raises(BellsimError, match="^window width 9223372036854775808 ns"):
             Schedule.for_windows(1, 2 ** 63, FixedSettings(1, 1))
 
+    def test_generation_peak_memory_per_window(self):
+        """Generation with one worker holds at most 20 bytes per window at
+        its peak on a model whose outcomes are often 0: each station keeps
+        an outcome and a setting code per window, and the int64 stream
+        columns hold only the clicks."""
+        model = build_scenario("m2-demo").model
+        # The model's outcome grids are built on first use, not counted here.
+        generate_streams(model, Schedule.for_windows(100, 1000, RandomSettings()), 0.9, 7)
+        schedule = Schedule.for_windows(200_000, 1000, RandomSettings())
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            generate_streams(model, schedule, 0.9, 7, workers=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (peak - before) / schedule.n_windows <= 20
+
 
 class TestPairing:
     def test_empty_streams_empty_records(self):
