@@ -311,18 +311,18 @@ def _inline_value(flag: str, text: str) -> float:
 
 
 def _spec_from_flags(args):
-    from .coupling import JointSpec
+    from .coupling import jointspec_from_dict
 
-    tables = {}
+    data = {}
     for label, flag, rows in (("e_ab", "--corr", args.corr), ("e_a", "--mean-a", args.mean_a),
                               ("e_b", "--mean-b", args.mean_b)):
         if not rows:
             raise ConfigError(f"--spec missing and no inline {label} values given")
-        tables[label] = {(_decode_label(x), _decode_label(y)): _inline_value(flag, v)
-                         for x, y, v in rows}
-    xs = _label_order(x for x, _ in tables["e_ab"])
-    ys = _label_order(y for _, y in tables["e_ab"])
-    return JointSpec(xs, ys, tables["e_ab"], tables["e_a"], tables["e_b"])
+        data[label] = [[_decode_label(x), _decode_label(y), _inline_value(flag, v)]
+                       for x, y, v in rows]
+    data["settings_a"] = _label_order(x for x, _, _ in data["e_ab"])
+    data["settings_b"] = _label_order(y for _, y, _ in data["e_ab"])
+    return jointspec_from_dict(data)
 
 
 def _cmd_check_coupling(args) -> int:

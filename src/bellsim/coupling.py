@@ -35,6 +35,7 @@ is a theorem about the given rational inputs.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -64,7 +65,7 @@ class JointSpec:
     ``e_a[(x, y)]`` is station A's marginal at setting x measured while the
     remote station used y (and symmetrically for ``e_b``); a coupling can
     only exist when that dependence on the remote setting is absent.
-    Values may be floats or exact rationals.
+    Values are real numbers, floats or exact rationals, one per pair.
     """
 
     settings_a: tuple
@@ -82,10 +83,16 @@ class JointSpec:
         tables = {}
         for label, table in (("e_ab", e_ab), ("e_a", e_a), ("e_b", e_b)):
             table = {SettingPair(*k): v for k, v in dict(table).items()}
+            for sp in table:
+                if sp not in pairs:
+                    raise BellsimError(f"{label}: entry for pair {tuple(sp)} outside the "
+                                       f"settings {settings_a} x {settings_b}")
             for sp in pairs:
                 if sp not in table:
                     raise BellsimError(f"{label}: missing entry for pair {tuple(sp)}")
                 v = table[sp]
+                if isinstance(v, bool) or not isinstance(v, numbers.Real):
+                    raise BellsimError(f"{label}{tuple(sp)} = {v!r} is not a number")
                 if not -1 <= float(v) <= 1:
                     raise BellsimError(f"{label}{tuple(sp)} = {float(v)} outside [-1, 1]")
             tables[label] = table
@@ -100,15 +107,10 @@ class JointSpec:
 
     @classmethod
     def from_correlation_set(cls, cs) -> "JointSpec":
-        pairs = cs.pair_order()
-        return cls(cs.settings_a, cs.settings_b,
-                   {sp: cs.pairs[sp].e_ab for sp in pairs},
-                   {sp: cs.pairs[sp].e_a for sp in pairs},
-                   {sp: cs.pairs[sp].e_b for sp in pairs})
+        return cls.from_exact_results(cs.pairs, cs.settings_a, cs.settings_b)
 
     @classmethod
     def from_exact_results(cls, results: dict, settings_a, settings_b) -> "JointSpec":
-        results = {SettingPair(*k): v for k, v in results.items()}
         return cls(settings_a, settings_b,
                    {sp: r.e_ab for sp, r in results.items()},
                    {sp: r.e_a for sp, r in results.items()},
@@ -387,12 +389,19 @@ def jointspec_to_dict(spec: JointSpec) -> dict:
 
 
 def jointspec_from_dict(data: dict) -> JointSpec:
-    def table(rows):
-        return {SettingPair(x, y): v for x, y, v in rows}
+    """A spec from a spec file's shape: ``[x, y, value]`` rows under
+    ``e_ab``, ``e_a`` and ``e_b``, each pair at most once per table."""
+    def table(label):
+        entries = {}
+        for x, y, v in data[label]:
+            if SettingPair(x, y) in entries:
+                raise BellsimError(f"{label}: repeated entry for pair {(x, y)}")
+            entries[SettingPair(x, y)] = v
+        return entries
 
     try:
         return JointSpec(tuple(data["settings_a"]), tuple(data["settings_b"]),
-                         table(data["e_ab"]), table(data["e_a"]), table(data["e_b"]))
+                         table("e_ab"), table("e_a"), table("e_b"))
     except (KeyError, TypeError, ValueError) as exc:
         raise BellsimError(f"malformed joint spec: {exc}") from exc
 

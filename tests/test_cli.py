@@ -535,6 +535,18 @@ def _coupling_flags(drop=(), extra=()):
     return ["check-coupling", *argv, *extra]
 
 
+# Zero marginals with these three correlators and e_ab(1, 1) = 1/2 are
+# feasible; with e_ab(1, 1) = 1 a CHSH combination is 2.5.
+_CORR_BUT_1_1 = ["--corr", "1", "2", "0.5", "--corr", "2", "1", "0.5", "--corr", "2", "2", "-0.5"]
+
+
+def _spec_json(e_ab):
+    """A spec file with settings 1 and 2, zero marginals and ``e_ab`` rows."""
+    zeros = [[x, y, 0] for x in (1, 2) for y in (1, 2)]
+    return json.dumps({"settings_a": [1, 2], "settings_b": [1, 2], "e_ab": e_ab,
+                       "e_a": zeros, "e_b": zeros})
+
+
 # Each case: files to write (name -> text), argv, exit code, last stderr line.
 _INPUT_ERRORS = {
     "model-instruments-heading": (
@@ -684,6 +696,34 @@ _INPUT_ERRORS = {
                    '"e_b": []}'},
         ("check-coupling", "--spec", "s.json"), 2,
         "error: a joint spec needs exactly two distinct settings per station"),
+    "coupling-repeated-entry": (
+        {}, _coupling_flags(drop=["--corr"], extra=[*_CORR_BUT_1_1, "--corr", "1", "1", "0.5",
+                                                     "--corr", "1", "1", "1"]), 2,
+        "error: e_ab: repeated entry for pair (1, 1)"),
+    "coupling-repeated-entry-swapped": (
+        {}, _coupling_flags(drop=["--corr"], extra=[*_CORR_BUT_1_1, "--corr", "01", "1", "1",
+                                                     "--corr", "1", "1", "0.5"]), 2,
+        "error: e_ab: repeated entry for pair (1, 1)"),
+    "coupling-repeated-row": (
+        {"s.json": _spec_json([[1, 1, 0.5], [1, 2, 0.5], [2, 1, 0.5], [2, 2, -0.5],
+                               [1, 1, 1]])},
+        ("check-coupling", "--spec", "s.json"), 2,
+        "error: e_ab: repeated entry for pair (1, 1)"),
+    "coupling-entry-outside-settings": (
+        {}, _coupling_flags(extra=["--mean-a", "3", "1", "0.9"]), 2,
+        "error: e_a: entry for pair (3, 1) outside the settings (1, 2) x (1, 2)"),
+    "coupling-row-outside-settings": (
+        {"s.json": _spec_json([[1, 1, 0], [1, 2, 0], [2, 1, 0], [2, 2, 0], [3, 1, 1]])},
+        ("check-coupling", "--spec", "s.json"), 2,
+        "error: e_ab: entry for pair (3, 1) outside the settings (1, 2) x (1, 2)"),
+    "coupling-string-value": (
+        {"s.json": _spec_json([[1, 1, "1"], [1, 2, "1"], [2, 1, "1"], [2, 2, "-1"]])},
+        ("check-coupling", "--spec", "s.json"), 2,
+        "error: e_ab(1, 1) = '1' is not a number"),
+    "coupling-bool-value": (
+        {"s.json": _spec_json([[1, 1, True], [1, 2, 0], [2, 1, 0], [2, 2, 0]])},
+        ("check-coupling", "--spec", "s.json", "--exact"), 2,
+        "error: e_ab(1, 1) = True is not a number"),
     "coupling-no-e-a": (
         {}, _coupling_flags(drop=["--mean-a"]), 2,
         "error: --spec missing and no inline e_a values given"),

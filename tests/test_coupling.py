@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 from itertools import product
 
@@ -22,8 +23,15 @@ from bellsim.coupling import (
     solve_phase_one,
 )
 from bellsim.errors import BellsimError
-from bellsim.estimators import POSTSELECTED, correlation_set_from_exact
+from bellsim.estimators import POSTSELECTED, correlation_set_from_exact, estimate_raw
 from bellsim.scenarios import lf_scenario, quantum_scenario
+from bellsim.streams import (
+    RoundRobinSettings,
+    Schedule,
+    generate_streams,
+    pair_coincidences,
+    schedule_settings,
+)
 
 SETTINGS_PM = (1, -1)
 
@@ -277,3 +285,47 @@ class TestSerialisation:
         for sp in spec.pairs():
             assert float(again.e_ab[sp]) == float(spec.e_ab[sp])
             assert float(again.e_a[sp]) == float(spec.e_a[sp])
+
+
+class TestSpecEntries:
+    """Every source of a spec is held to the same entries: each pair of the
+    settings once, as a real number."""
+
+    def test_estimates_lacking_a_pair_name_it(self):
+        # Three round-robin windows visit three of the four setting pairs.
+        model = lf_scenario().model
+        schedule = Schedule.for_windows(3, 1000, RoundRobinSettings())
+        stream_a, stream_b = generate_streams(model, schedule, 1.0, 1)
+        records = pair_coincidences(stream_a, stream_b, 1000,
+                                    schedule_settings(model, schedule, 1)).records
+        with pytest.raises(BellsimError, match=r"^e_ab: missing entry for pair \(-1, -1\)$"):
+            JointSpec.from_correlation_set(estimate_raw(records))
+
+    def test_result_outside_the_settings_is_refused(self):
+        results = dict(lf_scenario().expected_postselected)
+        results[SettingPair(2, 1)] = results[SettingPair(1, 1)]
+        with pytest.raises(BellsimError, match=r"^e_ab: entry for pair \(2, 1\) outside the "
+                                               r"settings \(1, -1\) x \(1, -1\)$"):
+            JointSpec.from_exact_results(results, SETTINGS_PM, SETTINGS_PM)
+
+    @pytest.mark.parametrize("value", ["0", True, np.True_, None, [0]],
+                             ids=["str", "bool", "numpy-bool", "none", "list"])
+    def test_non_number_is_refused(self, value):
+        e_a = {SettingPair(x, y): 0 for x in (1, 2) for y in (1, 2)}
+        e_ab = dict(e_a) | {SettingPair(1, 2): value}
+        with pytest.raises(BellsimError, match=rf"^e_ab\(1, 2\) = {re.escape(repr(value))} "
+                                               r"is not a number$"):
+            JointSpec((1, 2), (1, 2), e_ab, e_a, e_a)
+
+    @pytest.mark.parametrize("value", [0.5, -1, Fraction(1, 3), np.float32(0.5), np.int64(1),
+                                       np.float64(-0.25)], ids=repr)
+    def test_real_numbers_are_accepted(self, value):
+        e_a = {SettingPair(x, y): 0 for x in (1, 2) for y in (1, 2)}
+        spec = JointSpec((1, 2), (1, 2), dict(e_a) | {SettingPair(1, 2): value}, e_a, e_a)
+        assert spec.e_ab[SettingPair(1, 2)] == value
+
+    def test_repeated_row_is_refused(self):
+        data = jointspec_to_dict(lf_spec())
+        data["e_b"].append([1, 1, 1.0])
+        with pytest.raises(BellsimError, match=r"^e_b: repeated entry for pair \(1, 1\)$"):
+            jointspec_from_dict(data)
