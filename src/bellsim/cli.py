@@ -92,7 +92,7 @@ def _load_config(path) -> dict:
     except ParseError as exc:      # a bad config file is a configuration error
         raise ConfigError(str(exc)) from None
     keys = _config_keys()
-    values = {}
+    values, first = {}, {}
     for line_number, content in _lines(text):
         if "=" not in content:
             raise ConfigError(f"{path}:{line_number}: expected 'key = value'")
@@ -100,6 +100,9 @@ def _load_config(path) -> dict:
         key = key.strip().replace("-", "_")
         if key not in keys:
             raise ConfigError(f"{path}:{line_number}: unknown key {key!r}")
+        if first.setdefault(key, line_number) != line_number:
+            raise ConfigError(f"{path}:{line_number}: repeated key {key!r}, "
+                              f"first on line {first[key]}")
         try:
             values[key] = keys[key](value.strip())
         except ValueError:

@@ -51,10 +51,11 @@ every later call (`enumerate_raw`, `enumerate_postselected`,
 `outcome_table`, the samplers).  The grid of a station's setting is one
 int8 array, its response tabulated once over the source atoms (rows) and
 the setting's instrument values (columns), where a plain-callable
-response's outcomes are checked.  The table-backed Monte Carlo path indexes
-its columns; enumeration contracts a pair's two grids with the integer
-weights, one contraction for every variant (`_build_tables`).  So each
-response is evaluated once per model and setting.  Models are therefore
+response's outcomes are checked, when the model is first enumerated or
+sampled.  The finite Monte Carlo path indexes its columns; enumeration
+contracts a pair's two grids with the integer weights, one contraction for
+every variant (`_build_tables`).  So each response of a finite model is
+evaluated once per model and setting.  Models are therefore
 never changed in place: to change one, build a new instance, for example
 with `dataclasses.replace`.
 """
@@ -723,8 +724,8 @@ class _PairSampler:
     a sign and then a same-or-different indicator.  The fast path indexes
     the model's outcome grids of the pair's two responses (tabulated once
     per model and setting, see `_outcome_grid`) with index arrays, one
-    uniform column per space; models with sampler spaces or plain-callable
-    responses fall back to per-element evaluation.
+    uniform column per space, whether the responses are tables or plain
+    callables; only a pair with a sampler space is evaluated per draw.
     """
 
     def __init__(self, model: ExperimentModel, sp: SettingPair):
@@ -743,8 +744,7 @@ class _PairSampler:
         else:
             self.spaces = [model.source, model.instruments_a[sp.x], model.instruments_b[sp.y]]
         self.cdfs = [s.cdf() if s.finite else None for s in self.spaces]
-        self.fast = (all(s.finite for s in self.spaces) and isinstance(self.resp_a, ResponseTable)
-                     and isinstance(self.resp_b, ResponseTable))
+        self.fast = all(s.finite for s in self.spaces)
         if self.fast:
             # Columns of each grid in the order of the atoms of the space
             # that draws the station's instrument value.
@@ -768,16 +768,13 @@ class _PairSampler:
         """Fast-path outcomes from uniforms, one column per space in draw
         order; ``u_inst_b`` is unused by m3 and quantum models.
 
-        The stream generator passes columns of its fixed per-window uniform
-        layout; only table-backed finite models (and quantum models) support
-        this entry point.
+        The stream generator passes columns of its per-window uniforms;
+        only finite models (and quantum models) support this entry point.
         """
         if self.variant is ModelVariant.QUANTUM:
             sign = np.where(u_source < 0.5, 1, -1).astype(np.int8)
             same = u_inst_a < self.p_same
             return sign, np.where(same, sign, -sign).astype(np.int8)
-        if not self.fast:
-            raise NonFiniteSpace("sampler-backed models cannot use fixed uniform columns")
         # One instrument index for m3 (the joint atom), two for product models.
         i_src, *j = (_draw_indices(cdf, u)
                      for cdf, u in zip(self.cdfs, (u_source, u_inst_a, u_inst_b)))

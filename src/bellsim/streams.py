@@ -54,7 +54,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import rng as _rng
-from .core import VALID_OUTCOMES, ExperimentModel, SettingPair, _PairSampler, ensure_valid
+from .core import (VALID_OUTCOMES, ExperimentModel, ResponseTable, SettingPair, _PairSampler,
+                   ensure_valid)
 from .errors import (
     BellsimError,
     NonMonotonicTimestamps,
@@ -359,6 +360,9 @@ def generate_streams(model: ExperimentModel, schedule: Schedule,
     n_b = len(model.settings_b)
     samplers = [_PairSampler(model, sp) for sp in model.pairs()]    # by code x·|B| + y
     fast = all(s.fast for s in samplers)
+    # Callable responses read a block drawn after the matrix; frozen datasets fix that order.
+    tables = all(isinstance(r, ResponseTable) for responses in (model.responses_a,
+                 model.responses_b) for r in (responses or {}).values())
     n = schedule.n_windows
     # Per station: the outcome and the setting code of every window.
     columns = [(np.zeros(n, np.int8), np.empty(n, _code_dtype(len(labels))))
@@ -373,11 +377,13 @@ def generate_streams(model: ExperimentModel, schedule: Schedule,
                           for outcome, setting in columns)
         x[:], y[:] = xs, ys
         if fast:
+            uniforms = (u.T[_COL_SOURCE:_COL_INST_B + 1] if tables
+                        else gen.random((stop - start, len(samplers[0].spaces))).T)
             for pair_code, sampler in enumerate(samplers):
                 mask = code == pair_code
                 if mask.any():
                     a[mask], b[mask] = sampler.outcomes_from_uniforms(
-                        u[mask, _COL_SOURCE], u[mask, _COL_INST_A], u[mask, _COL_INST_B])
+                        *(column[mask] for column in uniforms))
         else:
             # Sampler-backed spaces draw from the generator sequentially, in
             # window order, after the uniform matrix.

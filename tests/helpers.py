@@ -19,7 +19,9 @@ pairer that walks both event lists bin by bin with ``groupby``.  Three
 keep the whole-array columnar path as it was before generation wrote its
 clicks in place and setting codes were narrowed: a generator that joins
 per-chunk parts with ``np.concatenate``, and a schedule and a pairer with
-int64 setting codes.
+int64 setting codes.  Both generators still draw a model with a
+plain-callable response window by window with ``_PairSampler._draw_slow``,
+as generation did before every finite model was tabulated.
 
 Four more keep the text readers that each had their own line loop:
 model, config, time-tag and coincidence CSV files.  Two keep the text
@@ -167,8 +169,9 @@ def sampler_model():
 
 
 def callable_response_model():
-    """An m3 model over finite tables whose responses are plain callables,
-    so its trials take the per-element path."""
+    """An m3 model over finite tables whose responses are plain callables.
+    The package tabulates them on the finite path; the oracles in this
+    module still call them on the per-element path, one draw at a time."""
     source = DiscreteDistribution([(0, 1), (1, 0), (2, 2)], [Fraction(1, 2), Fraction(1, 3),
                                                              Fraction(1, 6)])
     joint = {(x, y): DiscreteDistribution([(0, 0), (0, 1), (1, 1)],
@@ -425,6 +428,14 @@ def columnar(stream: EventStream) -> ClickStream:
                        [e.value for e in stream.events], labels)
 
 
+def _oracle_reads_matrix(model) -> bool:
+    """The oracles' own branch rule: a quantum model, or a finite model whose
+    responses are all tables, reads the uniform matrix; any other model is
+    drawn window by window, each response called per element."""
+    responses = [*(model.responses_a or {}).values(), *(model.responses_b or {}).values()]
+    return model.is_finite() and all(isinstance(r, ResponseTable) for r in responses)
+
+
 def oracle_generate_streams(model, schedule, detection_rate, master_seed, workers=1):
     """Both stations' clicks, one ClickEvent per click, from the same chunk
     draws as ``generate_streams``."""
@@ -432,7 +443,7 @@ def oracle_generate_streams(model, schedule, detection_rate, master_seed, worker
     if not 0.0 <= detection_rate <= 1.0:
         raise BellsimError("detection_rate must be within [0, 1]")
     samplers = {sp: _PairSampler(model, sp) for sp in model.pairs()}
-    fast = all(s.fast or s.variant is ModelVariant.QUANTUM for s in samplers.values())
+    fast = _oracle_reads_matrix(model)
     n = schedule.n_windows
     w = schedule.window_ns
 
@@ -457,7 +468,7 @@ def oracle_generate_streams(model, schedule, detection_rate, master_seed, worker
         else:
             for i in range(m):
                 sp = SettingPair(model.settings_a[xs[i]], model.settings_b[ys[i]])
-                ai, bi = samplers[sp].draw(gen, 1)
+                ai, bi = samplers[sp]._draw_slow(gen, 1)
                 a[i], b[i] = ai[0], bi[0]
         keep_a = (a != 0) & (u[:, 5] < detection_rate)
         keep_b = (b != 0) & (u[:, 6] < detection_rate)
@@ -555,7 +566,7 @@ def oracle_columnar_generate_streams(model, schedule, detection_rate, master_see
         raise BellsimError("detection_rate must be within [0, 1]")
     n_b = len(model.settings_b)
     samplers = [_PairSampler(model, sp) for sp in model.pairs()]    # by code x·|B| + y
-    fast = all(s.fast for s in samplers)
+    fast = _oracle_reads_matrix(model)
     w = schedule.window_ns
 
     def build(chunk_index, start, stop):
@@ -573,7 +584,7 @@ def oracle_columnar_generate_streams(model, schedule, detection_rate, master_see
                         u[mask, 2], u[mask, 3], u[mask, 4])
         else:
             for i, pair_code in enumerate(code.tolist()):
-                ai, bi = samplers[pair_code].draw(gen, 1)
+                ai, bi = samplers[pair_code]._draw_slow(gen, 1)
                 a[i], b[i] = ai[0], bi[0]
         i_a = np.flatnonzero((a != 0) & (u[:, 5] < detection_rate))
         i_b = np.flatnonzero((b != 0) & (u[:, 6] < detection_rate))
@@ -833,7 +844,7 @@ ORACLE_CONFIG_KEYS = {
 
 def oracle_load_config(path) -> dict:
     """A config file's ``key = value`` lines, lines broken by ``splitlines``."""
-    values = {}
+    values, lines = {}, {}
     for line_number, raw in enumerate(_oracle_read(path).splitlines(), start=1):
         stripped = raw.split("#", 1)[0].strip()
         if not stripped:
@@ -844,6 +855,10 @@ def oracle_load_config(path) -> dict:
         key = key.strip().replace("-", "_")
         if key not in ORACLE_CONFIG_KEYS:
             raise ConfigError(f"{path}:{line_number}: unknown key {key!r}")
+        if key in lines:
+            raise ConfigError(f"{path}:{line_number}: repeated key {key!r}, "
+                              f"first on line {lines[key]}")
+        lines[key] = line_number
         try:
             values[key] = ORACLE_CONFIG_KEYS[key](value.strip())
         except ValueError:

@@ -655,6 +655,15 @@ _INPUT_ERRORS = {
         {"r.cfg": "setting_rule = bogus\n"},
         ("--config", "r.cfg", *_SIMULATE, "--windows", "10"), 2,
         "error: unknown setting rule 'bogus'"),
+    "simulate-config-repeated-key": (
+        {"r.cfg": "scenario = lf\nwindows = 100\nseed = 1\nwindows = 200\n"},
+        ("--config", "r.cfg", "simulate", "--out-dir", "o"), 2,
+        "error: r.cfg:4: repeated key 'windows', first on line 2"),
+    # Keys are compared after '-' becomes '_'.
+    "simulate-config-repeated-spelling": (
+        {"r.cfg": "scenario = lf\nseed = 1\nduration-ns = 10000\nduration_ns = 20000\n"},
+        ("--config", "r.cfg", "simulate", "--out-dir", "o"), 2,
+        "error: r.cfg:4: repeated key 'duration_ns', first on line 3"),
     "analyze-one-stream": (
         {"ok.txt": _STREAM}, ("analyze", "--stream-a", "ok.txt"), 2,
         "error: both --stream-a and --stream-b are required"),

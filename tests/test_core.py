@@ -268,8 +268,9 @@ class TestValidateModel:
     @pytest.mark.parametrize("station", ["A", "B"])
     @pytest.mark.parametrize("outcome", [-2, 2, 0.5, 1.0, 0])
     def test_callable_outcome_outside_range_reported(self, station, outcome):
-        # A plain callable can only be checked once it is called: when it
-        # is tabulated for enumeration, or on each draw of a sampler model.
+        # A plain callable can only be checked once it is called: when a
+        # finite model tabulates it, for enumeration or for its samplers, or
+        # on each draw of a sampler model.
         # An lhvm model's range is -1/+1 alone, so its outcome 0 is outside.
         def respond(lam, i):
             return outcome if lam == 1 else -1

@@ -17,10 +17,13 @@ byte.
 
 A third set pins the Monte Carlo draws themselves, below the CLI:
 ``simulate_trials`` for every pair of every scenario and of two models
-that take the per-element path (a sampler-backed source, callable
-responses) with one and two workers, a run of ``sample_trial`` calls
-together with the generator's next draw, and ``generate_streams`` for the
-two per-element models.
+outside the scenarios' response tables with one and two workers, a run of
+``sample_trial`` calls together with the generator's next draw, and
+``generate_streams`` for those two models.  One has a sampler-backed
+source and takes the per-element path, one draw at a time.  The other is
+finite with plain-callable responses: it is tabulated like a table model,
+and its digests, written while it took the per-element path, pin that the
+tabulation draws the same doubles in the same order.
 
 A fourth set pins the commands no simulate run reaches: ``check-coupling``,
 float and ``--exact``, on the raw and post-selected specs of every

@@ -1,10 +1,13 @@
 """The outcome grid: each response tabulated once per model and setting.
 
-Exact enumeration and the table-backed Monte Carlo path both read a model's
-outcome grids, so the samplers are checked here against an independent
-per-element oracle: indices drawn from each space's cdf with
-``np.searchsorted`` in the test, and the response called on the atoms they
-select.  A counting response table shows that no cell is evaluated twice.
+Exact enumeration and the Monte Carlo path of every finite model, with
+response tables or plain callables, read a model's outcome grids, so the
+samplers are checked here against an independent per-element oracle:
+indices drawn from each space's cdf with ``np.searchsorted`` in the test,
+and the response called on the atoms they select.  ``simulate_trials`` on
+callable responses is also checked against ``_PairSampler._draw_slow``,
+the per-draw path that only sampler-backed spaces take.  A counting
+response table shows that no cell is evaluated twice.
 """
 
 import dataclasses
@@ -12,8 +15,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from bellsim import rng as _rng
 from bellsim.core import (
     DiscreteDistribution,
     ExperimentModel,
@@ -26,9 +30,11 @@ from bellsim.core import (
     sample_trial,
     simulate_trials,
 )
+from bellsim.errors import InvalidModel
 from bellsim.scenarios import build_scenario
 from bellsim.streams import RandomSettings, Schedule, generate_streams
 
+from helpers import callable_response_model
 from test_core import two_atom_demo_model
 
 OUTCOMES = (-1, 0, 1)
@@ -81,6 +87,15 @@ def grid_models(draw, variant):
                                          inst_b, tables(0, values_a), tables(1, values_b))
 
 
+def plain_functions(model):
+    """The model with each response table wrapped in a plain function."""
+    def plain(responses):
+        return {s: (lambda h, v, table=table: table(h, v)) for s, table in responses.items()}
+
+    return dataclasses.replace(model, responses_a=plain(model.responses_a),
+                               responses_b=plain(model.responses_b))
+
+
 def _indices(space, u):
     return np.minimum(np.searchsorted(space.cdf(), u, side="right"), len(space.atoms) - 1)
 
@@ -100,11 +115,15 @@ def oracle_outcomes(model, sp, u_source, u_inst_a, u_inst_b):
     return [a for a, _ in ab], [b for _, b in ab]
 
 
-@pytest.mark.parametrize("variant", [ModelVariant.M1, ModelVariant.M2, ModelVariant.M3],
-                         ids=lambda v: v.value)
+VARIANTS = (ModelVariant.M1, ModelVariant.M2, ModelVariant.M3)
+
+
+@pytest.mark.parametrize("variant", VARIANTS, ids=lambda v: v.value)
 @given(data=st.data())
 def test_fast_sampler_matches_per_element_oracle(variant, data):
     model = data.draw(grid_models(variant))
+    if data.draw(st.booleans(), label="plain callables"):
+        model = plain_functions(model)
     uniform = st.floats(0, 1, exclude_max=True)
     for sp in model.pairs():
         sampler = _PairSampler(model, sp)
@@ -125,6 +144,60 @@ def test_fast_sampler_matches_per_element_oracle(variant, data):
         want_a, want_b = oracle_outcomes(model, sp, *columns, *([None] * (3 - len(columns))))
         assert a.dtype == b.dtype == np.int8
         assert a.tolist() == want_a and b.tolist() == want_b, sp
+
+
+@pytest.mark.parametrize("workers", (1, 2))
+@pytest.mark.parametrize("n", (_rng.CHUNK - 1, _rng.CHUNK, _rng.CHUNK + 1))
+@settings(max_examples=8, deadline=None)
+@given(data=st.data())
+def test_simulate_trials_on_callables_matches_per_draw_path(n, workers, data):
+    """Chunk by chunk, the grid path draws what ``_draw_slow`` draws, calling
+    each response per element, from the same chunk generators."""
+    model = plain_functions(data.draw(grid_models(data.draw(st.sampled_from(VARIANTS)))))
+    sp = data.draw(st.sampled_from(model.pairs()))
+    seed = data.draw(st.integers(0, 2 ** 32))
+    sampler = _PairSampler(model, sp)
+    assert sampler.fast
+    key = _rng.PURPOSE_TRIALS, model.settings_a.index(sp.x), model.settings_b.index(sp.y)
+    chunks = [sampler._draw_slow(_rng.chunk_generator(seed, key, c), _rng.CHUNK)
+              for c in range(-(-n // _rng.CHUNK))]
+    want_a, want_b = (np.concatenate(columns)[:n] for columns in zip(*chunks))
+    a, b = simulate_trials(model, sp, n, seed, workers=workers)
+    assert a.tolist() == want_a.tolist() and b.tolist() == want_b.tolist()
+
+
+def test_callable_outcome_on_a_null_atom_is_refused_by_every_engine():
+    """A finite model means one thing to both engines: its callables are
+    checked over every source atom, those of probability 0 included."""
+    source = DiscreteDistribution([(0, 0), (1, 1)], [1, 0])
+    inst = {s: DiscreteDistribution.point(0) for s in (1, 2)}
+    resp_a = {1: lambda lam, i: 2 if lam == 1 else 1, 2: lambda lam, i: 1}
+    resp_b = {s: (lambda lam, i: -1) for s in (1, 2)}
+    model = ExperimentModel.product_model(ModelVariant.M1, (1, 2), (1, 2), source, inst,
+                                          dict(inst), resp_a, resp_b)
+    sp = SettingPair(1, 1)
+    schedule = Schedule.for_windows(10, 10, RandomSettings())
+    for call in (lambda: enumerate_raw(model, sp),
+                 lambda: simulate_trials(model, sp, 10, 1),
+                 lambda: sample_trial(model, sp, np.random.default_rng(1)),
+                 lambda: generate_streams(model, schedule, 0.9, 1)):
+        with pytest.raises(InvalidModel) as excinfo:
+            call()
+        assert excinfo.value.violations == ["responses A[1]: outcomes outside -1/0/+1: [2]"]
+
+
+@pytest.mark.parametrize("workers", (1, 2))
+def test_finite_callable_models_never_draw_per_element(workers, monkeypatch):
+    def per_draw(self, generator, n):
+        raise AssertionError("a finite model took the per-draw path")
+
+    monkeypatch.setattr(_PairSampler, "_draw_slow", per_draw)
+    model = callable_response_model()
+    for sp in model.pairs():
+        simulate_trials(model, sp, _rng.CHUNK + 1, 3, workers=workers)
+        sample_trial(model, sp, np.random.default_rng(3))
+    generate_streams(model, Schedule.for_windows(_rng.CHUNK + 1, 10, RandomSettings()), 0.9, 3,
+                     workers=workers)
 
 
 def _counting(model):
