@@ -69,7 +69,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
-from itertools import product
+from itertools import product, starmap
 from typing import Callable, Hashable, NamedTuple, Sequence
 
 import numpy as np
@@ -464,7 +464,9 @@ def validate_model(model: ExperimentModel) -> list[str]:
                 if not isinstance(resp, ResponseTable):
                     continue
                 inst_vals = _instrument_values(model, comp, s)
-                for sv in src_vals:
+                if all(map(resp.mapping.__contains__, product(src_vals, inst_vals))):
+                    continue
+                for sv in src_vals:   # word the missing entries
                     for iv in inst_vals:
                         if (sv, iv) not in resp.mapping:
                             v.append(
@@ -475,10 +477,15 @@ def validate_model(model: ExperimentModel) -> list[str]:
 
 def _outcome_violations(variant, station, setting, outcomes) -> list[str]:
     """The violations of a response of a ``variant`` model's ``station`` at
-    ``setting`` that gives ``outcomes``: an outcome other than the int -1, 0
-    or +1, and for lhvm an outcome 0."""
+    ``setting`` that gives ``outcomes`` (a collection): an outcome other
+    than the int -1, 0 or +1, and for lhvm an outcome 0.  Plain ints among
+    the allowed values pass on two set checks; only other outcomes are
+    walked one by one, to word the violations."""
+    lhvm = variant is ModelVariant.LHVM
+    if set(map(type, outcomes)) <= {int} and set(outcomes) <= ({-1, 1} if lhvm else {-1, 0, 1}):
+        return []
     bad = []
-    lhvm, zero = variant is ModelVariant.LHVM, False
+    zero = False
     for o in outcomes:
         # 1.0 == 1, so the type counts too; int first, as the ABC check is slow
         integral = type(o) is int or isinstance(o, numbers.Integral)
@@ -582,18 +589,27 @@ def marginal_contrasts(settings_a, settings_b) -> tuple:
             ("B", y0, (x0, x1), p00, p10), ("B", y1, (x0, x1), p01, p11))
 
 
+# The odd-minus sign patterns of four correlators, in report order.
+_CHSH_SIGNS = tuple(("".join("+" if s > 0 else "-" for s in signs), signs)
+                    for signs in product((1, -1), repeat=4) if signs.count(-1) % 2 == 1)
+
+
 def chsh_values(correlators) -> list[tuple[str, object]]:
     """All eight odd-minus sign combinations of four correlators.
 
     Returns ``(pattern, S)`` pairs in a fixed order; pattern ids spell the
-    signs, e.g. ``"++-+"``.
+    signs, e.g. ``"++-+"``.  Four Fractions are summed as integer
+    numerators over one common denominator, one Fraction per S; any other
+    correlators (floats, ints, a mix) are summed left to right from the
+    int 0.
     """
-    out = []
-    for signs in product((1, -1), repeat=4):
-        if signs.count(-1) % 2 == 1:
-            pattern = "".join("+" if s > 0 else "-" for s in signs)
-            out.append((pattern, sum(s * e for s, e in zip(signs, correlators))))
-    return out
+    if all(type(e) is Fraction for e in correlators):
+        d = math.lcm(*(e.denominator for e in correlators))
+        nums = [e.numerator * (d // e.denominator) for e in correlators]
+        return [(pattern, Fraction(sum(s * n for s, n in zip(signs, nums)), d))
+                for pattern, signs in _CHSH_SIGNS]
+    return [(pattern, sum(s * e for s, e in zip(signs, correlators)))
+            for pattern, signs in _CHSH_SIGNS]
 
 
 def _outcome_grid(model: ExperimentModel, comp: int, setting) -> tuple[dict, np.ndarray]:
@@ -601,19 +617,25 @@ def _outcome_grid(model: ExperimentModel, comp: int, setting) -> tuple[dict, np.
     B) at ``setting``, tabulated once per model on first use.  ``columns``
     maps each instrument value the response must cover (`_instrument_values`)
     to its column; ``grid[i, columns[v]]`` is the int8 outcome for the
-    station's half of source atom i and instrument value v.  The outcomes of
-    a plain-callable response are checked here (InvalidModel)."""
+    station's half of source atom i and instrument value v.
+
+    The grid is filled in one pass: the response, table or plain callable
+    alike, is called once per cell, row by row, over the product of the
+    source atoms' halves and the instrument values, into one flat list
+    that becomes the grid.  The outcomes of a plain-callable response are
+    checked on that list (InvalidModel)."""
     key = comp, setting
     if key not in model._grids:
         resp = (model.responses_a, model.responses_b)[comp][setting]
         values = list(_instrument_values(model, comp, setting))
-        rows = [[resp(atom[comp], v) for v in values] for atom in model.source.atoms]
+        halves = [atom[comp] for atom in model.source.atoms]
+        outcomes = list(starmap(resp, product(halves, values)))
         # validate_model checks a table's outcomes, not a callable's
         if not isinstance(resp, ResponseTable) and (
-                bad := _outcome_violations(model.variant, "AB"[comp], setting,
-                                           (o for r in rows for o in r))):
+                bad := _outcome_violations(model.variant, "AB"[comp], setting, outcomes)):
             raise InvalidModel(bad)
-        model._grids[key] = {v: j for j, v in enumerate(values)}, np.array(rows, dtype=np.int8)
+        grid = np.array(outcomes, dtype=np.int8).reshape(len(halves), len(values))
+        model._grids[key] = {v: j for j, v in enumerate(values)}, grid
     return model._grids[key]
 
 
@@ -795,7 +817,7 @@ class _PairSampler:
         inst = inst[0] if len(inst) == 1 else zip(*inst)
         ab = [(self.resp_a(s[0], i[0]), self.resp_b(s[1], i[1])) for s, i in zip(src, inst)]
         for k, (station, setting) in enumerate((("A", self.sp.x), ("B", self.sp.y))):
-            if bad := _outcome_violations(self.variant, station, setting, (o[k] for o in ab)):
+            if bad := _outcome_violations(self.variant, station, setting, [o[k] for o in ab]):
                 raise InvalidModel(bad)
         arr = np.array(ab, dtype=np.int8)
         return arr[:, 0], arr[:, 1]

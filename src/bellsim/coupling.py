@@ -29,7 +29,11 @@ rule.  It runs over floats by default and over exact rationals when
 ``exact=True``.  Float mode allows every check ``MOMENT_TOL``; exact mode
 allows none: the contrasts must vanish, the phase-one optimum must be 0
 and the CHSH and cell certificates compare rationals, so either verdict
-is a theorem about the given rational inputs.
+is a theorem about the given rational inputs.  A pivot updates only the
+entries in the columns where the pivot row is non-zero; the 9x26 tableau
+is mostly zeros, and a skipped entry would have stayed as it is, exactly
+for rationals and up to the sign of a float zero, which no comparison,
+witness or residual reads.
 """
 
 from __future__ import annotations
@@ -190,6 +194,13 @@ def solve_phase_one(rows, rhs, exact: bool = False):
     ``(optimum, x)``; the optimum is zero exactly when the system is
     feasible.  With ``exact=True`` all arithmetic is rational and the
     verdict is exact for the given inputs.
+
+    A pivot divides and eliminates only where the pivot row is non-zero,
+    in both modes.  A zero entry w would give ``v - f * w == v``: the same
+    rational, or for floats the same value up to the sign of a zero.  That
+    sign reaches no comparison (the ratio test and the entering rule
+    compare values), no witness (its weights are ``v if v > 0 else 0``)
+    and no residual (the optimum sums from the int 0, so it is never -0.0).
     """
     m = len(rhs)
     n = len(rows[0])
@@ -237,13 +248,13 @@ def solve_phase_one(rows, rhs, exact: bool = False):
         if pivot_row is None:
             raise BellsimError("phase-one simplex became unbounded; inputs are malformed")
         piv = tab[pivot_row][entering]
-        tab[pivot_row] = [v / piv for v in tab[pivot_row]]
+        prow = tab[pivot_row] = [v / piv if v else v for v in tab[pivot_row]]
         for i in range(m):
-            if i != pivot_row and tab[i][entering] != zero:
-                f = tab[i][entering]
-                tab[i] = [v - f * w for v, w in zip(tab[i], tab[pivot_row])]
+            f = tab[i][entering]
+            if i != pivot_row and f != zero:
+                tab[i] = [v - f * w if w else v for v, w in zip(tab[i], prow)]
         f = reduced[entering]
-        reduced = [v - f * w for v, w in zip(reduced, tab[pivot_row][:-1])]
+        reduced = [v - f * w if w else v for v, w in zip(reduced, prow)]   # prow[-1] is the rhs
         basis[pivot_row] = entering
 
     optimum = sum(tab[i][-1] for i in range(m) if basis[i] >= n)

@@ -30,6 +30,11 @@ keep the 2x2 bookkeeping that spelled the pair order and the four
 no-signalling contrasts out by hand: the no-signalling report, the
 coupling's marginal-consistency check, moment system and decision, and
 the moments of an explicit joint.
+
+Four keep the exact route's dense loops: the phase-one simplex that
+divided and eliminated every tableau entry, the CHSH sums added term by
+term, and the outcome and table-totality checks that walked every
+outcome and every (source, instrument) key.
 """
 
 from __future__ import annotations
@@ -40,7 +45,7 @@ import math
 import numbers
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import groupby
+from itertools import groupby, product
 from pathlib import Path
 from typing import NamedTuple
 
@@ -65,7 +70,6 @@ from bellsim.coupling import (
     JointSpec,
     chsh_statistics,
     pairwise_realizability,
-    solve_phase_one,
 )
 from bellsim.estimators import (
     RAW,
@@ -976,7 +980,8 @@ def oracle_write_coincidence_csv(records, path):
 # the pair order and the four no-signalling contrasts were defined once
 # (`core.pair_order`, `core.marginal_contrasts`).  Each spells the pairs
 # and contrasts out by hand; `oracle_coupling_feasibility` is today's
-# decision with the first two of them in place of the package's.
+# decision with the first two of them, and the dense simplex
+# `oracle_solve_phase_one` below, in place of the package's.
 
 
 def oracle_no_signalling(cs: CorrelationSet) -> NoSignallingReport:
@@ -1054,7 +1059,7 @@ def oracle_coupling_feasibility(spec: JointSpec, exact: bool = False) -> Couplin
         return CouplingResult(False, None, "marginal-consistency: " + offenders[0],
                               residual=None)
     rows, rhs = oracle_moment_system(spec, exact)
-    optimum, x = solve_phase_one(rows, rhs, exact=exact)
+    optimum, x = oracle_solve_phase_one(rows, rhs, exact=exact)
     residual = float(optimum)
     if optimum <= tol:
         probs = [v if v > 0 else 0 for v in x]
@@ -1089,3 +1094,130 @@ def oracle_joint_moments(dist: DiscreteDistribution, settings_a, settings_b) -> 
             e_b[sp] = sum(p * atom[2 + j] for atom, p in dist.items())
             e_ab[sp] = sum(p * atom[i] * atom[2 + j] for atom, p in dist.items())
     return JointSpec(settings_a, settings_b, e_ab, e_a, e_b)
+
+
+# --------------------------------------------------------------------------
+# The exact route's dense loops
+#
+# As they were before the simplex skipped the zeros of the pivot row,
+# `core.chsh_values` summed Fractions over one denominator, and the
+# outcome and totality checks let valid responses through on set
+# operations.
+
+
+def oracle_solve_phase_one(rows, rhs, exact: bool = False):
+    """Phase-one simplex with Bland's rule that divides and eliminates
+    every tableau entry, zero or not."""
+    m = len(rhs)
+    n = len(rows[0])
+    if exact:
+        zero, one = Fraction(0), Fraction(1)
+        rows = [[_core._as_fraction(v) for v in row] for row in rows]
+        rhs = [_core._as_fraction(v) for v in rhs]
+        eps = zero
+    else:
+        zero, one = 0.0, 1.0
+        rows = [[float(v) for v in row] for row in rows]
+        rhs = [float(v) for v in rhs]
+        eps = 1e-12
+
+    tab = []
+    for i in range(m):
+        sign = one if rhs[i] >= 0 else -one
+        row = [sign * v for v in rows[i]]
+        row += [one if j == i else zero for j in range(m)]
+        row.append(sign * rhs[i])
+        tab.append(row)
+    basis = [n + i for i in range(m)]
+
+    width = n + m
+    reduced = [zero] * width
+    for j in range(width):
+        col_sum = sum(tab[i][j] for i in range(m))
+        cost = one if j >= n else zero
+        reduced[j] = cost - col_sum
+
+    while True:
+        entering = next((j for j in range(width) if reduced[j] < -eps), None)
+        if entering is None:
+            break
+        pivot_row = None
+        best = None
+        for i in range(m):
+            coeff = tab[i][entering]
+            if coeff > eps:
+                ratio = tab[i][-1] / coeff
+                if best is None or ratio < best or (ratio == best and basis[i] < basis[pivot_row]):
+                    best = ratio
+                    pivot_row = i
+        if pivot_row is None:
+            raise BellsimError("phase-one simplex became unbounded; inputs are malformed")
+        piv = tab[pivot_row][entering]
+        tab[pivot_row] = [v / piv for v in tab[pivot_row]]
+        for i in range(m):
+            if i != pivot_row and tab[i][entering] != zero:
+                f = tab[i][entering]
+                tab[i] = [v - f * w for v, w in zip(tab[i], tab[pivot_row])]
+        f = reduced[entering]
+        reduced = [v - f * w for v, w in zip(reduced, tab[pivot_row][:-1])]
+        basis[pivot_row] = entering
+
+    optimum = sum(tab[i][-1] for i in range(m) if basis[i] >= n)
+    x = [zero] * n
+    for i, j in enumerate(basis):
+        if j < n:
+            x[j] = tab[i][-1]
+    return optimum, x
+
+
+def oracle_chsh_values(correlators) -> list[tuple[str, object]]:
+    """Each of the eight odd-minus combinations summed term by term."""
+    out = []
+    for signs in product((1, -1), repeat=4):
+        if signs.count(-1) % 2 == 1:
+            pattern = "".join("+" if s > 0 else "-" for s in signs)
+            out.append((pattern, sum(s * e for s, e in zip(signs, correlators))))
+    return out
+
+
+def oracle_outcome_violations(variant, station, setting, outcomes) -> list[str]:
+    """Every outcome walked: not an int -1, 0 or +1, and for lhvm 0."""
+    bad = []
+    lhvm, zero = variant is ModelVariant.LHVM, False
+    for o in outcomes:
+        integral = type(o) is int or isinstance(o, numbers.Integral)
+        if (not integral or o not in _core.VALID_OUTCOMES) and o not in bad:
+            bad.append(o)
+        if lhvm and o == 0:
+            zero = True
+    if all(isinstance(o, (int, float)) for o in bad):
+        bad.sort()
+    v = [f"responses {station}[{setting!r}]: outcomes outside -1/0/+1: {bad}"] if bad else []
+    if zero:
+        v.append(f"responses {station}[{setting!r}]: lhvm responses must never output 0")
+    return v
+
+
+def oracle_table_totality(model) -> list[str]:
+    """`validate_model`'s missing-entry messages, every key looked up."""
+    v = []
+    source = model.source
+    if (isinstance(source, DiscreteDistribution) and _core._hashable(source.atoms)
+            and all(isinstance(a, tuple) and len(a) == 2 for a in source.atoms)):
+        for comp, station, resps, settings in (
+            (0, "A", model.responses_a or {}, model.settings_a),
+            (1, "B", model.responses_b or {}, model.settings_b),
+        ):
+            src_vals = dict.fromkeys(a[comp] for a in source.atoms)
+            for s in settings:
+                resp = resps.get(s)
+                if not isinstance(resp, ResponseTable):
+                    continue
+                inst_vals = _core._instrument_values(model, comp, s)
+                for sv in src_vals:
+                    for iv in inst_vals:
+                        if (sv, iv) not in resp.mapping:
+                            v.append(
+                                f"responses {station}[{s!r}]: no entry for ({sv!r}, {iv!r})"
+                            )
+    return v

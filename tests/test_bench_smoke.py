@@ -12,6 +12,12 @@ and checks every enumerated Fraction against a float oracle.  The
 ``coupling_feasibility`` and ``solve_phase_one``, so every workload's
 traced path runs here.  Each exact op loads a fresh model, which is
 validated once however many pairs it enumerates.
+
+The tracer finds the solver by its name, ``coupling.solve_phase_one``,
+and tells an exact solve from a float one by its ``exact=`` keyword, so a
+renamed solver or an ``exact`` passed by position would leave a
+``coupling.ns_per_solve`` metric at 0: the ``coupling`` run must report
+both modes and the ``exact`` run its exact solves.
 """
 
 from __future__ import annotations
@@ -41,6 +47,11 @@ def test_traced_tiny_run_passes_its_checks(workload, tmp_path):
     result = json.loads(done.stdout.splitlines()[-1])
     assert result["failed"] == 0 and result["correct"], done.stderr
     assert result["attempted"] > 0
+    metrics = result["metrics"]
     if workload == "exact":
         layers = json.loads(done.stdout.splitlines()[-2])["details"]["layers"]
         assert layers["core.validate_model.calls"] == 1
+        assert metrics["coupling.ns_per_solve.exact"]["value"] > 0
+    if workload == "coupling":
+        assert metrics["coupling.ns_per_solve.exact"]["value"] > 0
+        assert metrics["coupling.ns_per_solve.float"]["value"] > 0
