@@ -79,19 +79,18 @@ class ConfigError(BellsimError):
     pass
 
 
-def _config_keys() -> dict:
+def _config_keys(simulate) -> dict:
     """The keys a config file may set, each with the type its value is read
-    as: the ``dest`` of every ``simulate`` flag that takes a value."""
-    simulate = _build_parser()[1]["simulate"]
+    as: the ``dest`` of every flag of the ``simulate`` parser that takes a
+    value."""
     return {a.dest: a.type or str for a in simulate._actions if a.nargs != 0}
 
 
-def _load_config(path) -> dict:
+def _load_config(path, keys) -> dict:
     try:
         text = _read_ascii(Path(path))
     except ParseError as exc:      # a bad config file is a configuration error
         raise ConfigError(str(exc)) from None
-    keys = _config_keys()
     values, first = {}, {}
     for line_number, content in _lines(text):
         if "=" not in content:
@@ -454,7 +453,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.config is not None:
-            commands[args.command].set_defaults(**_load_config(args.config))
+            keys = _config_keys(commands["simulate"])
+            commands[args.command].set_defaults(**_load_config(args.config, keys))
             args = parser.parse_args(argv)
         return args.handler(args)
     except (BellsimError, OSError) as exc:

@@ -359,9 +359,9 @@ def lf_coupling() -> DiscreteDistribution:
 # Randomized spec generation (the cross-validation workhorse)
 
 
-def random_consistent_spec(generator, zero_marginals: bool = False,
-                           settings_a=(1, 2), settings_b=(1, 2)) -> JointSpec:
-    """Random spec satisfying the coupling problem's premises.
+def random_consistent_spec(generator, zero_marginals: bool = False) -> JointSpec:
+    """Random spec over settings (1, 2) at each station satisfying the
+    coupling problem's premises.
 
     Marginals are setting-independent by construction and each correlator
     is drawn uniformly inside its per-pair realizability envelope
@@ -369,16 +369,16 @@ def random_consistent_spec(generator, zero_marginals: bool = False,
     genuine two-variable distributions and the CHSH criterion is an exact
     oracle for feasibility.
     """
+    settings = (1, 2)
     if zero_marginals:
-        ma = {x: 0.0 for x in settings_a}
-        mb = {y: 0.0 for y in settings_b}
+        ma = mb = {s: 0.0 for s in settings}
     else:
-        ma = {x: generator.uniform(-1, 1) for x in settings_a}
-        mb = {y: generator.uniform(-1, 1) for y in settings_b}
-    pairs = pair_order(settings_a, settings_b)
+        ma = {x: generator.uniform(-1, 1) for x in settings}
+        mb = {y: generator.uniform(-1, 1) for y in settings}
+    pairs = pair_order(settings, settings)
     e_ab = {sp: generator.uniform(abs(ma[sp.x] + mb[sp.y]) - 1, 1 - abs(ma[sp.x] - mb[sp.y]))
             for sp in pairs}
-    return JointSpec(settings_a, settings_b, e_ab,
+    return JointSpec(settings, settings, e_ab,
                      {sp: ma[sp.x] for sp in pairs}, {sp: mb[sp.y] for sp in pairs})
 
 

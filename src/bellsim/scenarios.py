@@ -15,8 +15,9 @@ The headline fixtures:
     the correlator table is (1, 0, 0, -1) and every CHSH combination
     stays exactly at or below 2.
 ``lhvm-socks``
-    Classical shared-coin baseline with a correlation knob; obeys the
-    CHSH bound and no-signalling under any parameters.
+    Classical shared-coin baseline with a correlation knob ``p_same``;
+    station B negates its sign at setting 2.  Obeys the CHSH bound and
+    no-signalling under any parameters.
 ``m2-demo``
     Three-outcome model whose raw table is CHSH-classical but whose
     post-selected table violates CHSH maximally and signals: the
@@ -46,7 +47,6 @@ from .core import (
     _as_fraction,
     enumerate_postselected,
     enumerate_raw,
-    quantum_reference_correlation,
 )
 from .errors import BellsimError, ConstructionInvalid
 from .estimators import POSTSELECTED, RAW, chsh, correlation_set_from_exact, no_signalling
@@ -65,18 +65,11 @@ class Scenario:
     expected_postselected: dict
     s_max_abs_raw: object
     s_max_abs_postselected: object
-    atol: float = 0.0                  # 0 means exact equality required
     checks: tuple = ()
 
     def verify(self) -> None:
         """Recompute everything by enumeration; raise ConstructionInvalid on drift."""
         problems = []
-
-        def close(got, want):
-            if self.atol == 0.0:
-                return got == want
-            return abs(float(got) - float(want)) <= self.atol
-
         for label, table in (("raw", self.expected_raw),
                              ("postselected", self.expected_postselected)):
             missing = [tuple(sp) for sp in self.model.pairs() if sp not in table]
@@ -91,17 +84,17 @@ class Scenario:
                 for field_name in ("e_ab", "e_a", "e_b", "c_xy"):
                     g = getattr(got, field_name)
                     w = getattr(want, field_name)
-                    if not close(g, w):
+                    if g != w:
                         problems.append(
                             f"{label} {field_name}{tuple(sp)}: enumerated {float(g)}, "
                             f"expected {float(w)}")
 
         raw_report = chsh(self._exact_set(RAW))
         post_report = chsh(self._exact_set(POSTSELECTED))
-        if not close(raw_report.s_max_abs, self.s_max_abs_raw):
+        if raw_report.s_max_abs != self.s_max_abs_raw:
             problems.append(f"raw s_max_abs: {float(raw_report.s_max_abs)} != "
                             f"{float(self.s_max_abs_raw)}")
-        if not close(post_report.s_max_abs, self.s_max_abs_postselected):
+        if post_report.s_max_abs != self.s_max_abs_postselected:
             problems.append(f"postselected s_max_abs: {float(post_report.s_max_abs)} != "
                             f"{float(self.s_max_abs_postselected)}")
 
@@ -173,14 +166,14 @@ def lf_scenario() -> Scenario:
     )
 
 
-def lhvm_socks_scenario(p_same=Fraction(3, 4), flip_b2: bool = False) -> Scenario:
+def lhvm_socks_scenario(p_same=Fraction(3, 4)) -> Scenario:
     """Classical baseline: two stations read correlated +-1 coin values.
 
     The source emits a pair of signs that agree with probability
-    ``p_same``; responses just pass the local sign through, except that
-    station B negates it at setting 2 when ``flip_b2`` is set.  Every
-    correlator is (2*p_same - 1) times a sign, so the CHSH bound 2 holds
-    with room to spare and marginals are setting-independent.
+    ``p_same``; responses pass the local sign through, except that station
+    B negates it at setting 2.  Every correlator is (2*p_same - 1) times
+    the sign of B's setting, so the CHSH bound 2 holds with room to spare
+    and marginals are setting-independent.
     """
     # NaN and the infinities have no Fraction; they are out of range too.
     if isinstance(p_same, (float, np.floating)) and not math.isfinite(p_same):
@@ -194,7 +187,7 @@ def lhvm_socks_scenario(p_same=Fraction(3, 4), flip_b2: bool = False) -> Scenari
     source = DiscreteDistribution(
         [(1, 1), (-1, -1), (1, -1), (-1, 1)],
         [half_same, half_same, half_diff, half_diff])
-    sign_b = {1: 1, 2: -1 if flip_b2 else 1}
+    sign_b = {1: 1, 2: -1}
     responses_a = {x: ResponseTable({(s, 0): s for s in (1, -1)}) for x in settings}
     responses_b = {y: ResponseTable({(s, 0): sign_b[y] * s for s in (1, -1)}) for y in settings}
     model = ExperimentModel.product_model(
@@ -341,15 +334,17 @@ def m3_demo_scenario() -> Scenario:
 
 
 def quantum_scenario(angles=CANONICAL_ANGLES) -> Scenario:
-    """Analytic singlet reference at analyzer angles (a1, a2, b1, b2)."""
+    """Analytic singlet reference at analyzer angles (a1, a2, b1, b2).
+
+    The expected table is the model's own enumeration, so angles the model
+    rejects (NaN, infinite, or with an infinite difference) raise
+    InvalidModel.
+    """
     a1, a2, b1, b2 = (float(v) for v in angles)
     settings = (1, 2)
     model = ExperimentModel.quantum_model(
         settings, settings, {1: a1, 2: a2}, {1: b1, 2: b2}, name="quantum")
-    table = {}
-    for sp in model.pairs():
-        e_ab = quantum_reference_correlation(model.angles_a[sp.x], model.angles_b[sp.y])
-        table[sp] = ExactResult(e_ab=e_ab, e_a=0.0, e_b=0.0, c_xy=1.0)
+    table = {sp: enumerate_raw(model, sp) for sp in model.pairs()}
     report = chsh(correlation_set_from_exact(table, settings, settings, RAW))
     return Scenario(
         name="quantum",
@@ -359,17 +354,16 @@ def quantum_scenario(angles=CANONICAL_ANGLES) -> Scenario:
         expected_postselected=table,
         s_max_abs_raw=report.s_max_abs,
         s_max_abs_postselected=report.s_max_abs,
-        atol=1e-12,
         checks=("no_signalling_everywhere",),
     )
 
 
 _REGISTRY = {
     "lf": lf_scenario,
-    "lhvm-socks": lambda: lhvm_socks_scenario(Fraction(3, 4), flip_b2=True),
+    "lhvm-socks": lhvm_socks_scenario,
     "m2-demo": m2_demo_scenario,
     "m3-demo": m3_demo_scenario,
-    "quantum": lambda: quantum_scenario(CANONICAL_ANGLES),
+    "quantum": quantum_scenario,
 }
 
 
@@ -389,5 +383,5 @@ def build_scenario(name: str, p_same=None) -> Scenario:
     if p_same is not None:
         if name != "lhvm-socks":
             raise BellsimError(f"scenario {name!r} takes no p_same parameter")
-        return lhvm_socks_scenario(p_same, flip_b2=True)
+        return lhvm_socks_scenario(p_same)
     return _REGISTRY[name]()

@@ -839,3 +839,21 @@ class TestPrecedence:
             assert code == 0
             outputs.append((stdout, (out / "analysis.json").read_bytes()))
         assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("prefix", [(), ("--config", "run.cfg")], ids=["plain", "config"])
+    def test_main_builds_one_parser(self, tmp_path, capsys, monkeypatch, prefix):
+        from bellsim import cli
+
+        build_parser, built = cli._build_parser, []
+
+        def counting_build_parser():
+            built.append(1)
+            return build_parser()
+
+        monkeypatch.setattr(cli, "_build_parser", counting_build_parser)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "run.cfg").write_text("windows = 10\nseed = 1\n")
+        code, _, _ = run(capsys, *prefix, "simulate", "--scenario", "lf", "--windows", "10",
+                         "--seed", "1", "--out-dir", "out")
+        assert code == 0
+        assert len(built) == 1

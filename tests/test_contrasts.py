@@ -79,12 +79,15 @@ def specs(draw):
     ``MOMENT_TOL`` or far past it."""
     settings_a, settings_b = draw(st.sampled_from(SETTING_LABELS))
     spec = random_consistent_spec(random.Random(draw(st.integers(0, 2 ** 32))),
-                                  zero_marginals=draw(st.booleans()),
-                                  settings_a=settings_a, settings_b=settings_b)
-    tables = {"e_ab": dict(spec.e_ab), "e_a": dict(spec.e_a), "e_b": dict(spec.e_b)}
+                                  zero_marginals=draw(st.booleans()))
+    # The spec's values by position in the pair order, under the drawn labels.
+    pairs = pair_order(settings_a, settings_b)
+    relabel = dict(zip(spec.pairs(), pairs))
+    tables = {label: {relabel[sp]: v for sp, v in getattr(spec, label).items()}
+              for label in ("e_ab", "e_a", "e_b")}
     if draw(st.booleans()):
         table = tables[draw(st.sampled_from(("e_a", "e_b")))]
-        sp = draw(st.sampled_from(spec.pairs()))
+        sp = draw(st.sampled_from(pairs))
         shift = draw(st.sampled_from((MOMENT_TOL / 2, 2 * MOMENT_TOL, 1e-3, 0.25)))
         table[sp] = max(-1.0, min(1.0, table[sp] + draw(st.sampled_from((-1, 1))) * shift))
     if draw(st.booleans()):

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from bellsim.core import (
     DiscreteDistribution,
@@ -16,7 +17,7 @@ from bellsim.core import (
     validate_model,
 )
 from bellsim.coupling import joint_moments, lf_coupling
-from bellsim.errors import BellsimError, ConstructionInvalid
+from bellsim.errors import BellsimError, ConstructionInvalid, InvalidModel
 from bellsim.scenarios import (
     CANONICAL_ANGLES,
     Scenario,
@@ -153,14 +154,25 @@ class TestLf:
 
 class TestSocks:
     def test_perfect_correlation_identity_responses(self):
+        # Equal coins read through A's identity response: every product is
+        # the sign B applies, +1 at setting 1 and -1 at setting 2.
         scenario = lhvm_socks_scenario(1)
         for sp in scenario.model.pairs():
-            assert enumerate_raw(scenario.model, sp).e_ab == 1
+            assert enumerate_raw(scenario.model, sp).e_ab == {1: 1, 2: -1}[sp.y]
         assert scenario.s_max_abs_raw == 2
         scenario.verify()
 
+    @pytest.mark.parametrize("p_same", [None, 0, Fraction(1, 3), 1])
+    def test_builder_and_registry_agree(self, p_same):
+        direct = lhvm_socks_scenario() if p_same is None else lhvm_socks_scenario(p_same)
+        named = build_scenario("lhvm-socks", p_same=p_same)
+        assert direct.model == named.model
+        assert direct.expected_raw == named.expected_raw
+        assert direct.expected_postselected == named.expected_postselected
+        assert direct == named
+
     def test_half_correlation_with_flip_matches_brute_force(self):
-        scenario = lhvm_socks_scenario(Fraction(1, 2), flip_b2=True)
+        scenario = lhvm_socks_scenario(Fraction(1, 2))
         for sp in scenario.model.pairs():
             oracle = brute_force_expectations(scenario.model, sp)
             got = enumerate_raw(scenario.model, sp)
@@ -169,7 +181,7 @@ class TestSocks:
 
     @pytest.mark.parametrize("p_same", [0, Fraction(1, 3), Fraction(3, 4), 1])
     def test_any_knob_respects_chsh_and_no_signalling(self, p_same):
-        scenario = lhvm_socks_scenario(p_same, flip_b2=True)
+        scenario = lhvm_socks_scenario(p_same)
         scenario.verify()
         assert scenario.s_max_abs_raw <= 2
 
@@ -260,3 +272,24 @@ class TestQuantum:
     def test_orthogonal_pair_anticorrelates(self):
         scenario = quantum_scenario((0.0, math.pi / 4, math.pi / 2, 3 * math.pi / 8))
         assert float(scenario.expected_raw[SettingPair(1, 1)].e_ab) == pytest.approx(-1.0)
+
+    @given(angles=st.tuples(*[st.floats(-1e300, 1e300)] * 4))
+    def test_finite_angles_verify_exactly(self, angles):
+        scenario = quantum_scenario(angles)
+        scenario.verify()
+        for sp in scenario.model.pairs():
+            x, y = angles[sp.x - 1], angles[sp.y + 1]
+            assert scenario.expected_raw[sp] == (math.cos(2.0 * (x - y)), 0.0, 0.0, 1.0)
+
+    @pytest.mark.parametrize("angles", [
+        (math.inf, 0.0, 0.0, 0.0), (0.0, 0.0, -math.inf, 0.0), (math.nan, 0.0, 0.0, 0.0),
+        (0.0, 0.0, 0.0, math.nan), (1e308, -1e308, 0.0, 0.0), (0.0, 0.0, 1e308, -1e308),
+    ], ids=["inf", "minus-inf", "nan", "nan-b", "overflow-a", "overflow-b"])
+    def test_bad_angles_raise_invalid_model(self, angles):
+        a1, a2, b1, b2 = angles
+        model = ExperimentModel.quantum_model((1, 2), (1, 2), {1: a1, 2: a2}, {1: b1, 2: b2})
+        violations = validate_model(model)
+        assert violations
+        with pytest.raises(InvalidModel) as excinfo:
+            quantum_scenario(angles)
+        assert excinfo.value.violations == violations

@@ -150,7 +150,7 @@ def test_scenarios_match_term_enumeration(name):
 
 def test_suite_models_match_term_enumeration():
     models = [constant_model(), constant_model(1, 0), constant_model(0, -1),
-              two_atom_demo_model(), lhvm_socks_scenario(Fraction(1, 5), flip_b2=True).model]
+              two_atom_demo_model(), lhvm_socks_scenario(Fraction(1, 5)).model]
     gen = np.random.Generator(np.random.PCG64(8))
     models += [random_lhvm_model(gen) for _ in range(5)]
     for model in models:

@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bellsim import modelio
-from bellsim.cli import ConfigError, _load_config
+from bellsim.cli import ConfigError, _build_parser, _config_keys, _load_config
 from bellsim.core import ModelVariant
 from bellsim.errors import ParseError
 from bellsim.scenarios import build_scenario, scenario_names
@@ -266,10 +266,15 @@ config_lines = st.one_of(
     st.just("seed 5"))
 
 
+def load_config(path) -> dict:
+    """A config file read against the keys of a fresh ``simulate`` parser."""
+    return _load_config(path, _config_keys(_build_parser()[1]["simulate"]))
+
+
 @given(text=st.lists(config_lines, max_size=6).flatmap(texts))
 def test_config_reader_matches_line_loop(scratch, text):
     path = _write(scratch, "run.cfg", text)
-    assert outcome(_load_config, path) == outcome(oracle_load_config, path)
+    assert outcome(load_config, path) == outcome(oracle_load_config, path)
 
 
 def _clicks(stream):
@@ -353,7 +358,7 @@ def test_control_bytes_are_whitespace_in_model_and_config_files(tmp_path):
     config = tmp_path / "run.cfg"
     config.write_bytes(b"seed = 1\fwindows = 5\n")
     with pytest.raises(ConfigError) as excinfo:
-        _load_config(config)
+        load_config(config)
     assert str(excinfo.value) == f"{config}:1: bad value for 'seed'"
 
 
