@@ -249,7 +249,7 @@ def _cmd_simulate(args) -> int:
 
     stream_a, stream_b = generate_streams(model, schedule, args.detection_rate,
                                           args.seed, workers=args.threads)
-    # The output directory exists only once generation has passed its checks.
+    # The output directory exists only once generation has succeeded.
     out = _out_dir(args)
     written = []
     if args.write_streams:

@@ -256,7 +256,7 @@ class ExperimentModel:
 
     Validity, the exact outcome tables and each station setting's outcome
     grid (its response tabulated once, see `_outcome_grid`) are computed
-    once per instance, on first use, and cached on it; nothing checks or
+    once per instance, on first use, and cached on it; nothing validates or
     evaluates the dicts again.  Never change a model in place: build a new
     one, for example with ``dataclasses.replace(model, responses_a=...)``.
     """
@@ -479,7 +479,7 @@ def _outcome_violations(variant, station, setting, outcomes) -> list[str]:
     """The violations of a response of a ``variant`` model's ``station`` at
     ``setting`` that gives ``outcomes`` (a collection): an outcome other
     than the int -1, 0 or +1, and for lhvm an outcome 0.  Plain ints among
-    the allowed values pass on two set checks; only other outcomes are
+    the allowed values pass two set-membership tests; only other outcomes are
     walked one by one, to word the violations."""
     lhvm = variant is ModelVariant.LHVM
     if set(map(type, outcomes)) <= {int} and set(outcomes) <= ({-1, 1} if lhvm else {-1, 0, 1}):
@@ -630,7 +630,7 @@ def _outcome_grid(model: ExperimentModel, comp: int, setting) -> tuple[dict, np.
         values = list(_instrument_values(model, comp, setting))
         halves = [atom[comp] for atom in model.source.atoms]
         outcomes = list(starmap(resp, product(halves, values)))
-        # validate_model checks a table's outcomes, not a callable's
+        # validate_model validates a table's outcomes, not a callable's
         if not isinstance(resp, ResponseTable) and (
                 bad := _outcome_violations(model.variant, "AB"[comp], setting, outcomes)):
             raise InvalidModel(bad)

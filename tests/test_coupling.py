@@ -1,4 +1,5 @@
 import math
+import random
 import re
 from fractions import Fraction
 from itertools import product
@@ -236,6 +237,72 @@ class TestFineEquivalence:
             spec = random_consistent_spec(gen)
             assert (coupling_feasibility(spec).feasible
                     == coupling_feasibility(spec, exact=True).feasible)
+
+
+ODD_SIGNS = [signs for signs in product((1, -1), repeat=4) if signs.count(-1) % 2]
+
+
+def boundary_specs(rng, n):
+    """Float specs on the edge of the coupling polytope, moved by a hair.
+
+    The first is a zero-marginal spec with |S| = 2 + 1e-9.  Two in three of
+    the rest have random marginals and each correlator at an edge of its
+    pair's realizability envelope [|e_a + e_b| - 1, 1 - |e_a - e_b|], or
+    inside it, moved by up to 2e-9; the others have zero marginals and one
+    CHSH combination within 3e-9 of +-2.
+    """
+    a = (2 + 1e-9) / 4
+    specs = [spec_from_tables([a, a, a, -a], [0.0, 0.0], [0.0, 0.0])]
+    while len(specs) < n:
+        if len(specs) % 3:
+            marg_a = [rng.uniform(-1, 1) for _ in range(2)]
+            marg_b = [rng.uniform(-1, 1) for _ in range(2)]
+            correlators = []
+            for ea, eb in product(marg_a, marg_b):
+                lo, hi = abs(ea + eb) - 1, 1 - abs(ea - eb)
+                c = rng.choice((lo, hi, rng.uniform(lo, hi))) + rng.uniform(-2e-9, 2e-9)
+                correlators.append(min(1.0, max(-1.0, c)))
+        else:
+            marg_a = marg_b = [0.0, 0.0]
+            correlators = [rng.uniform(-1, 1) for _ in range(3)]
+            signs = rng.choice(ODD_SIGNS)
+            s = rng.choice((2, -2)) + rng.uniform(-3e-9, 3e-9)
+            last = (s - sum(sign * c for sign, c in zip(signs, correlators))) * signs[3]
+            if not -1 <= last <= 1:
+                continue
+            correlators.append(last)
+        specs.append(spec_from_tables(correlators, marg_a, marg_b))
+    return specs
+
+
+@pytest.fixture(scope="module")
+def edge_specs():
+    return boundary_specs(random.Random(7), 1500)
+
+
+class TestFloatBoundary:
+    """Specs within a hair of the coupling boundary, where float mode's
+    tolerances meet.  Exact mode follows Fine's criterion in rationals; a
+    float verdict may differ from the closed-form checks only by reaching
+    the solver's fallback certificate."""
+
+    def test_exact_mode_is_fines_criterion_in_rationals(self, edge_specs):
+        for spec in edge_specs[::5]:
+            fine = (pairwise_realizability(spec, exact=True)[0]
+                    and all(abs(v) <= 2 for _, v in chsh_statistics(spec, exact=True)))
+            assert coupling_feasibility(spec, exact=True).feasible == fine, \
+                jointspec_to_dict(spec)
+
+    def test_float_disagreements_carry_the_fallback_certificate(self, edge_specs):
+        seen = {True: 0, False: 0}
+        for spec in edge_specs:
+            result = coupling_feasibility(spec)
+            seen[result.feasible] += 1
+            closed_form = chsh_characterization(spec) and pairwise_realizability(spec)[0]
+            if result.feasible != closed_form:
+                assert result.certificate.startswith(
+                    "no joint distribution matches the moments"), jointspec_to_dict(spec)
+        assert min(seen.values()) > 500
 
 
 class TestPhaseOne:
