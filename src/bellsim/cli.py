@@ -242,10 +242,9 @@ def _cmd_simulate(args) -> int:
         model = modelio.load(args.model)
         header_name = f"model {args.model}"
     ensure_valid(model)
-    if args.windows is None and args.duration_ns is None:
-        raise ConfigError("one of --windows or --duration-ns is required")
-    duration = args.duration_ns if args.windows is None else args.windows * args.window_ns
-    schedule = Schedule(duration, args.window_ns, _build_rule(args))
+    if args.windows is None:
+        raise ConfigError("--windows is required")
+    schedule = Schedule.for_windows(args.windows, args.window_ns, _build_rule(args))
 
     stream_a, stream_b = generate_streams(model, schedule, args.detection_rate,
                                           args.seed, workers=args.threads)
@@ -336,6 +335,8 @@ def _cmd_check_coupling(args) -> int:
     )
 
     if args.spec is not None:
+        if args.corr or args.mean_a or args.mean_b:
+            raise ConfigError("pass either --spec or inline --corr/--mean-a/--mean-b values")
         spec = load_jointspec(args.spec)
     else:
         spec = _spec_from_flags(args)
@@ -393,7 +394,6 @@ def _build_parser():
     sim.add_argument("--scenario", help="shipped scenario name")
     sim.add_argument("--model", help="model definition file")
     sim.add_argument("--windows", type=int)
-    sim.add_argument("--duration-ns", type=int)
     sim.add_argument("--window-ns", type=int, default=1000)
     sim.add_argument("--setting-rule", choices=("fixed", "round-robin", "random"),
                      default="random")

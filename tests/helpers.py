@@ -833,7 +833,6 @@ ORACLE_CONFIG_KEYS = {
     "scenario": str,
     "model": str,
     "windows": int,
-    "duration_ns": int,
     "window_ns": int,
     "setting_rule": str,
     "x": str,

@@ -16,7 +16,10 @@ from helpers import count_validations
 
 
 def run(capsys, *argv):
-    code = main(list(argv))
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:       # argparse refuses an unknown flag
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -608,7 +611,15 @@ _INPUT_ERRORS = {
         {}, (*_SIMULATE, "--windows", "10", "--setting-rule", "fixed"), 2,
         "error: fixed rule needs --x and --y"),
     "simulate-no-length": (
-        {}, _SIMULATE, 2, "error: one of --windows or --duration-ns is required"),
+        {}, _SIMULATE, 2, "error: --windows is required"),
+    # --windows alone sets a run's length.
+    "simulate-duration-flag": (
+        {}, (*_SIMULATE, "--windows", "10", "--duration-ns", "10000"), 2,
+        "bellsim: error: unrecognized arguments: --duration-ns 10000"),
+    "simulate-config-duration": (
+        {"r.cfg": "scenario = lf\nseed = 1\nwindows = 10\nduration_ns = 10000\n"},
+        ("--config", "r.cfg", "simulate", "--out-dir", "o"), 2,
+        "error: r.cfg:4: unknown key 'duration_ns'"),
     "simulate-zero-windows": (
         {}, (*_SIMULATE, "--windows", "0"), 2,
         "error: duration must cover at least one window"),
@@ -661,9 +672,9 @@ _INPUT_ERRORS = {
         "error: r.cfg:4: repeated key 'windows', first on line 2"),
     # Keys are compared after '-' becomes '_'.
     "simulate-config-repeated-spelling": (
-        {"r.cfg": "scenario = lf\nseed = 1\nduration-ns = 10000\nduration_ns = 20000\n"},
+        {"r.cfg": "scenario = lf\nseed = 1\nwindows = 10\nwindow-ns = 1000\nwindow_ns = 2000\n"},
         ("--config", "r.cfg", "simulate", "--out-dir", "o"), 2,
-        "error: r.cfg:4: repeated key 'duration_ns', first on line 3"),
+        "error: r.cfg:5: repeated key 'window_ns', first on line 4"),
     "analyze-one-stream": (
         {"ok.txt": _STREAM}, ("analyze", "--stream-a", "ok.txt"), 2,
         "error: both --stream-a and --stream-b are required"),
@@ -736,6 +747,11 @@ _INPUT_ERRORS = {
     "coupling-no-e-a": (
         {}, _coupling_flags(drop=["--mean-a"]), 2,
         "error: --spec missing and no inline e_a values given"),
+    **{f"coupling-spec-and-{flag[2:]}": (
+        {"s.json": _spec_json([[1, 1, 0], [1, 2, 0], [2, 1, 0], [2, 2, 0]])},
+        ("check-coupling", "--spec", "s.json", flag, "1", "1", "0"), 2,
+        "error: pass either --spec or inline --corr/--mean-a/--mean-b values")
+       for flag in ("--corr", "--mean-a", "--mean-b")},
 }
 
 
@@ -751,22 +767,11 @@ def test_input_error_exit_code_and_message(files, argv, code, last_line,
             (tmp_path / name).write_text(text)
     if argv[0] == "simulate" and "--seed" not in argv:
         argv = (*argv, "--windows", "10", "--seed", "1", "--out-dir", "o")
-    if argv[0] == "analyze":
+    if argv[0] in ("analyze", "check-coupling"):
         argv = (*argv, "--out-dir", "o")
     got, _, err = run(capsys, *argv)
     assert (got, err.splitlines()[-1]) == (code, last_line)
-
-
-def test_duration_covers_the_same_windows_as_a_window_count(tmp_path, capsys):
-    outputs = []
-    for name, length in (("windows", ("--windows", "10")),
-                         ("duration", ("--duration-ns", "10000"))):
-        out = tmp_path / name
-        code, _, _ = run(capsys, "simulate", "--scenario", "lf", *length,
-                         "--window-ns", "1000", "--seed", "4", "--out-dir", str(out))
-        assert code == 0
-        outputs.append([(out / f).read_bytes() for f in ("analysis.json", "coincidences.csv")])
-    assert outputs[0] == outputs[1]
+    assert not (tmp_path / "o").exists()
 
 
 class TestPrecedence:

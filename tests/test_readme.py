@@ -50,7 +50,7 @@ def test_config_keys_are_the_readme_keys():
     text = README.read_text(encoding="utf-8")
     sentence = text[text.index("can supply these keys:"):text.index("(a `-` may")]
     keys = re.findall(r"`(\w+)`", sentence)
-    assert len(keys) == 13
+    assert len(keys) == 12
     config_keys = _config_keys(_build_parser()[1]["simulate"])
     assert list(config_keys) == keys
     assert config_keys == ORACLE_CONFIG_KEYS

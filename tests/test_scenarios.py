@@ -49,6 +49,24 @@ def max_abs_deltas(scenario):
                                     (POSTSELECTED, scenario.expected_postselected)))
 
 
+def exact_maxima(scenario):
+    """The raw and post-selected CHSH maxima, each checked to be a Fraction."""
+    maxima = (scenario.s_max_abs_raw, scenario.s_max_abs_postselected)
+    assert all(type(s) is Fraction for s in maxima), maxima
+    return maxima
+
+
+def test_a_scenario_declares_its_model_and_tables_only():
+    assert [f.name for f in dataclasses.fields(Scenario)] == [
+        "description", "model", "expected_raw", "expected_postselected"]
+
+
+@pytest.mark.parametrize("name", scenario_names())
+def test_scenario_name_is_its_model_name(name):
+    scenario = build_scenario(name)
+    assert scenario.name == name == scenario.model.name
+
+
 @pytest.mark.parametrize("name", scenario_names())
 def test_scenario_verifies_and_validates(name):
     scenario = build_scenario(name)
@@ -86,10 +104,8 @@ def test_verify_catches_corrupted_expectations():
     bad_table[SettingPair(1, 1)] = bad_table[SettingPair(1, 1)].__class__(
         e_ab=Fraction(1, 2), e_a=Fraction(1), e_b=Fraction(1), c_xy=Fraction(1))
     corrupted = Scenario(
-        name=good.name, description=good.description, model=good.model,
-        expected_raw=bad_table, expected_postselected=good.expected_postselected,
-        s_max_abs_raw=good.s_max_abs_raw,
-        s_max_abs_postselected=good.s_max_abs_postselected)
+        description=good.description, model=good.model,
+        expected_raw=bad_table, expected_postselected=good.expected_postselected)
     with pytest.raises(ConstructionInvalid):
         corrupted.verify()
 
@@ -103,9 +119,7 @@ def _lf_table_with_c_xy_halved_at_1_1():
 @pytest.mark.parametrize("name, changes, want", [
     ("lf", {"expected_postselected": _lf_table_with_c_xy_halved_at_1_1()},
      "postselected c_xy(1, 1): enumerated 1.0, expected 0.5"),
-    ("lf", {"s_max_abs_raw": Fraction(3)}, "raw s_max_abs: 2.0 != 3.0"),
-    ("lf", {"s_max_abs_postselected": 1}, "postselected s_max_abs: 2.0 != 1.0"),
-], ids=["field", "raw-s", "postselected-s"])
+], ids=["field"])
 def test_verify_messages(name, changes, want):
     with pytest.raises(ConstructionInvalid) as excinfo:
         dataclasses.replace(build_scenario(name), **changes).verify()
@@ -125,6 +139,9 @@ def test_verify_names_missing_pairs(conditioning):
 
 
 class TestLf:
+    def test_chsh_maxima_are_exactly_two(self):
+        assert exact_maxima(lf_scenario()) == (2, 2)
+
     def test_postselected_corner_values(self):
         model = lf_scenario().model
         assert enumerate_postselected(model, SettingPair(1, 1)).e_ab == 1
@@ -185,11 +202,14 @@ class TestSocks:
     def test_any_knob_respects_chsh_and_no_signalling(self, p_same):
         scenario = lhvm_socks_scenario(p_same)
         scenario.verify()
+        assert exact_maxima(scenario) == (2 * abs(2 * Fraction(p_same) - 1),) * 2
         assert scenario.s_max_abs_raw <= 2
         assert max_abs_deltas(scenario) == (0, 0)
 
     @pytest.mark.parametrize("p_same", [math.nan, math.inf, -math.inf, np.float64(math.nan),
-                                        np.float32(math.inf), 1.5, Fraction(-1, 3)])
+                                        np.float32(math.inf), 1.5, Fraction(-1, 3),
+                                        *(pytest.param(text, id=f"text-{text}")
+                                          for text in ("nan", "inf", "abc"))])
     def test_knob_outside_the_unit_interval_rejected(self, p_same):
         with pytest.raises(BellsimError, match=r"^p_same must be within \[0, 1\]$"):
             lhvm_socks_scenario(p_same)
@@ -197,9 +217,7 @@ class TestSocks:
 
 class TestM2Demo:
     def test_raw_table_classical_postselected_extremal(self):
-        scenario = m2_demo_scenario()
-        assert scenario.s_max_abs_raw <= 2
-        assert scenario.s_max_abs_postselected == 4
+        assert exact_maxima(m2_demo_scenario()) == (Fraction(35, 96), 4)
 
     def test_postselected_marginals_depend_on_remote_setting(self):
         scenario = m2_demo_scenario()
@@ -257,7 +275,7 @@ class TestM3Demo:
 
     def test_correlators_reach_four(self):
         scenario = m3_demo_scenario()
-        assert scenario.s_max_abs_raw == 4
+        assert exact_maxima(scenario) == (4, 4)
         assert all(r.c_xy == 1 for r in scenario.expected_raw.values())
 
     def test_marginals_do_not_depend_on_the_remote_setting(self):
