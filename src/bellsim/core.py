@@ -386,13 +386,25 @@ def validate_model(model: ExperimentModel) -> list[str]:
     v: list[str] = []
     if not isinstance(model.variant, ModelVariant):
         return [f"unknown variant {model.variant!r}"]
-    for label, settings in (("settings_a", model.settings_a), ("settings_b", model.settings_b)):
+    declared = {}   # station -> its settings, when they pass their own check
+    for station, settings in (("a", model.settings_a), ("b", model.settings_b)):
         if not _hashable(settings):
-            v.append(f"{label}: setting labels must be hashable")
+            v.append(f"settings_{station}: setting labels must be hashable")
         elif len(settings) < 2 or len(set(settings)) != len(settings):
-            v.append(f"{label}: need at least two distinct setting labels")
+            v.append(f"settings_{station}: need at least two distinct setting labels")
+        else:
+            declared[station] = settings
     if not _hashable((*model.settings_a, *model.settings_b)):
         return v  # every later check looks settings up by label
+    for station, settings in declared.items():
+        for part in ("instruments", "responses", "angles"):
+            v.extend(f"{part} {station.upper()}: entry for undeclared setting {s!r}"
+                     for s in getattr(model, f"{part}_{station}") or () if s not in settings)
+    if len(declared) == 2:
+        pairs = set(model.pairs())
+        v.extend(f"joint instruments: entry for undeclared pair "
+                 f"{tuple(sp) if isinstance(sp, tuple) else sp!r}"
+                 for sp in model.instruments_joint or () if sp not in pairs)
 
     if model.variant is ModelVariant.QUANTUM:
         for station, angles, settings in (("A", model.angles_a, model.settings_a),

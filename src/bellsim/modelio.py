@@ -21,13 +21,21 @@ bit-exactly.  Layout::
     1 0 1
     end
 
-    begin joint-instruments 1 1   # m3 only: lx ly prob
+    begin joint-instruments 1 1   # m3, in place of instruments: lx ly prob
     0 0 1/2
     end
 
-    begin angles A          # quantum only: setting angle_radians
+    begin angles A          # quantum, its only block: setting angle_radians
     1 0.0
     end
+
+A variant reads the blocks ``_VARIANT_BLOCKS`` names: ``source``,
+``instruments`` and ``responses`` for lhvm, m1 and m2; ``source``,
+``joint-instruments`` and ``responses`` for m3; ``angles`` for quantum.
+``loads`` passes what they give to one ``ExperimentModel`` call, and any
+other block is a ``ParseError`` at its ``begin`` line, wherever the
+``variant`` line stands.  A block for a setting the ``settings`` lines do
+not declare is read, and `validate_model` reports it.
 
 One table, ``_BLOCKS``, declares every block: the fields of its ``begin``
 line and the kind of each row field (label, probability, outcome or angle).
@@ -74,6 +82,7 @@ from .core import (
     ExperimentModel,
     ModelVariant,
     ResponseTable,
+    SettingPair,
 )
 from .errors import BellsimError, ParseError
 from .textio import _contents, _decode_label, _label_text, _read_ascii, _split
@@ -102,6 +111,11 @@ _BLOCKS = {
     "responses": (("A|B", "setting"), ("label", "label", "outcome")),
     "angles": (("A|B",), ("label", "angle")),
 }
+
+# The blocks a model of each variant reads; any other block is an error.
+_VARIANT_BLOCKS = dict.fromkeys(ModelVariant, ("source", "instruments", "responses")) | {
+    ModelVariant.M3: ("source", "joint-instruments", "responses"),
+    ModelVariant.QUANTUM: ("angles",)}
 
 _ENCODE = {"label": lambda label: _label_text(label, "model"), "probability": str,
            "outcome": str, "angle": lambda angle: repr(float(angle))}
@@ -265,11 +279,7 @@ def loads(text: str, path=None) -> ExperimentModel:
     variant = None
     name = ""
     settings = {}
-    source = None
-    instruments = {"A": {}, "B": {}}
-    joints = {}
-    responses = {"A": {}, "B": {}}
-    angles = {"A": {}, "B": {}}
+    parts = {}      # ExperimentModel keyword -> the model part its blocks give
     seen = {}       # heading of a directive or block, labels decoded -> its first line
 
     for ln, content in lines:
@@ -314,15 +324,16 @@ def loads(text: str, path=None) -> ExperimentModel:
             if not column and kinds[-1] == "probability":    # a distribution needs an atom
                 raise ParseError(f"empty {section} block", ln, path)
             if section == "source":
-                source = DiscreteDistribution(list(zip(*keys)), column)
-            elif section == "instruments":
-                instruments[heading[1]][heading[2]] = DiscreteDistribution(keys[0], column)
+                parts["source"] = DiscreteDistribution(list(zip(*keys)), column)
             elif section == "joint-instruments":
-                joints[heading[1:]] = DiscreteDistribution(list(zip(*keys)), column)
-            elif section == "responses":
-                responses[heading[1]][heading[2]] = ResponseTable(zip(zip(*keys), column))
+                parts.setdefault("instruments_joint", {})[SettingPair(*heading[1:])] = (
+                    DiscreteDistribution(list(zip(*keys)), column))
+            elif section == "angles":
+                parts["angles_" + heading[1].lower()] = dict(zip(keys[0], column))
             else:
-                angles[heading[1]] = dict(zip(keys[0], column))
+                parts.setdefault(f"{section}_{heading[1].lower()}", {})[heading[2]] = (
+                    DiscreteDistribution(keys[0], column) if section == "instruments"
+                    else ResponseTable(zip(zip(*keys), column)))
         else:
             raise ParseError(f"unknown directive {key!r}", ln, path)
         if heading in seen:
@@ -335,19 +346,13 @@ def loads(text: str, path=None) -> ExperimentModel:
     if "A" not in settings or "B" not in settings:
         raise ParseError("missing 'settings A' or 'settings B' line", path=path)
 
-    if variant is ModelVariant.QUANTUM:
-        return ExperimentModel.quantum_model(settings["A"], settings["B"],
-                                             angles["A"], angles["B"], name=name)
-    if source is None:
+    reads = _VARIANT_BLOCKS[variant]
+    for heading, ln in seen.items():
+        if heading[0] in _BLOCKS and heading[0] not in reads:
+            raise ParseError(f"a {variant.value} model has no {heading[0]} block", ln, path)
+    if "source" in reads and "source" not in parts:
         raise ParseError("missing source block", path=path)
-    if variant is ModelVariant.M3:
-        return ExperimentModel.correlated_instruments_model(
-            settings["A"], settings["B"], source, joints,
-            responses["A"], responses["B"], name=name)
-    return ExperimentModel.product_model(
-        variant, settings["A"], settings["B"], source,
-        instruments["A"], instruments["B"], responses["A"], responses["B"],
-        name=name)
+    return ExperimentModel(variant, settings["A"], settings["B"], name=name, **parts)
 
 
 def load(path) -> ExperimentModel:

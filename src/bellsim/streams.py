@@ -231,26 +231,22 @@ class RandomSettings:
 
 @dataclass(frozen=True)
 class Schedule:
-    duration_ns: int
+    n_windows: int
     window_ns: int
     rule: object
 
     def __post_init__(self):
         _check_width(self.window_ns)
-        if self.duration_ns < self.window_ns:
-            raise BellsimError("duration must cover at least one window")
+        if self.n_windows < 1:
+            raise BellsimError("a schedule needs at least one window")
         last_start = (self.n_windows - 1) * self.window_ns     # the last click time
         if last_start >= _INT64:
             raise BellsimError(
                 f"last window start {last_start} ns does not fit in a signed 64-bit integer")
 
-    @property
-    def n_windows(self) -> int:
-        return self.duration_ns // self.window_ns
-
     @classmethod
     def for_windows(cls, n_windows: int, window_ns: int, rule) -> "Schedule":
-        return cls(duration_ns=n_windows * window_ns, window_ns=window_ns, rule=rule)
+        return cls(n_windows, window_ns, rule)
 
 
 # Columns of the per-window uniform matrix.  The layout is frozen: every

@@ -726,17 +726,27 @@ def _oracle_distribution(reader, atoms, probs, ln, what):
     return DiscreteDistribution(atoms, probs)
 
 
+# The blocks a model of each variant reads, written out.
+ORACLE_VARIANT_BLOCKS = {
+    ModelVariant.LHVM: {"source", "instruments", "responses"},
+    ModelVariant.M1: {"source", "instruments", "responses"},
+    ModelVariant.M2: {"source", "instruments", "responses"},
+    ModelVariant.M3: {"source", "joint-instruments", "responses"},
+    ModelVariant.QUANTUM: {"angles"},
+}
+
+
 def oracle_loads(text, path=None):
-    """A model file's text as a model, last copy of a repeated section kept."""
+    """A model file's text as a model, last copy of a repeated section kept.
+    Only the parts the file's blocks give are passed to the one
+    ``ExperimentModel`` call; a block its variant does not read is refused
+    at its first ``begin`` line."""
     reader = _OracleReader(text, path)
     variant = None
     name = ""
     settings = {}
-    source = None
-    instruments = {"A": {}, "B": {}}
-    joints = {}
-    responses = {"A": {}, "B": {}}
-    angles = {"A": {}, "B": {}}
+    parts = {}
+    begins = {}     # section -> line of its first begin
 
     while True:
         ln, tokens = reader.next_tokens()
@@ -765,14 +775,15 @@ def oracle_loads(text, path=None):
                 rows = _oracle_read_block(reader, 3, "source")
                 atoms = [(_decode_label(a), _decode_label(b)) for _, (a, b, _p) in rows]
                 probs = [_oracle_parse_prob(reader, p, ln2) for ln2, (_a, _b, p) in rows]
-                source = _oracle_distribution(reader, atoms, probs, ln, "source")
+                parts["source"] = _oracle_distribution(reader, atoms, probs, ln, "source")
             elif section == "instruments":
                 if len(tokens) != 4 or tokens[2] not in ("A", "B"):
                     reader.fail("expected 'begin instruments A|B setting'", ln)
                 rows = _oracle_read_block(reader, 2, "instruments")
                 atoms = [_decode_label(a) for _, (a, _p) in rows]
                 probs = [_oracle_parse_prob(reader, p, ln2) for ln2, (_a, p) in rows]
-                instruments[tokens[2]][_decode_label(tokens[3])] = _oracle_distribution(
+                station = "instruments_a" if tokens[2] == "A" else "instruments_b"
+                parts.setdefault(station, {})[_decode_label(tokens[3])] = _oracle_distribution(
                     reader, atoms, probs, ln, "instruments")
             elif section == "joint-instruments":
                 if len(tokens) != 4:
@@ -780,8 +791,9 @@ def oracle_loads(text, path=None):
                 rows = _oracle_read_block(reader, 3, "joint-instruments")
                 atoms = [(_decode_label(a), _decode_label(b)) for _, (a, b, _p) in rows]
                 probs = [_oracle_parse_prob(reader, p, ln2) for ln2, (_a, _b, p) in rows]
-                pair = (_decode_label(tokens[2]), _decode_label(tokens[3]))
-                joints[pair] = _oracle_distribution(reader, atoms, probs, ln, "joint-instruments")
+                pair = SettingPair(_decode_label(tokens[2]), _decode_label(tokens[3]))
+                parts.setdefault("instruments_joint", {})[pair] = _oracle_distribution(
+                    reader, atoms, probs, ln, "joint-instruments")
             elif section == "responses":
                 if len(tokens) != 4 or tokens[2] not in ("A", "B"):
                     reader.fail("expected 'begin responses A|B setting'", ln)
@@ -793,18 +805,21 @@ def oracle_loads(text, path=None):
                     except ValueError:
                         reader.fail(f"bad outcome {out!r}", ln2)
                     mapping[(_decode_label(sv), _decode_label(iv))] = outcome
-                responses[tokens[2]][_decode_label(tokens[3])] = ResponseTable(mapping)
+                station = "responses_a" if tokens[2] == "A" else "responses_b"
+                parts.setdefault(station, {})[_decode_label(tokens[3])] = ResponseTable(mapping)
             elif section == "angles":
                 if len(tokens) != 3 or tokens[2] not in ("A", "B"):
                     reader.fail("expected 'begin angles A|B'", ln)
                 rows = _oracle_read_block(reader, 2, "angles")
+                angles = parts.setdefault("angles_a" if tokens[2] == "A" else "angles_b", {})
                 for ln2, (setting, value) in rows:
                     try:
-                        angles[tokens[2]][_decode_label(setting)] = float(value)
+                        angles[_decode_label(setting)] = float(value)
                     except ValueError:
                         reader.fail(f"bad angle {value!r}", ln2)
             else:
                 reader.fail(f"unknown section {section!r}", ln)
+            begins.setdefault(section, ln)
         else:
             reader.fail(f"unknown directive {key!r}", ln)
 
@@ -812,20 +827,14 @@ def oracle_loads(text, path=None):
         reader.fail("missing 'variant' line")
     if "A" not in settings or "B" not in settings:
         reader.fail("missing 'settings A' or 'settings B' line")
-
-    if variant is ModelVariant.QUANTUM:
-        return ExperimentModel.quantum_model(settings["A"], settings["B"],
-                                             angles["A"], angles["B"], name=name)
-    if source is None:
+    foreign = sorted((ln, section) for section, ln in begins.items()
+                     if section not in ORACLE_VARIANT_BLOCKS[variant])
+    if foreign:
+        ln, section = foreign[0]
+        reader.fail(f"a {variant.value} model has no {section} block", ln)
+    if "source" in ORACLE_VARIANT_BLOCKS[variant] and "source" not in parts:
         reader.fail("missing source block")
-    if variant is ModelVariant.M3:
-        return ExperimentModel.correlated_instruments_model(
-            settings["A"], settings["B"], source, joints,
-            responses["A"], responses["B"], name=name)
-    return ExperimentModel.product_model(
-        variant, settings["A"], settings["B"], source,
-        instruments["A"], instruments["B"], responses["A"], responses["B"],
-        name=name)
+    return ExperimentModel(variant, settings["A"], settings["B"], name=name, **parts)
 
 
 # The keys of a config file and the type each value is read as, written out.

@@ -524,6 +524,7 @@ class TestScenarioCommands:
 _PRODUCT_HEAD = "variant m1\nsettings A 1 2\nsettings B 1 2\n"
 _SIMULATE = ("simulate", "--scenario", "lf", "--seed", "1", "--out-dir", "o")
 _STREAM = "0\t1\t+1\n"
+_LF_MODEL = modelio.dumps(lf_scenario().model)
 
 
 def _coupling_flags(drop=(), extra=()):
@@ -607,6 +608,14 @@ _INPUT_ERRORS = {
     "model-no-source": (
         {"s.model": "variant lhvm\nsettings A 1 2\nsettings B 1 2\n"},
         ("simulate", "--model", "s.model"), 4, "error: s.model: missing source block"),
+    # A model file holds only what its model reads, for the settings it declares.
+    "model-foreign-block": (
+        {"f.model": _LF_MODEL + "begin angles A\n1 0.0\nend\n"},
+        ("simulate", "--model", "f.model"), 4,
+        f"error: f.model:{_LF_MODEL.count(chr(10)) + 1}: a lhvm model has no angles block"),
+    "model-undeclared-setting": (
+        {"u.model": _LF_MODEL + "begin responses A 7\n1 0 5\nend\n"},
+        ("simulate", "--model", "u.model"), 3, "  responses A: entry for undeclared setting 7"),
     "simulate-fixed-rule": (
         {}, (*_SIMULATE, "--windows", "10", "--setting-rule", "fixed"), 2,
         "error: fixed rule needs --x and --y"),
@@ -622,7 +631,7 @@ _INPUT_ERRORS = {
         "error: r.cfg:4: unknown key 'duration_ns'"),
     "simulate-zero-windows": (
         {}, (*_SIMULATE, "--windows", "0"), 2,
-        "error: duration must cover at least one window"),
+        "error: a schedule needs at least one window"),
     "simulate-zero-width": (
         {}, (*_SIMULATE, "--windows", "10", "--window-ns", "0"), 2,
         "error: window width must be positive"),

@@ -196,8 +196,19 @@ class TestValidateModel:
         (m3_model_without_pair_2_2, {}, "joint instruments: no distribution for pair (2, 2)"),
         (constant_model, {"responses_a": {1: 1, 2: ResponseTable({(0, 0): 1})}},
          "responses A[1]: not a table or callable"),
+        (constant_model, {"instruments_a": {s: DiscreteDistribution.point(0) for s in (1, 2, 7)}},
+         "instruments A: entry for undeclared setting 7"),
+        (constant_model, {"responses_b": {s: ResponseTable({(0, 0): 1}) for s in (1, 2, "x")}},
+         "responses B: entry for undeclared setting 'x'"),
+        (quantum_model, {"angles_a": {1: 0.0, 2: 0.5, 3: 0.0}},
+         "angles A: entry for undeclared setting 3"),
+        (lambda: m3_demo_scenario().model, {"instruments_joint": {
+            **m3_demo_scenario().model.instruments_joint,
+            SettingPair(1, 3): DiscreteDistribution.point((0, 0))}},
+         "joint instruments: entry for undeclared pair (1, 3)"),
     ], ids=["no-source", "source-type", "source-atoms", "variant", "settings", "no-angles",
-            "angle-type", "m3-pair", "response-type"])
+            "angle-type", "m3-pair", "response-type", "undeclared-instruments",
+            "undeclared-responses", "undeclared-angles", "undeclared-joint"])
     def test_violation_messages(self, base, changes, want):
         broken = dataclasses.replace(base(), **changes)
         assert validate_model(broken) == [want]

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from bellsim import modelio
 from bellsim.core import (
@@ -12,6 +12,7 @@ from bellsim.core import (
     ModelVariant,
     ResponseTable,
     SamplerSpace,
+    validate_model,
 )
 from bellsim.errors import BellsimError, ParseError
 from bellsim.scenarios import build_scenario, scenario_names
@@ -173,6 +174,59 @@ def test_repeated_source_placed_first_is_not_dropped():
         modelio.loads("begin source\n1 1 1\nend\n" + text)
     assert str(excinfo.value) == (f"{_line_of(text, 'begin source') + 3}: "
                                   "repeated 'source', first on line 1")
+
+
+# (scenario, block added at the end, the message); the error names the added
+# block's begin line.
+FOREIGN = {
+    "lhvm-joint-instruments": ("lf", "begin joint-instruments 1 1\n0 0 1\nend",
+                               "a lhvm model has no joint-instruments block"),
+    "m2-angles": ("m2-demo", "begin angles A\n1 0.0\nend", "a m2 model has no angles block"),
+    "m3-instruments": ("m3-demo", "begin instruments B 1\n0 1\nend",
+                       "a m3 model has no instruments block"),
+    "quantum-source": ("quantum", "begin source\n1 1 1\nend",
+                       "a quantum model has no source block"),
+    "quantum-responses": ("quantum", "begin responses A 1\n1 0 1\nend",
+                          "a quantum model has no responses block"),
+}
+
+
+@pytest.mark.parametrize("kind", list(FOREIGN))
+def test_block_its_variant_does_not_read_is_a_parse_error(kind):
+    scenario, extra, message = FOREIGN[kind]
+    text = _model_text(scenario)
+    line = len(text.splitlines()) + 1
+    with pytest.raises(ParseError) as excinfo:
+        modelio.loads(text + extra + "\n", path="f.model")
+    assert str(excinfo.value) == f"f.model:{line}: {message}"
+
+
+def test_variant_line_after_the_blocks_still_refuses_them():
+    text = _model_text("lf").replace("variant lhvm\n", "") + "variant quantum\n"
+    with pytest.raises(ParseError) as excinfo:
+        modelio.loads(text, path="f.model")
+    assert str(excinfo.value) == (f"f.model:{_line_of(text, 'begin source')}: "
+                                  "a quantum model has no source block")
+
+
+def test_quantum_file_without_an_angles_block_reads_as_missing_angles():
+    text = _model_text("quantum")
+    model = modelio.loads(text[:text.index("begin angles B")])
+    assert model.angles_b is None
+    assert validate_model(model) == ["angles B: missing"]
+
+
+@pytest.mark.parametrize("variant", list(ModelVariant))
+@settings(max_examples=10)
+@given(data=st.data())
+def test_dumps_writes_only_blocks_its_variant_reads(variant, data):
+    if variant is ModelVariant.QUANTUM:
+        model = build_scenario("quantum").model
+    else:
+        model = data.draw(table_models(variant))
+    sections = {line.split()[1] for line in modelio.dumps(model).splitlines()
+                if line.startswith("begin ")}
+    assert sections <= set(modelio._VARIANT_BLOCKS[variant])
 
 
 def _string_labels(model, prefix="s"):

@@ -1,4 +1,4 @@
-import math
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -91,9 +91,22 @@ class TestGenerate:
         with pytest.raises(BellsimError, match="^last window start 9223372036854775808 ns"):
             Schedule.for_windows(3, width, FixedSettings(1, 1))
         with pytest.raises(BellsimError, match="^last window start"):
-            Schedule(3 * width, width, FixedSettings(1, 1))
+            Schedule(3, width, FixedSettings(1, 1))
         with pytest.raises(BellsimError, match="^window width 9223372036854775808 ns"):
             Schedule.for_windows(1, 2 ** 63, FixedSettings(1, 1))
+
+    @pytest.mark.parametrize("n, width, rule", [
+        (1, 1, FixedSettings(1, 1)), (3, 1000, RandomSettings()), (4097, 7, RoundRobinSettings())])
+    def test_schedule_holds_its_window_count(self, n, width, rule):
+        sched = Schedule(n, width, rule)
+        assert sched == Schedule.for_windows(n, width, rule)
+        assert [f.name for f in dataclasses.fields(Schedule)] == ["n_windows", "window_ns", "rule"]
+        assert sched.n_windows == n
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_schedule_needs_a_window(self, n):
+        with pytest.raises(BellsimError, match="^a schedule needs at least one window$"):
+            Schedule(n, 1000, RandomSettings())
 
     def test_generation_peak_memory_per_window(self):
         """Generation with one worker holds at most 20 bytes per window at
@@ -209,7 +222,7 @@ class TestPairing:
         sched = Schedule.for_windows(500, 10, RandomSettings())
         sa, sb = generate_streams(model, sched, 0.7, 19)
         result = pair_coincidences(sa, sb, 10)
-        assert len(result.records) <= math.ceil(sched.duration_ns / sched.window_ns)
+        assert len(result.records) <= sched.n_windows
 
     def test_record_columns_are_read_only(self):
         paired = pair_coincidences(stream("A", (5, 1, 1)), stream("B", (17, 2, -1)), 10).records

@@ -27,6 +27,7 @@ from bellsim.scenarios import build_scenario, scenario_names
 from bellsim.streams import ingest_timetag_file, read_coincidence_csv
 
 from helpers import (
+    ORACLE_VARIANT_BLOCKS,
     oracle_ingest_timetag_file,
     oracle_load_config,
     oracle_loads,
@@ -67,17 +68,35 @@ def outcome(read, *args):
 HEADERS = ("version", "variant", "name", "settings", "begin")
 
 
+# One block of each section, appended to a model whose variant does not read it.
+FOREIGN_BLOCKS = {
+    "source": "begin source\n1 1 1\nend",
+    "instruments": "begin instruments A 1\n0 1\nend",
+    "joint-instruments": "begin joint-instruments 1 1\n0 0 1\nend",
+    "responses": "begin responses B 2\n1 0 1\nend",
+    "angles": "begin angles B\n1 0.5\nend",
+}
+
+
 @st.composite
 def model_texts(draw):
-    """The text of a shipped or random table model with lines dropped and
-    tokens of rows, ``end`` lines and directive names replaced by junk.  No
-    heading is added, so no section repeats."""
+    """The text of a shipped or random table model, in some examples with
+    its variant word swapped or a block its variant does not read appended,
+    then with lines dropped and tokens of rows, ``end`` lines and directive
+    names replaced by junk.  A model's text holds only the blocks its variant
+    reads, so the appended block repeats no section."""
     source = draw(st.sampled_from(("scenario", "m1", "m2", "m3")))
     if source == "scenario":
         model = build_scenario(draw(st.sampled_from(scenario_names()))).model
     else:
         model = draw(table_models(ModelVariant(source)))
     lines = modelio.dumps(model).splitlines()
+    if draw(st.integers(0, 2)) == 0:
+        foreign = [s for s in FOREIGN_BLOCKS if s not in ORACLE_VARIANT_BLOCKS[model.variant]]
+        lines += FOREIGN_BLOCKS[draw(st.sampled_from(foreign))].splitlines()
+    if draw(st.integers(0, 2)) == 0:
+        lines[lines.index(f"variant {model.variant.value}")] = (
+            "variant " + draw(st.sampled_from([v.value for v in ModelVariant])))
     for _ in range(draw(st.integers(0, 2))):
         i = draw(st.integers(0, len(lines) - 1))
         tokens = lines[i].split()
