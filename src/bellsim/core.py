@@ -69,7 +69,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
-from itertools import product, starmap
+from itertools import chain, product, starmap
 from typing import Callable, Hashable, NamedTuple, Sequence
 
 import numpy as np
@@ -242,6 +242,24 @@ class ModelVariant(str, Enum):
     QUANTUM = "quantum"
 
 
+# The parts of an `ExperimentModel` each variant reads, in model-file order;
+# `validate_model` reports any other part that is set.
+_VARIANT_FIELDS = dict.fromkeys(
+    (ModelVariant.LHVM, ModelVariant.M1, ModelVariant.M2),
+    ("source", "instruments_a", "instruments_b", "responses_a", "responses_b")) | {
+    ModelVariant.M3: ("source", "instruments_joint", "responses_a", "responses_b"),
+    ModelVariant.QUANTUM: ("angles_a", "angles_b")}
+_PARTS = tuple(dict.fromkeys(chain.from_iterable(_VARIANT_FIELDS.values())))
+
+
+def _foreign_parts(model) -> list[str]:
+    """A violation for each part of ``model`` that is set although its
+    variant does not read it."""
+    reads = _VARIANT_FIELDS[model.variant]
+    return [f"{field}: a {model.variant.value} model does not read it"
+            for field in _PARTS if field not in reads and getattr(model, field) is not None]
+
+
 @dataclass(frozen=True)
 class ExperimentModel:
     """Complete generative description of one experiment.
@@ -252,7 +270,9 @@ class ExperimentModel:
     ``instruments_joint[(x, y)]`` gives a joint distribution over pairs
     ``(lx, ly)`` per setting pair.  ``responses_a[x]`` maps ``(l1, lx)`` to
     an outcome, ``responses_b[y]`` maps ``(l2, ly)``.  Quantum models carry
-    analyzer angles instead and no hidden spaces.
+    analyzer angles instead and no hidden spaces.  A model sets only the
+    parts its variant reads (`_VARIANT_FIELDS`) and holds its settings as
+    tuples; `validate_model` reports anything else.
 
     Validity, the exact outcome tables and each station setting's outcome
     grid (its response tabulated once, see `_outcome_grid`) are computed
@@ -300,49 +320,6 @@ class ExperimentModel:
             spaces.extend((self.instruments_b or {}).values())
         return all(getattr(s, "finite", False) for s in spaces)
 
-    @classmethod
-    def product_model(cls, variant, settings_a, settings_b, source,
-                      instruments_a, instruments_b, responses_a, responses_b,
-                      name=""):
-        return cls(
-            variant=ModelVariant(variant),
-            settings_a=tuple(settings_a),
-            settings_b=tuple(settings_b),
-            source=source,
-            instruments_a=dict(instruments_a),
-            instruments_b=dict(instruments_b),
-            responses_a=dict(responses_a),
-            responses_b=dict(responses_b),
-            name=name,
-        )
-
-    @classmethod
-    def correlated_instruments_model(cls, settings_a, settings_b, source,
-                                     instruments_joint, responses_a, responses_b,
-                                     name=""):
-        joints = {SettingPair(*k): v for k, v in dict(instruments_joint).items()}
-        return cls(
-            variant=ModelVariant.M3,
-            settings_a=tuple(settings_a),
-            settings_b=tuple(settings_b),
-            source=source,
-            instruments_joint=joints,
-            responses_a=dict(responses_a),
-            responses_b=dict(responses_b),
-            name=name,
-        )
-
-    @classmethod
-    def quantum_model(cls, settings_a, settings_b, angles_a, angles_b, name=""):
-        return cls(
-            variant=ModelVariant.QUANTUM,
-            settings_a=tuple(settings_a),
-            settings_b=tuple(settings_b),
-            angles_a=dict(angles_a),
-            angles_b=dict(angles_b),
-            name=name,
-        )
-
 
 class ExactResult(NamedTuple):
     """Expectations for one setting pair.
@@ -381,26 +358,32 @@ def validate_model(model: ExperimentModel) -> list[str]:
 
     Returns a list of human-readable violations; an empty list means the
     model is usable.  Nothing is raised, so malformed models can be
-    diagnosed.
+    diagnosed.  A part the variant does not read must be None, and the
+    settings must be tuples, as a model file reads them.
     """
-    v: list[str] = []
     if not isinstance(model.variant, ModelVariant):
         return [f"unknown variant {model.variant!r}"]
+    reads = _VARIANT_FIELDS[model.variant]
+    v = _foreign_parts(model)
     declared = {}   # station -> its settings, when they pass their own check
     for station, settings in (("a", model.settings_a), ("b", model.settings_b)):
-        if not _hashable(settings):
+        if not isinstance(settings, tuple):
+            v.append(f"settings_{station}: not a tuple")
+        elif not _hashable(settings):
             v.append(f"settings_{station}: setting labels must be hashable")
         elif len(settings) < 2 or len(set(settings)) != len(settings):
             v.append(f"settings_{station}: need at least two distinct setting labels")
         else:
             declared[station] = settings
-    if not _hashable((*model.settings_a, *model.settings_b)):
+    if (not isinstance(model.settings_a, tuple) or not isinstance(model.settings_b, tuple)
+            or not _hashable(model.settings_a + model.settings_b)):
         return v  # every later check looks settings up by label
     for station, settings in declared.items():
         for part in ("instruments", "responses", "angles"):
-            v.extend(f"{part} {station.upper()}: entry for undeclared setting {s!r}"
-                     for s in getattr(model, f"{part}_{station}") or () if s not in settings)
-    if len(declared) == 2:
+            if f"{part}_{station}" in reads:
+                v.extend(f"{part} {station.upper()}: entry for undeclared setting {s!r}"
+                         for s in getattr(model, f"{part}_{station}") or () if s not in settings)
+    if "instruments_joint" in reads and len(declared) == 2:
         pairs = set(model.pairs())
         v.extend(f"joint instruments: entry for undeclared pair "
                  f"{tuple(sp) if isinstance(sp, tuple) else sp!r}"

@@ -29,13 +29,12 @@ bit-exactly.  Layout::
     1 0.0
     end
 
-A variant reads the blocks ``_VARIANT_BLOCKS`` names: ``source``,
-``instruments`` and ``responses`` for lhvm, m1 and m2; ``source``,
-``joint-instruments`` and ``responses`` for m3; ``angles`` for quantum.
-``loads`` passes what they give to one ``ExperimentModel`` call, and any
-other block is a ``ParseError`` at its ``begin`` line, wherever the
-``variant`` line stands.  A block for a setting the ``settings`` lines do
-not declare is read, and `validate_model` reports it.
+A model holds only the parts its variant reads (``core._VARIANT_FIELDS``),
+and a file only their blocks: ``loads`` passes what they give to one
+``ExperimentModel`` call, any other block is a ``ParseError`` at its
+``begin`` line wherever the ``variant`` line stands, and ``dumps`` refuses
+a model with a part its variant does not read.  A block for a setting the
+``settings`` lines do not declare is read, and `validate_model` reports it.
 
 One table, ``_BLOCKS``, declares every block: the fields of its ``begin``
 line and the kind of each row field (label, probability, outcome or angle).
@@ -83,6 +82,8 @@ from .core import (
     ModelVariant,
     ResponseTable,
     SettingPair,
+    _VARIANT_FIELDS,
+    _foreign_parts,
 )
 from .errors import BellsimError, ParseError
 from .textio import _contents, _decode_label, _label_text, _read_ascii, _split
@@ -112,14 +113,16 @@ _BLOCKS = {
     "angles": (("A|B",), ("label", "angle")),
 }
 
-# The blocks a model of each variant reads; any other block is an error.
-_VARIANT_BLOCKS = dict.fromkeys(ModelVariant, ("source", "instruments", "responses")) | {
-    ModelVariant.M3: ("source", "joint-instruments", "responses"),
-    ModelVariant.QUANTUM: ("angles",)}
+def _decode_probability(token: str) -> Fraction:
+    if "_" in token:    # Fraction reads PEP 515 underscores from Python 3.11 on, not before
+        raise ValueError(token)
+    return Fraction(token)
+
 
 _ENCODE = {"label": lambda label: _label_text(label, "model"), "probability": str,
            "outcome": str, "angle": lambda angle: repr(float(angle))}
-_DECODE = {"label": _decode_label, "probability": Fraction, "outcome": int, "angle": float}
+_DECODE = {"label": _decode_label, "probability": _decode_probability, "outcome": int,
+           "angle": float}
 
 
 def _dump_block(lines: list, section: str, heading, rows) -> None:
@@ -146,6 +149,8 @@ def _name_text(name) -> str:
 
 
 def dumps(model: ExperimentModel) -> str:
+    if foreign := _foreign_parts(model):
+        raise BellsimError("; ".join(foreign))
     lines = [f"version {FORMAT_VERSION}", f"variant {model.variant.value}"]
     if model.name:
         lines.append("name " + _name_text(model.name))
@@ -280,6 +285,7 @@ def loads(text: str, path=None) -> ExperimentModel:
     name = ""
     settings = {}
     parts = {}      # ExperimentModel keyword -> the model part its blocks give
+    firsts = {}     # ExperimentModel keyword -> (line, section) of its first block
     seen = {}       # heading of a directive or block, labels decoded -> its first line
 
     for ln, content in lines:
@@ -323,15 +329,18 @@ def loads(text: str, path=None) -> ExperimentModel:
                              else _plain_columns(body, kinds))
             if not column and kinds[-1] == "probability":    # a distribution needs an atom
                 raise ParseError(f"empty {section} block", ln, path)
+            field = ({"source": "source", "joint-instruments": "instruments_joint"}.get(section)
+                     or f"{section}_{heading[1].lower()}")
+            firsts.setdefault(field, (ln, section))
             if section == "source":
-                parts["source"] = DiscreteDistribution(list(zip(*keys)), column)
+                parts[field] = DiscreteDistribution(list(zip(*keys)), column)
             elif section == "joint-instruments":
-                parts.setdefault("instruments_joint", {})[SettingPair(*heading[1:])] = (
+                parts.setdefault(field, {})[SettingPair(*heading[1:])] = (
                     DiscreteDistribution(list(zip(*keys)), column))
             elif section == "angles":
-                parts["angles_" + heading[1].lower()] = dict(zip(keys[0], column))
+                parts[field] = dict(zip(keys[0], column))
             else:
-                parts.setdefault(f"{section}_{heading[1].lower()}", {})[heading[2]] = (
+                parts.setdefault(field, {})[heading[2]] = (
                     DiscreteDistribution(keys[0], column) if section == "instruments"
                     else ResponseTable(zip(zip(*keys), column)))
         else:
@@ -346,10 +355,10 @@ def loads(text: str, path=None) -> ExperimentModel:
     if "A" not in settings or "B" not in settings:
         raise ParseError("missing 'settings A' or 'settings B' line", path=path)
 
-    reads = _VARIANT_BLOCKS[variant]
-    for heading, ln in seen.items():
-        if heading[0] in _BLOCKS and heading[0] not in reads:
-            raise ParseError(f"a {variant.value} model has no {heading[0]} block", ln, path)
+    reads = _VARIANT_FIELDS[variant]
+    for field, (ln, section) in firsts.items():
+        if field not in reads:
+            raise ParseError(f"a {variant.value} model has no {section} block", ln, path)
     if "source" in reads and "source" not in parts:
         raise ParseError("missing source block", path=path)
     return ExperimentModel(variant, settings["A"], settings["B"], name=name, **parts)

@@ -121,10 +121,10 @@ def lf_scenario() -> Scenario:
     source = DiscreteDistribution.uniform([(l, l) for l in lam])
     responses_a = {x: ResponseTable({(l, 0): x ** l for l in lam}) for x in settings}
     responses_b = {y: ResponseTable({(l, 0): y ** (l + 1) for l in lam}) for y in settings}
-    model = ExperimentModel.product_model(
-        ModelVariant.LHVM, settings, settings, source,
-        _point_instruments(settings), _point_instruments(settings),
-        responses_a, responses_b, name="lf")
+    model = ExperimentModel(
+        ModelVariant.LHVM, settings, settings, source=source,
+        instruments_a=_point_instruments(settings), instruments_b=_point_instruments(settings),
+        responses_a=responses_a, responses_b=responses_b, name="lf")
     one = Fraction(1)
     zero = Fraction(0)
     table = {
@@ -165,10 +165,10 @@ def lhvm_socks_scenario(p_same=Fraction(3, 4)) -> Scenario:
     sign_b = {1: 1, 2: -1}
     responses_a = {x: ResponseTable({(s, 0): s for s in (1, -1)}) for x in settings}
     responses_b = {y: ResponseTable({(s, 0): sign_b[y] * s for s in (1, -1)}) for y in settings}
-    model = ExperimentModel.product_model(
-        ModelVariant.LHVM, settings, settings, source,
-        _point_instruments(settings), _point_instruments(settings),
-        responses_a, responses_b, name="lhvm-socks")
+    model = ExperimentModel(
+        ModelVariant.LHVM, settings, settings, source=source,
+        instruments_a=_point_instruments(settings), instruments_b=_point_instruments(settings),
+        responses_a=responses_a, responses_b=responses_b, name="lhvm-socks")
     q = 2 * p_same - 1
     table = {sp: ExactResult(e_ab=q * sign_b[sp.y], e_a=Fraction(0), e_b=Fraction(0),
                              c_xy=Fraction(1))
@@ -215,9 +215,9 @@ def m2_demo_scenario() -> Scenario:
     responses_b = {y: ResponseTable({(l, g): _M2_BASE_B[y][l] if g == 1 else 0
                                      for l in lam for g in (0, 1)})
                    for y in settings}
-    model = ExperimentModel.product_model(
-        ModelVariant.M2, settings, settings, source,
-        instruments_a, instruments_b, responses_a, responses_b, name="m2-demo")
+    model = ExperimentModel(ModelVariant.M2, settings, settings, source=source,
+                            instruments_a=instruments_a, instruments_b=instruments_b,
+                            responses_a=responses_a, responses_b=responses_b, name="m2-demo")
 
     quarter = Fraction(1, 4)
     expected_raw = {}
@@ -273,9 +273,9 @@ def m3_demo_scenario() -> Scenario:
     }
     parity = ResponseTable({(s, i): 1 - 2 * ((s + i) % 2)
                             for s in (0, 1) for i in (0, 1)})
-    model = ExperimentModel.correlated_instruments_model(
-        settings, settings, source, joints,
-        {x: parity for x in settings}, {y: parity for y in settings},
+    model = ExperimentModel(
+        ModelVariant.M3, settings, settings, source=source, instruments_joint=joints,
+        responses_a=dict.fromkeys(settings, parity), responses_b=dict.fromkeys(settings, parity),
         name="m3-demo")
     one = Fraction(1)
     zero = Fraction(0)
@@ -305,8 +305,8 @@ def quantum_scenario(angles=CANONICAL_ANGLES) -> Scenario:
     """
     a1, a2, b1, b2 = angles
     settings = (1, 2)
-    model = ExperimentModel.quantum_model(
-        settings, settings, {1: a1, 2: a2}, {1: b1, 2: b2}, name="quantum")
+    model = ExperimentModel(ModelVariant.QUANTUM, settings, settings,
+                            angles_a={1: a1, 2: a2}, angles_b={1: b1, 2: b2}, name="quantum")
     table = {sp: enumerate_raw(model, sp) for sp in model.pairs()}
     return Scenario(
         description="ideal polarization-singlet correlations at fixed analyzer angles",

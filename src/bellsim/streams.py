@@ -68,11 +68,20 @@ from .textio import _decode_label, _label_order, _label_text, _lines, _read_asci
 _INT64 = 2 ** 63
 
 
-def _check_width(window_ns: int) -> None:
+def _check_integer(value, what: str) -> int:
+    """An int or numpy integer, not a bool, as a Python int (numpy ints can wrap)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise BellsimError(f"{what} must be an integer, not {value!r}")
+    return int(value)
+
+
+def _check_width(window_ns) -> int:
+    window_ns = _check_integer(window_ns, "window width")
     if window_ns <= 0:
         raise BellsimError("window width must be positive")
     if window_ns >= _INT64:
         raise BellsimError(f"window width {window_ns} ns does not fit in a signed 64-bit integer")
+    return window_ns
 
 
 def _code_dtype(n_labels: int) -> np.dtype:
@@ -236,7 +245,8 @@ class Schedule:
     rule: object
 
     def __post_init__(self):
-        _check_width(self.window_ns)
+        object.__setattr__(self, "window_ns", _check_width(self.window_ns))
+        object.__setattr__(self, "n_windows", _check_integer(self.n_windows, "window count"))
         if self.n_windows < 1:
             raise BellsimError("a schedule needs at least one window")
         last_start = (self.n_windows - 1) * self.window_ns     # the last click time
@@ -487,7 +497,7 @@ def pair_coincidences(stream_a: ClickStream, stream_b: ClickStream, window_ns: i
     bin when the scan passes its current one, and the schedule of a bin
     after that.
     """
-    _check_width(window_ns)
+    window_ns = _check_width(window_ns)
     labels_a, labels_b = stream_a.labels, stream_b.labels
     if settings is not None:
         # The schedule's labels, as codes into the stream's labels extended

@@ -155,11 +155,10 @@ def random_lhvm_model(generator, max_source_atoms=12):
         responses_b[s] = ResponseTable({
             (a[1], i): int(generator.choice((-1, 1)))
             for a in atoms for i in inst.atoms})
-    return ExperimentModel.product_model(
-        ModelVariant.LHVM, settings, settings, source,
-        {s: instruments[("A", s)] for s in settings},
-        {s: instruments[("B", s)] for s in settings},
-        responses_a, responses_b, name="random-lhvm")
+    return ExperimentModel(ModelVariant.LHVM, settings, settings, source=source,
+                           instruments_a={s: instruments[("A", s)] for s in settings},
+                           instruments_b={s: instruments[("B", s)] for s in settings},
+                           responses_a=responses_a, responses_b=responses_b, name="random-lhvm")
 
 
 def sampler_model():
@@ -168,8 +167,8 @@ def sampler_model():
     source = SamplerSpace(lambda g, n: [(int(v), int(v)) for v in g.integers(0, 3, n)])
     inst = {s: DiscreteDistribution.uniform([0, 1]) for s in (1, 2)}
     resp = {s: (lambda lam, i, s=s: (-1, 0, 1)[(lam + i * s) % 3]) for s in (1, 2)}
-    return ExperimentModel.product_model(
-        ModelVariant.M1, (1, 2), (1, 2), source, inst, dict(inst), resp, dict(resp))
+    return ExperimentModel(ModelVariant.M1, (1, 2), (1, 2), source=source, instruments_a=inst,
+                           instruments_b=dict(inst), responses_a=resp, responses_b=dict(resp))
 
 
 def callable_response_model():
@@ -183,8 +182,8 @@ def callable_response_model():
              for x in ("u", "v") for y in (1, 2)}
     resp_a = {s: (lambda lam, i, s=s: (-1, 0, 1)[(lam + i + len(s)) % 3]) for s in ("u", "v")}
     resp_b = {s: (lambda lam, i, s=s: (1, -1)[(lam * s + i) % 2]) for s in (1, 2)}
-    return ExperimentModel.correlated_instruments_model(
-        ("u", "v"), (1, 2), source, joint, resp_a, resp_b)
+    return ExperimentModel(ModelVariant.M3, ("u", "v"), (1, 2), source=source,
+                           instruments_joint=joint, responses_a=resp_a, responses_b=resp_b)
 
 
 def records_from_arrays(sp, a, b, start_window=0):
@@ -715,6 +714,8 @@ def _oracle_read_block(reader, row_width, what):
 
 def _oracle_parse_prob(reader, token, ln):
     try:
+        if "_" in token:    # Fraction reads underscores only from Python 3.11 on
+            raise ValueError(token)
         return Fraction(token)
     except (ValueError, ZeroDivisionError):
         reader.fail(f"bad probability {token!r}", ln)

@@ -613,6 +613,12 @@ _INPUT_ERRORS = {
         {"f.model": _LF_MODEL + "begin angles A\n1 0.0\nend\n"},
         ("simulate", "--model", "f.model"), 4,
         f"error: f.model:{_LF_MODEL.count(chr(10)) + 1}: a lhvm model has no angles block"),
+    # Fraction reads "1_0/60" from Python 3.11 on; a model file reads the same everywhere.
+    "model-underscore-probability": (
+        {"p.model": _LF_MODEL.replace(" 1/6\n", " 1_0/60\n", 1)},
+        ("simulate", "--model", "p.model"), 4,
+        f"error: p.model:{_LF_MODEL[:_LF_MODEL.index(' 1/6')].count(chr(10)) + 1}: "
+        "bad probability '1_0/60'"),
     "model-undeclared-setting": (
         {"u.model": _LF_MODEL + "begin responses A 7\n1 0 5\nend\n"},
         ("simulate", "--model", "u.model"), 3, "  responses A: entry for undeclared setting 7"),

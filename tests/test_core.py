@@ -43,8 +43,8 @@ def constant_model(a_value=1, b_value=1):
     resp_a = {s: ResponseTable({(0, 0): a_value}) for s in SETTINGS}
     resp_b = {s: ResponseTable({(0, 0): b_value}) for s in SETTINGS}
     variant = ModelVariant.M1 if 0 in (a_value, b_value) else ModelVariant.LHVM
-    return ExperimentModel.product_model(variant, SETTINGS, SETTINGS, source,
-                                         inst, dict(inst), resp_a, resp_b)
+    return ExperimentModel(variant, SETTINGS, SETTINGS, source=source, instruments_a=inst,
+                           instruments_b=dict(inst), responses_a=resp_a, responses_b=resp_b)
 
 
 def string_atom_model():
@@ -56,8 +56,8 @@ def string_atom_model():
               2: ResponseTable({(l, i): 1 for l in "wuv" for i in "ki"})}
     resp_b = {1: ResponseTable({(l, i): 1 for l in "rpq" for i in "ki"}),
               2: ResponseTable({("p", "i"): 0})}
-    return ExperimentModel.product_model(ModelVariant.M1, SETTINGS, SETTINGS, source,
-                                         inst, dict(inst), resp_a, resp_b)
+    return ExperimentModel(ModelVariant.M1, SETTINGS, SETTINGS, source=source, instruments_a=inst,
+                           instruments_b=dict(inst), responses_a=resp_a, responses_b=resp_b)
 
 
 def quantum_model():
@@ -86,8 +86,9 @@ def two_atom_demo_model():
         1: ResponseTable({(0, 0): 1, (1, 0): -1}),
         2: ResponseTable({(0, 0): 0, (0, 1): -1, (1, 0): 1, (1, 1): 1}),
     }
-    return ExperimentModel.product_model(ModelVariant.M2, SETTINGS, SETTINGS, source,
-                                         inst_a, inst_b, resp_a, resp_b)
+    return ExperimentModel(ModelVariant.M2, SETTINGS, SETTINGS, source=source,
+                           instruments_a=inst_a, instruments_b=inst_b, responses_a=resp_a,
+                           responses_b=resp_b)
 
 
 class TestValidateModel:
@@ -97,11 +98,11 @@ class TestValidateModel:
     def test_probabilities_summing_below_one_reported(self):
         bad = DiscreteDistribution([(0, 0), (1, 1)], [Fraction(1, 2), Fraction(2, 5)])
         model = constant_model()
-        model = ExperimentModel.product_model(
-            ModelVariant.M1, SETTINGS, SETTINGS, bad,
-            model.instruments_a, model.instruments_b,
-            {s: ResponseTable({(0, 0): 1, (1, 0): 1}) for s in SETTINGS},
-            {s: ResponseTable({(0, 0): 1, (1, 0): 1}) for s in SETTINGS})
+        model = ExperimentModel(
+            ModelVariant.M1, SETTINGS, SETTINGS, source=bad, instruments_a=model.instruments_a,
+            instruments_b=model.instruments_b,
+            responses_a={s: ResponseTable({(0, 0): 1, (1, 0): 1}) for s in SETTINGS},
+            responses_b={s: ResponseTable({(0, 0): 1, (1, 0): 1}) for s in SETTINGS})
         report = validate_model(model)
         assert len(report) == 1
         assert "sum to" in report[0]
@@ -110,33 +111,35 @@ class TestValidateModel:
         model = constant_model()
         responses_a = dict(model.responses_a)
         responses_a[1] = ResponseTable({(0, 0): 0})
-        model = ExperimentModel.product_model(
-            ModelVariant.LHVM, SETTINGS, SETTINGS, model.source,
-            model.instruments_a, model.instruments_b, responses_a, model.responses_b)
+        model = ExperimentModel(ModelVariant.LHVM, SETTINGS, SETTINGS, source=model.source,
+                                instruments_a=model.instruments_a,
+                                instruments_b=model.instruments_b, responses_a=responses_a,
+                                responses_b=model.responses_b)
         report = validate_model(model)
         assert any("never output 0" in item for item in report)
 
     def test_missing_instrument_reported(self):
         model = constant_model()
         insts = {1: DiscreteDistribution.point(0)}
-        broken = ExperimentModel.product_model(
-            ModelVariant.LHVM, SETTINGS, SETTINGS, model.source,
-            insts, model.instruments_b, model.responses_a, model.responses_b)
+        broken = ExperimentModel(ModelVariant.LHVM, SETTINGS, SETTINGS, source=model.source,
+                                 instruments_a=insts, instruments_b=model.instruments_b,
+                                 responses_a=model.responses_a, responses_b=model.responses_b)
         assert any("no distribution for setting" in item for item in validate_model(broken))
 
     def test_incomplete_response_table_reported(self):
         model = constant_model()
         responses_a = dict(model.responses_a)
         responses_a[1] = ResponseTable({(99, 0): 1})
-        broken = ExperimentModel.product_model(
-            ModelVariant.LHVM, SETTINGS, SETTINGS, model.source,
-            model.instruments_a, model.instruments_b, responses_a, model.responses_b)
+        broken = ExperimentModel(ModelVariant.LHVM, SETTINGS, SETTINGS, source=model.source,
+                                 instruments_a=model.instruments_a,
+                                 instruments_b=model.instruments_b, responses_a=responses_a,
+                                 responses_b=model.responses_b)
         assert any("no entry for" in item for item in validate_model(broken))
 
     @pytest.mark.parametrize("angle", [math.nan, math.inf, -math.inf, 10**400])
     def test_non_finite_quantum_angle_reported(self, angle):
-        model = ExperimentModel.quantum_model(SETTINGS, SETTINGS, {1: 0.0, 2: 0.5},
-                                              {1: 0.25, 2: angle})
+        model = ExperimentModel(ModelVariant.QUANTUM, SETTINGS, SETTINGS,
+                                angles_a={1: 0.0, 2: 0.5}, angles_b={1: 0.25, 2: angle})
         assert validate_model(model) == ["angles B: angle for 2 is not finite"]
         with pytest.raises(InvalidModel, match="angle for 2 is not finite"):
             enumerate_raw(model, SettingPair(1, 2))
@@ -144,8 +147,8 @@ class TestValidateModel:
             sample_trial(model, SettingPair(1, 2), np.random.Generator(np.random.PCG64(0)))
 
     def test_overflowing_angle_difference_reported(self):
-        model = ExperimentModel.quantum_model(SETTINGS, SETTINGS, {1: 1e308, 2: 0.0},
-                                              {1: -1e308, 2: 0.0})
+        model = ExperimentModel(ModelVariant.QUANTUM, SETTINGS, SETTINGS,
+                                angles_a={1: 1e308, 2: 0.0}, angles_b={1: -1e308, 2: 0.0})
         want = [f"angles: difference for pair {pair} is not finite"
                 for pair in ((1, 1), (1, 2), (2, 1))]
         assert validate_model(model) == want
@@ -153,8 +156,8 @@ class TestValidateModel:
             enumerate_raw(model, SettingPair(1, 1))
         with pytest.raises(InvalidModel, match=r"pair \(1, 1\) is not finite"):
             sample_trial(model, SettingPair(1, 1), np.random.Generator(np.random.PCG64(0)))
-        huge = ExperimentModel.quantum_model(SETTINGS, SETTINGS, {1: 10**308, 2: 0.0},
-                                             {1: -10**308, 2: 0.0})
+        huge = ExperimentModel(ModelVariant.QUANTUM, SETTINGS, SETTINGS,
+                               angles_a={1: 10**308, 2: 0.0}, angles_b={1: -10**308, 2: 0.0})
         assert validate_model(huge) == want
 
     @pytest.mark.parametrize("kind, want", [
@@ -171,15 +174,15 @@ class TestValidateModel:
             inst_a = {1: inst_a[1], 2: DiscreteDistribution([[0]], [1])}
         else:
             settings_a = ([1], 2)
-        broken = ExperimentModel.product_model(
-            ModelVariant.M1, settings_a, SETTINGS, source, inst_a, model.instruments_b,
-            model.responses_a, model.responses_b)
+        broken = ExperimentModel(ModelVariant.M1, settings_a, SETTINGS, source=source,
+                                 instruments_a=inst_a, instruments_b=model.instruments_b,
+                                 responses_a=model.responses_a, responses_b=model.responses_b)
         assert validate_model(broken) == [want]
         with pytest.raises(InvalidModel) as excinfo:
             enumerate_raw(broken, SettingPair(2, 1))
         assert want in str(excinfo.value)
-        quantum = ExperimentModel.quantum_model(settings_a, SETTINGS, {1: 0.0, 2: 0.5},
-                                                {1: 0.25, 2: 0.5})
+        quantum = ExperimentModel(ModelVariant.QUANTUM, settings_a, SETTINGS,
+                                  angles_a={1: 0.0, 2: 0.5}, angles_b={1: 0.25, 2: 0.5})
         assert validate_model(quantum) == ([want] if kind == "setting label" else [])
 
     @pytest.mark.parametrize("base, changes, want", [
@@ -206,9 +209,16 @@ class TestValidateModel:
             **m3_demo_scenario().model.instruments_joint,
             SettingPair(1, 3): DiscreteDistribution.point((0, 0))}},
          "joint instruments: entry for undeclared pair (1, 3)"),
+        (constant_model, {"angles_a": {1: 0.0, 2: 0.5}}, "angles_a: a lhvm model does not read it"),
+        (lambda: m3_demo_scenario().model, {"instruments_a": constant_model().instruments_a},
+         "instruments_a: a m3 model does not read it"),
+        (quantum_model, {"source": DiscreteDistribution.uniform([(0, 0)])},
+         "source: a quantum model does not read it"),
+        (constant_model, {"settings_a": [1, 2]}, "settings_a: not a tuple"),
     ], ids=["no-source", "source-type", "source-atoms", "variant", "settings", "no-angles",
             "angle-type", "m3-pair", "response-type", "undeclared-instruments",
-            "undeclared-responses", "undeclared-angles", "undeclared-joint"])
+            "undeclared-responses", "undeclared-angles", "undeclared-joint", "foreign-lhvm",
+            "foreign-m3", "foreign-quantum", "list-settings"])
     def test_violation_messages(self, base, changes, want):
         broken = dataclasses.replace(base(), **changes)
         assert validate_model(broken) == [want]
@@ -237,9 +247,10 @@ class TestValidateModel:
                   (2, 1): DiscreteDistribution.point((0, 0)),
                   (2, 2): DiscreteDistribution.point((0, 0))}
         covering = ResponseTable({(0, i): 1 for i in range(3)})
-        model = ExperimentModel.correlated_instruments_model(
-            SETTINGS, SETTINGS, source, joints,
-            {1: ResponseTable({(0, 0): 1}), 2: covering}, {1: covering, 2: covering})
+        model = ExperimentModel(ModelVariant.M3, SETTINGS, SETTINGS, source=source,
+                                instruments_joint=joints,
+                                responses_a={1: ResponseTable({(0, 0): 1}), 2: covering},
+                                responses_b={1: covering, 2: covering})
         assert validate_model(model) == ["responses A[1]: no entry for (0, 1)",
                                          "responses A[1]: no entry for (0, 2)"]
 
@@ -247,9 +258,10 @@ class TestValidateModel:
         model = constant_model()
         responses_a = {1: ResponseTable({(0, 0): "x", (1, 0): 5, (2, 0): "x"}),
                        2: ResponseTable({(0, 0): 5, (1, 0): 2, (2, 0): 5})}
-        broken = ExperimentModel.product_model(
-            ModelVariant.LHVM, SETTINGS, SETTINGS, model.source,
-            model.instruments_a, model.instruments_b, responses_a, model.responses_b)
+        broken = ExperimentModel(ModelVariant.LHVM, SETTINGS, SETTINGS, source=model.source,
+                                 instruments_a=model.instruments_a,
+                                 instruments_b=model.instruments_b, responses_a=responses_a,
+                                 responses_b=model.responses_b)
         assert validate_model(broken) == [
             "responses A[1]: outcomes outside -1/0/+1: ['x', 5]",
             "responses A[2]: outcomes outside -1/0/+1: [2, 5]",
@@ -292,12 +304,12 @@ class TestValidateModel:
         valid = {s: (lambda lam, i: 1) for s in SETTINGS}
         broken = {1: respond, 2: valid[2]}
         resp_a, resp_b = (broken, valid) if station == "A" else (valid, broken)
-        finite = ExperimentModel.product_model(
-            variant, SETTINGS, SETTINGS, source, inst, dict(inst), resp_a, resp_b)
-        sampled = ExperimentModel.product_model(
+        finite = ExperimentModel(variant, SETTINGS, SETTINGS, source=source, instruments_a=inst,
+                                 instruments_b=dict(inst), responses_a=resp_a, responses_b=resp_b)
+        sampled = ExperimentModel(
             variant, SETTINGS, SETTINGS,
-            SamplerSpace(lambda g, n: [(int(v), int(v)) for v in g.integers(0, 2, n)]),
-            inst, dict(inst), resp_a, resp_b)
+            source=SamplerSpace(lambda g, n: [(int(v), int(v)) for v in g.integers(0, 2, n)]),
+            instruments_a=inst, instruments_b=dict(inst), responses_a=resp_a, responses_b=resp_b)
         if outcome == 0:
             want = f"responses {station}[1]: lhvm responses must never output 0"
         else:
@@ -385,8 +397,9 @@ class TestEnumerate:
         sampler = SamplerSpace(lambda g, n: [(0.0, 0.0)] * n, "degenerate pairs")
         inst = {s: DiscreteDistribution.point(0) for s in SETTINGS}
         resp = {s: (lambda l, i: 1) for s in SETTINGS}
-        model = ExperimentModel.product_model(
-            ModelVariant.M1, SETTINGS, SETTINGS, sampler, inst, dict(inst), resp, dict(resp))
+        model = ExperimentModel(ModelVariant.M1, SETTINGS, SETTINGS, source=sampler,
+                                instruments_a=inst, instruments_b=dict(inst), responses_a=resp,
+                                responses_b=dict(resp))
         with pytest.raises(NonFiniteSpace):
             enumerate_raw(model, SettingPair(1, 1))
         a, b = simulate_trials(model, SettingPair(1, 1), 64, 5)

@@ -117,12 +117,14 @@ def model_specs(draw):
         for sp in PAIRS:
             atoms = rng.sample(cells, rng.randint(1, len(cells)))
             joints[sp] = DiscreteDistribution(atoms, _weights(rng, len(atoms)))
-        model = ExperimentModel.correlated_instruments_model(
-            SETTINGS, SETTINGS, source, joints, tables(), tables())
+        model = ExperimentModel(ModelVariant.M3, SETTINGS, SETTINGS, source=source,
+                                instruments_joint=joints, responses_a=tables(),
+                                responses_b=tables())
     else:
         inst = {s: DiscreteDistribution(range(m), _weights(rng, m)) for s in SETTINGS}
-        model = ExperimentModel.product_model(variant, SETTINGS, SETTINGS, source, inst,
-                                              dict(inst), tables(), tables())
+        model = ExperimentModel(variant, SETTINGS, SETTINGS, source=source, instruments_a=inst,
+                                instruments_b=dict(inst), responses_a=tables(),
+                                responses_b=tables())
     enumerate_ = enumerate_postselected if rng.random() < 0.5 else enumerate_raw
     try:
         results = {sp: enumerate_(model, sp) for sp in PAIRS}

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from bellsim import modelio
-from bellsim.core import ExperimentModel
+from bellsim.core import ExperimentModel, ModelVariant
 from bellsim.errors import BellsimError, SettingConflict
 from bellsim.streams import (
     ClickStream,
@@ -54,7 +54,8 @@ def refusal(write, kind, label):
 @given(label=LABELS)
 def test_writers_share_one_label_rule(tmp_path_factory, label):
     directory = tmp_path_factory.mktemp("labels")
-    model = ExperimentModel.quantum_model((label,), (label,), {label: 0.0}, {label: 0.5})
+    model = ExperimentModel(ModelVariant.QUANTUM, (label,), (label,), angles_a={label: 0.0},
+                            angles_b={label: 0.5})
     clicks = ClickStream("A", [0, 5], [0, 0], [1, -1], (label,))
     records = CoincidenceRecords(np.array([0, 1]), np.array([0, -1]), np.array([0, 0]),
                                  np.array([1, 0], dtype=np.int8),
@@ -88,7 +89,8 @@ def test_writers_share_one_label_rule(tmp_path_factory, label):
 def test_which_writers_refuse_a_label(label, refused_by, tmp_path):
     writers = {
         "model": lambda: modelio.dumps(
-            ExperimentModel.quantum_model((label,), (label,), {label: 0.0}, {label: 0.5})),
+            ExperimentModel(ModelVariant.QUANTUM, (label,), (label,), angles_a={label: 0.0},
+                            angles_b={label: 0.5})),
         "time-tag": lambda: write_timetag_file(ClickStream("A", [0], [0], [1], (label,)),
                                                tmp_path / "t.txt"),
         "CSV": lambda: write_coincidence_csv(

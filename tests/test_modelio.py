@@ -1,3 +1,4 @@
+import dataclasses
 import re
 from fractions import Fraction
 
@@ -12,6 +13,8 @@ from bellsim.core import (
     ModelVariant,
     ResponseTable,
     SamplerSpace,
+    _PARTS,
+    _VARIANT_FIELDS,
     validate_model,
 )
 from bellsim.errors import BellsimError, ParseError
@@ -48,9 +51,9 @@ def test_string_labels_round_trip():
     source = DiscreteDistribution.uniform([("u", "u"), ("v", "v")])
     inst = {s: DiscreteDistribution.point("i0") for s in settings}
     resp = {s: ResponseTable({(l, "i0"): 1 for l in ("u", "v")}) for s in settings}
-    model = ExperimentModel.product_model(
-        ModelVariant.LHVM, settings, settings, source, inst, dict(inst),
-        resp, dict(resp), name="string-labels")
+    model = ExperimentModel(ModelVariant.LHVM, settings, settings, source=source,
+                            instruments_a=inst, instruments_b=dict(inst), responses_a=resp,
+                            responses_b=dict(resp), name="string-labels")
     assert modelio.loads(modelio.dumps(model)) == model
 
 
@@ -71,6 +74,14 @@ def test_bad_probability_reported():
         modelio.loads(text)
 
 
+def test_probability_with_an_underscore_is_a_parse_error():
+    # Fraction("1_0/60") reads as 1/6 from Python 3.11 on, and not before.
+    text = _model_text("lf").replace("1 1 1/6", "1 1 1_0/60", 1)
+    with pytest.raises(ParseError) as excinfo:
+        modelio.loads(text, path="f.model")
+    assert str(excinfo.value) == f"f.model:{_line_of(text, '1 1 1_0/60')}: bad probability '1_0/60'"
+
+
 def test_missing_settings_rejected():
     with pytest.raises(ParseError, match="settings"):
         modelio.loads("variant lhvm\n")
@@ -80,8 +91,8 @@ def test_sampler_models_not_serialisable():
     sampler = SamplerSpace(lambda g, n: [(0, 0)] * n)
     inst = {s: DiscreteDistribution.point(0) for s in (1, 2)}
     resp = {s: ResponseTable({(0, 0): 1}) for s in (1, 2)}
-    model = ExperimentModel.product_model(
-        ModelVariant.M1, (1, 2), (1, 2), sampler, inst, dict(inst), resp, dict(resp))
+    model = ExperimentModel(ModelVariant.M1, (1, 2), (1, 2), source=sampler, instruments_a=inst,
+                            instruments_b=dict(inst), responses_a=resp, responses_b=dict(resp))
     with pytest.raises(BellsimError, match="sampler"):
         modelio.dumps(model)
 
@@ -91,16 +102,18 @@ def test_int_lookalike_string_label_refused():
     source = DiscreteDistribution.uniform([(0, 0)])
     inst = {s: DiscreteDistribution.point(0) for s in settings}
     resp = {s: ResponseTable({(0, 0): 1}) for s in settings}
-    model = ExperimentModel.product_model(
-        ModelVariant.LHVM, settings, settings, source, inst, dict(inst), resp, dict(resp))
+    model = ExperimentModel(ModelVariant.LHVM, settings, settings, source=source,
+                            instruments_a=inst, instruments_b=dict(inst), responses_a=resp,
+                            responses_b=dict(resp))
     with pytest.raises(BellsimError, match="label '1' would not read back from a model file"):
         modelio.dumps(model)
 
 
 @pytest.mark.parametrize("name, label", [("q\u00e9", "u"), ("q", "\u00e9")])
 def test_non_ascii_name_or_label_is_refused(name, label, tmp_path):
-    model = ExperimentModel.quantum_model((label, "v"), ("u", "v"), {label: 0.0, "v": 1.0},
-                                          {"u": 0.0, "v": 1.0}, name=name)
+    model = ExperimentModel(ModelVariant.QUANTUM, (label, "v"), ("u", "v"),
+                            angles_a={label: 0.0, "v": 1.0}, angles_b={"u": 0.0, "v": 1.0},
+                            name=name)
     refused = name if label == "u" else label
     message = f"^label {refused!r} would not read back from a model file$"
     with pytest.raises(BellsimError, match=message):
@@ -115,8 +128,9 @@ def test_numpy_int_labels_and_atoms_round_trip():
     source = DiscreteDistribution.uniform([(one, two), (two, one)])
     inst = {s: DiscreteDistribution.point(np.int8(0)) for s in (one, two)}
     resp = {s: ResponseTable({(l1, 0): 1 for l1 in (one, two)}) for s in (one, two)}
-    model = ExperimentModel.product_model(
-        ModelVariant.LHVM, (one, two), (one, two), source, inst, dict(inst), resp, dict(resp))
+    model = ExperimentModel(ModelVariant.LHVM, (one, two), (one, two), source=source,
+                            instruments_a=inst, instruments_b=dict(inst), responses_a=resp,
+                            responses_b=dict(resp))
     loaded = modelio.loads(modelio.dumps(model))
     assert loaded == model
     assert loaded.settings_a == (1, 2) and type(loaded.settings_a[0]) is int
@@ -216,17 +230,48 @@ def test_quantum_file_without_an_angles_block_reads_as_missing_angles():
     assert validate_model(model) == ["angles B: missing"]
 
 
+def _field_of(begin: str) -> str:
+    """The model field that the block of a ``begin`` line fills."""
+    section, *heading = begin.split()[1:]
+    return ({"source": "source", "joint-instruments": "instruments_joint"}.get(section)
+            or f"{section}_{heading[0].lower()}")
+
+
+def _variant_model(variant, data):
+    if variant is ModelVariant.QUANTUM:
+        return build_scenario("quantum").model
+    return data.draw(table_models(variant))
+
+
 @pytest.mark.parametrize("variant", list(ModelVariant))
 @settings(max_examples=10)
 @given(data=st.data())
 def test_dumps_writes_only_blocks_its_variant_reads(variant, data):
-    if variant is ModelVariant.QUANTUM:
-        model = build_scenario("quantum").model
-    else:
-        model = data.draw(table_models(variant))
-    sections = {line.split()[1] for line in modelio.dumps(model).splitlines()
-                if line.startswith("begin ")}
-    assert sections <= set(modelio._VARIANT_BLOCKS[variant])
+    model = _variant_model(variant, data)
+    fields = {_field_of(line) for line in modelio.dumps(model).splitlines()
+              if line.startswith("begin ")}
+    assert fields == set(_VARIANT_FIELDS[variant])
+
+
+# A value for every model part, taken from the shipped scenarios.
+_DONORS = {field: getattr(model, field)
+           for model in (build_scenario(n).model for n in ("m2-demo", "m3-demo", "quantum"))
+           for field in _PARTS if getattr(model, field) is not None}
+
+
+@pytest.mark.parametrize("variant", list(ModelVariant))
+@settings(max_examples=20)
+@given(data=st.data())
+def test_a_part_its_variant_does_not_read_is_reported_and_refused(variant, data):
+    model = _variant_model(variant, data)
+    assert modelio.loads(modelio.dumps(model)) == model
+    field = data.draw(st.sampled_from([f for f in _PARTS if f not in _VARIANT_FIELDS[variant]]))
+    value = data.draw(st.sampled_from((_DONORS[field], {})))
+    foreign = dataclasses.replace(model, **{field: value})
+    message = f"{field}: a {variant.value} model does not read it"
+    assert validate_model(foreign) == [message, *validate_model(model)]
+    with pytest.raises(BellsimError, match=f"^{message}$"):
+        modelio.dumps(foreign)
 
 
 def _string_labels(model, prefix="s"):
@@ -242,17 +287,18 @@ def _string_labels(model, prefix="s"):
         return {f(s): ResponseTable({f(k): o for k, o in r.mapping.items()})
                 for s, r in responses.items()}
 
-    settings_a, settings_b = map(f, model.settings_a), map(f, model.settings_b)
+    settings_a, settings_b = tuple(map(f, model.settings_a)), tuple(map(f, model.settings_b))
     if model.variant is ModelVariant.M3:
-        return ExperimentModel.correlated_instruments_model(
-            settings_a, settings_b, dist(model.source),
-            {f(sp): dist(j) for sp, j in model.instruments_joint.items()},
-            tables(model.responses_a), tables(model.responses_b), name=model.name)
-    return ExperimentModel.product_model(
-        model.variant, settings_a, settings_b, dist(model.source),
-        {f(s): dist(d) for s, d in model.instruments_a.items()},
-        {f(s): dist(d) for s, d in model.instruments_b.items()},
-        tables(model.responses_a), tables(model.responses_b), name=model.name)
+        return ExperimentModel(
+            ModelVariant.M3, settings_a, settings_b, source=dist(model.source),
+            instruments_joint={f(sp): dist(j) for sp, j in model.instruments_joint.items()},
+            responses_a=tables(model.responses_a), responses_b=tables(model.responses_b),
+            name=model.name)
+    return ExperimentModel(model.variant, settings_a, settings_b, source=dist(model.source),
+                           instruments_a={f(s): dist(d) for s, d in model.instruments_a.items()},
+                           instruments_b={f(s): dist(d) for s, d in model.instruments_b.items()},
+                           responses_a=tables(model.responses_a),
+                           responses_b=tables(model.responses_b), name=model.name)
 
 
 @pytest.mark.parametrize("variant", [ModelVariant.M1, ModelVariant.M2, ModelVariant.M3],
@@ -289,13 +335,14 @@ def _unencodable(label):
 def test_label_with_inner_hash_is_refused():
     # "settings A a#b c" would read back as "settings A a".
     settings = ("a#b", "c")
-    model = ExperimentModel.quantum_model(settings, ("u", "v"), dict.fromkeys(settings, 0.0),
-                                          {"u": 0.0, "v": 1.0})
+    model = ExperimentModel(ModelVariant.QUANTUM, settings, ("u", "v"),
+                            angles_a=dict.fromkeys(settings, 0.0), angles_b={"u": 0.0, "v": 1.0})
     with pytest.raises(BellsimError, match="label 'a#b' would not read back from a model file"):
         modelio.dumps(model)
     with pytest.raises(BellsimError, match="label 'q#1' would not read back from a model file"):
-        modelio.dumps(ExperimentModel.quantum_model(("u", "v"), ("u", "v"), {"u": 0, "v": 1},
-                                                    {"u": 0, "v": 1}, name="q#1"))
+        modelio.dumps(ExperimentModel(ModelVariant.QUANTUM, ("u", "v"), ("u", "v"),
+                                      angles_a={"u": 0, "v": 1}, angles_b={"u": 0, "v": 1},
+                                      name="q#1"))
 
 
 angles = st.floats(allow_nan=False, allow_infinity=False)
@@ -307,14 +354,14 @@ def test_random_quantum_models_round_trip(settings, data):
     angles_a = {s: data.draw(angles) for s in settings}
     angles_b = {s: data.draw(angles) for s in reversed(settings)}
     name = data.draw(st.sampled_from(("", "q", "q-2", "q#2")))
-    model = ExperimentModel.quantum_model(settings, settings[::-1], angles_a, angles_b,
-                                          name=name)
+    model = ExperimentModel(ModelVariant.QUANTUM, tuple(settings), tuple(settings[::-1]),
+                            angles_a=angles_a, angles_b=angles_b, name=name)
     assert_refused_or_round_trips(model, any(map(_unencodable, [*settings, name])))
 
 
 def _quantum_named(name):
-    return ExperimentModel.quantum_model(("u", "v"), ("u", "v"), {"u": 0.0, "v": 1.0},
-                                         {"u": 0.0, "v": 1.0}, name=name)
+    return ExperimentModel(ModelVariant.QUANTUM, ("u", "v"), ("u", "v"),
+                           angles_a={"u": 0.0, "v": 1.0}, angles_b={"u": 0.0, "v": 1.0}, name=name)
 
 
 def _name_reads_back(name):

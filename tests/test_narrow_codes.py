@@ -169,8 +169,9 @@ def _product_model(n_a, n_b):
               for s in settings_a}
     resp_b = {s: ResponseTable({(l, i): (l * i + j) % 3 - 1 for l in range(3) for i in (0, 1)})
               for j, s in enumerate(settings_b)}
-    return ExperimentModel.product_model(ModelVariant.M1, settings_a, settings_b, source,
-                                         inst_a, inst_b, resp_a, resp_b)
+    return ExperimentModel(ModelVariant.M1, settings_a, settings_b, source=source,
+                           instruments_a=inst_a, instruments_b=inst_b, responses_a=resp_a,
+                           responses_b=resp_b)
 
 
 @pytest.mark.parametrize("n_a, n_b", [(6, 6), (12, 11), (130, 2)])

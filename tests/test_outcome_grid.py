@@ -81,10 +81,12 @@ def grid_models(draw, variant):
                                   for h in halves for v in vs}) for s, vs in values.items()}
 
     if variant is ModelVariant.M3:
-        return ExperimentModel.correlated_instruments_model(
-            settings_a, settings_b, source, joints, tables(0, values_a), tables(1, values_b))
-    return ExperimentModel.product_model(variant, settings_a, settings_b, source, inst_a,
-                                         inst_b, tables(0, values_a), tables(1, values_b))
+        return ExperimentModel(ModelVariant.M3, settings_a, settings_b, source=source,
+                               instruments_joint=joints, responses_a=tables(0, values_a),
+                               responses_b=tables(1, values_b))
+    return ExperimentModel(variant, settings_a, settings_b, source=source, instruments_a=inst_a,
+                           instruments_b=inst_b, responses_a=tables(0, values_a),
+                           responses_b=tables(1, values_b))
 
 
 def plain_functions(model):
@@ -173,8 +175,8 @@ def test_callable_outcome_on_a_null_atom_is_refused_by_every_engine():
     inst = {s: DiscreteDistribution.point(0) for s in (1, 2)}
     resp_a = {1: lambda lam, i: 2 if lam == 1 else 1, 2: lambda lam, i: 1}
     resp_b = {s: (lambda lam, i: -1) for s in (1, 2)}
-    model = ExperimentModel.product_model(ModelVariant.M1, (1, 2), (1, 2), source, inst,
-                                          dict(inst), resp_a, resp_b)
+    model = ExperimentModel(ModelVariant.M1, (1, 2), (1, 2), source=source, instruments_a=inst,
+                            instruments_b=dict(inst), responses_a=resp_a, responses_b=resp_b)
     sp = SettingPair(1, 1)
     schedule = Schedule.for_windows(10, 10, RandomSettings())
     for call in (lambda: enumerate_raw(model, sp),

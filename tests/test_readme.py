@@ -5,7 +5,8 @@ The python block under "Library sketch" is executed as a script; the
 names it leaves behind are then checked against the package: the stream
 pipeline paired every window with a known setting pair, and the joint
 spec built by ``JointSpec.from_correlation_set`` carries the estimated
-correlators and marginals of each setting pair.
+correlators and marginals of each setting pair, and the model built with
+the constructor is valid and round-trips through a model file.
 """
 
 from __future__ import annotations
@@ -15,7 +16,9 @@ import io
 import re
 from pathlib import Path
 
+from bellsim import modelio
 from bellsim.cli import _build_parser, _config_keys
+from bellsim.core import validate_model
 
 from helpers import ORACLE_CONFIG_KEYS
 
@@ -44,6 +47,10 @@ def test_library_sketch_runs():
     for sp in cs.pair_order():
         stats = cs.stats(*sp)
         assert (spec.e_ab[sp], spec.e_a[sp], spec.e_b[sp]) == (stats.e_ab, stats.e_a, stats.e_b)
+
+    model = names["model"]
+    assert validate_model(model) == []
+    assert modelio.loads(modelio.dumps(model)) == model
 
 
 def test_config_keys_are_the_readme_keys():

@@ -261,15 +261,14 @@ class TestM3Demo:
         half = Fraction(1, 2)
         product_joint = DiscreteDistribution(
             ((0, 0), (0, 1), (1, 0), (1, 1)), (Fraction(1, 4),) * 4)
-        as_m3 = ExperimentModel.correlated_instruments_model(
-            m3.settings_a, m3.settings_b, m3.source,
-            {sp: product_joint for sp in m3.pairs()},
-            m3.responses_a, m3.responses_b)
+        as_m3 = ExperimentModel(ModelVariant.M3, m3.settings_a, m3.settings_b, source=m3.source,
+                                instruments_joint={sp: product_joint for sp in m3.pairs()},
+                                responses_a=m3.responses_a, responses_b=m3.responses_b)
         uniform = DiscreteDistribution((0, 1), (half, half))
-        as_m1 = ExperimentModel.product_model(
-            ModelVariant.M1, m3.settings_a, m3.settings_b, m3.source,
-            {s: uniform for s in m3.settings_a}, {s: uniform for s in m3.settings_b},
-            m3.responses_a, m3.responses_b)
+        as_m1 = ExperimentModel(ModelVariant.M1, m3.settings_a, m3.settings_b, source=m3.source,
+                                instruments_a={s: uniform for s in m3.settings_a},
+                                instruments_b={s: uniform for s in m3.settings_b},
+                                responses_a=m3.responses_a, responses_b=m3.responses_b)
         for sp in m3.pairs():
             assert enumerate_raw(as_m3, sp) == enumerate_raw(as_m1, sp)
 
@@ -321,7 +320,8 @@ class TestQuantum:
             "string"])
     def test_bad_angles_raise_invalid_model(self, angles):
         a1, a2, b1, b2 = angles
-        model = ExperimentModel.quantum_model((1, 2), (1, 2), {1: a1, 2: a2}, {1: b1, 2: b2})
+        model = ExperimentModel(ModelVariant.QUANTUM, (1, 2), (1, 2), angles_a={1: a1, 2: a2},
+                                angles_b={1: b1, 2: b2})
         violations = validate_model(model)
         assert violations
         with pytest.raises(InvalidModel) as excinfo:

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 import tracemalloc
 
 import numpy as np
@@ -107,6 +108,32 @@ class TestGenerate:
     def test_schedule_needs_a_window(self, n):
         with pytest.raises(BellsimError, match="^a schedule needs at least one window$"):
             Schedule(n, 1000, RandomSettings())
+
+    @pytest.mark.parametrize("n, width, refused", [
+        (2.5, 10, "window count must be an integer, not 2.5"),
+        ("3", 10, "window count must be an integer, not '3'"),
+        (True, 10, "window count must be an integer, not True"),
+        (3, True, "window width must be an integer, not True"),
+        (3, 10.5, "window width must be an integer, not 10.5"),
+        (3, 2.5, "window width must be an integer, not 2.5"),
+        (np.int64(3), np.int64(10), None),
+    ], ids=["float-count", "str-count", "bool-count", "bool-width", "float-width",
+            "float-width-small", "numpy"])
+    def test_window_count_and_width_must_be_integers(self, n, width, refused):
+        rule = RoundRobinSettings()
+        sa, sb = generate_streams(lf_scenario().model, Schedule(3, 10, rule), 1.0, 1)
+        if refused is None:
+            sched = Schedule(n, width, rule)
+            assert sched == Schedule(3, 10, rule)
+            assert type(sched.n_windows) is int and type(sched.window_ns) is int
+            window = pair_coincidences(sa, sb, width).records.window
+            assert window.dtype == np.int64 and window.tolist() == [0, 1, 2]
+            return
+        with pytest.raises(BellsimError, match=f"^{re.escape(refused)}$"):
+            Schedule(n, width, rule)
+        if refused.startswith("window width"):
+            with pytest.raises(BellsimError, match=f"^{re.escape(refused)}$"):
+                pair_coincidences(sa, sb, width)
 
     def test_generation_peak_memory_per_window(self):
         """Generation with one worker holds at most 20 bytes per window at

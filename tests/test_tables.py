@@ -130,10 +130,11 @@ def table_models(draw, variant):
     responses_a = {x: _responses(draw, l1, inst_a_values[x]) for x in SETTINGS}
     responses_b = {y: _responses(draw, l2, inst_b_values[y]) for y in SETTINGS}
     if variant is ModelVariant.M3:
-        return ExperimentModel.correlated_instruments_model(
-            SETTINGS, SETTINGS, source, joints, responses_a, responses_b)
-    return ExperimentModel.product_model(variant, SETTINGS, SETTINGS, source,
-                                         inst_a, inst_b, responses_a, responses_b)
+        return ExperimentModel(ModelVariant.M3, SETTINGS, SETTINGS, source=source,
+                               instruments_joint=joints, responses_a=responses_a,
+                               responses_b=responses_b)
+    return ExperimentModel(variant, SETTINGS, SETTINGS, source=source, instruments_a=inst_a,
+                           instruments_b=inst_b, responses_a=responses_a, responses_b=responses_b)
 
 
 @pytest.mark.parametrize("variant", [ModelVariant.M1, ModelVariant.M2, ModelVariant.M3],
@@ -174,13 +175,15 @@ def _random_model(gen, variant, k, m):
         side = math.isqrt(m)
         joints = {(x, y): dist([(i // side, i % side) for i in range(side * side)])
                   for x in SETTINGS for y in SETTINGS}
-        return ExperimentModel.correlated_instruments_model(
-            SETTINGS, SETTINGS, source, joints,
-            {x: table(side) for x in SETTINGS}, {y: table(side) for y in SETTINGS})
+        return ExperimentModel(ModelVariant.M3, SETTINGS, SETTINGS, source=source,
+                               instruments_joint=joints,
+                               responses_a={x: table(side) for x in SETTINGS},
+                               responses_b={y: table(side) for y in SETTINGS})
     inst = {s: dist(list(range(m))) for s in SETTINGS}
-    return ExperimentModel.product_model(
-        ModelVariant(variant), SETTINGS, SETTINGS, source, inst, dict(inst),
-        {x: table(m) for x in SETTINGS}, {y: table(m) for y in SETTINGS})
+    return ExperimentModel(ModelVariant(variant), SETTINGS, SETTINGS, source=source,
+                           instruments_a=inst, instruments_b=dict(inst),
+                           responses_a={x: table(m) for x in SETTINGS},
+                           responses_b={y: table(m) for y in SETTINGS})
 
 
 @pytest.mark.parametrize("variant, k, m", [("m1", 150, 4), ("m1", 24, 10), ("m2", 66, 6),
@@ -212,12 +215,14 @@ def _wide_model(source, instruments_a, instruments_b=None, outcomes=OUTCOMES):
 
     if instruments_b is None:
         joints = {(x, y): instruments_a for x in SETTINGS for y in SETTINGS}
-        return ExperimentModel.correlated_instruments_model(
-            SETTINGS, SETTINGS, source, joints, tables((0, 1)), tables((0, 1)))
-    return ExperimentModel.product_model(
-        ModelVariant.M1, SETTINGS, SETTINGS, source, dict.fromkeys(SETTINGS, instruments_a),
-        dict.fromkeys(SETTINGS, instruments_b), tables(instruments_a.atoms),
-        tables(instruments_b.atoms))
+        return ExperimentModel(ModelVariant.M3, SETTINGS, SETTINGS, source=source,
+                               instruments_joint=joints, responses_a=tables((0, 1)),
+                               responses_b=tables((0, 1)))
+    return ExperimentModel(ModelVariant.M1, SETTINGS, SETTINGS, source=source,
+                           instruments_a=dict.fromkeys(SETTINGS, instruments_a),
+                           instruments_b=dict.fromkeys(SETTINGS, instruments_b),
+                           responses_a=tables(instruments_a.atoms),
+                           responses_b=tables(instruments_b.atoms))
 
 
 # 2**63 - 1 = 7**2 * 73 * 127 * 337 * 92737 * 649657 and
@@ -373,8 +378,8 @@ def table_model(table):
                                           for a, b in atoms])
     point = {s: DiscreteDistribution.point(0) for s in SETTINGS}
     identity = {s: ResponseTable({(o, 0): o for o in OUTCOMES}) for s in SETTINGS}
-    return ExperimentModel.product_model(ModelVariant.M1, SETTINGS, SETTINGS, source,
-                                         point, point, identity, identity)
+    return ExperimentModel(ModelVariant.M1, SETTINGS, SETTINGS, source=source, instruments_a=point,
+                           instruments_b=point, responses_a=identity, responses_b=identity)
 
 
 @given(table=integer_tables, d=st.integers(1, 2 ** 40))

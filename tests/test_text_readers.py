@@ -182,7 +182,7 @@ def plain_model_texts(draw, section, kind):
     elif kind == "width":
         lines[row] = " ".join(fields[:-1] if draw(st.booleans()) else fields + fields[-1:])
     elif kind == "probability":
-        lines[row] = " ".join(fields[:-1] + [draw(st.sampled_from(("1/0", "0.5")))])
+        lines[row] = " ".join(fields[:-1] + [draw(st.sampled_from(("1/0", "0.5", "1_0/60")))])
     elif kind == "end comment":
         lines[end] = "end  # done"
     else:
