@@ -37,7 +37,6 @@ from .errors import (
     EmptyCell,
     InvalidModel,
     MissingPair,
-    NonMonotonicTimestamps,
     ParseError,
     SettingConflict,
 )
@@ -441,7 +440,7 @@ def _build_parser():
 # Exit code of an error: the first row whose classes it is an instance of.
 _EXIT_CODES = (
     (InvalidModel, EXIT_INVALID_MODEL),
-    ((ParseError, NonMonotonicTimestamps, SettingConflict), EXIT_PARSE),
+    ((ParseError, SettingConflict), EXIT_PARSE),
     ((EmptyCell, MissingPair), EXIT_EMPTY_CELL),
     ((BellsimError, OSError), EXIT_CONFIG),
 )

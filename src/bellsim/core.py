@@ -107,10 +107,13 @@ def _hashable(values) -> bool:
 
 
 def _as_fraction(value) -> Fraction:
-    """Exact rational form of a probability-like input.
+    """Exact rational form of a number: a Fraction, an int or numpy integer,
+    or a float or numpy floating.
 
     Floats convert to their exact binary value, so arithmetic downstream is
-    exact whatever the caller provides.
+    exact whatever the caller provides.  Anything else, a string included,
+    is a TypeError; model files read probability text with
+    ``modelio._decode_probability``.
     """
     if isinstance(value, Fraction):
         return value
@@ -118,8 +121,6 @@ def _as_fraction(value) -> Fraction:
         return Fraction(int(value))
     if isinstance(value, (float, np.floating)):
         return Fraction(float(value))
-    if isinstance(value, str):
-        return Fraction(value)
     raise TypeError(f"cannot interpret {value!r} as a probability")
 
 

@@ -45,7 +45,7 @@ class ParseError(BellsimError):
         super().__init__(f"{loc} {message}" if loc else message)
 
 
-class NonMonotonicTimestamps(BellsimError):
+class NonMonotonicTimestamps(ParseError):
     """A time-tag file contains a timestamp smaller than its predecessor."""
 
 

@@ -14,12 +14,15 @@ contrasts of `core.marginal_contrasts`, the same four that
 `coupling.marginal_consistency` requires to vanish.
 
 Every statistic derives from one 3x3 count table per setting pair over
-the outcomes (a, b) in {-1, 0, +1}^2, built in a single counting pass
-over the records and kept on them (``CoincidenceRecords.count_tables``),
-so both conditionings of one records object share one count;
-`core.table_sums` reads off its integer counts and sums, the same closed
-form that exact enumeration uses, and the means and ``c_hat`` are their
-float quotients.
+the outcomes (a, b) in {-1, 0, +1}^2.  The estimators take
+``streams.CoincidenceRecords``, the one record form (labelled rows
+become records through ``CoincidenceRecords.from_rows``), and read
+nothing of them but those tables (``count_tables``), built in a single
+counting pass and kept on the records, so both conditionings of one
+records object share one count and this module needs no ``streams``
+import; `core.table_sums` reads off their integer counts and sums, the
+same closed form that exact enumeration uses, and the means and
+``c_hat`` are their float quotients.
 
 Standard errors are plug-in (sample standard deviation over sqrt(n),
 no small-sample corrections), sqrt((n * sum(v^2) - sum(v)^2) / n^3) on
@@ -34,7 +37,6 @@ from typing import NamedTuple
 
 from .core import ExactResult, SettingPair, chsh_values, marginal_contrasts, pair_order, table_sums
 from .errors import EmptyCell, MissingPair, UnknownSetting
-from .streams import CoincidenceRecords
 
 RAW = "raw"
 POSTSELECTED = "postselected"
@@ -71,15 +73,8 @@ class CorrelationSet(NamedTuple):
         return pair_order(self.settings_a, self.settings_b)
 
 
-def _count_tables(records):
-    """``CoincidenceRecords.count_tables`` of ``records``, which is
-    ``CoincidenceRecords`` or any iterable of ``CoincidenceRecord``s,
-    converted to columns first."""
-    return CoincidenceRecords.of(records).count_tables
-
-
 def _estimate(records, conditioning: str) -> CorrelationSet:
-    settings_a, settings_b, tables, unassigned = _count_tables(records)
+    settings_a, settings_b, tables, unassigned = records.count_tables
     if not tables:
         raise EmptyCell("no records with a known setting pair")
     out = {}

@@ -152,7 +152,7 @@ def lhvm_socks_scenario(p_same=Fraction(3, 4)) -> Scenario:
     """
     try:
         p_same = _as_fraction(p_same)
-    except (ValueError, OverflowError):     # NaN and the infinities have no Fraction
+    except (TypeError, ValueError, OverflowError):  # a non-number, NaN or an infinity
         raise BellsimError("p_same must be within [0, 1]") from None
     if not 0 <= p_same <= 1:
         raise BellsimError("p_same must be within [0, 1]")

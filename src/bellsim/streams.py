@@ -23,7 +23,9 @@ object per event.  A ``ClickStream`` holds per click ``t`` (int64 ns),
 ``CoincidenceRecords`` holds per occupied bin ``window``, ``x`` and ``y``
 (codes into ``settings_a`` and ``settings_b``, -1 when unknown), ``a``
 and ``b``; iterating it yields ``CoincidenceRecord`` tuples with the
-labels themselves, None for an unknown setting.  ``WindowSettings``
+labels themselves, None for an unknown setting.  It is the one record
+form the estimators and ``write_coincidence_csv`` read; labelled rows
+become records through ``CoincidenceRecords.from_rows``.  ``WindowSettings``
 holds per window ``x`` and ``y``, codes into the model's setting labels;
 pairing maps those labels into each stream's labels once and reads the
 codes of the occupied windows.  Record columns are read-only: the count
@@ -201,14 +203,6 @@ class CoincidenceRecords:
         y, settings_b = _codes(y)
         return cls(np.array(window, dtype=np.int64), x, y, np.array(a, dtype=np.int8),
                    np.array(b, dtype=np.int8), settings_a, settings_b)
-
-    @classmethod
-    def of(cls, records) -> "CoincidenceRecords":
-        """Columns of any iterable of ``CoincidenceRecord``s; columns pass
-        through unchanged."""
-        if isinstance(records, cls):
-            return records
-        return cls.from_rows([(r.window, r.sp.x, r.sp.y, r.a, r.b) for r in records])
 
 
 class PairingResult(NamedTuple):
@@ -595,8 +589,8 @@ def ingest_timetag_file(path, station: str = "A") -> ClickStream:
             raise ParseError(f"outcome must be +1 or -1, got {fields[2]!r}",
                              line_number=line_number, path=str(path))
         if last_t is not None and t < last_t:
-            raise NonMonotonicTimestamps(
-                f"{path}:{line_number}: timestamp {t} after {last_t}")
+            raise NonMonotonicTimestamps(f"timestamp {t} after {last_t}",
+                                         line_number=line_number, path=str(path))
         last_t = t
         times.append(t)
         settings.append(_decode_label(fields[1]))
@@ -637,15 +631,14 @@ def write_timetag_file(stream: ClickStream, path) -> None:
         fh.writelines(blocks)
 
 
-def write_coincidence_csv(records, path) -> None:
-    """CSV with header ``window,x,y,a,b``; unknown settings are empty fields.
-    Everything after the window field is rendered by ``csv.writer``, once
-    per combination of settings and outcomes, so quoting and line ends are
-    its own; each setting is written as ``textio._label_text`` writes it
-    for a CSV file."""
-    r = CoincidenceRecords.of(records)
+def write_coincidence_csv(records: CoincidenceRecords, path) -> None:
+    """CSV of the columns of ``records``, with header ``window,x,y,a,b``;
+    unknown settings are empty fields.  Everything after the window field
+    is rendered by ``csv.writer``, once per combination of settings and
+    outcomes, so quoting and line ends are its own; each setting is
+    written as ``textio._label_text`` writes it for a CSV file."""
     texts_a, texts_b = (tuple(_label_text(label, "CSV") for label in labels)
-                        for labels in (r.settings_a, r.settings_b))
+                        for labels in (records.settings_a, records.settings_b))
     buf = io.StringIO()
     row_writer = csv.writer(buf)
 
@@ -656,9 +649,10 @@ def write_coincidence_csv(records, path) -> None:
         return buf.getvalue()
 
     # Code -1, an unknown setting, picks the empty field in front of the labels.
-    blocks = _line_blocks(r.window, ((np.add(r.x, 1, dtype=np.intp), ("",) + texts_a),
-                                     (np.add(r.y, 1, dtype=np.intp), ("",) + texts_b),
-                                     (r.a + 1, VALID_OUTCOMES), (r.b + 1, VALID_OUTCOMES)), tail)
+    blocks = _line_blocks(records.window, (
+        (np.add(records.x, 1, dtype=np.intp), ("",) + texts_a),
+        (np.add(records.y, 1, dtype=np.intp), ("",) + texts_b),
+        (records.a + 1, VALID_OUTCOMES), (records.b + 1, VALID_OUTCOMES)), tail)
     with Path(path).open("w", newline="", encoding="ascii") as fh:
         csv.writer(fh).writerow(["window", "x", "y", "a", "b"])
         fh.writelines(blocks)

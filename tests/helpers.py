@@ -186,15 +186,18 @@ def callable_response_model():
                            instruments_joint=joint, responses_a=resp_a, responses_b=resp_b)
 
 
-def records_from_arrays(sp, a, b, start_window=0):
-    sp = SettingPair(*sp)
-    return [CoincidenceRecord(start_window + i, sp, int(ai), int(bi))
-            for i, (ai, bi) in enumerate(zip(a, b))]
+def record_rows(sp, outcome_pairs):
+    """``(window, x, y, a, b)`` rows of one setting pair, windows from 0."""
+    x, y = sp
+    return [(i, x, y, int(a), int(b)) for i, (a, b) in enumerate(outcome_pairs)]
+
+
+def records_from_arrays(sp, a, b):
+    return CoincidenceRecords.from_rows(record_rows(sp, zip(a, b)))
 
 
 def make_records(sp, outcome_pairs):
-    sp = SettingPair(*sp)
-    return [CoincidenceRecord(i, sp, a, b) for i, (a, b) in enumerate(outcome_pairs)]
+    return CoincidenceRecords.from_rows(record_rows(sp, outcome_pairs))
 
 
 def mc_tolerance(se, floor=1e-12):
@@ -264,18 +267,12 @@ def oracle_records(rows) -> CoincidenceRecords:
 def oracle_estimate(records, conditioning):
     """Per-record estimator: raw or post-selected statistics per setting pair.
 
-    Settings follow the label order of ``records`` when they are
-    ``CoincidenceRecords``, else canonical order (``oracle_label_order``),
-    keeping the labels that occur in a known pair.  Groups records by pair
-    in that order and averages Python lists; raises EmptyCell like the
-    package's estimators.
+    Settings follow the label order of the ``CoincidenceRecords``, keeping
+    the labels that occur in a known pair.  Groups records by pair in that
+    order and averages Python lists; raises EmptyCell like the package's
+    estimators.
     """
-    if isinstance(records, CoincidenceRecords):
-        labels_a, labels_b = records.settings_a, records.settings_b
-    else:
-        records = list(records)
-        labels_a = oracle_label_order(r.sp.x for r in records)
-        labels_b = oracle_label_order(r.sp.y for r in records)
+    labels_a, labels_b = records.settings_a, records.settings_b
     groups = {}
     skipped = 0
     for r in records:
@@ -970,15 +967,15 @@ def oracle_write_timetag_file(stream, path):
 
 def oracle_write_coincidence_csv(records, path):
     """A coincidence CSV written one ``csv.writer`` row per record."""
-    r = CoincidenceRecords.of(records)
-    texts_a = tuple(_label_text(label, "CSV") for label in r.settings_a)
-    texts_b = tuple(_label_text(label, "CSV") for label in r.settings_b)
-    x = _streams._label_array(texts_a + ("",))[r.x].tolist()     # code -1 picks ""
-    y = _streams._label_array(texts_b + ("",))[r.y].tolist()
+    texts_a = tuple(_label_text(label, "CSV") for label in records.settings_a)
+    texts_b = tuple(_label_text(label, "CSV") for label in records.settings_b)
+    x = _streams._label_array(texts_a + ("",))[records.x].tolist()     # code -1 picks ""
+    y = _streams._label_array(texts_b + ("",))[records.y].tolist()
     with Path(path).open("w", newline="", encoding="ascii") as fh:
         writer = csv.writer(fh)
         writer.writerow(["window", "x", "y", "a", "b"])
-        writer.writerows(zip(r.window.tolist(), x, y, r.a.tolist(), r.b.tolist()))
+        writer.writerows(zip(records.window.tolist(), x, y, records.a.tolist(),
+                             records.b.tolist()))
 
 
 # --------------------------------------------------------------------------

@@ -38,14 +38,15 @@ from bellsim.estimators import (
     no_signalling,
 )
 from bellsim.scenarios import build_scenario, scenario_names
+from bellsim.streams import CoincidenceRecords
 
 from helpers import (
-    make_records,
     oracle_coupling_feasibility,
     oracle_joint_moments,
     oracle_marginal_consistency,
     oracle_moment_system,
     oracle_no_signalling,
+    record_rows,
 )
 
 SETTING_LABELS = [((1, 2), (1, 2)), ((1, -1), (1, -1)), (("b", "a"), (2, 1)),
@@ -136,10 +137,11 @@ def test_witnesses_and_scenario_moments_equal_the_oracle(name):
        cells=st.lists(st.lists(st.sampled_from(OUTCOME_PAIRS), min_size=0, max_size=12),
                       min_size=4, max_size=4))
 def test_estimated_no_signalling_equals_the_oracle(settings_ab, cells):
-    records = []
+    rows = []
     for sp, outcomes in zip(pair_order(*settings_ab), cells):
         # One record where both stations clicked keeps every post-selected cell filled.
-        records += make_records(sp, [(1, -1)] + outcomes)
+        rows += record_rows(sp, [(1, -1)] + outcomes)
+    records = CoincidenceRecords.from_rows(rows)
     for estimate in (estimate_raw, estimate_postselected):
         cs = estimate(records)
         assert no_signalling(cs) == oracle_no_signalling(cs)

@@ -531,6 +531,11 @@ class TestDiscreteDistribution:
             want.append("d: duplicate atoms")
         assert dist.violations("d") == want
 
+    @pytest.mark.parametrize("text", ["1_0/20", "1/2"])
+    def test_string_probability_is_not_a_number(self, text):
+        with pytest.raises(TypeError, match=f"^cannot interpret {text!r} as a probability$"):
+            DiscreteDistribution([1, 2], [text, "1/2"])
+
     def test_structural_errors_raise(self):
         with pytest.raises(ValueError):
             DiscreteDistribution((0,), (0.5, 0.5))

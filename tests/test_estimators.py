@@ -21,18 +21,20 @@ from bellsim.estimators import (
 )
 from bellsim.scenarios import build_scenario, lf_scenario, quantum_scenario
 from bellsim.core import DiscreteDistribution
+from bellsim.streams import CoincidenceRecords
 
-from helpers import make_records, random_lhvm_model, records_from_arrays
+from helpers import make_records, random_lhvm_model, record_rows, records_from_arrays
 
 PAIRS_2X2 = [(x, y) for x in (1, 2) for y in (1, 2)]
 
 
+def full_rows(table):
+    """Record rows covering all four pairs; table maps (x, y) to outcome pairs."""
+    return [row for sp, outcomes in table.items() for row in record_rows(sp, outcomes)]
+
+
 def full_records(table):
-    """One record list covering all four pairs; table maps (x, y) to outcome pairs."""
-    records = []
-    for sp, outcomes in table.items():
-        records.extend(make_records(sp, outcomes))
-    return records
+    return CoincidenceRecords.from_rows(full_rows(table))
 
 
 def exact_set(scenario, conditioning=POSTSELECTED):
@@ -65,12 +67,11 @@ class TestEstimateRaw:
 
     def test_empty_input_rejected(self):
         with pytest.raises(EmptyCell):
-            estimate_raw([])
+            estimate_raw(CoincidenceRecords.from_rows([]))
 
     def test_unknown_setting_records_counted_not_used(self):
-        records = make_records((1, 1), [(1, 1)] * 3)
-        records.append(records[0]._replace(sp=SettingPair(1, None), b=0))
-        cs = estimate_raw(records)
+        rows = record_rows((1, 1), [(1, 1)] * 3) + [(0, 1, None, 1, 0)]
+        cs = estimate_raw(CoincidenceRecords.from_rows(rows))
         assert cs.n_unassigned == 1
         assert cs.stats(1, 1).n_raw == 3
 
@@ -100,9 +101,10 @@ class TestEstimatePostselected:
         outcomes = [(-1, 0, 1)[i] for i in gen.integers(0, 3, size=400)]
         pairs = list(zip(outcomes[::2], outcomes[1::2]))
         pairs = [p for p in pairs if p != (0, 0)]
-        records = full_records({sp: pairs for sp in PAIRS_2X2})
-        post = estimate_postselected(records)
-        filtered = estimate_raw([r for r in records if r.a * r.b != 0])
+        rows = full_rows({sp: pairs for sp in PAIRS_2X2})
+        post = estimate_postselected(CoincidenceRecords.from_rows(rows))
+        filtered = estimate_raw(CoincidenceRecords.from_rows(
+            [(w, x, y, a, b) for w, x, y, a, b in rows if a * b]))
         for sp in PAIRS_2X2:
             got = post.stats(*sp)
             want = filtered.stats(*sp)
@@ -193,11 +195,11 @@ class TestNoSignalling:
         exceed = 0
         total = 0
         for rep in range(100):
-            records = []
+            rows = []
             for sp in model.pairs():
                 a, b = simulate_trials(model, sp, 1000, 10_000 + rep)
-                records.extend(records_from_arrays(sp, a, b))
-            report = no_signalling(estimate_raw(records))
+                rows += record_rows(sp, zip(a, b))
+            report = no_signalling(estimate_raw(CoincidenceRecords.from_rows(rows)))
             for d in report.deltas:
                 total += 1
                 if d.z is not None and abs(d.z) > 3:

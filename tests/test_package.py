@@ -68,3 +68,14 @@ def test_simulate_on_a_scenario_loads_neither_coupling_nor_a_thread_pool(tmp_pat
     exit_code, modules = json.loads(done.stdout.splitlines()[-1])
     assert exit_code == 0 and "bellsim.streams" in modules
     assert not {"bellsim.coupling", "bellsim.modelio", "concurrent.futures"} & set(modules)
+
+
+def test_estimators_do_not_import_streams():
+    """The estimators read only the count tables of the records they are
+    given, so the statistics layer loads without the stream layer."""
+    src = Path(bellsim.__file__).parent.parent
+    code = "import json, sys, bellsim.estimators; print(json.dumps(sorted(sys.modules)))"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120, check=True, env=dict(os.environ, PYTHONPATH=str(src)))
+    modules = json.loads(done.stdout)
+    assert "bellsim.estimators" in modules and "bellsim.streams" not in modules

@@ -209,7 +209,8 @@ class TestSocks:
     @pytest.mark.parametrize("p_same", [math.nan, math.inf, -math.inf, np.float64(math.nan),
                                         np.float32(math.inf), 1.5, Fraction(-1, 3),
                                         *(pytest.param(text, id=f"text-{text}")
-                                          for text in ("nan", "inf", "abc"))])
+                                          for text in ("nan", "inf", "abc", "7_5/100",
+                                                       "3/4"))])
     def test_knob_outside_the_unit_interval_rejected(self, p_same):
         with pytest.raises(BellsimError, match=r"^p_same must be within \[0, 1\]$"):
             lhvm_socks_scenario(p_same)

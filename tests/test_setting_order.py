@@ -139,7 +139,6 @@ def test_estimates_ignore_the_order_of_records(body, data):
     permuted = data.draw(st.permutations(body))
     want = _estimates(CoincidenceRecords.from_rows(body))
     assert _estimates(CoincidenceRecords.from_rows(permuted)) == want
-    assert _estimates(list(CoincidenceRecords.from_rows(permuted))) == want
 
 
 def test_labels_are_read_in_canonical_order():

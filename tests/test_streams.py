@@ -347,18 +347,20 @@ class TestFiles:
     def test_nonmonotonic_timestamps_rejected(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("9\t1\t+1\n5\t1\t-1\n")
-        with pytest.raises(NonMonotonicTimestamps):
+        with pytest.raises(NonMonotonicTimestamps) as excinfo:
             ingest_timetag_file(path)
+        assert (excinfo.value.line_number, excinfo.value.path) == (2, str(path))
+        assert str(excinfo.value) == f"{path}:2: timestamp 5 after 9"
 
     def test_coincidence_csv_round_trip(self, tmp_path):
-        records = [
+        rows = [(0, 1, 2, 1, -1), (3, 1, None, 1, 0), (5, None, 2, 0, -1)]
+        path = tmp_path / "c.csv"
+        write_coincidence_csv(CoincidenceRecords.from_rows(rows), path)
+        assert list(read_coincidence_csv(path)) == [
             CoincidenceRecord(0, SettingPair(1, 2), 1, -1),
             CoincidenceRecord(3, SettingPair(1, None), 1, 0),
             CoincidenceRecord(5, SettingPair(None, 2), 0, -1),
         ]
-        path = tmp_path / "c.csv"
-        write_coincidence_csv(records, path)
-        assert list(read_coincidence_csv(path)) == records
 
     @pytest.mark.parametrize("label, time_tags", [
         ("a b", True), ("#x", True), ("", True), ("1", True), ("x\u00e9", True),
@@ -372,14 +374,15 @@ class TestFiles:
             if time_tags:
                 write_timetag_file(ClickStream("A", [0], [0], [1], (label,)), path)
             else:
-                write_coincidence_csv([CoincidenceRecord(0, SettingPair(1, label), 1, -1)], path)
+                write_coincidence_csv(CoincidenceRecords.from_rows([(0, 1, label, 1, -1)]), path)
         assert not path.exists()
 
     @pytest.mark.parametrize("label", ["x1", np.int64(7), -3, "a,b", 'q"x', "a\r\nb"])
     def test_quoted_and_numpy_labels_still_write(self, label, tmp_path):
-        records = [CoincidenceRecord(0, SettingPair(label, 2), 1, -1)]
-        write_coincidence_csv(records, tmp_path / "c.csv")
-        assert list(read_coincidence_csv(tmp_path / "c.csv")) == records
+        write_coincidence_csv(CoincidenceRecords.from_rows([(0, label, 2, 1, -1)]),
+                              tmp_path / "c.csv")
+        assert list(read_coincidence_csv(tmp_path / "c.csv")) == [
+            CoincidenceRecord(0, SettingPair(label, 2), 1, -1)]
         if "\n" not in str(label):
             clicks = ClickStream("A", [0], [0], [1], (label,))
             write_timetag_file(clicks, tmp_path / "t.txt")
@@ -397,13 +400,14 @@ class TestFiles:
             pass
         else:
             assert events(ingest_timetag_file(directory / "t.txt", "B")) == events(clicks)
-        records = [CoincidenceRecord(3, SettingPair(label, None), -1, 0)]
         try:
-            write_coincidence_csv(records, directory / "c.csv")
+            write_coincidence_csv(CoincidenceRecords.from_rows([(3, label, None, -1, 0)]),
+                                  directory / "c.csv")
         except BellsimError:
             pass
         else:
-            assert list(read_coincidence_csv(directory / "c.csv")) == records
+            assert list(read_coincidence_csv(directory / "c.csv")) == [
+                CoincidenceRecord(3, SettingPair(label, None), -1, 0)]
 
     def test_csv_rejects_double_zero(self, tmp_path):
         path = tmp_path / "c.csv"

@@ -51,8 +51,9 @@ def test_coincidence_csv_matches_row_writer(tmp_path_factory, settings_a, settin
                                  rng.integers(-1, len(settings_a), size=n),     # -1: unknown
                                  rng.integers(-1, len(settings_b), size=n),
                                  a, b, tuple(settings_a), tuple(settings_b))
-    if as_rows:
-        records = list(records)
+    if as_rows:     # the same records as labelled rows, coded again in label order
+        records = CoincidenceRecords.from_rows(
+            [(r.window, r.sp.x, r.sp.y, r.a, r.b) for r in records])
     directory = tmp_path_factory.mktemp("csv")
     got = written(write_coincidence_csv, records, directory / "got.csv")
     assert got == written(oracle_write_coincidence_csv, records, directory / "want.csv")
