@@ -243,7 +243,7 @@ def _cmd_simulate(args) -> int:
     ensure_valid(model)
     if args.windows is None:
         raise ConfigError("--windows is required")
-    schedule = Schedule.for_windows(args.windows, args.window_ns, _build_rule(args))
+    schedule = Schedule(args.windows, args.window_ns, _build_rule(args))
 
     stream_a, stream_b = generate_streams(model, schedule, args.detection_rate,
                                           args.seed, workers=args.threads)

@@ -111,13 +111,13 @@ def _as_fraction(value) -> Fraction:
     or a float or numpy floating.
 
     Floats convert to their exact binary value, so arithmetic downstream is
-    exact whatever the caller provides.  Anything else, a string included,
-    is a TypeError; model files read probability text with
+    exact whatever the caller provides.  Anything else, a string or a bool
+    included, is a TypeError; model files read probability text with
     ``modelio._decode_probability``.
     """
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, (int, np.integer)):
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
         return Fraction(int(value))
     if isinstance(value, (float, np.floating)):
         return Fraction(float(value))
@@ -158,20 +158,21 @@ class DiscreteDistribution:
     def point(cls, atom) -> "DiscreteDistribution":
         return cls((atom,), (Fraction(1),))
 
-    def _integer_weights(self) -> tuple[list[int], int]:
+    @cached_property
+    def _integer_weights(self) -> tuple[tuple[int, ...], int]:
         """The probabilities as integer numerators ``w`` over their least
-        common denominator ``d``: ``probs[i] == Fraction(w[i], d)``."""
+        common denominator ``d``: ``probs[i] == Fraction(w[i], d)``, once."""
         d = math.lcm(*(p.denominator for p in self.probs))
-        return [p.numerator * (d // p.denominator) for p in self.probs], d
+        return tuple(p.numerator * (d // p.denominator) for p in self.probs), d
 
     @property
     def total(self) -> Fraction:
-        w, d = self._integer_weights()
+        w, d = self._integer_weights
         return Fraction(sum(w), d)
 
     def violations(self, label: str = "distribution") -> list[str]:
         out = []
-        w, d = self._integer_weights()
+        w, d = self._integer_weights
         if any(v < 0 for v in w):
             out.append(f"{label}: negative probability")
         total = float(Fraction(sum(w), d))
@@ -651,7 +652,7 @@ def _build_tables(model: ExperimentModel) -> dict:
     table_sums(numerators))`` with P(a, b) = ``numerators[a + 1][b + 1] / d``;
     the numerators are tuples of rows of ints, and no Fraction is built here.
     """
-    w_source, d_source = model.source._integer_weights()
+    w_source, d_source = model.source._integer_weights
     outcomes = np.array(VALID_OUTCOMES, dtype=np.int8)[:, None, None]
     out = {}
     for sp in model.pairs():
@@ -659,13 +660,13 @@ def _build_tables(model: ExperimentModel) -> dict:
                                               _outcome_grid(model, 1, sp.y))
         if model.variant is ModelVariant.M3:
             joint = model.instruments_joint[sp]
-            w_joint, d = joint._integer_weights()
+            w_joint, d = joint._integer_weights
             weights = [[0] * len(cols_b) for _ in cols_a]
             for (lx, ly), w in zip(joint.atoms, w_joint):
                 weights[cols_a[lx]][cols_b[ly]] = w
         else:
-            (w_a, d_a), (w_b, d_b) = (model.instruments_a[sp.x]._integer_weights(),
-                                      model.instruments_b[sp.y]._integer_weights())
+            (w_a, d_a), (w_b, d_b) = (model.instruments_a[sp.x]._integer_weights,
+                                      model.instruments_b[sp.y]._integer_weights)
             weights, d = [[u * v for v in w_b] for u in w_a], d_a * d_b
         dtype = np.int64 if sum(w_source) * sum(map(sum, weights)) < 2 ** 63 else object
         # one_a[a + 1, src, i] = [G_A[src, i] = a], the same for B

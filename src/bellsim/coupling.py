@@ -29,11 +29,12 @@ rule.  It runs over floats by default and over exact rationals when
 ``exact=True``.  Float mode allows every check ``MOMENT_TOL``; exact mode
 allows none: the contrasts must vanish, the phase-one optimum must be 0
 and the CHSH and cell certificates compare rationals, so either verdict
-is a theorem about the given rational inputs.  A pivot updates only the
-entries in the columns where the pivot row is non-zero; the 9x26 tableau
-is mostly zeros, and a skipped entry would have stayed as it is, exactly
-for rationals and up to the sign of a float zero, which no comparison,
-witness or residual reads.
+is a theorem about the given rational inputs.  Each pivot lists the pivot
+row's non-zero entries once and updates the other rows and the reduced
+costs at those columns only; a skipped entry would have stayed as it is,
+exactly for rationals and up to the sign of a float zero, which no
+comparison, witness or residual reads.  The solver never mutates its
+inputs, so the moment rows, the same for every spec, are built once.
 """
 
 from __future__ import annotations
@@ -193,68 +194,67 @@ def solve_phase_one(rows, rhs, exact: bool = False):
     their sum with Bland's rule (termination guaranteed).  Returns
     ``(optimum, x)``; the optimum is zero exactly when the system is
     feasible.  With ``exact=True`` all arithmetic is rational and the
-    verdict is exact for the given inputs.
+    verdict is exact for the given inputs.  ``rows`` and ``rhs`` are
+    never mutated: the tableau is a fresh copy.
 
-    A pivot divides and eliminates only where the pivot row is non-zero,
-    in both modes.  A zero entry w would give ``v - f * w == v``: the same
-    rational, or for floats the same value up to the sign of a zero.  That
-    sign reaches no comparison (the ratio test and the entering rule
-    compare values), no witness (its weights are ``v if v > 0 else 0``)
-    and no residual (the optimum sums from the int 0, so it is never -0.0).
+    Each pivot lists the pivot row's non-zero entries ``(j, w)`` once, in
+    both modes, and updates every other row with a non-zero factor, and
+    the reduced costs, in place at those columns only.  A zero entry w
+    would give ``v - f * w == v``: the same rational, or for floats the
+    same value up to the sign of a zero.  That sign reaches no comparison
+    (the ratio test and the entering rule compare values), no witness (its
+    weights are ``v if v > 0 else 0``) and no residual (the optimum sums
+    from the int 0, so it is never -0.0).
     """
     m = len(rhs)
     n = len(rows[0])
     if exact:
-        zero, one = Fraction(0), Fraction(1)
-        rows = [[_as_fraction(v) for v in row] for row in rows]
-        rhs = [_as_fraction(v) for v in rhs]
-        eps = zero
+        conv, zero, one, eps = _as_fraction, Fraction(0), Fraction(1), Fraction(0)
     else:
-        zero, one = 0.0, 1.0
-        rows = [[float(v) for v in row] for row in rows]
-        rhs = [float(v) for v in rhs]
-        eps = 1e-12
+        conv, zero, one, eps = float, 0.0, 1.0, 1e-12
 
     tab = []
-    for i in range(m):
-        sign = one if rhs[i] >= 0 else -one
-        row = [sign * v for v in rows[i]]
-        row += [one if j == i else zero for j in range(m)]
-        row.append(sign * rhs[i])
-        tab.append(row)
+    for i, (row, b) in enumerate(zip(rows, rhs)):
+        b = conv(b)
+        sign = one if b >= 0 else -one
+        tab.append([sign * conv(v) for v in row] + [one if j == i else zero for j in range(m)]
+                   + [sign * b])
     basis = [n + i for i in range(m)]
 
-    # Reduced costs c_j - z_j for cost c = (0,...,0, 1,...,1).
+    # Reduced costs c_j - z_j for cost c = (0,...,0, 1,...,1), rhs column left out.
     width = n + m
-    reduced = [zero] * width
-    for j in range(width):
-        col_sum = sum(tab[i][j] for i in range(m))
-        cost = one if j >= n else zero
-        reduced[j] = cost - col_sum
+    reduced = [cost - sum(col) for cost, col in zip([zero] * n + [one] * m, zip(*tab))]
+    below = -eps    # a column enters when its reduced cost is below this
 
     while True:
-        entering = next((j for j in range(width) if reduced[j] < -eps), None)
+        entering = next((j for j, r in enumerate(reduced) if r < below), None)
         if entering is None:
             break
         pivot_row = None
         best = None
-        for i in range(m):
-            coeff = tab[i][entering]
+        for i, row in enumerate(tab):
+            coeff = row[entering]
             if coeff > eps:
-                ratio = tab[i][-1] / coeff
+                ratio = row[-1] / coeff
                 if best is None or ratio < best or (ratio == best and basis[i] < basis[pivot_row]):
                     best = ratio
                     pivot_row = i
         if pivot_row is None:
             raise BellsimError("phase-one simplex became unbounded; inputs are malformed")
-        piv = tab[pivot_row][entering]
-        prow = tab[pivot_row] = [v / piv if v else v for v in tab[pivot_row]]
-        for i in range(m):
-            f = tab[i][entering]
+        prow = tab[pivot_row]
+        piv = prow[entering]
+        nonzero = [(j, v / piv) for j, v in enumerate(prow) if v]
+        for j, w in nonzero:
+            prow[j] = w
+        for i, row in enumerate(tab):
+            f = row[entering]
             if i != pivot_row and f != zero:
-                tab[i] = [v - f * w if w else v for v, w in zip(tab[i], prow)]
+                for j, w in nonzero:
+                    row[j] -= f * w
         f = reduced[entering]
-        reduced = [v - f * w if w else v for v, w in zip(reduced, prow)]   # prow[-1] is the rhs
+        for j, w in nonzero:
+            if j < width:       # the last column is the rhs
+                reduced[j] -= f * w
         basis[pivot_row] = entering
 
     optimum = sum(tab[i][-1] for i in range(m) if basis[i] >= n)
@@ -265,25 +265,28 @@ def solve_phase_one(rows, rhs, exact: bool = False):
     return optimum, x
 
 
+# The moment rows, shared by every spec: normalisation, the four singleton
+# moments in the atoms' slot order, and at position 2i + j of the pair
+# order the pairwise moment of slots i and 2 + j.
+_MOMENT_ROWS = [
+    [1] * len(ATOMS),
+    *([atom[slot] for atom in ATOMS] for slot in range(4)),
+    *([atom[i] * atom[2 + j] for atom in ATOMS] for i, j in product(range(2), repeat=2)),
+]
+
+
 def _moment_system(spec: JointSpec, exact: bool):
     """Rows and targets: normalisation, 4 singleton moments, 4 pairwise moments."""
     conv = _as_fraction if exact else float
     half = Fraction(1, 2) if exact else 0.5
-    rows = [[1] * len(ATOMS)]
     rhs = [conv(1)]
     # Per contrast, in the atoms' slot order, the average of its two sides
     # (they agree within tolerance once marginal_consistency has passed).
-    contrasts = marginal_contrasts(spec.settings_a, spec.settings_b)
-    for slot, (station, _, _, sp0, sp1) in enumerate(contrasts):
+    for station, _, _, sp0, sp1 in marginal_contrasts(spec.settings_a, spec.settings_b):
         table = spec.e_a if station == "A" else spec.e_b
-        rows.append([atom[slot] for atom in ATOMS])
         rhs.append((conv(table[sp0]) + conv(table[sp1])) * half)
-    # The pair at position 2i + j of the pair order correlates slots i and 2 + j.
-    for k, sp in enumerate(spec.pairs()):
-        i, j = divmod(k, 2)
-        rows.append([atom[i] * atom[2 + j] for atom in ATOMS])
-        rhs.append(conv(spec.e_ab[sp]))
-    return rows, rhs
+    rhs += [conv(spec.e_ab[sp]) for sp in spec.pairs()]
+    return _MOMENT_ROWS, rhs
 
 
 def coupling_feasibility(spec: JointSpec, exact: bool = False) -> CouplingResult:

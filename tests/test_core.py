@@ -536,6 +536,19 @@ class TestDiscreteDistribution:
         with pytest.raises(TypeError, match=f"^cannot interpret {text!r} as a probability$"):
             DiscreteDistribution([1, 2], [text, "1/2"])
 
+    @pytest.mark.parametrize("flag", [True, False])
+    def test_bool_probability_is_not_a_number(self, flag):
+        with pytest.raises(TypeError, match=f"^cannot interpret {flag!r} as a probability$"):
+            DiscreteDistribution([1, 2], [flag, not flag])
+
+    def test_integer_weights_are_computed_once(self, monkeypatch):
+        dist = DiscreteDistribution((0, 1, 2), (Fraction(1, 6), Fraction(1, 3), 0.5))
+        weights = dist._integer_weights
+        assert weights == ((1, 2, 3), 6)
+        monkeypatch.setattr(math, "lcm", None)
+        assert dist.total == 1 and dist.violations() == []
+        assert dist._integer_weights is weights
+
     def test_structural_errors_raise(self):
         with pytest.raises(ValueError):
             DiscreteDistribution((0,), (0.5, 0.5))

@@ -42,7 +42,7 @@ from bellsim.coupling import (
     random_consistent_spec,
     solve_phase_one,
 )
-from bellsim.errors import DegenerateConditioning, InvalidModel
+from bellsim.errors import BellsimError, DegenerateConditioning, InvalidModel
 
 from helpers import (
     oracle_chsh_values,
@@ -178,6 +178,61 @@ def _assert_same_decisions(spec):
 @given(data=st.data())
 def test_sparse_pivots_decide_as_the_dense_simplex(family, data):
     _assert_same_decisions(data.draw(family()))
+
+
+# Generic entries: zeros (for floats of either sign), small integers,
+# rationals or floats in [-2, 2], and for floats small multiples of the
+# least subnormal, which a pivot of 2 or more divides to zero.
+ENTRIES = {
+    True: st.one_of(st.just(0), st.integers(-3, 3), st.fractions(-2, 2, max_denominator=12)),
+    False: st.one_of(st.sampled_from((0.0, -0.0)), st.integers(-3, 3).map(float),
+                     st.floats(-2, 2), st.integers(-8, 8).map(lambda k: k * 5e-324)),
+}
+
+
+@st.composite
+def phase_one_systems(draw, exact):
+    """1-9 rows over 1-20 columns, some columns and rows zero, some rows
+    repeats of others (degenerate ties), targets of either sign."""
+    m, n = draw(st.integers(1, 9)), draw(st.integers(1, 20))
+    entry = ENTRIES[exact]
+    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=m, max_size=m))
+    for j in draw(st.sets(st.integers(0, n - 1), max_size=n // 2)):
+        for row in rows:
+            row[j] = 0
+    for src, dst in draw(st.lists(st.tuples(st.integers(0, m - 1), st.integers(0, m - 1)),
+                                  max_size=3)):
+        rows[dst] = list(rows[src])
+    for i in draw(st.sets(st.integers(0, m - 1), max_size=2)):
+        rows[i] = [0] * n
+    return rows, draw(st.lists(entry, min_size=m, max_size=m))
+
+
+def _solved(solve, rows, rhs, exact):
+    """The solution's value, types and text, or the error a solver raised.
+
+    The text of ``x`` drops the sign of a zero: a skipped entry keeps its
+    -0.0 where the dense loop's ``v - f * w`` may write 0.0 (a target of
+    -0.0 does it), and no comparison, witness or residual reads that sign.
+    The optimum's text is kept whole; it sums from the int 0.
+    """
+    try:
+        optimum, x = solution = solve(rows, rhs, exact=exact)
+    except BellsimError as exc:
+        return str(exc)
+    return (solution, _types(solution), repr(optimum),
+            repr([abs(v) if v == 0 else v for v in x]))
+
+
+@pytest.mark.parametrize("exact", (False, True), ids=("float", "exact"))
+@settings(max_examples=300)
+@given(data=st.data())
+def test_phase_one_equals_the_dense_simplex_on_generic_systems(exact, data):
+    rows, rhs = data.draw(phase_one_systems(exact))
+    before = repr((rows, rhs))
+    got = _solved(solve_phase_one, rows, rhs, exact)
+    assert repr((rows, rhs)) == before
+    assert got == _solved(oracle_solve_phase_one, rows, rhs, exact)
 
 
 # --------------------------------------------------------------------------

@@ -210,7 +210,9 @@ class TestSocks:
                                         np.float32(math.inf), 1.5, Fraction(-1, 3),
                                         *(pytest.param(text, id=f"text-{text}")
                                           for text in ("nan", "inf", "abc", "7_5/100",
-                                                       "3/4"))])
+                                                       "3/4")),
+                                        *(pytest.param(flag, id=f"bool-{flag}")
+                                          for flag in (True, False))])
     def test_knob_outside_the_unit_interval_rejected(self, p_same):
         with pytest.raises(BellsimError, match=r"^p_same must be within \[0, 1\]$"):
             lhvm_socks_scenario(p_same)
