@@ -50,12 +50,14 @@ computed once per `ExperimentModel` instance, on first use, and shared by
 every later call (`enumerate_raw`, `enumerate_postselected`,
 `outcome_table`, the samplers).  The grid of a station's setting is one
 int8 array, its response tabulated once over the source atoms (rows) and
-the setting's instrument values (columns), where a plain-callable
-response's outcomes are checked, when the model is first enumerated or
-sampled.  The finite Monte Carlo path indexes its columns; enumeration
-contracts a pair's two grids with the integer weights, one contraction for
-every variant (`_build_tables`).  So each response of a finite model is
-evaluated once per model and setting.  Models are therefore
+the setting's instrument values (columns) when the model is first
+enumerated or sampled: a response table is looked up once per cell in its
+dict, and a plain callable or a table subclass is called once per cell,
+a plain callable's outcomes checked there.  The finite Monte Carlo path
+indexes its columns; enumeration contracts a pair's two grids with the
+integer weights, one contraction for every variant (`_build_tables`).  So
+each response of a finite model is read once per model, setting and
+cell.  Models are therefore
 never changed in place: to change one, build a new instance, for example
 with `dataclasses.replace`.
 """
@@ -616,23 +618,30 @@ def _outcome_grid(model: ExperimentModel, comp: int, setting) -> tuple[dict, np.
     to its column; ``grid[i, columns[v]]`` is the int8 outcome for the
     station's half of source atom i and instrument value v.
 
-    The grid is filled in one pass: the response, table or plain callable
-    alike, is called once per cell, row by row, over the product of the
-    source atoms' halves and the instrument values, into one flat list
-    that becomes the grid.  The outcomes of a plain-callable response are
-    checked on that list (InvalidModel)."""
+    The grid is filled in one pass, row by row, over the product of the
+    source atoms' halves and the instrument values.  A `ResponseTable` is
+    looked up once per cell in its dict, straight into the int8 grid; every
+    key is there, as the model is valid.  Any other response, a plain
+    callable or a table subclass, is called once per cell into one flat
+    list, on which a plain callable's outcomes are checked (InvalidModel)."""
     key = comp, setting
     if key not in model._grids:
         resp = (model.responses_a, model.responses_b)[comp][setting]
         values = list(_instrument_values(model, comp, setting))
         halves = [atom[comp] for atom in model.source.atoms]
-        outcomes = list(starmap(resp, product(halves, values)))
-        # validate_model validates a table's outcomes, not a callable's
-        if not isinstance(resp, ResponseTable) and (
-                bad := _outcome_violations(model.variant, "AB"[comp], setting, outcomes)):
-            raise InvalidModel(bad)
-        grid = np.array(outcomes, dtype=np.int8).reshape(len(halves), len(values))
-        model._grids[key] = {v: j for j, v in enumerate(values)}, grid
+        cells = product(halves, values)
+        if type(resp) is ResponseTable:
+            grid = np.fromiter(map(resp.mapping.__getitem__, cells), np.int8,
+                               len(halves) * len(values))
+        else:
+            outcomes = list(starmap(resp, cells))
+            # validate_model validates a table's outcomes, not a callable's
+            if not isinstance(resp, ResponseTable) and (
+                    bad := _outcome_violations(model.variant, "AB"[comp], setting, outcomes)):
+                raise InvalidModel(bad)
+            grid = np.array(outcomes, dtype=np.int8)
+        model._grids[key] = ({v: j for j, v in enumerate(values)},
+                             grid.reshape(len(halves), len(values)))
     return model._grids[key]
 
 

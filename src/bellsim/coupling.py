@@ -33,8 +33,11 @@ is a theorem about the given rational inputs.  Each pivot lists the pivot
 row's non-zero entries once and updates the other rows and the reduced
 costs at those columns only; a skipped entry would have stayed as it is,
 exactly for rationals and up to the sign of a float zero, which no
-comparison, witness or residual reads.  The solver never mutates its
-inputs, so the moment rows, the same for every spec, are built once.
+comparison, witness or residual reads.  In exact mode the tableau starts
+on the integers it is given and each pivot divides by a Fraction, so every
+value, pivot and solution is the all-Fraction tableau's.  The solver never
+mutates its inputs, so the moment rows, the same for every spec, are built
+once.
 """
 
 from __future__ import annotations
@@ -187,6 +190,11 @@ def chsh_characterization(spec: JointSpec) -> bool:
 # Phase-one simplex
 
 
+def _exact_entry(value):
+    """An exact tableau entry: an int as itself, any other number as a Fraction."""
+    return value if type(value) is int else _as_fraction(value)
+
+
 def solve_phase_one(rows, rhs, exact: bool = False):
     """Minimise the L1 constraint mismatch of ``A x = b, x >= 0``.
 
@@ -205,19 +213,25 @@ def solve_phase_one(rows, rhs, exact: bool = False):
     (the ratio test and the entering rule compare values), no witness (its
     weights are ``v if v > 0 else 0``) and no residual (the optimum sums
     from the int 0, so it is never -0.0).
+
+    With ``exact=True`` int entries of ``rows`` stay ints, as do the +-1
+    signs, the identity entries and the costs; other entries and the
+    targets become Fractions.  Each pivot divides by its element as a
+    Fraction, so no quotient is a float and ``x`` holds Fractions, equal in
+    value to an all-Fraction tableau's.
     """
     m = len(rhs)
     n = len(rows[0])
     if exact:
-        conv, zero, one, eps = _as_fraction, Fraction(0), Fraction(1), Fraction(0)
+        conv, entry, zero, one, eps = _as_fraction, _exact_entry, 0, 1, 0
     else:
-        conv, zero, one, eps = float, 0.0, 1.0, 1e-12
+        conv, entry, zero, one, eps = float, float, 0.0, 1.0, 1e-12
 
     tab = []
     for i, (row, b) in enumerate(zip(rows, rhs)):
         b = conv(b)
         sign = one if b >= 0 else -one
-        tab.append([sign * conv(v) for v in row] + [one if j == i else zero for j in range(m)]
+        tab.append([sign * entry(v) for v in row] + [one if j == i else zero for j in range(m)]
                    + [sign * b])
     basis = [n + i for i in range(m)]
 
@@ -243,6 +257,8 @@ def solve_phase_one(rows, rhs, exact: bool = False):
             raise BellsimError("phase-one simplex became unbounded; inputs are malformed")
         prow = tab[pivot_row]
         piv = prow[entering]
+        if exact:       # an int pivot would divide ints to floats
+            piv = conv(piv)
         nonzero = [(j, v / piv) for j, v in enumerate(prow) if v]
         for j, w in nonzero:
             prow[j] = w
@@ -258,7 +274,7 @@ def solve_phase_one(rows, rhs, exact: bool = False):
         basis[pivot_row] = entering
 
     optimum = sum(tab[i][-1] for i in range(m) if basis[i] >= n)
-    x = [zero] * n
+    x = [conv(0)] * n
     for i, j in enumerate(basis):
         if j < n:
             x[j] = tab[i][-1]

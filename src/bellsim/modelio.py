@@ -50,8 +50,9 @@ digits, ``n`` or ``n/d`` probabilities, fields separated by spaces or tabs,
 no comment or blank line, closed by a line that is exactly ``end``) is read
 in one pass, which decodes each distinct probability once; angles have no
 plain form.  Any other block is read line by line, with the same result and
-the same errors.  A directive or block may appear only once; labels
-are compared decoded, so ``1`` and ``01`` name one setting.  Setting labels
+the same errors.  A directive or block may appear only once, and an
+entry of a responses block only once; labels are compared decoded, so
+``1`` and ``01`` name one setting.  Setting labels
 and atoms are written as ``textio._label_text`` writes them for a model
 file: ASCII text with no whitespace or ``#`` that reads back as the label
 itself, so an int (numpy's too) or a string that does not look like one;
@@ -276,6 +277,24 @@ def _plain_columns(body: str, kinds) -> list[list]:
     return columns
 
 
+def _response_table(keys, outcomes, split, begin: int, path) -> ResponseTable:
+    """The table of a responses block's decoded columns, whose ``begin``
+    line is line ``begin`` of ``split``; an entry given twice is a
+    ParseError at its second row, naming the first.  Rows are the block's
+    non-blank lines, in either reading."""
+    table = ResponseTable(zip(zip(*keys), outcomes))
+    if len(table.mapping) != len(outcomes):
+        firsts = {}
+        for k, entry in enumerate(zip(*keys)):
+            if entry in firsts:
+                rows = [ln for ln, _ in islice(
+                    _contents(enumerate(split[begin:], start=begin + 1)), k + 1)]
+                raise ParseError(f"repeated response entry {entry}, first on line "
+                                 f"{rows[firsts[entry]]}", rows[k], path)
+            firsts[entry] = k
+    return table
+
+
 def loads(text: str, path=None) -> ExperimentModel:
     split = _split(text)
     numbered = enumerate(split, start=1)
@@ -342,7 +361,7 @@ def loads(text: str, path=None) -> ExperimentModel:
             else:
                 parts.setdefault(field, {})[heading[2]] = (
                     DiscreteDistribution(keys[0], column) if section == "instruments"
-                    else ResponseTable(zip(zip(*keys), column)))
+                    else _response_table(keys, column, split, ln, path))
         else:
             raise ParseError(f"unknown directive {key!r}", ln, path)
         if heading in seen:

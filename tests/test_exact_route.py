@@ -14,6 +14,7 @@ import dataclasses
 import random
 import struct
 from fractions import Fraction
+from itertools import product
 from unittest import mock
 
 import numpy as np
@@ -235,6 +236,17 @@ def test_phase_one_equals_the_dense_simplex_on_generic_systems(exact, data):
     assert got == _solved(oracle_solve_phase_one, rows, rhs, exact)
 
 
+def test_integer_pivot_that_does_not_divide_its_row_gives_fractions():
+    """An exact tableau starts on the given ints; its first pivot, 2, does
+    not divide the row's 1s, so an int quotient would be a float."""
+    rows, rhs = [[2, 1], [1, 3]], [1, 1]
+    got = _solved(solve_phase_one, rows, rhs, True)
+    assert got == _solved(oracle_solve_phase_one, rows, rhs, True)
+    optimum, x = got[0]
+    assert optimum == 0 and x == [Fraction(2, 5), Fraction(1, 5)]
+    assert got[1] == (int, [Fraction, Fraction])
+
+
 # --------------------------------------------------------------------------
 # CHSH sums
 
@@ -317,6 +329,27 @@ def test_validate_model_words_tables_as_the_loops(variant, data):
     with mock.patch.object(core, "_outcome_violations", oracle_outcome_violations):
         want = [v for v in validate_model(model) if ": no entry for (" not in v]
     assert got == want + oracle_table_totality(model)
+
+
+@pytest.mark.parametrize("variant", VARIANTS, ids=lambda v: v.value)
+@settings(max_examples=60)
+@given(data=st.data())
+def test_table_grids_hold_the_per_cell_responses(variant, data):
+    """A table's grid, read straight from its dict, holds what calling the
+    table cell by cell gives; every source half repeats across atoms."""
+    model = data.draw(grid_models(variant))
+    halves = [dict.fromkeys(atom[comp] for atom in model.source.atoms) for comp in (0, 1)]
+    atoms = list(product(*halves))
+    model = dataclasses.replace(model, source=DiscreteDistribution(
+        atoms, [Fraction(1, len(atoms))] * len(atoms)))
+    for comp, labels in ((0, model.settings_a), (1, model.settings_b)):
+        for s in labels:
+            resp = (model.responses_a, model.responses_b)[comp][s]
+            values = list(_instrument_values(model, comp, s))
+            columns, grid = _outcome_grid(model, comp, s)
+            assert columns == {v: j for j, v in enumerate(values)}
+            assert grid.dtype == np.int8
+            assert grid.tolist() == [[resp(atom[comp], v) for v in values] for atom in atoms]
 
 
 @pytest.mark.parametrize("variant", VARIANTS, ids=lambda v: v.value)

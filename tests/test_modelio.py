@@ -1,6 +1,7 @@
 import dataclasses
 import re
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -188,6 +189,25 @@ def test_repeated_source_placed_first_is_not_dropped():
         modelio.loads("begin source\n1 1 1\nend\n" + text)
     assert str(excinfo.value) == (f"{_line_of(text, 'begin source') + 3}: "
                                   "repeated 'source', first on line 1")
+
+
+@pytest.mark.parametrize("repeat", ("1 0 -1", "01 +0 1"))
+@pytest.mark.parametrize("comment", ("", "# forces the line loop"), ids=("plain", "line-loop"))
+def test_repeated_response_entry_is_a_parse_error_naming_both_rows(comment, repeat):
+    """The later of two rows for one entry, however spelled, is refused
+    where it stands, on either reading of the block, instead of silently
+    replacing the first."""
+    lines = _model_text("lf").splitlines()
+    begin = lines.index("begin responses A 1")
+    lines[begin + 1:begin + 2] = [comment, "1 0 1", repeat] if comment else ["1 0 1", repeat]
+    first = begin + 2 + bool(comment)
+    with mock.patch.object(modelio, "_read_block", wraps=modelio._read_block) as line_loop:
+        with pytest.raises(ParseError) as excinfo:
+            modelio.loads("\n".join(lines), path="r.model")
+    assert str(excinfo.value) == (f"r.model:{first + 1}: repeated response entry (1, 0), "
+                                  f"first on line {first}")
+    assert excinfo.value.line_number == first + 1
+    assert line_loop.called == bool(comment)
 
 
 # (scenario, block added at the end, the message); the error names the added
