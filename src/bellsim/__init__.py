@@ -15,14 +15,11 @@ import importlib
 
 _EXPORTS = {
     "core": (
-        "DiscreteDistribution",
-        "ExactResult",
         "ExperimentModel",
         "ModelVariant",
         "Outcome",
         "ResponseTable",
         "SamplerSpace",
-        "SettingPair",
         "enumerate_postselected",
         "enumerate_raw",
         "quantum_reference_correlation",
@@ -87,11 +84,16 @@ _EXPORTS = {
         "pair_coincidences",
         "schedule_settings",
     ),
+    "tables": (
+        "DiscreteDistribution",
+        "ExactResult",
+        "SettingPair",
+    ),
 }
 
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 _SUBMODULES = frozenset(("cli", "core", "coupling", "errors", "estimators", "modelio",
-                         "rng", "scenarios", "streams", "textio"))
+                         "rng", "scenarios", "streams", "tables", "textio"))
 
 __all__ = sorted(_HOME)
 __version__ = "0.1.0"

@@ -13,7 +13,7 @@ with a certificate:
 
 * marginal consistency: a coupling forces each station's marginal to be
   the same under both remote settings, so each of the four contrasts of
-  `core.marginal_contrasts` must vanish (the no-signalling deltas that
+  `tables.marginal_contrasts` must vanish (the no-signalling deltas that
   ``analysis.json`` reports are the same four contrasts);
 * per-pair realizability: each pair (e_a, e_b, e_ab) must itself be a
   valid two-variable distribution, i.e. all four cells
@@ -38,6 +38,10 @@ on the integers it is given and each pivot divides by a Fraction, so every
 value, pivot and solution is the all-Fraction tableau's.  The solver never
 mutates its inputs, so the moment rows, the same for every spec, are built
 once.
+
+Of the model layer this module imports only ``tables`` (the witness's
+`DiscreteDistribution`, the contrasts and `chsh_values`), which imports
+no numpy, so a decision, exact or float, runs without loading numpy.
 """
 
 from __future__ import annotations
@@ -49,7 +53,8 @@ from fractions import Fraction
 from itertools import product
 from pathlib import Path
 
-from .core import (
+from .errors import BellsimError, ParseError
+from .tables import (
     DiscreteDistribution,
     SettingPair,
     _as_fraction,
@@ -57,7 +62,6 @@ from .core import (
     marginal_contrasts,
     pair_order,
 )
-from .errors import BellsimError, ParseError
 from .textio import _line_number, _read_ascii
 
 # Atom order for witnesses: quadruples (a_x0, a_x1, b_y0, b_y1).

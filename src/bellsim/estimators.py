@@ -10,7 +10,7 @@ Outcomes under different setting pairs are bookkept as distinct random
 variables: every statistic is indexed by the full pair (x, y), and the
 no-signalling report quantifies how much a station's conditional marginal
 moves when only the remote setting changes.  Its four deltas are the
-contrasts of `core.marginal_contrasts`, the same four that
+contrasts of `tables.marginal_contrasts`, the same four that
 `coupling.marginal_consistency` requires to vanish.
 
 Every statistic derives from one 3x3 count table per setting pair over
@@ -20,9 +20,10 @@ become records through ``CoincidenceRecords.from_rows``), and read
 nothing of them but those tables (``count_tables``), built in a single
 counting pass and kept on the records, so both conditionings of one
 records object share one count and this module needs no ``streams``
-import; `core.table_sums` reads off their integer counts and sums, the
+import; `tables.table_sums` reads off their integer counts and sums, the
 same closed form that exact enumeration uses, and the means and
-``c_hat`` are their float quotients.
+``c_hat`` are their float quotients.  Of the model layer this module
+imports only ``tables``, so it loads without numpy.
 
 Standard errors are plug-in (sample standard deviation over sqrt(n),
 no small-sample corrections), sqrt((n * sum(v^2) - sum(v)^2) / n^3) on
@@ -35,8 +36,8 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .core import ExactResult, SettingPair, chsh_values, marginal_contrasts, pair_order, table_sums
 from .errors import EmptyCell, MissingPair, UnknownSetting
+from .tables import ExactResult, SettingPair, chsh_values, marginal_contrasts, pair_order, table_sums
 
 RAW = "raw"
 POSTSELECTED = "postselected"
@@ -205,7 +206,7 @@ def no_signalling(cs: CorrelationSet) -> NoSignallingReport:
     """Contrast each station's marginal across the other station's settings.
 
     Under the stated conditioning, one delta per contrast of
-    `core.marginal_contrasts`: delta_a(x) = e_a(x, y0) - e_a(x, y1) and
+    `tables.marginal_contrasts`: delta_a(x) = e_a(x, y0) - e_a(x, y1) and
     delta_b(y) = e_b(x0, y) - e_b(x1, y), with z = delta over the pooled
     standard error.
     """

@@ -50,9 +50,10 @@ digits, ``n`` or ``n/d`` probabilities, fields separated by spaces or tabs,
 no comment or blank line, closed by a line that is exactly ``end``) is read
 in one pass, which decodes each distinct probability once; angles have no
 plain form.  Any other block is read line by line, with the same result and
-the same errors.  A directive or block may appear only once, and an
-entry of a responses block only once; labels are compared decoded, so
-``1`` and ``01`` name one setting.  Setting labels
+the same errors.  A directive or block may appear only once, and a
+block's key (an atom, a response entry, an angle's setting) only once in
+its block, a repeat refused at its second row; labels are compared
+decoded, so ``1`` and ``01`` name one setting.  Setting labels
 and atoms are written as ``textio._label_text`` writes them for a model
 file: ASCII text with no whitespace or ``#`` that reads back as the label
 itself, so an int (numpy's too) or a string that does not look like one;
@@ -277,22 +278,24 @@ def _plain_columns(body: str, kinds) -> list[list]:
     return columns
 
 
-def _response_table(keys, outcomes, split, begin: int, path) -> ResponseTable:
-    """The table of a responses block's decoded columns, whose ``begin``
-    line is line ``begin`` of ``split``; an entry given twice is a
-    ParseError at its second row, naming the first.  Rows are the block's
-    non-blank lines, in either reading."""
-    table = ResponseTable(zip(zip(*keys), outcomes))
-    if len(table.mapping) != len(outcomes):
-        firsts = {}
-        for k, entry in enumerate(zip(*keys)):
-            if entry in firsts:
-                rows = [ln for ln, _ in islice(
-                    _contents(enumerate(split[begin:], start=begin + 1)), k + 1)]
-                raise ParseError(f"repeated response entry {entry}, first on line "
-                                 f"{rows[firsts[entry]]}", rows[k], path)
-            firsts[entry] = k
-    return table
+# What a row of each block gives once: its key, the row's fields but the last.
+_KEY = {"source": "atom", "instruments": "atom", "joint-instruments": "atom",
+        "responses": "response entry", "angles": "setting"}
+
+
+def _raise_repeated_key(columns, section: str, split, begin: int, path):
+    """Raise the ParseError of a block whose decoded key ``columns`` give a
+    key twice, at the second row of the first such key, naming the first;
+    the block's ``begin`` line is line ``begin`` of ``split``.  Rows are
+    the block's non-blank lines, in either reading."""
+    firsts = {}
+    for k, key in enumerate(columns[0] if len(columns) == 1 else zip(*columns)):
+        if key in firsts:
+            rows = [ln for ln, _ in islice(
+                _contents(enumerate(split[begin:], start=begin + 1)), k + 1)]
+            raise ParseError(f"repeated {_KEY[section]} {key!r}, first on line "
+                             f"{rows[firsts[key]]}", rows[k], path)
+        firsts[key] = k
 
 
 def loads(text: str, path=None) -> ExperimentModel:
@@ -348,20 +351,26 @@ def loads(text: str, path=None) -> ExperimentModel:
                              else _plain_columns(body, kinds))
             if not column and kinds[-1] == "probability":    # a distribution needs an atom
                 raise ParseError(f"empty {section} block", ln, path)
+            entries = keys[0] if len(keys) == 1 else zip(*keys)
+            if section == "responses":
+                part = ResponseTable(zip(entries, column))
+                distinct = len(part.mapping)
+            elif section == "angles":
+                part = dict(zip(entries, column))
+                distinct = len(part)
+            else:
+                part = DiscreteDistribution(entries, column)
+                distinct = len(set(part.atoms))
+            if distinct != len(column):     # a key given twice
+                _raise_repeated_key(keys, section, split, ln, path)
             field = ({"source": "source", "joint-instruments": "instruments_joint"}.get(section)
                      or f"{section}_{heading[1].lower()}")
             firsts.setdefault(field, (ln, section))
-            if section == "source":
-                parts[field] = DiscreteDistribution(list(zip(*keys)), column)
-            elif section == "joint-instruments":
-                parts.setdefault(field, {})[SettingPair(*heading[1:])] = (
-                    DiscreteDistribution(list(zip(*keys)), column))
-            elif section == "angles":
-                parts[field] = dict(zip(keys[0], column))
+            if section in ("source", "angles"):
+                parts[field] = part
             else:
-                parts.setdefault(field, {})[heading[2]] = (
-                    DiscreteDistribution(keys[0], column) if section == "instruments"
-                    else _response_table(keys, column, split, ln, path))
+                setting = SettingPair(*heading[1:]) if section == "joint-instruments" else heading[2]
+                parts.setdefault(field, {})[setting] = part
         else:
             raise ParseError(f"unknown directive {key!r}", ln, path)
         if heading in seen:

@@ -35,6 +35,10 @@ Four keep the exact route's dense loops: the phase-one simplex that
 divided and eliminated every tableau entry, the CHSH sums added term by
 term, and the outcome and table-totality checks that walked every
 outcome and every (source, instrument) key.
+
+The last keeps ``_as_fraction`` as it was while it lived in ``core`` and
+tested numpy's scalar types directly, for comparison with the numpy-free
+one in ``tables``; the coupling oracles above convert with it.
 """
 
 from __future__ import annotations
@@ -718,9 +722,19 @@ def _oracle_parse_prob(reader, token, ln):
         reader.fail(f"bad probability {token!r}", ln)
 
 
-def _oracle_distribution(reader, atoms, probs, ln, what):
+def _oracle_no_repeats(reader, keys, rows, what):
+    """Fail at the row of the first key that an earlier row already gave."""
+    firsts = {}
+    for key, (ln, _tokens) in zip(keys, rows):
+        if key in firsts:
+            reader.fail(f"repeated {what} {key!r}, first on line {firsts[key]}", ln)
+        firsts[key] = ln
+
+
+def _oracle_distribution(reader, atoms, probs, ln, what, rows):
     if not atoms:
         reader.fail(f"empty {what} block", ln)
+    _oracle_no_repeats(reader, atoms, rows, "atom")
     return DiscreteDistribution(atoms, probs)
 
 
@@ -735,8 +749,10 @@ ORACLE_VARIANT_BLOCKS = {
 
 
 def oracle_loads(text, path=None):
-    """A model file's text as a model, last copy of a repeated section kept.
-    Only the parts the file's blocks give are passed to the one
+    """A model file's text as a model, last copy of a repeated section kept;
+    a block that gives one atom, response entry or angle's setting twice is
+    refused at the later row.  Only the parts the file's blocks give are
+    passed to the one
     ``ExperimentModel`` call; a block its variant does not read is refused
     at its first ``begin`` line."""
     reader = _OracleReader(text, path)
@@ -773,7 +789,7 @@ def oracle_loads(text, path=None):
                 rows = _oracle_read_block(reader, 3, "source")
                 atoms = [(_decode_label(a), _decode_label(b)) for _, (a, b, _p) in rows]
                 probs = [_oracle_parse_prob(reader, p, ln2) for ln2, (_a, _b, p) in rows]
-                parts["source"] = _oracle_distribution(reader, atoms, probs, ln, "source")
+                parts["source"] = _oracle_distribution(reader, atoms, probs, ln, "source", rows)
             elif section == "instruments":
                 if len(tokens) != 4 or tokens[2] not in ("A", "B"):
                     reader.fail("expected 'begin instruments A|B setting'", ln)
@@ -782,7 +798,7 @@ def oracle_loads(text, path=None):
                 probs = [_oracle_parse_prob(reader, p, ln2) for ln2, (_a, p) in rows]
                 station = "instruments_a" if tokens[2] == "A" else "instruments_b"
                 parts.setdefault(station, {})[_decode_label(tokens[3])] = _oracle_distribution(
-                    reader, atoms, probs, ln, "instruments")
+                    reader, atoms, probs, ln, "instruments", rows)
             elif section == "joint-instruments":
                 if len(tokens) != 4:
                     reader.fail("expected 'begin joint-instruments x y'", ln)
@@ -791,7 +807,7 @@ def oracle_loads(text, path=None):
                 probs = [_oracle_parse_prob(reader, p, ln2) for ln2, (_a, _b, p) in rows]
                 pair = SettingPair(_decode_label(tokens[2]), _decode_label(tokens[3]))
                 parts.setdefault("instruments_joint", {})[pair] = _oracle_distribution(
-                    reader, atoms, probs, ln, "joint-instruments")
+                    reader, atoms, probs, ln, "joint-instruments", rows)
             elif section == "responses":
                 if len(tokens) != 4 or tokens[2] not in ("A", "B"):
                     reader.fail("expected 'begin responses A|B setting'", ln)
@@ -803,6 +819,8 @@ def oracle_loads(text, path=None):
                     except ValueError:
                         reader.fail(f"bad outcome {out!r}", ln2)
                     mapping[(_decode_label(sv), _decode_label(iv))] = outcome
+                _oracle_no_repeats(reader, [(_decode_label(sv), _decode_label(iv))
+                                            for _, (sv, iv, _out) in rows], rows, "response entry")
                 station = "responses_a" if tokens[2] == "A" else "responses_b"
                 parts.setdefault(station, {})[_decode_label(tokens[3])] = ResponseTable(mapping)
             elif section == "angles":
@@ -815,6 +833,8 @@ def oracle_loads(text, path=None):
                         angles[_decode_label(setting)] = float(value)
                     except ValueError:
                         reader.fail(f"bad angle {value!r}", ln2)
+                _oracle_no_repeats(reader, [_decode_label(setting) for _, (setting, _v) in rows],
+                                   rows, "setting")
             else:
                 reader.fail(f"unknown section {section!r}", ln)
             begins.setdefault(section, ln)
@@ -1021,7 +1041,7 @@ def oracle_no_signalling(cs: CorrelationSet) -> NoSignallingReport:
 def oracle_marginal_consistency(spec: JointSpec, exact: bool = False) -> tuple[bool, list[str]]:
     """Float mode allows ``MOMENT_TOL``; exact mode compares rationals with
     ``==``."""
-    conv, tol = (_core._as_fraction, 0) if exact else (float, MOMENT_TOL)
+    conv, tol = (oracle_as_fraction, 0) if exact else (float, MOMENT_TOL)
     (x0, x1), (y0, y1) = spec.settings_a, spec.settings_b
     offenders = []
     for x in (x0, x1):
@@ -1036,7 +1056,7 @@ def oracle_marginal_consistency(spec: JointSpec, exact: bool = False) -> tuple[b
 
 
 def oracle_moment_system(spec: JointSpec, exact: bool):
-    conv = _core._as_fraction if exact else float
+    conv = oracle_as_fraction if exact else float
     half = Fraction(1, 2) if exact else 0.5
     (x0, x1), (y0, y1) = spec.settings_a, spec.settings_b
     rows = [[1] * len(ATOMS)]
@@ -1118,8 +1138,8 @@ def oracle_solve_phase_one(rows, rhs, exact: bool = False):
     n = len(rows[0])
     if exact:
         zero, one = Fraction(0), Fraction(1)
-        rows = [[_core._as_fraction(v) for v in row] for row in rows]
-        rhs = [_core._as_fraction(v) for v in rhs]
+        rows = [[oracle_as_fraction(v) for v in row] for row in rows]
+        rhs = [oracle_as_fraction(v) for v in rhs]
         eps = zero
     else:
         zero, one = 0.0, 1.0
@@ -1227,3 +1247,19 @@ def oracle_table_totality(model) -> list[str]:
                                 f"responses {station}[{s!r}]: no entry for ({sv!r}, {iv!r})"
                             )
     return v
+
+
+# --------------------------------------------------------------------------
+# Exact conversion with numpy imported
+
+
+def oracle_as_fraction(value) -> Fraction:
+    """A Fraction, an int or numpy integer (not a bool), or a float or numpy
+    floating, as an exact Fraction; anything else is a TypeError."""
+    if isinstance(value, Fraction):
+        return value
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        return Fraction(int(value))
+    if isinstance(value, (float, np.floating)):
+        return Fraction(float(value))
+    raise TypeError(f"cannot interpret {value!r} as a probability")

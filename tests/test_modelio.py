@@ -210,6 +210,36 @@ def test_repeated_response_entry_is_a_parse_error_naming_both_rows(comment, repe
     assert line_loop.called == bool(comment)
 
 
+# (scenario, a block's begin line, its first row respelled, the key in the message)
+REPEATED_KEYS = {
+    "source": ("lf", "begin source", "+1 01 1/6", "atom (1, 1)"),
+    "instruments": ("lf", "begin instruments B -1", "00 1", "atom 0"),
+    "joint-instruments": ("m3-demo", "begin joint-instruments 1 2", "0 +0 1/2", "atom (0, 0)"),
+    "angles": ("quantum", "begin angles B", "01 0.5", "setting 1"),
+}
+
+
+@pytest.mark.parametrize("comment", ("", "# forces the line loop"), ids=("plain", "line-loop"))
+@pytest.mark.parametrize("section", list(REPEATED_KEYS))
+def test_repeated_atom_or_setting_is_a_parse_error_naming_both_rows(section, comment):
+    """A distribution block that gives one atom twice, or an angles block
+    one setting, is refused at the later row as a repeated response entry
+    is, on either reading of the block; before, validation refused the
+    distribution without a line, and the later angle replaced the first."""
+    scenario, begin_line, repeat, key = REPEATED_KEYS[section]
+    lines = _model_text(scenario).splitlines()
+    begin = lines.index(begin_line)
+    lines[begin + 1:begin + 1] = [comment] if comment else []
+    first = begin + 2 + bool(comment)
+    lines.insert(first, repeat)
+    with mock.patch.object(modelio, "_read_block", wraps=modelio._read_block) as line_loop:
+        with pytest.raises(ParseError) as excinfo:
+            modelio.loads("\n".join(lines), path="r.model")
+    assert str(excinfo.value) == f"r.model:{first + 1}: repeated {key}, first on line {first}"
+    assert excinfo.value.line_number == first + 1
+    assert line_loop.called == (bool(comment) or section == "angles")
+
+
 # (scenario, block added at the end, the message); the error names the added
 # block's begin line.
 FOREIGN = {

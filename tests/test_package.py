@@ -1,16 +1,23 @@
-"""The package namespace resolves its names lazily, and ``simulate`` on a
-shipped scenario imports only the modules it uses."""
+"""The package namespace resolves its names lazily, ``simulate`` on a
+shipped scenario imports only the modules it uses, and the coupling and
+statistics layers load without numpy."""
 
 import importlib
 import json
 import os
 import subprocess
 import sys
+from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import bellsim
+from bellsim.tables import _as_fraction
+
+from helpers import oracle_as_fraction
 
 # Every name ``bellsim`` exported before its names became lazy, by home module.
 EXPORTS = {
@@ -79,3 +86,75 @@ def test_estimators_do_not_import_streams():
                           timeout=120, check=True, env=dict(os.environ, PYTHONPATH=str(src)))
     modules = json.loads(done.stdout)
     assert "bellsim.estimators" in modules and "bellsim.streams" not in modules
+
+
+def test_coupling_and_estimators_load_and_decide_without_numpy(tmp_path):
+    """The model layer's table algebra lives in ``tables``, which imports no
+    numpy: importing ``coupling`` and ``estimators`` and deciding a spec
+    file exactly, as ``check-coupling --exact`` does, never loads it."""
+    src = Path(bellsim.__file__).parent.parent
+    code = ("import json, sys\n"
+            "import bellsim.coupling as c, bellsim.estimators\n"
+            "from bellsim.tables import _as_fraction\n"
+            "c.save_jointspec(c.joint_moments(c.lf_coupling(), (1, -1), (1, -1)), sys.argv[1])\n"
+            "result = c.coupling_feasibility(c.load_jointspec(sys.argv[1]), exact=True)\n"
+            "payload = c.coupling_result_to_dict(result)\n"
+            "try:\n"
+            "    _as_fraction(True)\n"
+            "    refused = False\n"
+            "except TypeError:\n"
+            "    refused = True\n"
+            "print(json.dumps([payload['feasible'], refused, sorted(sys.modules)]))\n")
+    done = subprocess.run([sys.executable, "-c", code, str(tmp_path / "spec.json")],
+                          capture_output=True, text=True, timeout=120, check=True,
+                          env=dict(os.environ, PYTHONPATH=str(src)))
+    feasible, refused, modules = json.loads(done.stdout)
+    assert feasible and refused
+    assert {"bellsim.coupling", "bellsim.estimators", "bellsim.tables"} <= set(modules)
+    assert not {"numpy", "bellsim.core"} & set(modules)
+
+
+@pytest.mark.parametrize("name", ["PROB_TOL", "SettingPair", "ExactResult", "DiscreteDistribution",
+                                  "_as_fraction", "_hashable", "table_sums", "pair_order",
+                                  "marginal_contrasts", "chsh_values"])
+def test_core_reexports_the_table_algebra(name):
+    """Each name is defined once, in ``tables``, and ``core`` hands out the
+    same object."""
+    tables = importlib.import_module("bellsim.tables")
+    assert getattr(importlib.import_module("bellsim.core"), name) is getattr(tables, name)
+    assert getattr(getattr(tables, name), "__module__", "bellsim.tables") == "bellsim.tables"
+
+
+class _Int(int):
+    pass
+
+
+class _Float(float):
+    pass
+
+
+NUMPY_SCALARS = sorted({t for t in np.sctypeDict.values()
+                        if issubclass(t, (np.integer, np.floating))}, key=lambda t: t.__name__)
+VALUES = ([0, 1, -7, 10 ** 30, _Int(3), True, False, np.bool_(True), np.bool_(False),
+           0.5, -0.0, 0.1, 1e300, float("nan"), float("inf"), float("-inf"), _Float(0.25),
+           Fraction(1, 3), Fraction(-5, 2), "1/2", "1", Decimal("0.5"), complex(1, 0), 1j,
+           None, np.array(1), np.array(0.5)]
+          + [t(v) for t in NUMPY_SCALARS for v in (0, 3)]
+          + [t(v) for t in NUMPY_SCALARS if issubclass(t, np.floating)
+             for v in (0.1, -2.5, "nan", "inf")])
+
+
+def _converted(convert, value):
+    try:
+        result = convert(value)
+    except Exception as exc:        # compared by class
+        return type(exc)
+    return type(result), result
+
+
+@pytest.mark.parametrize("value", VALUES, ids=lambda v: f"{type(v).__name__}-{v!r}")
+def test_as_fraction_matches_the_numpy_oracle(value):
+    """The numpy-free ``_as_fraction`` accepts and refuses what the one
+    that tested numpy's types directly did, with the same value or the
+    same exception class."""
+    assert _converted(_as_fraction, value) == _converted(oracle_as_fraction, value)

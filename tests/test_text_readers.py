@@ -7,10 +7,7 @@ the line counted that way.  On ASCII text without ``\\v``, ``\\f``,
 ``\\x1c``, ``\\x1d`` or ``\\x1e``, without quoted line breaks and without a
 repeated model section, the readers must agree with the oracles in
 ``helpers``: an ``==`` result, or the same exception class and message.
-The three cases outside that domain are pinned one by one below.  The
-model oracle also keeps the last copy of a repeated response entry, which
-the reader refuses (pinned in ``test_modelio``); where a random text
-repeats one, the two rows the reader's error names must hold one entry.
+The three cases outside that domain are pinned one by one below.
 """
 
 from __future__ import annotations
@@ -28,7 +25,6 @@ from bellsim.core import ModelVariant
 from bellsim.errors import ParseError
 from bellsim.scenarios import build_scenario, scenario_names
 from bellsim.streams import ingest_timetag_file, read_coincidence_csv
-from bellsim.textio import _decode_label, _split
 
 from helpers import (
     ORACLE_VARIANT_BLOCKS,
@@ -66,23 +62,11 @@ def outcome(read, *args):
         return type(exc), str(exc)
 
 
-REPEATED_ENTRY = re.compile(r"m\.model:(\d+): repeated response entry .*, first on line (\d+)")
-
-
 def assert_model_read_as_oracle(text, oracle_text=None):
     """``loads`` reads ``text`` as ``oracle_loads`` reads ``oracle_text``
-    (``text`` itself by default), or refuses a response entry that the
-    two rows its error names do repeat."""
+    (``text`` itself by default)."""
     oracle_text = text if oracle_text is None else oracle_text
-    got = outcome(modelio.loads, text, "m.model")
-    repeat = got[0] is ParseError and REPEATED_ENTRY.fullmatch(got[1])
-    if not repeat:
-        assert got == outcome(oracle_loads, oracle_text, "m.model")
-        return
-    lines = _split(oracle_text)
-    later, first = ([_decode_label(t) for t in lines[int(n) - 1].split("#")[0].split()[:2]]
-                    for n in repeat.groups())
-    assert later == first and int(repeat[1]) > int(repeat[2])
+    assert outcome(modelio.loads, text, "m.model") == outcome(oracle_loads, oracle_text, "m.model")
 
 
 # --------------------------------------------------------------------------
