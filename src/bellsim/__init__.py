@@ -19,12 +19,9 @@ _EXPORTS = {
         "ModelVariant",
         "Outcome",
         "ResponseTable",
-        "SamplerSpace",
         "enumerate_postselected",
         "enumerate_raw",
         "quantum_reference_correlation",
-        "sample_trial",
-        "simulate_trials",
         "validate_model",
     ),
     "coupling": (

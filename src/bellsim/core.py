@@ -22,10 +22,12 @@ detection".  Five variants cover the families handled here:
     No hidden values at all: the ideal polarization-singlet reference with
     correlation cos 2(theta_a - theta_b) and uniform marginals.
 
-Two engines evaluate any finite model: exact enumeration over the lambda
-spaces (rational arithmetic, results are exact) and seeded, vectorised
-Monte Carlo.  Spaces declared through SamplerSpace are Monte-Carlo-only;
-enumeration refuses them with NonFiniteSpace.
+Every lambda space is a finite `DiscreteDistribution`, so two engines
+evaluate every model: exact enumeration over the lambda spaces (rational
+arithmetic, results are exact) and the seeded, vectorised Monte Carlo of
+``streams.generate_streams``, which draws every window's outcomes through a
+`_PairSampler`.  Quantum models have no lambda space; enumeration reads
+their analytic result.
 
 Enumeration fills each setting pair's 3x3 outcome table P(a, b | x, y)
 with integer numerators over the spaces' common denominator d, and
@@ -44,13 +46,12 @@ int8 array, its response tabulated once over the source atoms (rows) and
 the setting's instrument values (columns) when the model is first
 enumerated or sampled: a response table is looked up once per cell in its
 dict, and a plain callable or a table subclass is called once per cell,
-a plain callable's outcomes checked there.  The finite Monte Carlo path
-indexes its columns; enumeration contracts a pair's two grids with the
+a plain callable's outcomes checked there.  The Monte Carlo path indexes
+its columns; enumeration contracts a pair's two grids with the
 integer weights, one contraction for every variant (`_build_tables`).  So
-each response of a finite model is read once per model, setting and
-cell.  Models are therefore
-never changed in place: to change one, build a new instance, for example
-with `dataclasses.replace`.
+each response is read once per model, setting and cell.  Models are
+therefore never changed in place: to change one, build a new instance, for
+example with `dataclasses.replace`.
 """
 
 from __future__ import annotations
@@ -63,7 +64,6 @@ from enum import Enum
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain, product, starmap
-from typing import Callable, Sequence
 
 import numpy as np
 
@@ -73,7 +73,6 @@ from .errors import (
     NonFiniteSpace,
     UnknownSetting,
 )
-from . import rng as _rng
 # The numpy-free table algebra; every name is re-exported for core's callers.
 from .tables import (
     PROB_TOL,
@@ -91,21 +90,6 @@ from .tables import (
 # An outcome is a plain int; 0 encodes "no detection".
 Outcome = int
 VALID_OUTCOMES = (-1, 0, 1)     # outcome o at index o + 1, as the stream writers code it
-
-
-@dataclass(frozen=True)
-class SamplerSpace:
-    """Monte-Carlo-only lambda space backed by a user sampler.
-
-    ``draw(generator, n)`` must return a sequence of n atom values and must
-    consume the generator deterministically.  Models using sampler spaces
-    cannot be enumerated or written to model files.
-    """
-
-    draw: Callable[[np.random.Generator, int], Sequence]
-    description: str = ""
-
-    finite = False
 
 
 @dataclass(frozen=True, init=False)
@@ -185,7 +169,7 @@ class ExperimentModel:
     variant: ModelVariant
     settings_a: tuple
     settings_b: tuple
-    source: "DiscreteDistribution | SamplerSpace | None" = None
+    source: DiscreteDistribution | None = None
     instruments_a: dict | None = None
     instruments_b: dict | None = None
     instruments_joint: dict | None = None
@@ -210,17 +194,6 @@ class ExperimentModel:
     def _grids(self) -> dict:
         return {}
 
-    def is_finite(self) -> bool:
-        if self.variant is ModelVariant.QUANTUM:
-            return True
-        spaces = [self.source]
-        if self.variant is ModelVariant.M3:
-            spaces.extend((self.instruments_joint or {}).values())
-        else:
-            spaces.extend((self.instruments_a or {}).values())
-            spaces.extend((self.instruments_b or {}).values())
-        return all(getattr(s, "finite", False) for s in spaces)
-
 
 # ---------------------------------------------------------------------------
 # Validation
@@ -230,10 +203,8 @@ def _check_space(space, label, violations, want_pairs=False):
     if space is None:
         violations.append(f"{label}: missing")
         return
-    if isinstance(space, SamplerSpace):
-        return
     if not isinstance(space, DiscreteDistribution):
-        violations.append(f"{label}: not a distribution or sampler")
+        violations.append(f"{label}: not a distribution")
         return
     violations.extend(space.violations(label))
     if want_pairs and any(not (isinstance(a, tuple) and len(a) == 2) for a in space.atoms):
@@ -470,8 +441,8 @@ def _outcome_grid(model: ExperimentModel, comp: int, setting) -> tuple[dict, np.
 
 
 def _build_tables(model: ExperimentModel) -> dict:
-    """Every pair's exact P(a, b | x, y) and its `table_sums`, one pass
-    over a valid finite model, reading the responses from the outcome grids.
+    """Every pair's exact P(a, b | x, y) and its `table_sums`, one pass over
+    a valid non-quantum model, reading the responses from the outcome grids.
 
     Every variant is one integer contraction per pair over the grids G of
     its two settings,
@@ -514,14 +485,11 @@ def _build_tables(model: ExperimentModel) -> dict:
 
 def _cached_exact(model: ExperimentModel, sp: SettingPair) -> tuple:
     """``(numerators, d, table_sums(numerators))`` of a declared pair of a
-    valid model, from the model's cache; NonFiniteSpace for a model without
-    one."""
+    valid model, from the model's cache; NonFiniteSpace for a quantum
+    model, which has none."""
     if model.variant is ModelVariant.QUANTUM:
         raise NonFiniteSpace("quantum reference models have no lambda space; "
                              "use the analytic result")
-    if not model.is_finite():
-        raise NonFiniteSpace("model declares sampler-only lambda spaces; "
-                             "only Monte Carlo evaluation is available")
     return model._tables[sp]
 
 
@@ -571,58 +539,41 @@ def _draw_indices(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
 class _PairSampler:
     """Vectorised outcome sampler for one (model, setting pair).
 
-    The per-trial draw order is fixed: source, then station A's instrument
-    (or the joint instrument pair), then station B's.  Quantum models draw
-    a sign and then a same-or-different indicator.  The fast path indexes
-    the model's outcome grids of the pair's two responses (tabulated once
-    per model and setting, see `_outcome_grid`) with index arrays, one
-    uniform column per space, whether the responses are tables or plain
-    callables; only a pair with a sampler space is evaluated per draw.
+    Each trial reads one uniform per space, in a fixed order: source, then
+    station A's instrument (or the joint instrument pair), then station
+    B's.  Quantum models read a sign and then a same-or-different
+    indicator.  Outcomes index the model's outcome grids of the pair's two
+    responses (tabulated once per model and setting, see `_outcome_grid`)
+    with index arrays, whether the responses are tables or plain callables.
     """
 
     def __init__(self, model: ExperimentModel, sp: SettingPair):
         ensure_valid(model)
-        self.sp = sp = _check_pair(model, sp)
+        sp = _check_pair(model, sp)
         self.variant = model.variant
         if self.variant is ModelVariant.QUANTUM:
             delta = model.angles_a[sp.x] - model.angles_b[sp.y]
             self.p_same = math.cos(delta) ** 2
-            self.fast = True
             return
-        self.resp_a = model.responses_a[sp.x]
-        self.resp_b = model.responses_b[sp.y]
+        # The columns of each grid in the order of the atoms of the space
+        # that draws the station's instrument value.
         if self.variant is ModelVariant.M3:
-            self.spaces = [model.source, model.instruments_joint[sp]]
+            spaces = model.source, model.instruments_joint[sp]
+            values = tuple(zip(*spaces[1].atoms))
         else:
-            self.spaces = [model.source, model.instruments_a[sp.x], model.instruments_b[sp.y]]
-        self.cdfs = [s.cdf() if s.finite else None for s in self.spaces]
-        self.fast = all(s.finite for s in self.spaces)
-        if self.fast:
-            # Columns of each grid in the order of the atoms of the space
-            # that draws the station's instrument value.
-            if self.variant is ModelVariant.M3:
-                values = tuple(zip(*self.spaces[1].atoms))
-            else:
-                values = self.spaces[1].atoms, self.spaces[2].atoms
-            grids = _outcome_grid(model, 0, sp.x), _outcome_grid(model, 1, sp.y)
-            self.mat_a, self.mat_b = (grid[:, [columns[v] for v in vs]]
-                                      for (columns, grid), vs in zip(grids, values))
-
-    def draw(self, generator: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray]:
-        if not self.fast:
-            return self._draw_slow(generator, n)
-        spaces = 2 if self.variant in (ModelVariant.M3, ModelVariant.QUANTUM) else 3
-        return self.outcomes_from_uniforms(*(generator.random(n) for _ in range(spaces)))
+            spaces = model.source, model.instruments_a[sp.x], model.instruments_b[sp.y]
+            values = spaces[1].atoms, spaces[2].atoms
+        self.cdfs = [s.cdf() for s in spaces]
+        grids = _outcome_grid(model, 0, sp.x), _outcome_grid(model, 1, sp.y)
+        self.mat_a, self.mat_b = (grid[:, [columns[v] for v in vs]]
+                                  for (columns, grid), vs in zip(grids, values))
 
     def outcomes_from_uniforms(self, u_source: np.ndarray, u_inst_a: np.ndarray,
                                u_inst_b: "np.ndarray | None" = None
                                ) -> tuple[np.ndarray, np.ndarray]:
-        """Fast-path outcomes from uniforms, one column per space in draw
-        order; ``u_inst_b`` is unused by m3 and quantum models.
-
-        The stream generator passes columns of its per-window uniforms;
-        only finite models (and quantum models) support this entry point.
-        """
+        """Outcomes from uniforms, one column per space in draw order;
+        ``u_inst_b`` is unused by m3 and quantum models.  The stream
+        generator passes columns of its per-window uniforms."""
         if self.variant is ModelVariant.QUANTUM:
             sign = np.where(u_source < 0.5, 1, -1).astype(np.int8)
             same = u_inst_a < self.p_same
@@ -631,57 +582,3 @@ class _PairSampler:
         i_src, *j = (_draw_indices(cdf, u)
                      for cdf, u in zip(self.cdfs, (u_source, u_inst_a, u_inst_b)))
         return self.mat_a[i_src, j[0]], self.mat_b[i_src, j[-1]]
-
-    def _draw_slow(self, generator: np.random.Generator, n: int):
-        drawn = []
-        for space, cdf in zip(self.spaces, self.cdfs):
-            if cdf is None:
-                values = np.empty(n, dtype=object)     # a draw of the wrong length fails
-                for i, value in enumerate(space.draw(generator, n)):
-                    values[i] = value
-            else:
-                values = [space.atoms[i] for i in _draw_indices(cdf, generator.random(n))]
-            drawn.append(values)
-        src, *inst = drawn
-        # A joint space draws (lx, ly) pairs; product spaces draw lx and ly.
-        inst = inst[0] if len(inst) == 1 else zip(*inst)
-        ab = [(self.resp_a(s[0], i[0]), self.resp_b(s[1], i[1])) for s, i in zip(src, inst)]
-        for k, (station, setting) in enumerate((("A", self.sp.x), ("B", self.sp.y))):
-            if bad := _outcome_violations(self.variant, station, setting, [o[k] for o in ab]):
-                raise InvalidModel(bad)
-        arr = np.array(ab, dtype=np.int8)
-        return arr[:, 0], arr[:, 1]
-
-
-def sample_trial(model: ExperimentModel, sp: SettingPair,
-                 generator: np.random.Generator) -> tuple[Outcome, Outcome]:
-    """Draw one trial with the caller's generator; deterministic given its state."""
-    a, b = _PairSampler(model, sp).draw(generator, 1)
-    return int(a[0]), int(b[0])
-
-
-def simulate_trials(model: ExperimentModel, sp: SettingPair, n: int,
-                    master_seed: int, workers: int = 1) -> tuple[np.ndarray, np.ndarray]:
-    """Draw n trials for one setting pair under the chunked seeding contract.
-
-    Trial i depends only on (master_seed, setting pair, i): results are
-    bit-identical across runs and worker counts, and a prefix of a longer
-    run equals the shorter run.
-    """
-    sampler = _PairSampler(model, sp)
-    sp = sampler.sp
-    ix = model.settings_a.index(sp.x)
-    iy = model.settings_b.index(sp.y)
-    a = np.empty(n, dtype=np.int8)
-    b = np.empty(n, dtype=np.int8)
-
-    def fill(chunk_index, start, stop):
-        gen = _rng.chunk_generator(master_seed, (_rng.PURPOSE_TRIALS, ix, iy), chunk_index)
-        # Always draw a full chunk and slice: trial values must not depend
-        # on where the requested range ends.
-        full_a, full_b = sampler.draw(gen, _rng.CHUNK)
-        a[start:stop] = full_a[: stop - start]
-        b[start:stop] = full_b[: stop - start]
-
-    _rng.map_chunks(fill, n, workers=workers)
-    return a, b

@@ -18,7 +18,8 @@ class UnknownSetting(BellsimError, ValueError):
 
 
 class NonFiniteSpace(BellsimError):
-    """Exact enumeration was requested but a lambda space is sampler-only."""
+    """Exact enumeration was requested of a model without a lambda space:
+    only quantum models have none."""
 
 
 class DegenerateConditioning(BellsimError):

@@ -63,8 +63,8 @@ separated by single spaces; any other name is refused.
 Probabilities are written as exact rationals (``1/6``) and angles as
 shortest-repr floats, so ``load(save(m)) == m``.
 
-Models using sampler spaces or plain-callable responses have no table
-form and cannot be saved.
+Models whose spaces are not `DiscreteDistribution` values or whose
+responses are plain callables have no table form and cannot be saved.
 """
 
 from __future__ import annotations
@@ -95,7 +95,7 @@ FORMAT_VERSION = 1
 
 def _require_table(space, what: str) -> DiscreteDistribution:
     if not isinstance(space, DiscreteDistribution):
-        raise BellsimError(f"{what} is sampler-backed; only table models can be saved")
+        raise BellsimError(f"{what} is not a DiscreteDistribution; only table models can be saved")
     return space
 
 

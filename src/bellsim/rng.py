@@ -24,8 +24,8 @@ import numpy as np
 
 CHUNK = 4096
 
-# Purpose tags keep unrelated streams (trials vs. schedules) from colliding.
-PURPOSE_TRIALS = 1
+# The purpose tag leads every spawn key; stream generation's tag is frozen
+# with CHUNK.
 PURPOSE_STREAMS = 2
 
 

@@ -359,7 +359,6 @@ def generate_streams(model: ExperimentModel, schedule: Schedule,
         raise BellsimError("detection_rate must be within [0, 1]")
     n_b = len(model.settings_b)
     samplers = [_PairSampler(model, sp) for sp in model.pairs()]    # by code x·|B| + y
-    fast = all(s.fast for s in samplers)
     # Callable responses read a block drawn after the matrix; frozen datasets fix that order.
     tables = all(isinstance(r, ResponseTable) for responses in (model.responses_a,
                  model.responses_b) for r in (responses or {}).values())
@@ -376,20 +375,13 @@ def generate_streams(model: ExperimentModel, schedule: Schedule,
         (a, x), (b, y) = ((outcome[start:stop], setting[start:stop])
                           for outcome, setting in columns)
         x[:], y[:] = xs, ys
-        if fast:
-            uniforms = (u.T[_COL_SOURCE:_COL_INST_B + 1] if tables
-                        else gen.random((stop - start, len(samplers[0].spaces))).T)
-            for pair_code, sampler in enumerate(samplers):
-                mask = code == pair_code
-                if mask.any():
-                    a[mask], b[mask] = sampler.outcomes_from_uniforms(
-                        *(column[mask] for column in uniforms))
-        else:
-            # Sampler-backed spaces draw from the generator sequentially, in
-            # window order, after the uniform matrix.
-            for i, pair_code in enumerate(code.tolist()):
-                ai, bi = samplers[pair_code].draw(gen, 1)
-                a[i], b[i] = ai[0], bi[0]
+        uniforms = (u.T[_COL_SOURCE:_COL_INST_B + 1] if tables
+                    else gen.random((stop - start, len(samplers[0].cdfs))).T)
+        for pair_code, sampler in enumerate(samplers):
+            mask = code == pair_code
+            if mask.any():
+                a[mask], b[mask] = sampler.outcomes_from_uniforms(
+                    *(column[mask] for column in uniforms))
         a[u[:, _COL_THIN_A] >= detection_rate] = 0
         b[u[:, _COL_THIN_B] >= detection_rate] = 0
 

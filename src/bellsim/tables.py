@@ -79,8 +79,9 @@ def _as_fraction(value) -> Fraction:
     or a float or numpy floating.
 
     Floats convert to their exact binary value, so arithmetic downstream is
-    exact whatever the caller provides.  Anything else, a string or a bool
-    included, is a TypeError; model files read probability text with
+    exact whatever the caller provides.  Anything else, a string, a bool or
+    a ``np.timedelta64`` (a numpy integer subclass) included, is a
+    TypeError; model files read probability text with
     ``modelio._decode_probability``.  A numpy scalar exists only once numpy
     is imported, so its types are looked up in ``sys.modules``, and only
     for a value that is none of the built-in types.
@@ -94,7 +95,8 @@ def _as_fraction(value) -> Fraction:
         return value
     np = sys.modules.get("numpy")
     if (isinstance(value, int) and not isinstance(value, bool)
-            or np is not None and isinstance(value, np.integer)):
+            or np is not None and isinstance(value, np.integer)
+            and not isinstance(value, np.timedelta64)):
         return Fraction(int(value))
     if isinstance(value, float) or np is not None and isinstance(value, np.floating):
         return Fraction(float(value))
@@ -113,8 +115,6 @@ class DiscreteDistribution:
 
     atoms: tuple
     probs: tuple
-
-    finite = True
 
     def __init__(self, atoms: Sequence, probs: Sequence):
         atoms = tuple(atoms)

@@ -1,5 +1,11 @@
 """Shared test utilities: independent oracles and random model generators.
 
+``generate_streams`` is the one Monte Carlo route.  ``fixed_pair_outcomes``
+reads one setting pair's trial outcomes off it, one window per trial
+under ``FixedSettings`` at detection rate 1, for the tests that compare
+Monte Carlo with enumeration or check that draws are reproducible, the
+same at any worker count and prefix-stable.
+
 The brute-force expectation oracle below recomputes model expectations with
 plain float loops straight from the model definition.  It deliberately
 shares no code with the package's enumeration engine so the two can check
@@ -20,8 +26,9 @@ keep the whole-array columnar path as it was before generation wrote its
 clicks in place and setting codes were narrowed: a generator that joins
 per-chunk parts with ``np.concatenate``, and a schedule and a pairer with
 int64 setting codes.  Both generators still draw a model with a
-plain-callable response window by window with ``_PairSampler._draw_slow``,
-as generation did before every finite model was tabulated.
+plain-callable response window by window (``_oracle_draw_window``): one
+uniform per space, each response called on the atoms drawn and its outcome
+checked, as generation did before every model was tabulated.
 
 Four more keep the text readers that each had their own line loop:
 model, config, time-tag and coincidence CSV files.  Two keep the text
@@ -38,7 +45,8 @@ outcome and every (source, instrument) key.
 
 The last keeps ``_as_fraction`` as it was while it lived in ``core`` and
 tested numpy's scalar types directly, for comparison with the numpy-free
-one in ``tables``; the coupling oracles above convert with it.
+one in ``tables``; the coupling oracles above convert with it.  Both
+refuse a ``np.timedelta64``, which numpy counts among its integers.
 """
 
 from __future__ import annotations
@@ -61,7 +69,6 @@ from bellsim.core import (
     ExperimentModel,
     ModelVariant,
     ResponseTable,
-    SamplerSpace,
 )
 from bellsim import core as _core
 from bellsim import rng as _rng
@@ -87,13 +94,21 @@ from bellsim.cli import ConfigError
 from bellsim.errors import (
     BellsimError,
     EmptyCell,
+    InvalidModel,
     NonMonotonicTimestamps,
     ParseError,
     SettingConflict,
     UnsortedStream,
 )
 from bellsim.modelio import _decode_label
-from bellsim.streams import ClickStream, CoincidenceRecord, CoincidenceRecords
+from bellsim.streams import (
+    ClickStream,
+    CoincidenceRecord,
+    CoincidenceRecords,
+    FixedSettings,
+    Schedule,
+    generate_streams,
+)
 from bellsim.textio import _label_text
 
 
@@ -165,20 +180,10 @@ def random_lhvm_model(generator, max_source_atoms=12):
                            responses_a=responses_a, responses_b=responses_b, name="random-lhvm")
 
 
-def sampler_model():
-    """A model with a sampler-backed source and callable responses, so
-    every trial is drawn and evaluated one space at a time."""
-    source = SamplerSpace(lambda g, n: [(int(v), int(v)) for v in g.integers(0, 3, n)])
-    inst = {s: DiscreteDistribution.uniform([0, 1]) for s in (1, 2)}
-    resp = {s: (lambda lam, i, s=s: (-1, 0, 1)[(lam + i * s) % 3]) for s in (1, 2)}
-    return ExperimentModel(ModelVariant.M1, (1, 2), (1, 2), source=source, instruments_a=inst,
-                           instruments_b=dict(inst), responses_a=resp, responses_b=dict(resp))
-
-
 def callable_response_model():
     """An m3 model over finite tables whose responses are plain callables.
-    The package tabulates them on the finite path; the oracles in this
-    module still call them on the per-element path, one draw at a time."""
+    The package tabulates them; the oracles in this module still call
+    them on the per-element path, one draw at a time."""
     source = DiscreteDistribution([(0, 1), (1, 0), (2, 2)], [Fraction(1, 2), Fraction(1, 3),
                                                              Fraction(1, 6)])
     joint = {(x, y): DiscreteDistribution([(0, 0), (0, 1), (1, 1)],
@@ -188,6 +193,35 @@ def callable_response_model():
     resp_b = {s: (lambda lam, i, s=s: (1, -1)[(lam * s + i) % 2]) for s in (1, 2)}
     return ExperimentModel(ModelVariant.M3, ("u", "v"), (1, 2), source=source,
                            instruments_joint=joint, responses_a=resp_a, responses_b=resp_b)
+
+
+def drawing_source_model(settings=(1, 2)):
+    """An m1 model whose source is no distribution but an object with a
+    ``draw(generator, n)`` method, the shape a sampler-backed space had.
+    Validation, enumeration, generation and model files all refuse it."""
+    class Drawing:
+        def draw(self, generator, n):
+            return [(0, 0)] * n
+
+    inst = {s: DiscreteDistribution.point(0) for s in settings}
+    resp = {s: ResponseTable({(0, 0): 1}) for s in settings}
+    return ExperimentModel(ModelVariant.M1, settings, settings, source=Drawing(),
+                           instruments_a=inst, instruments_b=dict(inst), responses_a=resp,
+                           responses_b=dict(resp))
+
+
+def fixed_pair_outcomes(model, sp, n, master_seed, workers=1):
+    """``(a, b)``: the int8 outcomes of ``n`` trials of the setting pair
+    ``sp``, 0 for no detection.  Trial i is window i of a ``generate_streams``
+    run of one-nanosecond windows under ``FixedSettings(*sp)`` at detection
+    rate 1, so a click's time is its window."""
+    schedule = Schedule(n, 1, FixedSettings(*sp))
+    outcomes = []
+    for stream in generate_streams(model, schedule, 1.0, master_seed, workers=workers):
+        column = np.zeros(n, dtype=np.int8)
+        column[stream.t] = stream.value
+        outcomes.append(column)
+    return tuple(outcomes)
 
 
 def record_rows(sp, outcome_pairs):
@@ -433,11 +467,33 @@ def columnar(stream: EventStream) -> ClickStream:
 
 
 def _oracle_reads_matrix(model) -> bool:
-    """The oracles' own branch rule: a quantum model, or a finite model whose
-    responses are all tables, reads the uniform matrix; any other model is
+    """The oracles' own branch rule: a model whose responses are all tables,
+    a quantum model included, reads the uniform matrix; any other model is
     drawn window by window, each response called per element."""
     responses = [*(model.responses_a or {}).values(), *(model.responses_b or {}).values()]
-    return model.is_finite() and all(isinstance(r, ResponseTable) for r in responses)
+    return all(isinstance(r, ResponseTable) for r in responses)
+
+
+def _oracle_draw_window(model, sp, gen):
+    """One window's outcomes ``(a, b)`` of the pair ``sp``, per element: one
+    ``random(1)`` per space in draw order (source, then A's instrument or
+    the joint pair, then B's), the atom its cdf selects, each response
+    called on the atoms drawn and its outcome checked (InvalidModel)."""
+    if model.variant is ModelVariant.M3:
+        spaces = [model.source, model.instruments_joint[sp]]
+    else:
+        spaces = [model.source, model.instruments_a[sp.x], model.instruments_b[sp.y]]
+    drawn = []
+    for space in spaces:
+        i = int(np.searchsorted(space.cdf(), gen.random(1)[0], side="right"))
+        drawn.append(space.atoms[min(i, len(space.atoms) - 1)])
+    src, *inst = drawn
+    lx, ly = inst[0] if len(inst) == 1 else inst
+    ab = model.responses_a[sp.x](src[0], lx), model.responses_b[sp.y](src[1], ly)
+    for o, station, setting in zip(ab, "AB", sp):
+        if bad := _core._outcome_violations(model.variant, station, setting, [o]):
+            raise InvalidModel(bad)
+    return ab
 
 
 def oracle_generate_streams(model, schedule, detection_rate, master_seed, workers=1):
@@ -472,8 +528,7 @@ def oracle_generate_streams(model, schedule, detection_rate, master_seed, worker
         else:
             for i in range(m):
                 sp = SettingPair(model.settings_a[xs[i]], model.settings_b[ys[i]])
-                ai, bi = samplers[sp]._draw_slow(gen, 1)
-                a[i], b[i] = ai[0], bi[0]
+                a[i], b[i] = _oracle_draw_window(model, sp, gen)
         keep_a = (a != 0) & (u[:, 5] < detection_rate)
         keep_b = (b != 0) & (u[:, 6] < detection_rate)
         ev_a = [ClickEvent(int((start + i) * w), model.settings_a[xs[i]], int(a[i]))
@@ -587,9 +642,9 @@ def oracle_columnar_generate_streams(model, schedule, detection_rate, master_see
                     a[mask], b[mask] = sampler.outcomes_from_uniforms(
                         u[mask, 2], u[mask, 3], u[mask, 4])
         else:
+            pairs = model.pairs()
             for i, pair_code in enumerate(code.tolist()):
-                ai, bi = samplers[pair_code]._draw_slow(gen, 1)
-                a[i], b[i] = ai[0], bi[0]
+                a[i], b[i] = _oracle_draw_window(model, pairs[pair_code], gen)
         i_a = np.flatnonzero((a != 0) & (u[:, 5] < detection_rate))
         i_b = np.flatnonzero((b != 0) & (u[:, 6] < detection_rate))
         return (start + i_a, xs[i_a], a[i_a]), (start + i_b, ys[i_b], b[i_b])
@@ -1254,11 +1309,12 @@ def oracle_table_totality(model) -> list[str]:
 
 
 def oracle_as_fraction(value) -> Fraction:
-    """A Fraction, an int or numpy integer (not a bool), or a float or numpy
-    floating, as an exact Fraction; anything else is a TypeError."""
+    """A Fraction, an int or numpy integer (not a bool or a numpy timedelta),
+    or a float or numpy floating, as an exact Fraction; anything else is a
+    TypeError."""
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+    if isinstance(value, (int, np.integer)) and not isinstance(value, (bool, np.timedelta64)):
         return Fraction(int(value))
     if isinstance(value, (float, np.floating)):
         return Fraction(float(value))

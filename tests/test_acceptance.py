@@ -19,7 +19,6 @@ from bellsim.core import (
     SettingPair,
     enumerate_postselected,
     enumerate_raw,
-    simulate_trials,
 )
 from bellsim.coupling import (
     JointSpec,
@@ -49,7 +48,7 @@ from bellsim.streams import (
 )
 from bellsim.cli import _analysis_payload
 
-from helpers import mc_tolerance, random_lhvm_model, records_from_arrays
+from helpers import fixed_pair_outcomes, mc_tolerance, random_lhvm_model
 
 N_MC = 100_000
 
@@ -134,7 +133,7 @@ def test_criterion_4_lhvm_bound_and_mc_agreement():
                                                      model.settings_b, RAW))
             assert report.s_max_abs <= 2 + 1e-12
             for sp in model.pairs():
-                a, b = simulate_trials(model, sp, N_MC, 7_000_000 + index)
+                a, b = fixed_pair_outcomes(model, sp, N_MC, 7_000_000 + index)
                 prod = (a * b).astype(float)
                 se = float(prod.std(ddof=0)) / math.sqrt(N_MC)
                 assert abs(prod.mean() - float(exact[sp].e_ab)) <= mc_tolerance(se)
@@ -163,7 +162,7 @@ def test_criterion_6_quantum_reference():
         estimates = {}
         variances = {}
         for sp in scenario.model.pairs():
-            a, b = simulate_trials(scenario.model, sp, N_MC, 616)
+            a, b = fixed_pair_outcomes(scenario.model, sp, N_MC, 616)
             prod = (a * b).astype(float)
             estimates[sp] = prod.mean()
             variances[sp] = prod.var(ddof=0) / N_MC

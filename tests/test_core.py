@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -18,19 +19,24 @@ from bellsim.core import (
     ExperimentModel,
     ModelVariant,
     ResponseTable,
-    SamplerSpace,
     SettingPair,
     enumerate_postselected,
     enumerate_raw,
     quantum_reference_correlation,
-    sample_trial,
-    simulate_trials,
     validate_model,
 )
-from bellsim.errors import DegenerateConditioning, InvalidModel, NonFiniteSpace, UnknownSetting
+from bellsim.errors import DegenerateConditioning, InvalidModel, UnknownSetting
 from bellsim.scenarios import CANONICAL_ANGLES, lf_scenario, m3_demo_scenario, quantum_scenario
+from bellsim.streams import RandomSettings, Schedule, generate_streams
 
-from helpers import brute_force_expectations, random_lhvm_model, sample_standard_error, mc_tolerance
+from helpers import (
+    brute_force_expectations,
+    drawing_source_model,
+    fixed_pair_outcomes,
+    mc_tolerance,
+    random_lhvm_model,
+    sample_standard_error,
+)
 
 SETTINGS = (1, 2)
 TESTS = Path(__file__).resolve().parent
@@ -144,7 +150,7 @@ class TestValidateModel:
         with pytest.raises(InvalidModel, match="angle for 2 is not finite"):
             enumerate_raw(model, SettingPair(1, 2))
         with pytest.raises(InvalidModel, match="angle for 2 is not finite"):
-            sample_trial(model, SettingPair(1, 2), np.random.Generator(np.random.PCG64(0)))
+            fixed_pair_outcomes(model, SettingPair(1, 2), 1, 0)
 
     def test_overflowing_angle_difference_reported(self):
         model = ExperimentModel(ModelVariant.QUANTUM, SETTINGS, SETTINGS,
@@ -155,7 +161,7 @@ class TestValidateModel:
         with pytest.raises(InvalidModel, match=r"pair \(1, 1\) is not finite"):
             enumerate_raw(model, SettingPair(1, 1))
         with pytest.raises(InvalidModel, match=r"pair \(1, 1\) is not finite"):
-            sample_trial(model, SettingPair(1, 1), np.random.Generator(np.random.PCG64(0)))
+            fixed_pair_outcomes(model, SettingPair(1, 1), 1, 0)
         huge = ExperimentModel(ModelVariant.QUANTUM, SETTINGS, SETTINGS,
                                angles_a={1: 10**308, 2: 0.0}, angles_b={1: -10**308, 2: 0.0})
         assert validate_model(huge) == want
@@ -187,7 +193,7 @@ class TestValidateModel:
 
     @pytest.mark.parametrize("base, changes, want", [
         (constant_model, {"source": None}, "source: missing"),
-        (constant_model, {"source": "uniform"}, "source: not a distribution or sampler"),
+        (constant_model, {"source": "uniform"}, "source: not a distribution"),
         (constant_model, {"source": DiscreteDistribution.uniform([0, 1])},
          "source: atoms must be 2-tuples"),
         (constant_model, {"variant": "m9"}, "unknown variant 'm9'"),
@@ -277,7 +283,7 @@ class TestValidateModel:
             enumerate_raw(model, SettingPair(1, 1))
         assert want in excinfo.value.violations
         with pytest.raises(InvalidModel) as excinfo:
-            simulate_trials(model, SettingPair(1, 1), 10, master_seed=1)
+            fixed_pair_outcomes(model, SettingPair(1, 1), 10, 1)
         assert want in excinfo.value.violations
 
     @pytest.mark.parametrize("outcome", [np.int8(-1), np.int64(1), True])
@@ -285,15 +291,14 @@ class TestValidateModel:
         model = constant_model(b_value=outcome)
         assert validate_model(model) == []
         assert enumerate_raw(model, SettingPair(1, 1)).e_ab == int(outcome)
-        a, b = simulate_trials(model, SettingPair(1, 1), 10, master_seed=1)
+        a, b = fixed_pair_outcomes(model, SettingPair(1, 1), 10, 1)
         assert b.tolist() == [int(outcome)] * 10
 
     @pytest.mark.parametrize("station", ["A", "B"])
     @pytest.mark.parametrize("outcome", [-2, 2, 0.5, 1.0, 0])
     def test_callable_outcome_outside_range_reported(self, station, outcome):
-        # A plain callable can only be checked once it is called: when a
-        # finite model tabulates it, for enumeration or for its samplers, or
-        # on each draw of a sampler model.
+        # A plain callable can only be checked once it is called: when the
+        # model tabulates it, for enumeration or for its samplers.
         # An lhvm model's range is -1/+1 alone, so its outcome 0 is outside.
         def respond(lam, i):
             return outcome if lam == 1 else -1
@@ -304,32 +309,20 @@ class TestValidateModel:
         valid = {s: (lambda lam, i: 1) for s in SETTINGS}
         broken = {1: respond, 2: valid[2]}
         resp_a, resp_b = (broken, valid) if station == "A" else (valid, broken)
-        finite = ExperimentModel(variant, SETTINGS, SETTINGS, source=source, instruments_a=inst,
-                                 instruments_b=dict(inst), responses_a=resp_a, responses_b=resp_b)
-        sampled = ExperimentModel(
-            variant, SETTINGS, SETTINGS,
-            source=SamplerSpace(lambda g, n: [(int(v), int(v)) for v in g.integers(0, 2, n)]),
-            instruments_a=inst, instruments_b=dict(inst), responses_a=resp_a, responses_b=resp_b)
+        model = ExperimentModel(variant, SETTINGS, SETTINGS, source=source, instruments_a=inst,
+                                instruments_b=dict(inst), responses_a=resp_a, responses_b=resp_b)
         if outcome == 0:
             want = f"responses {station}[1]: lhvm responses must never output 0"
         else:
             want = f"responses {station}[1]: outcomes outside -1/0/+1: {[outcome]}"
-        assert validate_model(finite) == validate_model(sampled) == []
-        calls = [lambda: enumerate_raw(finite, SettingPair(2, 2)),
-                 lambda: enumerate_postselected(finite, SettingPair(1, 1))]
-        for model in (finite, sampled):
-            calls.append(lambda model=model: simulate_trials(model, SettingPair(1, 1), 10, 1))
-            # One trial draws one source atom; half of them reach the bad outcome.
-            generator = np.random.default_rng(2)
-            calls.append(lambda model=model: [sample_trial(model, SettingPair(1, 1), generator)
-                                              for _ in range(64)])
+        assert validate_model(model) == []
+        calls = [lambda: enumerate_raw(model, SettingPair(2, 2)),
+                 lambda: enumerate_postselected(model, SettingPair(1, 1)),
+                 lambda: fixed_pair_outcomes(model, SettingPair(2, 2), 10, 1)]
         for call in calls * 2:
             with pytest.raises(InvalidModel) as excinfo:
                 call()
             assert excinfo.value.violations == [want]
-        # The sampler checks only its own pair's responses.
-        a, b = simulate_trials(sampled, SettingPair(2, 2), 10, 1)
-        assert (a == 1).all() and (b == 1).all()
 
 
 class TestEnumerate:
@@ -394,16 +387,18 @@ class TestEnumerate:
                 assert 0 <= r.c_xy <= 1
 
     def test_sampler_space_refused(self):
-        sampler = SamplerSpace(lambda g, n: [(0.0, 0.0)] * n, "degenerate pairs")
-        inst = {s: DiscreteDistribution.point(0) for s in SETTINGS}
-        resp = {s: (lambda l, i: 1) for s in SETTINGS}
-        model = ExperimentModel(ModelVariant.M1, SETTINGS, SETTINGS, source=sampler,
-                                instruments_a=inst, instruments_b=dict(inst), responses_a=resp,
-                                responses_b=dict(resp))
-        with pytest.raises(NonFiniteSpace):
-            enumerate_raw(model, SettingPair(1, 1))
-        a, b = simulate_trials(model, SettingPair(1, 1), 64, 5)
-        assert (a == 1).all() and (b == 1).all()
+        """A source that draws its own atoms is no distribution: validation
+        names it, and enumeration and generation raise InvalidModel.
+        ``test_modelio::test_sampler_models_not_serialisable`` checks that a
+        model file cannot hold it."""
+        model = drawing_source_model(SETTINGS)
+        assert validate_model(model) == ["source: not a distribution"]
+        schedule = Schedule.for_windows(64, 10, RandomSettings())
+        for call in (lambda: enumerate_raw(model, SettingPair(1, 1)),
+                     lambda: generate_streams(model, schedule, 1.0, 5)):
+            with pytest.raises(InvalidModel) as excinfo:
+                call()
+            assert excinfo.value.violations == ["source: not a distribution"]
 
 
 class TestQuantumReference:
@@ -429,36 +424,36 @@ class TestQuantumReference:
 
 
 class TestSampling:
+    """Monte Carlo through ``generate_streams``, one setting pair at a time
+    (``helpers.fixed_pair_outcomes``)."""
+
     def test_constant_model_trial(self):
-        model = constant_model(1, -1)
-        gen = np.random.Generator(np.random.PCG64(0))
-        assert sample_trial(model, SettingPair(1, 1), gen) == (1, -1)
+        a, b = fixed_pair_outcomes(constant_model(1, -1), SettingPair(1, 1), 1, 0)
+        assert (a.tolist(), b.tolist()) == ([1], [-1])
 
     def test_lf_outcomes_follow_power_law(self):
         model = lf_scenario().model
-        gen = np.random.Generator(np.random.PCG64(11))
-        for _ in range(50):
-            a, b = sample_trial(model, SettingPair(1, 1), gen)
-            assert (a, b) == (1, 1)
-            a, b = sample_trial(model, SettingPair(-1, -1), gen)
-            assert b == -a
+        a, b = fixed_pair_outcomes(model, SettingPair(1, 1), 50, 11)
+        assert (a == 1).all() and (b == 1).all()
+        a, b = fixed_pair_outcomes(model, SettingPair(-1, -1), 50, 11)
+        assert (a != 0).all() and (b == -a).all()
 
     def test_equal_seeds_bit_identical(self):
         model = lf_scenario().model
         pair = SettingPair(-1, 1)
-        first = sample_trial(model, pair, np.random.Generator(np.random.PCG64(21)))
-        second = sample_trial(model, pair, np.random.Generator(np.random.PCG64(21)))
-        assert first == second
+        first = fixed_pair_outcomes(model, pair, 1000, 21)
+        second = fixed_pair_outcomes(model, pair, 1000, 21)
+        assert all(map(np.array_equal, first, second))
 
-    def test_simulate_trials_reproducible_and_prefix_stable(self):
+    def test_fixed_pair_draws_reproducible_and_prefix_stable(self):
         model = lf_scenario().model
         pair = SettingPair(-1, -1)
-        a1, b1 = simulate_trials(model, pair, 10_000, 99)
-        a2, b2 = simulate_trials(model, pair, 10_000, 99)
+        a1, b1 = fixed_pair_outcomes(model, pair, 10_000, 99)
+        a2, b2 = fixed_pair_outcomes(model, pair, 10_000, 99)
         assert np.array_equal(a1, a2) and np.array_equal(b1, b2)
-        a3, b3 = simulate_trials(model, pair, 300, 99)
+        a3, b3 = fixed_pair_outcomes(model, pair, 300, 99)
         assert np.array_equal(a3, a1[:300]) and np.array_equal(b3, b1[:300])
-        a4, b4 = simulate_trials(model, pair, 10_000, 99, workers=4)
+        a4, b4 = fixed_pair_outcomes(model, pair, 10_000, 99, workers=4)
         assert np.array_equal(a4, a1) and np.array_equal(b4, b1)
 
     def test_monte_carlo_matches_enumeration(self):
@@ -466,7 +461,7 @@ class TestSampling:
         model = random_lhvm_model(gen)
         for sp in model.pairs():
             exact = enumerate_raw(model, sp)
-            a, b = simulate_trials(model, sp, 100_000, 1234)
+            a, b = fixed_pair_outcomes(model, sp, 100_000, 1234)
             prod = (a * b).astype(float)
             assert abs(prod.mean() - float(exact.e_ab)) <= mc_tolerance(sample_standard_error(prod))
             assert abs(a.mean() - float(exact.e_a)) <= mc_tolerance(sample_standard_error(a))
@@ -476,7 +471,7 @@ class TestSampling:
         model = quantum_scenario().model
         for sp in model.pairs():
             expected = enumerate_raw(model, sp).e_ab
-            a, b = simulate_trials(model, sp, 100_000, 31)
+            a, b = fixed_pair_outcomes(model, sp, 100_000, 31)
             prod = (a * b).astype(float)
             assert abs(prod.mean() - expected) <= mc_tolerance(sample_standard_error(prod))
             assert set(np.unique(a)) <= {-1, 1}
@@ -485,7 +480,7 @@ class TestSampling:
         model = two_atom_demo_model()
         for sp in model.pairs():
             exact = enumerate_raw(model, sp)
-            a, b = simulate_trials(model, sp, 100_000, 8)
+            a, b = fixed_pair_outcomes(model, sp, 100_000, 8)
             nonzero = (a != 0) & (b != 0)
             c_hat = nonzero.astype(float)
             assert abs(c_hat.mean() - float(exact.c_xy)) <= mc_tolerance(sample_standard_error(c_hat))
@@ -540,6 +535,14 @@ class TestDiscreteDistribution:
     def test_bool_probability_is_not_a_number(self, flag):
         with pytest.raises(TypeError, match=f"^cannot interpret {flag!r} as a probability$"):
             DiscreteDistribution([1, 2], [flag, not flag])
+
+    @pytest.mark.parametrize("delta", [np.timedelta64(1), np.timedelta64(1, "s")],
+                             ids=["no-unit", "seconds"])
+    def test_timedelta_probability_is_not_a_number(self, delta):
+        # numpy counts a timedelta among its integers; it is no probability.
+        with pytest.raises(TypeError,
+                           match=f"^cannot interpret {re.escape(repr(delta))} as a probability$"):
+            DiscreteDistribution([1], [delta])
 
     def test_integer_weights_are_computed_once(self, monkeypatch):
         dist = DiscreteDistribution((0, 1, 2), (Fraction(1, 6), Fraction(1, 3), 0.5))

@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from bellsim.core import SettingPair, enumerate_postselected, enumerate_raw, simulate_trials
+from bellsim.core import SettingPair, enumerate_postselected, enumerate_raw
 from bellsim.coupling import joint_moments
 from bellsim.errors import EmptyCell, MissingPair, UnknownSetting
 from bellsim.estimators import (
@@ -23,7 +23,13 @@ from bellsim.scenarios import build_scenario, lf_scenario, quantum_scenario
 from bellsim.core import DiscreteDistribution
 from bellsim.streams import CoincidenceRecords
 
-from helpers import make_records, random_lhvm_model, record_rows, records_from_arrays
+from helpers import (
+    fixed_pair_outcomes,
+    make_records,
+    random_lhvm_model,
+    record_rows,
+    records_from_arrays,
+)
 
 PAIRS_2X2 = [(x, y) for x in (1, 2) for y in (1, 2)]
 
@@ -61,7 +67,7 @@ class TestEstimateRaw:
 
     def test_lf_generated_minus_minus_is_exactly_minus_one(self):
         model = lf_scenario().model
-        a, b = simulate_trials(model, SettingPair(-1, -1), 100_000, 5)
+        a, b = fixed_pair_outcomes(model, SettingPair(-1, -1), 100_000, 5)
         cs = estimate_raw(records_from_arrays((-1, -1), a, b))
         assert cs.stats(-1, -1).e_ab == -1.0
 
@@ -197,7 +203,7 @@ class TestNoSignalling:
         for rep in range(100):
             rows = []
             for sp in model.pairs():
-                a, b = simulate_trials(model, sp, 1000, 10_000 + rep)
+                a, b = fixed_pair_outcomes(model, sp, 1000, 10_000 + rep)
                 rows += record_rows(sp, zip(a, b))
             report = no_signalling(estimate_raw(CoincidenceRecords.from_rows(rows)))
             for d in report.deltas:

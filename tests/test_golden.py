@@ -15,14 +15,11 @@ setting conflict whose exit code and message are pinned.  A ``--threads
 2`` simulate per scenario must reproduce the one-thread files byte for
 byte.
 
-A third set pins the Monte Carlo draws themselves, below the CLI:
-``simulate_trials`` for every pair of every scenario and of two models
-outside the scenarios' response tables with one and two workers, a run of
-``sample_trial`` calls together with the generator's next draw, and
-``generate_streams`` for those two models.  One has a sampler-backed
-source and takes the per-element path, one draw at a time.  The other is
-finite with plain-callable responses: it is tabulated like a table model,
-and its digests, written while it took the per-element path, pin that the
+A third set pins ``generate_streams`` below the CLI, with one and two
+workers, for a model outside the scenarios' response tables: its
+responses are plain callables, which read a block of uniforms drawn after
+the per-window matrix.  It is tabulated like a table model, and its
+digest, written while it took the per-element path, pins that the
 tabulation draws the same doubles in the same order.
 
 A fourth set pins the commands no simulate run reaches: ``check-coupling``,
@@ -50,13 +47,7 @@ import numpy as np
 import pytest
 
 from bellsim.cli import main
-from bellsim.core import (
-    enumerate_postselected,
-    enumerate_raw,
-    pair_order,
-    sample_trial,
-    simulate_trials,
-)
+from bellsim.core import enumerate_postselected, enumerate_raw, pair_order
 from bellsim.coupling import (
     JointSpec,
     joint_moments,
@@ -67,7 +58,7 @@ from bellsim.coupling import (
 from bellsim.scenarios import build_scenario, scenario_names
 from bellsim.streams import RandomSettings, Schedule, generate_streams
 
-from helpers import callable_response_model, sampler_model
+from helpers import callable_response_model
 
 DIGESTS = Path(__file__).with_name("golden_digests.json")
 RULES = ("fixed", "round-robin", "random")
@@ -187,9 +178,8 @@ def test_two_threads_write_the_same_bytes(scenario, tmp_path):
 # --------------------------------------------------------------------------
 # Monte Carlo draws
 
-MC_MODELS = {**{name: lambda name=name: build_scenario(name).model for name in scenario_names()},
-             "sampler-backed": sampler_model, "callable-response": callable_response_model}
-MC_TRIALS = 5000     # crosses the 4096-trial chunk edge
+MC_MODELS = {"callable-response": callable_response_model}
+MC_WINDOWS = 5000     # crosses the 4096-window chunk edge
 
 
 def _sha(*parts) -> str:
@@ -199,49 +189,19 @@ def _sha(*parts) -> str:
     return digest.hexdigest()
 
 
-def simulate_trials_digests(model, workers: int) -> dict:
-    return {f"{sp.x},{sp.y}": _sha(*simulate_trials(model, sp, MC_TRIALS, SEED, workers=workers))
-            for sp in model.pairs()}
-
-
-def sample_trial_digest(model) -> str:
-    generator = np.random.Generator(np.random.PCG64(SEED))
-    trials = [sample_trial(model, sp, generator) for sp in model.pairs() for _ in range(5)]
-    return _sha(trials, generator.random())
-
-
 def generate_streams_digest(model, workers: int) -> str:
-    schedule = Schedule.for_windows(MC_TRIALS, 10, RandomSettings())
+    schedule = Schedule.for_windows(MC_WINDOWS, 10, RandomSettings())
     return _sha(*((s.labels, s.t, s.setting, s.value)
                   for s in generate_streams(model, schedule, 0.8, SEED, workers=workers)))
 
 
 def mc_digests() -> dict:
-    out = {}
-    for name, build in MC_MODELS.items():
-        model = build()
-        out[f"mc/simulate_trials/{name}"] = simulate_trials_digests(model, 1)
-        out[f"mc/sample_trial/{name}"] = sample_trial_digest(model)
-        if name in ("sampler-backed", "callable-response"):
-            out[f"mc/generate_streams/{name}"] = generate_streams_digest(model, 1)
-    return out
+    return {f"mc/generate_streams/{name}": generate_streams_digest(build(), 1)
+            for name, build in MC_MODELS.items()}
 
 
 @pytest.mark.parametrize("workers", (1, 2))
 @pytest.mark.parametrize("name", MC_MODELS)
-def test_simulate_trials_match_golden_digests(name, workers):
-    want = json.loads(DIGESTS.read_text())[f"mc/simulate_trials/{name}"]
-    assert simulate_trials_digests(MC_MODELS[name](), workers) == want
-
-
-@pytest.mark.parametrize("name", MC_MODELS)
-def test_sample_trial_matches_golden_digest(name):
-    want = json.loads(DIGESTS.read_text())[f"mc/sample_trial/{name}"]
-    assert sample_trial_digest(MC_MODELS[name]()) == want
-
-
-@pytest.mark.parametrize("workers", (1, 2))
-@pytest.mark.parametrize("name", ("sampler-backed", "callable-response"))
 def test_per_element_generation_matches_golden_digest(name, workers):
     want = json.loads(DIGESTS.read_text())[f"mc/generate_streams/{name}"]
     assert generate_streams_digest(MC_MODELS[name](), workers) == want

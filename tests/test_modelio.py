@@ -13,7 +13,6 @@ from bellsim.core import (
     ExperimentModel,
     ModelVariant,
     ResponseTable,
-    SamplerSpace,
     _PARTS,
     _VARIANT_FIELDS,
     validate_model,
@@ -21,6 +20,7 @@ from bellsim.core import (
 from bellsim.errors import BellsimError, ParseError
 from bellsim.scenarios import build_scenario, scenario_names
 
+from helpers import drawing_source_model
 from test_tables import table_models
 
 
@@ -89,13 +89,10 @@ def test_missing_settings_rejected():
 
 
 def test_sampler_models_not_serialisable():
-    sampler = SamplerSpace(lambda g, n: [(0, 0)] * n)
-    inst = {s: DiscreteDistribution.point(0) for s in (1, 2)}
-    resp = {s: ResponseTable({(0, 0): 1}) for s in (1, 2)}
-    model = ExperimentModel(ModelVariant.M1, (1, 2), (1, 2), source=sampler, instruments_a=inst,
-                            instruments_b=dict(inst), responses_a=resp, responses_b=dict(resp))
-    with pytest.raises(BellsimError, match="sampler"):
-        modelio.dumps(model)
+    with pytest.raises(BellsimError) as excinfo:
+        modelio.dumps(drawing_source_model())
+    assert str(excinfo.value) == ("source is not a DiscreteDistribution; "
+                                  "only table models can be saved")
 
 
 def test_int_lookalike_string_label_refused():

@@ -52,7 +52,6 @@ from helpers import (
     oracle_ingest_timetag_file,
     oracle_read_coincidence_csv,
     oracle_write_coincidence_csv,
-    sampler_model,
 )
 
 
@@ -94,8 +93,6 @@ def oracle_counts(records):
 
 @cache
 def _model(name):
-    if name == "sampler":
-        return sampler_model()
     if name == "callable":
         return callable_response_model()
     return build_scenario(name).model
@@ -126,7 +123,7 @@ def _check_pipeline(model, schedule, eta, seed, workers):
     return result.records, records
 
 
-MODEL_NAMES = (*scenario_names(), "sampler", "callable")
+MODEL_NAMES = (*scenario_names(), "callable")
 # One past, at and one short of the chunk edges, and a single window.
 WINDOW_COUNTS = (1, 4095, 4096, 4097, 3 * 4096 + 1)
 

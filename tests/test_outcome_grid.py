@@ -1,13 +1,14 @@
 """The outcome grid: each response tabulated once per model and setting.
 
-Exact enumeration and the Monte Carlo path of every finite model, with
-response tables or plain callables, read a model's outcome grids, so the
-samplers are checked here against an independent per-element oracle:
-indices drawn from each space's cdf with ``np.searchsorted`` in the test,
-and the response called on the atoms they select.  ``simulate_trials`` on
-callable responses is also checked against ``_PairSampler._draw_slow``,
-the per-draw path that only sampler-backed spaces take.  A counting
-response table shows that no cell is evaluated twice.
+Exact enumeration and the Monte Carlo path of every model, with response
+tables or plain callables, read a model's outcome grids, so the samplers
+are checked here against an independent per-element oracle: indices drawn
+from each space's cdf with ``np.searchsorted`` in the test, and the
+response called on the atoms they select.  ``generate_streams`` on
+callable responses is also checked against
+``helpers.oracle_columnar_generate_streams``, which draws each window one
+space at a time and calls the responses per element.  A counting response
+table shows that no cell is evaluated twice.
 """
 
 import dataclasses
@@ -27,14 +28,12 @@ from bellsim.core import (
     _PairSampler,
     enumerate_postselected,
     enumerate_raw,
-    sample_trial,
-    simulate_trials,
 )
 from bellsim.errors import InvalidModel
 from bellsim.scenarios import build_scenario
 from bellsim.streams import RandomSettings, Schedule, generate_streams
 
-from helpers import callable_response_model
+from helpers import callable_response_model, fixed_pair_outcomes, oracle_columnar_generate_streams
 from test_core import two_atom_demo_model
 
 OUTCOMES = (-1, 0, 1)
@@ -129,7 +128,6 @@ def test_fast_sampler_matches_per_element_oracle(variant, data):
     uniform = st.floats(0, 1, exclude_max=True)
     for sp in model.pairs():
         sampler = _PairSampler(model, sp)
-        assert sampler.fast
         spaces = ([model.source, model.instruments_joint[sp]] if variant is ModelVariant.M3
                   else [model.source, model.instruments_a[sp.x], model.instruments_b[sp.y]])
         # Random uniforms, plus every cdf step and 0, so ties and zero
@@ -152,20 +150,18 @@ def test_fast_sampler_matches_per_element_oracle(variant, data):
 @pytest.mark.parametrize("n", (_rng.CHUNK - 1, _rng.CHUNK, _rng.CHUNK + 1))
 @settings(max_examples=8, deadline=None)
 @given(data=st.data())
-def test_simulate_trials_on_callables_matches_per_draw_path(n, workers, data):
-    """Chunk by chunk, the grid path draws what ``_draw_slow`` draws, calling
-    each response per element, from the same chunk generators."""
+def test_generate_streams_on_callables_matches_per_draw_oracle(n, workers, data):
+    """Chunk by chunk, the grid path draws what the oracle draws one window
+    and one space at a time, calling each response per element, from the
+    same chunk generators."""
     model = plain_functions(data.draw(grid_models(data.draw(st.sampled_from(VARIANTS)))))
-    sp = data.draw(st.sampled_from(model.pairs()))
     seed = data.draw(st.integers(0, 2 ** 32))
-    sampler = _PairSampler(model, sp)
-    assert sampler.fast
-    key = _rng.PURPOSE_TRIALS, model.settings_a.index(sp.x), model.settings_b.index(sp.y)
-    chunks = [sampler._draw_slow(_rng.chunk_generator(seed, key, c), _rng.CHUNK)
-              for c in range(-(-n // _rng.CHUNK))]
-    want_a, want_b = (np.concatenate(columns)[:n] for columns in zip(*chunks))
-    a, b = simulate_trials(model, sp, n, seed, workers=workers)
-    assert a.tolist() == want_a.tolist() and b.tolist() == want_b.tolist()
+    schedule = Schedule.for_windows(n, 10, RandomSettings())
+    got = generate_streams(model, schedule, 0.9, seed, workers=workers)
+    want = oracle_columnar_generate_streams(model, schedule, 0.9, seed, workers=workers)
+    for g, w in zip(got, want):
+        for column in ("t", "setting", "value"):
+            assert getattr(g, column).tolist() == getattr(w, column).tolist(), column
 
 
 def test_callable_outcome_on_a_null_atom_is_refused_by_every_engine():
@@ -180,8 +176,7 @@ def test_callable_outcome_on_a_null_atom_is_refused_by_every_engine():
     sp = SettingPair(1, 1)
     schedule = Schedule.for_windows(10, 10, RandomSettings())
     for call in (lambda: enumerate_raw(model, sp),
-                 lambda: simulate_trials(model, sp, 10, 1),
-                 lambda: sample_trial(model, sp, np.random.default_rng(1)),
+                 lambda: fixed_pair_outcomes(model, sp, 10, 1),
                  lambda: generate_streams(model, schedule, 0.9, 1)):
         with pytest.raises(InvalidModel) as excinfo:
             call()
@@ -189,17 +184,25 @@ def test_callable_outcome_on_a_null_atom_is_refused_by_every_engine():
 
 
 @pytest.mark.parametrize("workers", (1, 2))
-def test_finite_callable_models_never_draw_per_element(workers, monkeypatch):
-    def per_draw(self, generator, n):
-        raise AssertionError("a finite model took the per-draw path")
-
-    monkeypatch.setattr(_PairSampler, "_draw_slow", per_draw)
+def test_finite_callable_models_never_draw_per_element(workers):
+    """Plain-callable responses are called once per grid cell, when the
+    model is first sampled, and never per window."""
     model = callable_response_model()
-    for sp in model.pairs():
-        simulate_trials(model, sp, _rng.CHUNK + 1, 3, workers=workers)
-        sample_trial(model, sp, np.random.default_rng(3))
-    generate_streams(model, Schedule.for_windows(_rng.CHUNK + 1, 10, RandomSettings()), 0.9, 3,
-                     workers=workers)
+    calls = []
+
+    def counting(responses):
+        return {s: (lambda h, v, r=r: calls.append(1) or r(h, v)) for s, r in responses.items()}
+
+    model = dataclasses.replace(model, responses_a=counting(model.responses_a),
+                                responses_b=counting(model.responses_b))
+    schedule = Schedule.for_windows(_rng.CHUNK + 1, 10, RandomSettings())
+    for _ in range(2):
+        generate_streams(model, schedule, 0.9, 3, workers=workers)
+        for sp in model.pairs():
+            fixed_pair_outcomes(model, sp, _rng.CHUNK + 1, 3, workers=workers)
+        # Three source atoms times the two instrument values of each of the
+        # four station settings.
+        assert len(calls) == 3 * 2 * 4
 
 
 def _counting(model):
@@ -250,16 +253,15 @@ def test_each_grid_cell_is_evaluated_once_per_model(name, cells):
     # Distinct source atoms here have distinct halves, so no call repeats.
     assert len(set(calls)) == cells
     generate_streams(model, Schedule.for_windows(5000, 10, RandomSettings()), 0.9, 3, workers=2)
-    simulate_trials(model, SettingPair(*model.pairs()[-1]), 100, 4)
-    sample_trial(model, model.pairs()[0], np.random.Generator(np.random.PCG64(5)))
+    fixed_pair_outcomes(model, model.pairs()[-1], 100, 4)
     assert len(calls) == cells
 
 
 def test_sampler_evaluates_only_its_own_pair_responses():
     model, calls = _counting(two_atom_demo_model())
-    simulate_trials(model, SettingPair(1, 2), 100, 4)
+    _PairSampler(model, SettingPair(1, 2))
     assert {(station, s) for station, s, _, _ in calls} == {("A", 1), ("B", 2)}
-    simulate_trials(model, SettingPair(1, 1), 100, 4)
+    _PairSampler(model, SettingPair(1, 1))
     assert {(station, s) for station, s, _, _ in calls} == {("A", 1), ("B", 1), ("B", 2)}
     # Two source atoms times the instrument atoms of A[1], B[2] and B[1].
     assert len(calls) == 2 * (2 + 2 + 1)
@@ -274,7 +276,8 @@ def test_raising_response_fails_only_where_it_is_used():
 
     model = two_atom_demo_model()
     model = dataclasses.replace(model, responses_a={1: model.responses_a[1], 2: unavailable})
-    a, b = simulate_trials(model, SettingPair(1, 1), 1000, 7)
+    sampler = _PairSampler(model, SettingPair(1, 1))
+    a, b = sampler.outcomes_from_uniforms(*np.random.default_rng(7).random((3, 1000)))
     assert len(a) == len(b) == 1000 and set(a.tolist()) <= set(OUTCOMES)
     for _ in range(2):
         with pytest.raises(Unavailable, match="offline"):

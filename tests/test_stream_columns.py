@@ -38,8 +38,8 @@ from helpers import (
     columnar,
     events,
     oracle_generate_streams,
+    callable_response_model,
     oracle_pair_coincidences,
-    sampler_model,
 )
 
 # --------------------------------------------------------------------------
@@ -65,8 +65,10 @@ def test_generation_matches_event_oracle(scenario, rule, workers):
 
 
 @pytest.mark.parametrize("workers", (1, 4))
-def test_sampler_backed_generation_matches_event_oracle(workers):
-    model = sampler_model()
+def test_callable_response_generation_matches_event_oracle(workers):
+    """Plain-callable responses read the grid; the oracle draws each window
+    one space at a time and calls them per element."""
+    model = callable_response_model()
     schedule = Schedule.for_windows(4200, 10, RandomSettings())
     got = generate_streams(model, schedule, 0.8, 5, workers=workers)
     want = oracle_generate_streams(model, schedule, 0.8, 5, workers=workers)

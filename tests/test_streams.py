@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from bellsim.core import SettingPair, enumerate_postselected
 from bellsim.errors import (
@@ -34,7 +34,14 @@ from bellsim.streams import (
     write_timetag_file,
 )
 
-from helpers import ClickEvent, EventStream, columnar, events, mc_tolerance
+from helpers import (
+    ClickEvent,
+    EventStream,
+    callable_response_model,
+    columnar,
+    events,
+    mc_tolerance,
+)
 
 
 def stream(station, *clicks):
@@ -72,6 +79,28 @@ class TestGenerate:
         threaded = generate_streams(model, sched, 0.9, 13, workers=4)
         assert events(base[0]) == events(threaded[0])
         assert events(base[1]) == events(threaded[1])
+
+    @settings(deadline=None)
+    @given(name=st.sampled_from((*scenario_names(), "callable")),
+           rule=st.sampled_from(("fixed", "round-robin", "random")),
+           eta=st.sampled_from((1.0, 0.9)),
+           counts=st.lists(st.sampled_from((1, 4095, 4096, 4097, 3 * 4096 + 1)),
+                           min_size=2, max_size=2).map(sorted),
+           workers=st.tuples(st.sampled_from((1, 2)), st.sampled_from((1, 2))),
+           seed=st.integers(0, 2 ** 32))
+    def test_shorter_run_is_a_prefix_of_a_longer_one(self, name, rule, eta, counts, workers,
+                                                      seed):
+        model = callable_response_model() if name == "callable" else build_scenario(name).model
+        rule = {"fixed": FixedSettings(model.settings_a[-1], model.settings_b[0]),
+                "round-robin": RoundRobinSettings(), "random": RandomSettings()}[rule]
+        (n_short, n_long), width = counts, 10
+        short, long = (generate_streams(model, Schedule(n, width, rule), eta, seed, workers=w)
+                       for n, w in zip(counts, workers))
+        for s, l in zip(short, long):
+            kept = l.t < n_short * width
+            assert s.labels == l.labels
+            for column in ("t", "setting", "value"):
+                assert np.array_equal(getattr(s, column), getattr(l, column)[kept]), column
 
     def test_schedule_settings_matches_generated_events(self):
         model = build_scenario("lhvm-socks").model

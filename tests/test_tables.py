@@ -52,7 +52,6 @@ from helpers import (
     oracle_table,
     oracle_table_stats,
     random_lhvm_model,
-    sampler_model,
 )
 from test_core import constant_model, two_atom_demo_model
 
@@ -302,18 +301,14 @@ def test_invalid_model_raises_the_same_error_on_every_call(variant, data):
     assert "responses B: no response for setting 2" in messages[0]
 
 
-def test_quantum_and_sampler_models_keep_their_error_order():
+def test_quantum_models_keep_their_error_order():
     quantum = build_scenario("quantum").model
-    sampler = sampler_model()
     for _ in range(2):
-        for model in (quantum, sampler):
-            for call in (outcome_table, enumerate_raw, enumerate_postselected):
-                with pytest.raises(UnknownSetting):
-                    call(model, (1, 3))
-            with pytest.raises(NonFiniteSpace, match="quantum" if model is quantum else "sampler"):
-                outcome_table(model, (1, 2))
-        with pytest.raises(NonFiniteSpace, match="sampler"):
-            enumerate_raw(sampler, (1, 2))
+        for call in (outcome_table, enumerate_raw, enumerate_postselected):
+            with pytest.raises(UnknownSetting):
+                call(quantum, (1, 3))
+        with pytest.raises(NonFiniteSpace, match="quantum"):
+            outcome_table(quantum, (1, 2))
         assert enumerate_raw(quantum, (1, 2)).c_xy == 1.0
     no_angle = dataclasses.replace(quantum, angles_b={1: 0.0})
     for call in (outcome_table, enumerate_raw, enumerate_postselected):
