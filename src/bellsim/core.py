@@ -23,11 +23,11 @@ detection".  Five variants cover the families handled here:
     correlation cos 2(theta_a - theta_b) and uniform marginals.
 
 Every lambda space is a finite `DiscreteDistribution`, so two engines
-evaluate every model: exact enumeration over the lambda spaces (rational
-arithmetic, results are exact) and the seeded, vectorised Monte Carlo of
-``streams.generate_streams``, which draws every window's outcomes through a
-`_PairSampler`.  Quantum models have no lambda space; enumeration reads
-their analytic result.
+evaluate every model: exact enumeration over the lambda spaces, here
+(rational arithmetic, results are exact), and the seeded, vectorised
+Monte Carlo of ``streams``, which owns the frozen per-window draw.
+Quantum models have no lambda space; enumeration reads their analytic
+result.
 
 Enumeration fills each setting pair's 3x3 outcome table P(a, b | x, y)
 with integer numerators over the spaces' common denominator d, and
@@ -41,15 +41,15 @@ which imports no numpy; this module re-exports its names.
 A model's validity, its exact outcome tables and its outcome grids are
 computed once per `ExperimentModel` instance, on first use, and shared by
 every later call (`enumerate_raw`, `enumerate_postselected`,
-`outcome_table`, the samplers).  The grid of a station's setting is one
-int8 array, its response tabulated once over the source atoms (rows) and
-the setting's instrument values (columns) when the model is first
-enumerated or sampled: a response table is looked up once per cell in its
-dict, and a plain callable or a table subclass is called once per cell,
-a plain callable's outcomes checked there.  The Monte Carlo path indexes
-its columns; enumeration contracts a pair's two grids with the
-integer weights, one contraction for every variant (`_build_tables`).  So
-each response is read once per model, setting and cell.  Models are
+`outcome_table`, the samplers of ``streams``).  The grid of a station's
+setting is one int8 array, its response tabulated once over the source
+atoms (rows) and the setting's instrument values (columns) when the model
+is first enumerated or sampled: a response table is looked up once per
+cell in its dict, and a plain callable or a table subclass is called once
+per cell, a plain callable's outcomes checked there.  The Monte Carlo
+path indexes its columns; enumeration contracts a pair's two grids with
+the integer weights, one contraction for every variant (`_build_tables`).
+So each response is read once per model, setting and cell.  Models are
 therefore never changed in place: to change one, build a new instance, for
 example with `dataclasses.replace`.
 """
@@ -401,11 +401,6 @@ def quantum_reference_correlation(theta_a: float, theta_b: float) -> float:
     return math.cos(2.0 * (theta_a - theta_b))
 
 
-def _quantum_exact(model: ExperimentModel, sp: SettingPair) -> ExactResult:
-    e = quantum_reference_correlation(model.angles_a[sp.x], model.angles_b[sp.y])
-    return ExactResult(e_ab=e, e_a=0.0, e_b=0.0, c_xy=1.0)
-
-
 def _outcome_grid(model: ExperimentModel, comp: int, setting) -> tuple[dict, np.ndarray]:
     """``(columns, grid)``: the response of station ``comp`` (0 for A, 1 for
     B) at ``setting``, tabulated once per model on first use.  ``columns``
@@ -483,32 +478,27 @@ def _build_tables(model: ExperimentModel) -> dict:
     return out
 
 
-def _cached_exact(model: ExperimentModel, sp: SettingPair) -> tuple:
-    """``(numerators, d, table_sums(numerators))`` of a declared pair of a
-    valid model, from the model's cache; NonFiniteSpace for a quantum
-    model, which has none."""
-    if model.variant is ModelVariant.QUANTUM:
-        raise NonFiniteSpace("quantum reference models have no lambda space; "
-                             "use the analytic result")
-    return model._tables[sp]
-
-
 def outcome_table(model: ExperimentModel, sp: SettingPair) -> list[list[Fraction]]:
     """Exact P(a, b | x, y) over the model's lambda spaces, as a fresh 3x3
     list indexed ``[a + 1][b + 1]``.  The tables of all pairs are built on
-    first use and cached on the model (see `_build_tables`)."""
+    first use and cached on the model (see `_build_tables`); NonFiniteSpace
+    for a quantum model, which has no lambda space."""
     ensure_valid(model)
     sp = _check_pair(model, sp)
-    numerators, d, _ = _cached_exact(model, sp)
+    if model.variant is ModelVariant.QUANTUM:
+        raise NonFiniteSpace("quantum reference models have no lambda space; "
+                             "use the analytic result")
+    numerators, d, _ = model._tables[sp]
     return [[Fraction(n, d) for n in row] for row in numerators]
 
 
 def _exact(model: ExperimentModel, sp: SettingPair, post: bool) -> ExactResult:
     ensure_valid(model)
     sp = _check_pair(model, sp)
-    if model.variant is ModelVariant.QUANTUM:
-        return _quantum_exact(model, sp)
-    raw, selected = _cached_exact(model, sp)[2]
+    if model.variant is ModelVariant.QUANTUM:     # no lambda space: the analytic result
+        e = quantum_reference_correlation(model.angles_a[sp.x], model.angles_b[sp.y])
+        return ExactResult(e_ab=e, e_a=0.0, e_b=0.0, c_xy=1.0)
+    raw, selected = model._tables[sp][2]
     n, sums, _ = selected if post else raw
     if not n:
         raise DegenerateConditioning(
@@ -525,60 +515,3 @@ def enumerate_raw(model: ExperimentModel, sp: SettingPair) -> ExactResult:
 def enumerate_postselected(model: ExperimentModel, sp: SettingPair) -> ExactResult:
     """Expectations conditioned on both stations detecting (A*B != 0)."""
     return _exact(model, sp, post=True)
-
-
-# ---------------------------------------------------------------------------
-# Monte Carlo
-
-
-def _draw_indices(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
-    idx = np.searchsorted(cdf, u, side="right")
-    return np.minimum(idx, len(cdf) - 1)
-
-
-class _PairSampler:
-    """Vectorised outcome sampler for one (model, setting pair).
-
-    Each trial reads one uniform per space, in a fixed order: source, then
-    station A's instrument (or the joint instrument pair), then station
-    B's.  Quantum models read a sign and then a same-or-different
-    indicator.  Outcomes index the model's outcome grids of the pair's two
-    responses (tabulated once per model and setting, see `_outcome_grid`)
-    with index arrays, whether the responses are tables or plain callables.
-    """
-
-    def __init__(self, model: ExperimentModel, sp: SettingPair):
-        ensure_valid(model)
-        sp = _check_pair(model, sp)
-        self.variant = model.variant
-        if self.variant is ModelVariant.QUANTUM:
-            delta = model.angles_a[sp.x] - model.angles_b[sp.y]
-            self.p_same = math.cos(delta) ** 2
-            return
-        # The columns of each grid in the order of the atoms of the space
-        # that draws the station's instrument value.
-        if self.variant is ModelVariant.M3:
-            spaces = model.source, model.instruments_joint[sp]
-            values = tuple(zip(*spaces[1].atoms))
-        else:
-            spaces = model.source, model.instruments_a[sp.x], model.instruments_b[sp.y]
-            values = spaces[1].atoms, spaces[2].atoms
-        self.cdfs = [s.cdf() for s in spaces]
-        grids = _outcome_grid(model, 0, sp.x), _outcome_grid(model, 1, sp.y)
-        self.mat_a, self.mat_b = (grid[:, [columns[v] for v in vs]]
-                                  for (columns, grid), vs in zip(grids, values))
-
-    def outcomes_from_uniforms(self, u_source: np.ndarray, u_inst_a: np.ndarray,
-                               u_inst_b: "np.ndarray | None" = None
-                               ) -> tuple[np.ndarray, np.ndarray]:
-        """Outcomes from uniforms, one column per space in draw order;
-        ``u_inst_b`` is unused by m3 and quantum models.  The stream
-        generator passes columns of its per-window uniforms."""
-        if self.variant is ModelVariant.QUANTUM:
-            sign = np.where(u_source < 0.5, 1, -1).astype(np.int8)
-            same = u_inst_a < self.p_same
-            return sign, np.where(same, sign, -sign).astype(np.int8)
-        # One instrument index for m3 (the joint atom), two for product models.
-        i_src, *j = (_draw_indices(cdf, u)
-                     for cdf, u in zip(self.cdfs, (u_source, u_inst_a, u_inst_b)))
-        return self.mat_a[i_src, j[0]], self.mat_b[i_src, j[-1]]

@@ -9,6 +9,11 @@ are assigned to fixed aligned bins [kW, (k+1)W) and each occupied bin
 becomes one record of paired outcomes, with 0 filled in for a silent
 station.
 
+This module owns the Monte Carlo draw: each window reads one row of
+seven frozen uniform columns (``_COL_*``), and `_PairSampler` turns a
+setting pair's columns into outcomes; ``core`` keeps the models, their
+outcome grids and exact enumeration.
+
 Windows are fixed and aligned, never sliding; when several clicks of one
 station land in one bin the earliest is kept (ties broken by value) and
 the rest are counted as dropped.  Bins empty on both sides produce no
@@ -47,6 +52,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress, product
@@ -56,8 +62,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import rng as _rng
-from .core import (VALID_OUTCOMES, ExperimentModel, ResponseTable, SettingPair, _PairSampler,
-                   ensure_valid)
+from .core import (VALID_OUTCOMES, ExperimentModel, ModelVariant, ResponseTable, SettingPair,
+                   _outcome_grid, ensure_valid)
 from .errors import (
     BellsimError,
     NonMonotonicTimestamps,
@@ -265,6 +271,55 @@ _COL_THIN_A = 5
 _COL_THIN_B = 6
 
 
+def _draw_indices(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
+    idx = np.searchsorted(cdf, u, side="right")
+    return np.minimum(idx, len(cdf) - 1)
+
+
+class _PairSampler:
+    """Vectorised outcome sampler for one declared pair of a valid model.
+
+    Each trial reads one uniform per space, in the column order above:
+    source, then station A's instrument (or the joint instrument pair),
+    then station B's, each against the space's float cdf.  Quantum models
+    read a sign and then a same-or-different indicator.  Outcomes index the
+    pair's two outcome grids (``core._outcome_grid``) with index arrays,
+    whether the responses are tables or plain callables.
+    """
+
+    def __init__(self, model: ExperimentModel, sp: SettingPair):
+        self.variant = model.variant
+        if self.variant is ModelVariant.QUANTUM:
+            delta = model.angles_a[sp.x] - model.angles_b[sp.y]
+            self.p_same = math.cos(delta) ** 2
+            return
+        # The columns of each grid in the order of the atoms of the space
+        # that draws the station's instrument value.
+        if self.variant is ModelVariant.M3:
+            spaces = model.source, model.instruments_joint[sp]
+            values = tuple(zip(*spaces[1].atoms))
+        else:
+            spaces = model.source, model.instruments_a[sp.x], model.instruments_b[sp.y]
+            values = spaces[1].atoms, spaces[2].atoms
+        self.cdfs = [np.cumsum([float(p) for p in s.probs]) for s in spaces]
+        grids = _outcome_grid(model, 0, sp.x), _outcome_grid(model, 1, sp.y)
+        self.mat_a, self.mat_b = (grid[:, [columns[v] for v in vs]]
+                                  for (columns, grid), vs in zip(grids, values))
+
+    def outcomes_from_uniforms(self, u_source, u_inst_a, u_inst_b=None):
+        """The int8 outcome arrays ``(a, b)`` from uniform arrays, one per
+        space in draw order; ``u_inst_b`` is unused by m3 and quantum
+        models.  The stream generator passes columns of its uniforms."""
+        if self.variant is ModelVariant.QUANTUM:
+            sign = np.where(u_source < 0.5, 1, -1).astype(np.int8)
+            same = u_inst_a < self.p_same
+            return sign, np.where(same, sign, -sign).astype(np.int8)
+        # One instrument index for m3 (the joint atom), two for product models.
+        i_src, *j = (_draw_indices(cdf, u)
+                     for cdf, u in zip(self.cdfs, (u_source, u_inst_a, u_inst_b)))
+        return self.mat_a[i_src, j[0]], self.mat_b[i_src, j[-1]]
+
+
 def _setting_indices(model, rule, window_indices, u_a, u_b):
     """Per-window setting indices for both stations; uniform columns are
     consumed only by the random rule so every rule sees the same trial
@@ -357,18 +412,22 @@ def generate_streams(model: ExperimentModel, schedule: Schedule,
     ensure_valid(model)
     if not 0.0 <= detection_rate <= 1.0:
         raise BellsimError("detection_rate must be within [0, 1]")
-    n_b = len(model.settings_b)
-    samplers = [_PairSampler(model, sp) for sp in model.pairs()]    # by code x·|B| + y
-    # Callable responses read a block drawn after the matrix; frozen datasets fix that order.
+    n_b, rule = len(model.settings_b), schedule.rule
+    # By pair code x·|B| + y; a fixed rule draws its pair alone, no other is tabulated.
+    samplers = {code: _PairSampler(model, sp) for code, sp in enumerate(model.pairs())
+                if not isinstance(rule, FixedSettings) or sp == rule}
+    # Callable responses read a block drawn after the matrix, one column per
+    # space; frozen datasets fix that order.
     tables = all(isinstance(r, ResponseTable) for responses in (model.responses_a,
                  model.responses_b) for r in (responses or {}).values())
+    n_spaces = 2 if model.variant is ModelVariant.M3 else 3
     n = schedule.n_windows
     # Per station: the outcome and the setting code of every window.
     columns = [(np.zeros(n, np.int8), np.empty(n, _code_dtype(len(labels))))
                for labels in (model.settings_a, model.settings_b)]
 
     def build(chunk_index, start, stop):
-        gen, u, xs, ys = _draw_chunk(model, schedule.rule, master_seed, chunk_index, start, stop)
+        gen, u, xs, ys = _draw_chunk(model, rule, master_seed, chunk_index, start, stop)
         code = xs.astype(np.intp)
         code *= n_b
         code += ys
@@ -376,8 +435,8 @@ def generate_streams(model: ExperimentModel, schedule: Schedule,
                           for outcome, setting in columns)
         x[:], y[:] = xs, ys
         uniforms = (u.T[_COL_SOURCE:_COL_INST_B + 1] if tables
-                    else gen.random((stop - start, len(samplers[0].cdfs))).T)
-        for pair_code, sampler in enumerate(samplers):
+                    else gen.random((stop - start, n_spaces)).T)
+        for pair_code, sampler in samplers.items():
             mask = code == pair_code
             if mask.any():
                 a[mask], b[mask] = sampler.outcomes_from_uniforms(

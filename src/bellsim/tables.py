@@ -23,8 +23,7 @@ coupling's witness alike.
 
 Nothing here imports numpy, so ``coupling`` and ``estimators``, which
 import only this module of the model layer, load without it.  ``core``
-re-exports every name; `DiscreteDistribution.float_probs` and ``cdf``
-import numpy when they are called.
+re-exports every name.
 """
 
 from __future__ import annotations
@@ -35,10 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import product
-from typing import TYPE_CHECKING, Hashable, NamedTuple, Sequence
-
-if TYPE_CHECKING:
-    import numpy as np
+from typing import Hashable, NamedTuple, Sequence
 
 # Absolute tolerance on probability normalisation.
 PROB_TOL = 1e-9
@@ -163,16 +159,6 @@ class DiscreteDistribution:
 
     def items(self):
         return zip(self.atoms, self.probs)
-
-    def float_probs(self) -> np.ndarray:
-        import numpy as np
-
-        return np.array([float(p) for p in self.probs], dtype=np.float64)
-
-    def cdf(self) -> np.ndarray:
-        import numpy as np
-
-        return np.cumsum(self.float_probs())
 
 
 def table_sums(table) -> tuple[tuple, tuple]:

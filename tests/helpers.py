@@ -25,10 +25,15 @@ pairer that walks both event lists bin by bin with ``groupby``.  Three
 keep the whole-array columnar path as it was before generation wrote its
 clicks in place and setting codes were narrowed: a generator that joins
 per-chunk parts with ``np.concatenate``, and a schedule and a pairer with
-int64 setting codes.  Both generators still draw a model with a
-plain-callable response window by window (``_oracle_draw_window``): one
-uniform per space, each response called on the atoms drawn and its outcome
-checked, as generation did before every model was tabulated.
+int64 setting codes.  Both generators draw with their own code, not the
+package's sampler or schedule rules: each space's float cdf summed from
+its probabilities, atoms picked with ``np.searchsorted``, each response
+called per element on the atoms drawn, the quantum sign and
+same-or-different rule, and the three setting rules
+(``_oracle_setting_codes``).  A table model reads the uniform matrix's
+columns; a model with a plain-callable response is drawn window by window
+(``_oracle_draw_window``), one uniform per space and each outcome checked,
+as generation did before every model was tabulated.
 
 Four more keep the text readers that each had their own line loop:
 model, config, time-tag and coincidence CSV files.  Two keep the text
@@ -73,7 +78,7 @@ from bellsim.core import (
 from bellsim import core as _core
 from bellsim import rng as _rng
 from bellsim import streams as _streams
-from bellsim.core import SettingPair, _PairSampler, ensure_valid
+from bellsim.core import SettingPair, ensure_valid
 from bellsim.coupling import (
     ATOMS,
     MOMENT_TOL,
@@ -106,6 +111,8 @@ from bellsim.streams import (
     CoincidenceRecord,
     CoincidenceRecords,
     FixedSettings,
+    RandomSettings,
+    RoundRobinSettings,
     Schedule,
     generate_streams,
 )
@@ -120,17 +127,20 @@ def brute_force_expectations(model, sp):
     resp_a = model.responses_a[x]
     resp_b = model.responses_b[y]
     terms = []
+    def items(space):
+        return [(atom, float(p)) for atom, p in space.items()]
+
     if model.variant is ModelVariant.M3:
         joint = model.instruments_joint[SettingPair(x, y)]
-        for (l1, l2), p_src in zip(model.source.atoms, model.source.float_probs()):
-            for (lx, ly), p_j in zip(joint.atoms, joint.float_probs()):
+        for (l1, l2), p_src in items(model.source):
+            for (lx, ly), p_j in items(joint):
                 terms.append((p_src * p_j, resp_a(l1, lx), resp_b(l2, ly)))
     else:
         inst_a = model.instruments_a[x]
         inst_b = model.instruments_b[y]
-        for (l1, l2), p_src in zip(model.source.atoms, model.source.float_probs()):
-            for lx, p_x in zip(inst_a.atoms, inst_a.float_probs()):
-                for ly, p_y in zip(inst_b.atoms, inst_b.float_probs()):
+        for (l1, l2), p_src in items(model.source):
+            for lx, p_x in items(inst_a):
+                for ly, p_y in items(inst_b):
                     terms.append((p_src * p_x * p_y, resp_a(l1, lx), resp_b(l2, ly)))
     total = sum(w for w, _, _ in terms)
     raw_ab = sum(w * a * b for w, a, b in terms) / total
@@ -474,26 +484,62 @@ def _oracle_reads_matrix(model) -> bool:
     return all(isinstance(r, ResponseTable) for r in responses)
 
 
+def _oracle_spaces(model, sp):
+    """The spaces of the pair ``sp`` in draw order: source, then A's
+    instrument or the joint pair, then B's instrument."""
+    if model.variant is ModelVariant.M3:
+        return [model.source, model.instruments_joint[sp]]
+    return [model.source, model.instruments_a[sp.x], model.instruments_b[sp.y]]
+
+
+def _oracle_atoms(space, u):
+    """The atom of ``space`` that each uniform of ``u`` selects: the first
+    whose float cdf, summed from the probabilities, exceeds it."""
+    cdf = np.cumsum([float(p) for p in space.probs])
+    i = np.minimum(np.searchsorted(cdf, u, side="right"), len(space.atoms) - 1)
+    return [space.atoms[k] for k in i.tolist()]
+
+
+def _oracle_pair_outcomes(model, sp, uniforms):
+    """The outcome lists ``(a, b)`` of windows of the pair ``sp``, from one
+    uniform array per space in draw order.  A quantum pair reads a sign
+    (+1 below 0.5) and then whether B agrees (below cos^2 of the angle
+    difference); any other reads the atoms drawn, each response called per
+    element."""
+    if model.variant is ModelVariant.QUANTUM:
+        p_same = math.cos(model.angles_a[sp.x] - model.angles_b[sp.y]) ** 2
+        a = [1 if u < 0.5 else -1 for u in uniforms[0].tolist()]
+        return a, [s if u < p_same else -s for s, u in zip(a, uniforms[1].tolist())]
+    src, *inst = (_oracle_atoms(space, u)
+                  for space, u in zip(_oracle_spaces(model, sp), uniforms))
+    inst = inst[0] if len(inst) == 1 else list(zip(*inst))
+    resp_a, resp_b = model.responses_a[sp.x], model.responses_b[sp.y]
+    return ([resp_a(s[0], lx) for s, (lx, _) in zip(src, inst)],
+            [resp_b(s[1], ly) for s, (_, ly) in zip(src, inst)])
+
+
 def _oracle_draw_window(model, sp, gen):
     """One window's outcomes ``(a, b)`` of the pair ``sp``, per element: one
-    ``random(1)`` per space in draw order (source, then A's instrument or
-    the joint pair, then B's), the atom its cdf selects, each response
-    called on the atoms drawn and its outcome checked (InvalidModel)."""
-    if model.variant is ModelVariant.M3:
-        spaces = [model.source, model.instruments_joint[sp]]
-    else:
-        spaces = [model.source, model.instruments_a[sp.x], model.instruments_b[sp.y]]
-    drawn = []
-    for space in spaces:
-        i = int(np.searchsorted(space.cdf(), gen.random(1)[0], side="right"))
-        drawn.append(space.atoms[min(i, len(space.atoms) - 1)])
-    src, *inst = drawn
-    lx, ly = inst[0] if len(inst) == 1 else inst
-    ab = model.responses_a[sp.x](src[0], lx), model.responses_b[sp.y](src[1], ly)
+    ``random(1)`` per space in draw order, each response called on the
+    atoms drawn and its outcome checked (InvalidModel)."""
+    uniforms = [gen.random(1) for _ in _oracle_spaces(model, sp)]
+    ab = [o for (o,) in _oracle_pair_outcomes(model, sp, uniforms)]
     for o, station, setting in zip(ab, "AB", sp):
         if bad := _core._outcome_violations(model.variant, station, setting, [o]):
             raise InvalidModel(bad)
-    return ab
+    return tuple(ab)
+
+
+def _oracle_matrix_outcomes(model, code, u):
+    """The int8 outcome arrays of a chunk of a table model, from the
+    uniform matrix's columns 2 to 4, one pair code x·|B| + y at a time."""
+    a = np.zeros(len(code), dtype=np.int8)
+    b = np.zeros(len(code), dtype=np.int8)
+    for pair_code, sp in enumerate(model.pairs()):
+        mask = code == pair_code
+        if mask.any():
+            a[mask], b[mask] = _oracle_pair_outcomes(model, sp, u[mask, 2:5].T)
+    return a, b
 
 
 def oracle_generate_streams(model, schedule, detection_rate, master_seed, workers=1):
@@ -502,7 +548,6 @@ def oracle_generate_streams(model, schedule, detection_rate, master_seed, worker
     ensure_valid(model)
     if not 0.0 <= detection_rate <= 1.0:
         raise BellsimError("detection_rate must be within [0, 1]")
-    samplers = {sp: _PairSampler(model, sp) for sp in model.pairs()}
     fast = _oracle_reads_matrix(model)
     n = schedule.n_windows
     w = schedule.window_ns
@@ -511,21 +556,12 @@ def oracle_generate_streams(model, schedule, detection_rate, master_seed, worker
         gen = _rng.chunk_generator(master_seed, (_rng.PURPOSE_STREAMS,), chunk_index)
         m = stop - start
         u = gen.random((_rng.CHUNK, 7))[:m]
-        idx = np.arange(start, stop, dtype=np.int64)
-        xs, ys = _streams._setting_indices(model, schedule.rule, idx, u[:, 0], u[:, 1])
-        a = np.zeros(m, dtype=np.int8)
-        b = np.zeros(m, dtype=np.int8)
+        xs, ys = _oracle_setting_codes(model, schedule.rule, start, stop, u)
         if fast:
-            code = xs * len(model.settings_b) + ys
-            for sp, sampler in samplers.items():
-                pair_code = (model.settings_a.index(sp.x) * len(model.settings_b)
-                             + model.settings_b.index(sp.y))
-                mask = code == pair_code
-                if not mask.any():
-                    continue
-                a[mask], b[mask] = sampler.outcomes_from_uniforms(
-                    u[mask, 2], u[mask, 3], u[mask, 4])
+            a, b = _oracle_matrix_outcomes(model, xs * len(model.settings_b) + ys, u)
         else:
+            a = np.zeros(m, dtype=np.int8)
+            b = np.zeros(m, dtype=np.int8)
             for i in range(m):
                 sp = SettingPair(model.settings_a[xs[i]], model.settings_b[ys[i]])
                 a[i], b[i] = _oracle_draw_window(model, sp, gen)
@@ -611,10 +647,28 @@ def oracle_pair_coincidences(stream_a, stream_b, window_ns, settings_hint=None):
 
 
 def _oracle_setting_codes(model, rule, start, stop, u):
-    """The windows' setting codes, int64, from a chunk's uniform matrix."""
-    xs, ys = _streams._setting_indices(model, rule, np.arange(start, stop, dtype=np.int64),
-                                       u[:, 0], u[:, 1])
-    return np.asarray(xs, dtype=np.int64), np.asarray(ys, dtype=np.int64)
+    """The setting codes of windows ``start`` to ``stop``, int64, window by
+    window: a fixed rule's own pair, round-robin's pair k mod |A|·|B| of
+    window k, or each station's uniform (matrix column 0 or 1) scaled by
+    its setting count."""
+    settings_a, settings_b = model.settings_a, model.settings_b
+    n_a, n_b = len(settings_a), len(settings_b)
+    windows = range(start, stop)
+    if isinstance(rule, FixedSettings):
+        if rule.x not in settings_a or rule.y not in settings_b:
+            raise BellsimError(
+                f"fixed settings ({rule.x!r}, {rule.y!r}) not declared by the model")
+        xs = [settings_a.index(rule.x)] * len(windows)
+        ys = [settings_b.index(rule.y)] * len(windows)
+    elif isinstance(rule, RoundRobinSettings):
+        xs = [k % (n_a * n_b) // n_b for k in windows]
+        ys = [k % n_b for k in windows]
+    elif isinstance(rule, RandomSettings):
+        xs = [min(int(v * n_a), n_a - 1) for v in u[:, 0].tolist()]
+        ys = [min(int(v * n_b), n_b - 1) for v in u[:, 1].tolist()]
+    else:
+        raise BellsimError(f"unknown schedule rule {rule!r}")
+    return np.array(xs, dtype=np.int64), np.array(ys, dtype=np.int64)
 
 
 def oracle_columnar_generate_streams(model, schedule, detection_rate, master_seed, workers=1):
@@ -624,7 +678,6 @@ def oracle_columnar_generate_streams(model, schedule, detection_rate, master_see
     if not 0.0 <= detection_rate <= 1.0:
         raise BellsimError("detection_rate must be within [0, 1]")
     n_b = len(model.settings_b)
-    samplers = [_PairSampler(model, sp) for sp in model.pairs()]    # by code x·|B| + y
     fast = _oracle_reads_matrix(model)
     w = schedule.window_ns
 
@@ -633,15 +686,11 @@ def oracle_columnar_generate_streams(model, schedule, detection_rate, master_see
         u = gen.random((_rng.CHUNK, 7))[: stop - start]
         xs, ys = _oracle_setting_codes(model, schedule.rule, start, stop, u)
         code = xs * n_b + ys
-        a = np.zeros(stop - start, dtype=np.int8)
-        b = np.zeros(stop - start, dtype=np.int8)
         if fast:
-            for pair_code, sampler in enumerate(samplers):
-                mask = code == pair_code
-                if mask.any():
-                    a[mask], b[mask] = sampler.outcomes_from_uniforms(
-                        u[mask, 2], u[mask, 3], u[mask, 4])
+            a, b = _oracle_matrix_outcomes(model, code, u)
         else:
+            a = np.zeros(stop - start, dtype=np.int8)
+            b = np.zeros(stop - start, dtype=np.int8)
             pairs = model.pairs()
             for i, pair_code in enumerate(code.tolist()):
                 a[i], b[i] = _oracle_draw_window(model, pairs[pair_code], gen)

@@ -318,7 +318,7 @@ class TestValidateModel:
         assert validate_model(model) == []
         calls = [lambda: enumerate_raw(model, SettingPair(2, 2)),
                  lambda: enumerate_postselected(model, SettingPair(1, 1)),
-                 lambda: fixed_pair_outcomes(model, SettingPair(2, 2), 10, 1)]
+                 lambda: fixed_pair_outcomes(model, SettingPair(1, 1), 10, 1)]
         for call in calls * 2:
             with pytest.raises(InvalidModel) as excinfo:
                 call()
@@ -374,6 +374,10 @@ class TestEnumerate:
     def test_unknown_setting_rejected(self):
         with pytest.raises(UnknownSetting):
             enumerate_raw(constant_model(), SettingPair(9, 1))
+
+    def test_response_table_without_the_entry_rejected(self):
+        with pytest.raises(UnknownSetting, match=r"^response table has no entry for \(0, 'k'\)$"):
+            ResponseTable({(0, 0): 1})(0, "k")
 
     def test_expectations_bounded(self):
         gen = np.random.Generator(np.random.PCG64(10))

@@ -148,7 +148,7 @@ class TestFeasibility:
             if not result.feasible:
                 continue
             assert result.witness.violations() == []
-            probs = result.witness.float_probs()
+            probs = np.array([float(p) for p in result.witness.probs])
             assert (probs >= 0).all()
             assert abs(probs.sum() - 1) <= 1e-9
             got = joint_moments(result.witness, spec.settings_a, spec.settings_b)

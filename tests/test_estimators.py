@@ -140,6 +140,11 @@ class TestChsh:
         with pytest.raises(MissingPair):
             chsh(estimate_raw(records))
 
+    def test_stats_of_an_absent_pair_rejected(self):
+        cs = estimate_raw(make_records((1, 1), [(1, 1)]))
+        with pytest.raises(MissingPair, match=r"^no statistics for setting pair \(1, 2\)$"):
+            cs.stats(1, 2)
+
     def test_station_swap_with_transpose_is_invariant(self):
         scenario = build_scenario("m2-demo")
         cs = exact_set(scenario)
@@ -242,4 +247,10 @@ class TestExactSets:
         table[SettingPair(1, 2)] = table[SettingPair(1, 1)]
         with pytest.raises(UnknownSetting, match=r"^result for pair \(1, 2\) outside the "
                                                  r"settings \(1, -1\) x \(1, -1\)$"):
+            correlation_set_from_exact(table, (1, -1), (1, -1), RAW)
+
+    def test_result_that_is_not_exact_is_refused(self):
+        table = dict(lf_scenario().expected_raw)
+        table[SettingPair(1, -1)] = tuple(table[SettingPair(1, -1)])
+        with pytest.raises(TypeError, match=r"^expected ExactResult for pair \(1, -1\)$"):
             correlation_set_from_exact(table, (1, -1), (1, -1), RAW)

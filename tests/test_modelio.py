@@ -20,7 +20,7 @@ from bellsim.core import (
 from bellsim.errors import BellsimError, ParseError
 from bellsim.scenarios import build_scenario, scenario_names
 
-from helpers import drawing_source_model
+from helpers import callable_response_model, drawing_source_model
 from test_tables import table_models
 
 
@@ -92,6 +92,13 @@ def test_sampler_models_not_serialisable():
     with pytest.raises(BellsimError) as excinfo:
         modelio.dumps(drawing_source_model())
     assert str(excinfo.value) == ("source is not a DiscreteDistribution; "
+                                  "only table models can be saved")
+
+
+def test_plain_callable_response_not_serialisable():
+    with pytest.raises(BellsimError) as excinfo:
+        modelio.dumps(callable_response_model())
+    assert str(excinfo.value) == ("responses A['u'] is a plain callable; "
                                   "only table models can be saved")
 
 

@@ -25,13 +25,12 @@ from bellsim.core import (
     ModelVariant,
     ResponseTable,
     SettingPair,
-    _PairSampler,
     enumerate_postselected,
     enumerate_raw,
 )
 from bellsim.errors import InvalidModel
 from bellsim.scenarios import build_scenario
-from bellsim.streams import RandomSettings, Schedule, generate_streams
+from bellsim.streams import FixedSettings, RandomSettings, Schedule, _PairSampler, generate_streams
 
 from helpers import callable_response_model, fixed_pair_outcomes, oracle_columnar_generate_streams
 from test_core import two_atom_demo_model
@@ -97,8 +96,12 @@ def plain_functions(model):
                                responses_b=plain(model.responses_b))
 
 
+def _cdf(space):
+    return np.cumsum([float(p) for p in space.probs])
+
+
 def _indices(space, u):
-    return np.minimum(np.searchsorted(space.cdf(), u, side="right"), len(space.atoms) - 1)
+    return np.minimum(np.searchsorted(_cdf(space), u, side="right"), len(space.atoms) - 1)
 
 
 def oracle_outcomes(model, sp, u_source, u_inst_a, u_inst_b):
@@ -136,7 +139,7 @@ def test_fast_sampler_matches_per_element_oracle(variant, data):
         columns = []
         for space in spaces:
             u = data.draw(st.lists(uniform, min_size=1, max_size=6))
-            u = np.array(u + [0.0] + [min(c, np.nextafter(1.0, 0.0)) for c in space.cdf()])
+            u = np.array(u + [0.0] + [min(c, np.nextafter(1.0, 0.0)) for c in _cdf(space)])
             columns.append(u)
         n = min(len(u) for u in columns)
         columns = [np.random.default_rng(i).permutation(u)[:n] for i, u in enumerate(columns)]
@@ -258,10 +261,11 @@ def test_each_grid_cell_is_evaluated_once_per_model(name, cells):
 
 
 def test_sampler_evaluates_only_its_own_pair_responses():
+    """A fixed-rule run tabulates the responses of its own pair alone."""
     model, calls = _counting(two_atom_demo_model())
-    _PairSampler(model, SettingPair(1, 2))
+    generate_streams(model, Schedule(10, 1, FixedSettings(1, 2)), 1.0, 1)
     assert {(station, s) for station, s, _, _ in calls} == {("A", 1), ("B", 2)}
-    _PairSampler(model, SettingPair(1, 1))
+    generate_streams(model, Schedule(10, 1, FixedSettings(1, 1)), 1.0, 1)
     assert {(station, s) for station, s, _, _ in calls} == {("A", 1), ("B", 1), ("B", 2)}
     # Two source atoms times the instrument atoms of A[1], B[2] and B[1].
     assert len(calls) == 2 * (2 + 2 + 1)
@@ -276,9 +280,10 @@ def test_raising_response_fails_only_where_it_is_used():
 
     model = two_atom_demo_model()
     model = dataclasses.replace(model, responses_a={1: model.responses_a[1], 2: unavailable})
-    sampler = _PairSampler(model, SettingPair(1, 1))
-    a, b = sampler.outcomes_from_uniforms(*np.random.default_rng(7).random((3, 1000)))
+    a, b = fixed_pair_outcomes(model, SettingPair(1, 1), 1000, 7)
     assert len(a) == len(b) == 1000 and set(a.tolist()) <= set(OUTCOMES)
-    for _ in range(2):
-        with pytest.raises(Unavailable, match="offline"):
-            enumerate_raw(model, SettingPair(1, 1))
+    for call in (lambda: enumerate_raw(model, SettingPair(1, 1)),
+                 lambda: generate_streams(model, Schedule(10, 1, RandomSettings()), 1.0, 7)):
+        for _ in range(2):
+            with pytest.raises(Unavailable, match="offline"):
+                call()

@@ -87,6 +87,18 @@ def test_estimators_do_not_import_streams():
     assert "bellsim.estimators" in modules and "bellsim.streams" not in modules
 
 
+def test_core_loads_neither_streams_nor_rng():
+    """Monte Carlo lives in ``streams``; the model layer and exact
+    enumeration load without it and without the seed tree."""
+    src = Path(bellsim.__file__).parent.parent
+    code = "import json, sys, bellsim.core; print(json.dumps(sorted(sys.modules)))"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120, check=True, env=dict(os.environ, PYTHONPATH=str(src)))
+    modules = json.loads(done.stdout)
+    assert "bellsim.core" in modules
+    assert not {"bellsim.streams", "bellsim.rng"} & set(modules)
+
+
 def test_coupling_and_estimators_load_and_decide_without_numpy(tmp_path):
     """The model layer's table algebra lives in ``tables``, which imports no
     numpy: importing ``coupling`` and ``estimators`` and deciding a spec
@@ -149,6 +161,14 @@ def _converted(convert, value):
     except Exception as exc:        # compared by class
         return type(exc)
     return type(result), result
+
+
+def test_as_fraction_returns_a_fraction_subclass_unchanged():
+    class _Fraction(Fraction):
+        pass
+
+    value = _Fraction(1, 3)
+    assert _as_fraction(value) is value
 
 
 @pytest.mark.parametrize("value", VALUES, ids=lambda v: f"{type(v).__name__}-{v!r}")

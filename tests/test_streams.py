@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bellsim.core import SettingPair, enumerate_postselected
+from bellsim.core import ResponseTable, SettingPair, enumerate_postselected
 from bellsim.errors import (
     BellsimError,
     NonMonotonicTimestamps,
@@ -71,6 +71,40 @@ class TestGenerate:
         assert assignment[:4] == [SettingPair(1, 1), SettingPair(1, -1),
                                   SettingPair(-1, 1), SettingPair(-1, -1)]
         assert assignment[4:] == assignment[:4]
+
+    def test_fixed_rule_reads_only_its_own_pair(self):
+        """A fixed rule draws one pair, so only that pair's responses are
+        tabulated: with station A's response table at setting 2 offline, a
+        FixedSettings(1, 1) run writes what the working model writes, while
+        a random-rule run raises and an undeclared fixed pair is still
+        refused."""
+        class Offline(Exception):
+            pass
+
+        class OfflineTable(ResponseTable):
+            def __call__(self, source_value, instrument_value):
+                raise Offline("station A setting 2 is offline")
+
+        model = build_scenario("m2-demo").model
+        broken = dataclasses.replace(model, responses_a={
+            **model.responses_a, 2: OfflineTable(model.responses_a[2].mapping)})
+        fixed = Schedule.for_windows(5000, 10, FixedSettings(1, 1))
+        for got, want in zip(generate_streams(broken, fixed, 0.9, 3),
+                             generate_streams(model, fixed, 0.9, 3)):
+            assert events(got) == events(want)
+        with pytest.raises(Offline):
+            generate_streams(broken, Schedule.for_windows(10, 10, RandomSettings()), 0.9, 3)
+        with pytest.raises(BellsimError, match=re.escape(
+                "fixed settings (5, 1) not declared by the model")):
+            generate_streams(broken, Schedule.for_windows(10, 10, FixedSettings(5, 1)), 0.9, 3)
+
+    def test_unknown_rule_is_refused(self):
+        model = lf_scenario().model
+        schedule = Schedule.for_windows(10, 10, object())
+        for call in (lambda: generate_streams(model, schedule, 0.9, 3),
+                     lambda: schedule_settings(model, schedule, 3)):
+            with pytest.raises(BellsimError, match="^unknown schedule rule <object object"):
+                call()
 
     def test_workers_do_not_change_output(self):
         model = build_scenario("m2-demo").model
